@@ -12,6 +12,7 @@ from .intmat import (
     IntMatrix,
     SnfDecomposition,
     smith_normal_form,
+    smith_diagonal,
     kernel_basis,
     column_span_basis,
     solve,

@@ -17,7 +17,7 @@ from .intmat import (
     _snf_reduce,
     column_span_basis,
     kernel_basis,
-    smith_normal_form,
+    smith_diagonal,
     solve_matrix,
 )
 
@@ -268,8 +268,7 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     >>> canonical_form(FpAbPresentation.from_relation_columns(1, [[2]]))
     FgAbGroup(free_rank=0, torsion=(2,))
     """
-    dec = smith_normal_form(p.relations)
-    diag = [x for x in dec.diagonal if x]
+    diag = smith_diagonal(p.relations)
     torsion = tuple(x for x in diag if x > 1)
     return FgAbGroup(p.generators - len(diag), torsion)
 

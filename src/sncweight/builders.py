@@ -202,14 +202,13 @@ def _parse_presentation(obj, where: str) -> FpAbPresentation:
 
 def _parse_matrix(obj, where: str) -> IntMatrix:
     _expect(isinstance(obj, list), f"{where}: matrix must be a list of rows")
-    rows = obj
-    width = len(rows[0]) if rows else 0
-    for r in rows:
-        _expect(
-            isinstance(r, list) and len(r) == width and all(_is_int(x) for x in r),
-            f"{where}: matrix rows must be equal-length integer lists",
-        )
-    return IntMatrix.from_rows(rows, width)
+    message = f"{where}: matrix rows must be equal-length integer lists"
+    # Check every row's type before taking any length: a flat list is malformed.
+    _expect(all(isinstance(r, list) for r in obj), message)
+    width = len(obj[0]) if obj else 0
+    for r in obj:
+        _expect(len(r) == width and all(_is_int(x) for x in r), message)
+    return IntMatrix.from_rows(obj, width)
 
 
 def datum_from_dict(obj) -> SncDatum:

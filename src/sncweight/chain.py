@@ -9,7 +9,7 @@ from .abgroup import (
     FpAbPresentation,
     subquotient_cohomology,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, smith_diagonal
 from .reports import Report
 
 __all__ = [
@@ -131,11 +131,26 @@ def verify_complex(c: CochainComplex) -> Report:
 
 
 def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
-    """Degree -> cohomology group, nonzero entries only."""
+    """Degree -> cohomology group, nonzero entries only.
+
+    For a complex of free groups, with r_a the rank of d_a, H^a is
+    Z^(n_a - r_a - r_(a-1)) plus the invariant factors > 1 of d_(a-1),
+    so each differential needs only its Smith diagonal.  Complexes with
+    relations take the presented subquotient path.
+    """
     rep = verify_complex(c)
     if not rep.passed:
         raise InvalidComplexError("; ".join(rep.details))
     out = {}
+    if all(g.is_relation_free for g in c.groups):
+        diagonals = [()] + [smith_diagonal(d.matrix) for d in c.differentials] + [()]
+        for i, g in enumerate(c.groups):
+            d_in, d_out = diagonals[i], diagonals[i + 1]
+            h = FgAbGroup(g.generators - len(d_out) - len(d_in),
+                          tuple(x for x in d_in if x > 1))
+            if not h.is_zero:
+                out[c.min_degree + i] = h
+        return out
     for a in c.degrees:
         h = subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
         if not h.is_zero:

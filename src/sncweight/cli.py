@@ -8,7 +8,6 @@ fixed input and flag set: fixed orderings everywhere and no timestamps.
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 
 from . import builders, dual, weight
@@ -31,16 +30,11 @@ CHECK_SUITES = ("all", "prop1", "d2", "stability", "euler", "degeneration", "pro
 
 @dataclass
 class RunReport:
-    """What one invocation computed: deterministic for a fixed input and version.
-
-    Timings are kept on the object for callers but never written into
-    machine output, which must be byte-identical across runs.
-    """
+    """What one invocation computed: deterministic for a fixed input and version."""
 
     input_id: str
     table: "weight.BigradedTable | None" = None
     checks: list[Report] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -168,10 +162,8 @@ def cmd_compute(args) -> int:
     code = _require_valid_or_report(datum)
     if code:
         return code
-    started = time.perf_counter()
     report = RunReport(identifier)
     report.table = weight.e2_page(datum, rational=args.rational)
-    report.timings["compute"] = time.perf_counter() - started
     if args.format == "text":
         print(_table_text(report.table, identifier, args.rational))
     elif args.format == "csv":
@@ -339,9 +331,7 @@ def cmd_check(args) -> int:
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
 
-    started = time.perf_counter()
     report = RunReport(identifier, checks=_run_checks(datum, args.which, expected_hc))
-    report.timings["check"] = time.perf_counter() - started
     if args.json:
         obj = {
             "input": identifier,

@@ -7,15 +7,21 @@ coefficients.  Pivoting always selects a nonzero entry of minimal
 absolute value (first such entry in row-major order), which keeps
 intermediate entries small at the sizes used here and makes every
 decomposition reproducible.
+
+When only the invariant factors are wanted, smith_diagonal first
+eliminates unit entries on a sparse copy and runs the dense reduction
+on the unit-free core alone; it tracks no transform.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = [
     "IntMatrix",
     "SnfDecomposition",
     "smith_normal_form",
+    "smith_diagonal",
     "kernel_basis",
     "column_span_basis",
     "solve",
@@ -415,6 +421,82 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """
     u, d, v, _, _ = _snf_reduce(a, want_u=True, want_v=True)
     return SnfDecomposition(u, d, v)
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of a, each dividing the next.
+
+    The nonzeros are read into row dicts with a column index, and +-1
+    pivots are eliminated in order of least Markowitz cost
+    (row count - 1) * (column count - 1), ties going to the lowest row
+    and then the lowest column.  Each such pivot is an invariant factor
+    1.  The dense reduction runs only on the core left when no unit
+    entry remains, and only if that core is nonzero.
+
+    >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    >>> smith_diagonal(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    (1, 1, 2)
+    >>> smith_diagonal(IntMatrix.zeros(0, 3))
+    ()
+    """
+    n = a.cols
+    data = a._data
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i in range(a.rows):
+        row = {j: e for j, e in enumerate(data[i * n : (i + 1) * n]) if e}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    # Stale heap entries are skipped when popped: every entry whose row or
+    # column count changes is pushed again with its new cost.
+    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, e in row.items() if e in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        c, p, q = heappop(heap)
+        prow = rows.get(p)
+        if prow is None or prow.get(q) not in (1, -1) or c != cost(p, q):
+            continue
+        units += 1
+        del rows[p]
+        for j in prow:
+            cols[j].discard(p)
+        pivot = prow.pop(q)
+        touched = set()
+        for i in cols.pop(q):
+            row = rows[i]
+            f = row.pop(q) * pivot
+            for j, e in prow.items():
+                v = row.get(j, 0) - f * e
+                if v:
+                    row[j] = v
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                touched.update((i, j) for j in row)
+            else:
+                del rows[i]
+        for j in prow:
+            touched.update((i, j) for i in cols[j])
+        for i, j in touched:
+            if rows[i][j] in (1, -1):
+                heappush(heap, (cost(i, j), i, j))
+    if not rows:
+        return (1,) * units
+    core_cols = sorted(j for j, members in cols.items() if members)
+    core = tuple(row.get(j, 0) for row in rows.values() for j in core_cols)
+    _, d, _, _, _ = _snf_reduce(IntMatrix._make(len(rows), len(core_cols), core))
+    k = min(d.rows, d.cols)
+    return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(k)) if x)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

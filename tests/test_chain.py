@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation
+from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation, subquotient_cohomology
 from sncweight.chain import (
     CochainComplex,
     ComplexMap,
@@ -16,7 +16,7 @@ from sncweight.chain import (
 )
 from sncweight.intmat import IntMatrix
 
-from _support import random_unimodular
+from _support import oracle_cochain_cohomology, random_unimodular
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -36,8 +36,8 @@ def two_term(m, degree=0):
     return CochainComplex(degree, (F(1), F(1)), (hom(F(1), F(1), [[m]]),))
 
 
-def random_free_complex(rng, min_degree=None):
-    """Block sums of elementary pieces, twisted by unimodular basis changes."""
+def random_free_complex(rng, min_degree=None, values=(0, 1, 2, 3, -2)):
+    """Block sums of Z --m--> Z pieces (m from values), twisted by unimodular basis changes."""
     if min_degree is None:
         min_degree = rng.randint(-2, 2)
     length = rng.randint(1, 4)
@@ -45,7 +45,7 @@ def random_free_complex(rng, min_degree=None):
     maps = [[] for _ in range(length)]  # per step, list of (row, col, value)
     for a in range(length):
         for _ in range(rng.randint(0, 2)):
-            m = rng.choice([0, 1, 2, 3, -2])
+            m = rng.choice(values)
             r, c = ranks[a + 1], ranks[a]
             ranks[a] += 1
             ranks[a + 1] += 1
@@ -98,6 +98,30 @@ def test_cohomology_examples():
     assert cohomology(c) == {1: Z}
     assert cohomology(two_term(2)) == {1: FgAbGroup(0, (2,))}
     assert cohomology(exact_three_term()) == {}
+    # With relations the presented path runs: Z/4 --2--> Z/4 has H^0 = H^1 = Z/2.
+    z4 = FpAbPresentation.from_relation_columns(1, [[4]])
+    c = CochainComplex(0, (z4, z4), (FpAbHom(z4, z4, IntMatrix.from_rows([[2]])),))
+    assert cohomology(c) == {0: FgAbGroup(0, (2,)), 1: FgAbGroup(0, (2,))}
+
+
+def test_free_cohomology_agrees_with_oracle_and_presented_path():
+    # Both sides of the nerve identity use the Smith-diagonal path, so it is
+    # checked here against the oracle and against subquotient_cohomology.
+    rng = random.Random(20240902)
+    seen_torsion = set()
+    for _ in range(120):
+        c = random_free_complex(rng, values=(0, 1, -1, 2, -2, 4, 6))
+        got = cohomology(c)
+        dims = [g.generators for g in c.groups]
+        deltas = [d.matrix.to_rows() for d in c.differentials]
+        expected = oracle_cochain_cohomology(dims, deltas)
+        assert {a - c.min_degree: (g.free_rank, g.torsion) for a, g in got.items()} == expected
+        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
+                     for a in c.degrees}
+        assert got == {a: h for a, h in presented.items() if not h.is_zero}
+        for g in got.values():
+            seen_torsion.update(g.torsion)
+    assert {2, 4, 6} <= seen_torsion
 
 
 def test_cohomology_rejects_bad_complex():

@@ -56,6 +56,22 @@ def test_compute_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_compute_flat_matrix_exit_2(capsys, tmp_path):
+    # A restriction matrix given as a flat list is a parse error, not a crash.
+    flat = tmp_path / "flat.json"
+    obj = json.loads(to_json(affine_space_snc(1)))
+    for entry in obj["strata"]:
+        if entry["subset"] == [1]:
+            entry["restrictions"] = {"1": {"0": [1]}}
+    flat.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "compute", str(flat))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "matrix rows must be equal-length integer lists" in lines[0]
+
+
 def test_compute_validation_failure_exit_1(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     obj = json.loads(to_json(affine_space_snc(1)))

@@ -2,17 +2,19 @@ import random
 
 import pytest
 
+from sncweight import intmat
 from sncweight.intmat import (
     IntMatrix,
     column_span_basis,
     in_column_span,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
     solve,
     solve_matrix,
 )
 
-from _support import oracle_canonical_form, random_matrix
+from _support import oracle_canonical_form, random_matrix, random_unimodular
 
 
 def test_matrix_basics():
@@ -65,6 +67,8 @@ def test_snf_identity_and_zero():
     assert dec.d == IntMatrix.identity(3)
     dec = smith_normal_form(IntMatrix.zeros(2, 2))
     assert dec.d == IntMatrix.zeros(2, 2)
+    assert smith_diagonal(IntMatrix.identity(3)) == (1, 1, 1)
+    assert smith_diagonal(IntMatrix.zeros(2, 2)) == ()
 
 
 def test_snf_divisor_example():
@@ -73,6 +77,8 @@ def test_snf_divisor_example():
     dec = smith_normal_form(a)
     assert dec.diagonal == (2, 4)
     assert dec.u * a * dec.v == dec.d
+    assert smith_diagonal(a) == (2, 4)
+    assert smith_diagonal(IntMatrix.from_rows([[1, 1], [1, -1]])) == (1, 2)
 
 
 def test_snf_empty_shapes():
@@ -82,6 +88,7 @@ def test_snf_empty_shapes():
         assert dec.u * a * dec.v == dec.d
         assert dec.u.shape == (rows, rows)
         assert dec.v.shape == (cols, cols)
+        assert smith_diagonal(a) == ()
 
 
 def test_snf_deterministic():
@@ -124,6 +131,75 @@ def test_snf_agrees_with_reduction_oracle():
         free, torsion = oracle_canonical_form(a.cols, a.to_rows())
         assert got == torsion
         assert sum(1 for x in dec.diagonal if x) == a.cols - free
+
+
+SMALL = (1, -1, 2, -2, 3, -3)
+NO_UNIT = (2, -2, 3, -3, 4, 6)
+
+
+def _sparse_matrix(rng, rows, cols, values, density):
+    return IntMatrix(rows, cols, [
+        rng.choice(values) if rng.random() < density else 0 for _ in range(rows * cols)
+    ])
+
+
+def _check_diagonal(a):
+    """smith_diagonal against the Fraction rank and the Bezout diagonal."""
+    diag = smith_diagonal(a)
+    free, torsion = oracle_canonical_form(a.rows, a.to_rows())
+    assert len(diag) == a.rows - free
+    assert tuple(x for x in diag if x > 1) == torsion
+    assert all(x > 0 for x in diag)
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
+    return diag
+
+
+def test_smith_diagonal_agrees_with_reduction_oracle():
+    rng = random.Random(20240901)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice((0.2, 0.5, 1.0))
+        values = rng.choice((SMALL, NO_UNIT, (1, -1), tuple(range(-9, 10))))
+        _check_diagonal(_sparse_matrix(rng, rows, cols, values, density))
+
+
+def test_smith_diagonal_reduces_only_the_unit_free_core(monkeypatch):
+    cores = []
+    real = intmat._snf_reduce
+
+    def recording(a, *args, **kwargs):
+        cores.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(intmat, "_snf_reduce", recording)
+    rng = random.Random(7)
+    for _ in range(60):
+        # Permuted unit triangular: a singleton row or column always holds a
+        # diagonal unit, so every pivot is one and no dense core is left.
+        n = rng.randint(0, 7)
+        rows = [[0] * i + [rng.choice((1, -1))]
+                + [rng.choice(SMALL + (0, 0)) for _ in range(n - i - 1)]
+                for i in range(n)]
+        rng.shuffle(rows)
+        perm = rng.sample(range(n), n)
+        cores.clear()
+        assert _check_diagonal(IntMatrix.from_rows([[r[j] for j in perm] for r in rows], n)) \
+            == (1,) * n
+        assert cores == []
+        assert _check_diagonal(random_unimodular(rng, n, steps=20)) == (1,) * n
+        # No unit entry: the nonzero rows and columns are the whole core.
+        a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), NO_UNIT, 0.6)
+        cores.clear()
+        _check_diagonal(a)
+        nonzero_rows = sum(1 for i in range(a.rows) if any(a.row(i)))
+        nonzero_cols = sum(1 for j in range(a.cols) if any(a.col(j)))
+        assert [c.shape for c in cores] == ([] if a.is_zero else [(nonzero_rows, nonzero_cols)])
+    for _ in range(100):
+        cores.clear()
+        _check_diagonal(_sparse_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), SMALL, 0.5))
+        for core in cores:
+            assert not any(abs(core[(i, j)]) == 1
+                           for i in range(core.rows) for j in range(core.cols))
 
 
 def test_kernel_basis_spans_kernel():
