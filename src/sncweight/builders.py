@@ -268,9 +268,11 @@ def datum_from_dict(obj) -> SncDatum:
 def from_json(path) -> SncDatum:
     """Parse a datum file; raises DatumParseError on malformed input."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DatumParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

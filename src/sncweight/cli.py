@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import builders, dual, weight
 from .chain import FreeTensorError
@@ -213,9 +214,9 @@ def cmd_dual(args) -> int:
         if not args.input:
             return _fail("--complex needs an input file")
         try:
-            obj = json.loads(open(args.input).read())
+            obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
             k = dual.complex_from_dict(obj)
-        except (OSError, json.JSONDecodeError, ValueError) as e:
+        except (OSError, ValueError) as e:  # decode and JSON errors are ValueErrors
             return _fail(str(e))
         print(f"input: {args.input}")
         _print_dual_report(k, args.simplify, None)

@@ -8,10 +8,16 @@ cohomology of Y_(I minus i) to the cohomology of Y_I.  Subsets are kept
 as sorted 1-indexed tuples; absent subsets mean empty strata; absent
 cohomology degrees mean zero groups; restriction matrices into or out of
 a zero group may be omitted and are implied zero.
+
+A datum is read-only once built: its mappings are copied into read-only
+views.  That makes validation a property of the datum, so each tier
+(structure, and full with the commuting squares) is computed at most once
+per datum and cached on it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation, canonical_form
@@ -46,6 +52,10 @@ def _fmt(I: SubsetKey) -> str:
     return "{" + ",".join(str(i) for i in I) + "}"
 
 
+_ZERO = FpAbPresentation.zero()
+_NO_MAPS: Mapping[int, IntMatrix] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class StratumData:
     """Graded cohomology of one nonempty stratum plus its incoming restrictions.
@@ -58,14 +68,25 @@ class StratumData:
     cohomology: Mapping[int, FpAbPresentation]
     restrictions: Mapping[int, Mapping[int, IntMatrix]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "cohomology", MappingProxyType(dict(self.cohomology)))
+        object.__setattr__(self, "restrictions", MappingProxyType({
+            i: MappingProxyType(dict(per_degree))
+            for i, per_degree in self.restrictions.items()
+        }))
+
 
 @dataclass(frozen=True)
 class SncDatum:
     dim: int
     n_components: int
     strata: Mapping[SubsetKey, StratumData]
+    # Validation reports by tier, filled on first use; sound because the
+    # datum cannot change after construction.
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "strata", MappingProxyType(dict(self.strata)))
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
@@ -79,8 +100,8 @@ class SncDatum:
     def cohomology_of(self, I: SubsetKey, b: int) -> FpAbPresentation:
         stratum = self.strata.get(tuple(I))
         if stratum is None:
-            return FpAbPresentation.zero()
-        return stratum.cohomology.get(b, FpAbPresentation.zero())
+            return _ZERO
+        return stratum.cohomology.get(b, _ZERO)
 
     def graded_degrees(self) -> list[int]:
         """Sorted degrees in which some nonempty stratum has generators."""
@@ -96,20 +117,14 @@ class SncDatum:
         I = tuple(I)
         if i not in I:
             raise KeyError(f"component {i} is not in {_fmt(I)}")
-        target = self.cohomology_of(I, b)
-        source = self.cohomology_of(tuple(x for x in I if x != i), b)
         stratum = self.strata.get(I)
         if stratum is not None:
-            stored = stratum.restrictions.get(i, {}).get(b)
+            stored = stratum.restrictions.get(i, _NO_MAPS).get(b)
             if stored is not None:
                 return stored
-        return IntMatrix.zeros(target.generators, source.generators)
-
-    def restriction_hom(self, I: SubsetKey, i: int, b: int) -> FpAbHom:
-        I = tuple(I)
-        source = self.cohomology_of(tuple(x for x in I if x != i), b)
         target = self.cohomology_of(I, b)
-        return FpAbHom(source, target, self.restriction_matrix(I, i, b))
+        source = self.cohomology_of(tuple(x for x in I if x != i), b)
+        return IntMatrix.zeros(target.generators, source.generators)
 
 
 @dataclass(frozen=True)
@@ -121,13 +136,25 @@ class StrataLevel:
 
     def group(self, b: int) -> FpAbPresentation:
         return FpAbPresentation.direct_sum(
-            [coh.get(b, FpAbPresentation.zero()) for _, coh in self.blocks]
+            [coh.get(b, _ZERO) for _, coh in self.blocks]
         )
 
 
 def validate(s: SncDatum) -> Report:
-    """Check every invariant; the report enumerates violations."""
-    return _validate(s, coherence=True)
+    """Check every invariant; the report enumerates violations.
+
+    Computed once per datum: the cached structure tier is reused and only
+    the commuting squares are added, unless a shape problem rules them out.
+    """
+    reports = s._reports
+    if "full" not in reports:
+        structure, shapes_ok = _structure_tier(s)
+        if shapes_ok:
+            problems = structure.details + _square_problems(s)
+            reports["full"] = Report("validate", not problems, problems)
+        else:
+            reports["full"] = structure
+    return reports["full"]
 
 
 def validate_structure(s: SncDatum) -> Report:
@@ -135,12 +162,20 @@ def validate_structure(s: SncDatum) -> Report:
 
     Structurally sound data can still be mathematically inconsistent;
     this tier is what diagnostic tooling needs before it can even build
-    the level differentials.
+    the level differentials.  Computed once per datum.
     """
-    return _validate(s, coherence=False)
+    return _structure_tier(s)[0]
 
 
-def _validate(s: SncDatum, coherence: bool) -> Report:
+def _structure_tier(s: SncDatum) -> tuple[Report, bool]:
+    """The cached structure report, and whether the shapes admit the square checks."""
+    reports = s._reports
+    if "structure" not in reports:
+        reports["structure"] = _check_structure(s)
+    return reports["structure"]
+
+
+def _check_structure(s: SncDatum) -> tuple[Report, bool]:
     problems: list[str] = []
     n = s.n_components
 
@@ -190,50 +225,69 @@ def _validate(s: SncDatum, coherence: bool) -> Report:
 
     # The remaining checks need consistent shapes, so skip them if broken.
     if problems:
-        return Report("validate", False, tuple(problems))
+        return Report("validate", False, tuple(problems)), False
 
     for I in s.nonempty_subsets():
         stratum = s.strata[I]
         for i in I:
             J = tuple(x for x in I if x != i)
-            for b in sorted(set(s.strata[J].cohomology) | set(stratum.cohomology)):
-                source = s.cohomology_of(J, b)
-                target = s.cohomology_of(I, b)
-                stored = stratum.restrictions.get(i, {}).get(b)
-                if stored is None and source.generators and target.generators:
-                    problems.append(
-                        f"stratum {_fmt(I)}: missing restriction matrix from {_fmt(J)} "
-                        f"in degree {b}"
-                    )
+            source_coh = s.strata[J].cohomology
+            stored_maps = stratum.restrictions.get(i, _NO_MAPS)
+            for b in sorted(set(source_coh) | set(stratum.cohomology)):
+                source = source_coh.get(b, _ZERO)
+                target = stratum.cohomology.get(b, _ZERO)
+                stored = stored_maps.get(b)
+                if stored is None:
+                    # Only a map into or out of a zero group may be left out, and
+                    # its implied zero is well defined.
+                    if source.generators and target.generators:
+                        problems.append(
+                            f"stratum {_fmt(I)}: missing restriction matrix from {_fmt(J)} "
+                            f"in degree {b}"
+                        )
                     continue
-                hom = s.restriction_hom(I, i, b)
-                if not hom.is_well_defined():
+                # A relation-free source has no relations that could leave the span.
+                if (not source.is_relation_free
+                        and not FpAbHom(source, target, stored).is_well_defined()):
                     problems.append(
                         f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
                         "is not well defined on the presentations"
                     )
 
-    if not coherence:
-        return Report("validate", not problems, tuple(problems))
+    return Report("validate", not problems, tuple(problems)), True
 
+
+def _square_problems(s: SncDatum) -> tuple[str, ...]:
+    """Squares whose paths J -> I minus i -> I and J -> I minus j -> I differ.
+
+    The paths are compared as plain matrix products; they agree when their
+    difference lies in the target's relation span.
+    """
+    problems = []
     for I in s.nonempty_subsets():
         if len(I) < 2:
             continue
+        target_coh = s.strata[I].cohomology
         for i, j in combinations(I, 2):
             Ii = tuple(x for x in I if x != i)
             Ij = tuple(x for x in I if x != j)
             J = tuple(x for x in I if x != i and x != j)
-            degrees = set(s.strata[J].cohomology) | set(s.strata[I].cohomology)
-            for b in sorted(degrees):
-                via_i = s.restriction_hom(I, i, b).compose(s.restriction_hom(Ii, j, b))
-                via_j = s.restriction_hom(I, j, b).compose(s.restriction_hom(Ij, i, b))
-                if not (via_i - via_j).is_zero_hom():
+            source_coh = s.strata[J].cohomology
+            # A degree missing at either end gives empty paths, which agree.
+            for b in sorted(source_coh.keys() & target_coh.keys()):
+                via_i = s.restriction_matrix(I, i, b) * s.restriction_matrix(Ii, j, b)
+                via_j = s.restriction_matrix(I, j, b) * s.restriction_matrix(Ij, i, b)
+                if via_i == via_j:
+                    continue
+                target = target_coh[b]
+                if target.is_relation_free or not FpAbHom(
+                    source_coh[b], target, via_i - via_j
+                ).is_zero_hom():
                     problems.append(
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
                     )
-
-    return Report("validate", not problems, tuple(problems))
+    return tuple(problems)
 
 
 def require_valid(s: SncDatum) -> None:
@@ -269,13 +323,13 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
     pos = 0
     for I, coh in src.blocks:
         src_offsets[I] = pos
-        pos += coh.get(b, FpAbPresentation.zero()).generators
+        pos += coh.get(b, _ZERO).generators
 
     data = [0] * (tgt_group.generators * src_group.generators)
     width = src_group.generators
     row0 = 0
     for I, coh in tgt.blocks:
-        height = coh.get(b, FpAbPresentation.zero()).generators
+        height = coh.get(b, _ZERO).generators
         for j, i in enumerate(I):
             J = tuple(x for x in I if x != i)
             if J not in src_offsets:

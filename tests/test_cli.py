@@ -72,6 +72,19 @@ def test_compute_flat_matrix_exit_2(capsys, tmp_path):
     assert "matrix rows must be equal-length integer lists" in lines[0]
 
 
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    # A file that starts with a UTF-16 byte-order mark is not a UTF-8 datum.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in (("compute", str(path)), ("dual", str(path), "--complex")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), argv
+        assert "can't decode byte 0xff" in lines[0]
+
+
 def test_compute_validation_failure_exit_1(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     obj = json.loads(to_json(affine_space_snc(1)))
@@ -136,7 +149,7 @@ def test_check_degeneration_mismatch_fails(capsys):
     assert "FAIL degeneration" in out
 
 
-def test_check_sign_flip_breaks_d2(capsys, tmp_path):
+def _sign_flipped_torus(tmp_path):
     # Flip one restriction sign in the torus square: d after d picks it up.
     obj = json.loads(to_json(torus_snc(2)))
     for stratum in obj["strata"]:
@@ -144,10 +157,41 @@ def test_check_sign_flip_breaks_d2(capsys, tmp_path):
             stratum["restrictions"]["1"]["0"] = [[-1]]
     path = tmp_path / "flipped.json"
     path.write_text(json.dumps(obj))
+    return path
+
+
+def test_check_sign_flip_breaks_d2(capsys, tmp_path):
+    path = _sign_flipped_torus(tmp_path)
     code, out, _ = run(capsys, "check", str(path), "d2")
     assert code == 1
     assert "FAIL d2" in out
     assert "k=1" in out and "b=0" in out
+
+
+def test_check_all_on_incoherent_datum(capsys, tmp_path):
+    # The flipped datum passes the structure tier and fails the full one,
+    # so d2 runs on it and every suite that needs a valid datum says so.
+    path = _sign_flipped_torus(tmp_path)
+    code, out, _ = run(capsys, "check", str(path), "all")
+    assert code == 1
+    refused = "  datum fails full validation; see the validate report"
+    assert out.splitlines() == [
+        f"input: {path}",
+        "FAIL d2",
+        "  d after d is nonzero at levels k=1->3, degree b=0",
+        "FAIL nerve-identity", refused,
+        "FAIL euler", refused,
+        "FAIL affine-line-stability", refused,
+        "PASS degeneration",
+        "FAIL product-consistency", refused,
+    ]
+    code, out, _ = run(capsys, "compute", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL validate",
+        "  commuting squares: paths {} -> {3} -> {1,3} and {} -> {1} -> {1,3} "
+        "differ in degree 0",
+    ]
 
 
 def test_check_json_format(capsys):

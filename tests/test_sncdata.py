@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+
+import sncweight.sncdata as sncdata
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
@@ -13,6 +16,7 @@ from sncweight.sncdata import (
     require_valid,
     strata_level,
     validate,
+    validate_structure,
 )
 
 from _support import random_valid_datum
@@ -78,21 +82,42 @@ def test_validate_missing_restriction():
     assert any("missing restriction" in d for d in rep.details)
 
 
-def test_validate_commuting_squares_violation():
-    # Two components on a 2-simplex of strata with 2x2 middle-degree maps
-    # that commute along one order of restrictions but not the other.
-    i2 = IntMatrix.identity(2)
-    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-    s = SncDatum(3, 2, {
-        (): StratumData({0: F(1), 1: F(2)}, {}),
-        (1,): StratumData({0: F(1), 1: F(2)}, {1: {0: ONE, 1: i2}}),
-        (2,): StratumData({0: F(1), 1: F(2)}, {2: {0: ONE, 1: i2}}),
-        (1, 2): StratumData({0: F(1), 1: F(2)},
-                            {1: {0: ONE, 1: shear}, 2: {0: ONE, 1: i2}}),
+def _square_datum(rank, target, from_2, from_1):
+    """Two components; Z^rank in degree 1 on Y_{}, Y_{1}, Y_{2} with identity maps.
+
+    In degree 1, Y_{1,2} carries target and receives from_2 from Y_{2} and
+    from_1 from Y_{1}, so the two paths from Y_{} differ by from_2 - from_1.
+    """
+    ident = IntMatrix.identity(rank)
+    return SncDatum(3, 2, {
+        (): StratumData({0: F(1), 1: F(rank)}, {}),
+        (1,): StratumData({0: F(1), 1: F(rank)}, {1: {0: ONE, 1: ident}}),
+        (2,): StratumData({0: F(1), 1: F(rank)}, {2: {0: ONE, 1: ident}}),
+        (1, 2): StratumData({0: F(1), 1: target},
+                            {1: {0: ONE, 1: from_2}, 2: {0: ONE, 1: from_1}}),
     })
-    rep = validate(s)
-    assert not rep.passed
-    assert any("commuting squares" in d and "degree 1" in d for d in rep.details)
+
+
+def test_validate_commuting_squares_violation():
+    z2 = FpAbPresentation.from_relation_columns(1, [[2]])
+    three, two = IntMatrix.from_rows([[3]]), IntMatrix.from_rows([[2]])
+    cases = [
+        # 2x2 middle-degree maps that commute along one order of
+        # restrictions but not the other.
+        (_square_datum(2, F(2), IntMatrix.from_rows([[1, 1], [0, 1]]),
+                       IntMatrix.identity(2)), False),
+        # Into Z/2 the paths may differ by a multiple of 2, but not by 1.
+        (_square_datum(1, z2, three, ONE), True),
+        (_square_datum(1, z2, two, ONE), False),
+    ]
+    for s, commutes in cases:
+        rep = validate(s)
+        assert rep.passed == commutes, rep.details
+        if not commutes:
+            assert rep.details == (
+                "commuting squares: paths {} -> {2} -> {1,2} and "
+                "{} -> {1} -> {1,2} differ in degree 1",
+            )
 
 
 def test_validate_ill_defined_restriction():
@@ -175,3 +200,80 @@ def test_validate_shape_mismatch_and_stray_key():
     assert not rep.passed
     assert any("has shape" in d for d in rep.details)
     assert any("keyed by 3" in d for d in rep.details)
+
+
+def test_datum_is_read_only():
+    s = torus_snc(2)
+    with pytest.raises(TypeError):
+        s.strata[(5,)] = s.strata[()]
+    with pytest.raises(TypeError):
+        s.strata[()].cohomology[1] = F(1)
+    with pytest.raises(TypeError):
+        s.strata[(1,)].restrictions[1][2] = ONE
+    with pytest.raises(TypeError):
+        s.strata[(1,)].restrictions[3] = {0: ONE}
+
+
+def test_datum_copies_its_input():
+    cohomology = {0: F(1)}
+    restrictions = {1: {0: ONE}}
+    strata = {(): StratumData({0: F(1)}, {}), (1,): StratumData(cohomology, restrictions)}
+    s = SncDatum(1, 1, strata)
+    assert validate(s).passed
+    strata[(2,)] = StratumData({0: F(1)}, {})
+    cohomology[0] = F(2)
+    restrictions[1][0] = IntMatrix.from_rows([[2]])
+    restrictions[2] = {0: ONE}
+    assert s == SncDatum(1, 1, {
+        (): StratumData({0: F(1)}, {}),
+        (1,): StratumData({0: F(1)}, {1: {0: ONE}}),
+    })
+    assert validate(s).passed
+
+
+def _count_tiers(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("_check_structure", "_square_problems"):
+        def counted(s, _name=name, _inner=getattr(sncdata, name)):
+            calls[_name] += 1
+            return _inner(s)
+        monkeypatch.setattr(sncdata, name, counted)
+    return calls
+
+
+def test_validate_computes_each_tier_once(monkeypatch):
+    built = torus_snc(2)
+    calls = _count_tiers(monkeypatch)
+    # A new datum with the same content starts with no cached report.
+    s = SncDatum(built.dim, built.n_components, built.strata)
+    assert s == built and "_reports" not in repr(s)
+    first = validate(s)
+    assert first.passed
+    assert calls == {"_check_structure": 1, "_square_problems": 1}
+    assert validate(s) is first
+    require_valid(s)
+    assert validate_structure(s).passed
+    assert calls == {"_check_structure": 1, "_square_problems": 1}
+
+
+def test_structure_tier_is_reused_by_full_validation(monkeypatch):
+    calls = _count_tiers(monkeypatch)
+    s = punctured_curve_snc(1, 3)
+    structure = validate_structure(s)
+    assert structure.passed
+    assert calls == {"_check_structure": 1}
+    assert validate(s).passed
+    assert validate_structure(s) is structure
+    assert calls == {"_check_structure": 1, "_square_problems": 1}
+
+
+def test_shape_failure_skips_the_squares(monkeypatch):
+    calls = _count_tiers(monkeypatch)
+    s = SncDatum(1, 1, {
+        (): StratumData({0: F(1)}, {}),
+        (1,): StratumData({0: F(1)}, {1: {0: IntMatrix.from_rows([[1, 0]])}}),
+    })
+    rep = validate(s)
+    assert not rep.passed and any("has shape" in d for d in rep.details)
+    assert validate_structure(s) is rep
+    assert calls == {"_check_structure": 1}
