@@ -158,8 +158,8 @@ class FpAbPresentation:
         cols = [list(c) for c in columns]
         if any(len(c) != generators for c in cols):
             raise ValueError("relation column length must equal generator count")
-        data = [c[i] for i in range(generators) for c in cols]
-        return cls(generators, IntMatrix(generators, len(cols), data))
+        entries = ((i, j, e) for j, c in enumerate(cols) for i, e in enumerate(c))
+        return cls(generators, IntMatrix.from_entries(generators, len(cols), entries))
 
     @property
     def is_relation_free(self) -> bool:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .intmat import IntMatrix
 from .abgroup import FpAbPresentation
-from .sncdata import SncDatum, StratumData
+from .sncdata import MAX_COUNT, SncDatum, StratumData
 
 __all__ = [
     "DatumParseError",
@@ -190,6 +190,7 @@ def _parse_presentation(obj, where: str) -> FpAbPresentation:
     _expect("generators" in obj, f"{where}: missing generator count")
     gens = obj["generators"]
     _expect(_is_int(gens) and gens >= 0, f"{where}: bad generator count")
+    _expect(gens <= MAX_COUNT, f"{where}: generator count must be at most {MAX_COUNT}")
     columns = obj.get("relations", [])
     _expect(isinstance(columns, list), f"{where}: relations must be a list of columns")
     for c in columns:
@@ -218,6 +219,8 @@ def datum_from_dict(obj) -> SncDatum:
     dim, n, strata_list = obj["dim"], obj["components"], obj["strata"]
     _expect(_is_int(dim) and dim >= 0, '"dim" must be a nonnegative integer')
     _expect(_is_int(n) and n >= 0, '"components" must be a nonnegative integer')
+    _expect(dim <= MAX_COUNT, f'"dim" must be at most {MAX_COUNT}')
+    _expect(n <= MAX_COUNT, f'"components" must be at most {MAX_COUNT}')
     _expect(isinstance(strata_list, list), '"strata" must be a list')
 
     strata: dict[tuple[int, ...], StratumData] = {}

@@ -207,15 +207,10 @@ def tensor_complex(c: CochainComplex, d: CochainComplex) -> CochainComplex:
     for n in range(lo, hi):
         src_off, src_total = offsets(all_blocks[n])
         tgt_off, tgt_total = offsets(all_blocks[n + 1])
-        data = [0] * (tgt_total * src_total)
+        entries = []
 
         def place(block: IntMatrix, r0: int, c0: int):
-            for i in range(block.rows):
-                base = (r0 + i) * src_total + c0
-                row = block.row(i)
-                for j in range(block.cols):
-                    if row[j]:
-                        data[base + j] = row[j]
+            entries.extend((r0 + i, c0 + j, e) for i, j, e in block.nonzeros())
 
         for p, q, size in all_blocks[n]:
             if size == 0:
@@ -233,7 +228,7 @@ def tensor_complex(c: CochainComplex, d: CochainComplex) -> CochainComplex:
             FpAbHom(
                 groups[n - lo],
                 groups[n + 1 - lo],
-                IntMatrix(tgt_total, src_total, data),
+                IntMatrix.from_entries(tgt_total, src_total, entries),
             )
         )
     return CochainComplex(lo, tuple(groups), tuple(diffs))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
-from .sncdata import SncDatum, require_valid
+from .sncdata import MAX_COUNT, SncDatum, require_valid
 
 __all__ = [
     "SimplicialComplex",
@@ -155,21 +155,18 @@ def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
     groups.extend(FpAbPresentation.free(len(layer)) for layer in layers)
     diffs = []
     if layers:
-        ones = IntMatrix(len(layers[0]), 1, [1] * len(layers[0]))
+        ones = IntMatrix.column([1] * len(layers[0]))
         diffs.append(FpAbHom(groups[0], groups[1], ones))
     for c in range(1, max_card):
         src_index = {f: i for i, f in enumerate(layers[c - 1])}
         tgt = layers[c]
-        data = [0] * (len(tgt) * len(layers[c - 1]))
-        width = len(layers[c - 1])
-        for r, face in enumerate(tgt):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1 :]
-                sign = -1 if pos % 2 else 1
-                data[r * width + src_index[sub]] += sign
-        diffs.append(
-            FpAbHom(groups[c], groups[c + 1], IntMatrix(len(tgt), width, data))
+        entries = (
+            (r, src_index[face[:pos] + face[pos + 1 :]], -1 if pos % 2 else 1)
+            for r, face in enumerate(tgt)
+            for pos in range(len(face))
         )
+        matrix = IntMatrix.from_entries(len(tgt), len(layers[c - 1]), entries)
+        diffs.append(FpAbHom(groups[c], groups[c + 1], matrix))
     return CochainComplex(-1, tuple(groups), tuple(diffs))
 
 
@@ -354,6 +351,8 @@ def complex_from_dict(obj: dict) -> SimplicialComplex:
     v = obj["vertices"]
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValueError('"vertices" must be a nonnegative integer count')
+    if v > MAX_COUNT:
+        raise ValueError(f'"vertices" must be at most {MAX_COUNT}')
     facets = obj["facets"]
     if not isinstance(facets, list) or not all(
         isinstance(f, list)

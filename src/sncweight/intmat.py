@@ -1,5 +1,7 @@
-"""Dense exact integer matrices and the Smith normal form engine.
+"""Exact integer matrices stored as sparse rows, and the Smith normal form engine.
 
+A matrix keeps one dict of nonzero entries per row, so building,
+multiplying, stacking and comparing cost the nonzeros, not rows x cols.
 Every matrix entry in this package is a Python int, so all arithmetic is
 arbitrary precision: normal-form pivoting can blow up intermediate
 entries, and fixed-width overflow would silently corrupt torsion
@@ -9,13 +11,13 @@ intermediate entries small at the sizes used here and makes every
 decomposition reproducible.
 
 When only the invariant factors are wanted, smith_diagonal first
-eliminates unit entries on a sparse copy and runs the dense reduction
-on the unit-free core alone; it tracks no transform.
+eliminates unit entries on a copy of the rows and runs the dense
+reduction on the unit-free core alone; it tracks no transform.
 """
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -31,83 +33,104 @@ __all__ = [
 
 
 class IntMatrix:
-    """An immutable rows x cols integer matrix, stored row-major."""
+    """An immutable rows x cols integer matrix, stored as one dict per row.
 
-    __slots__ = ("rows", "cols", "_data")
+    Row i maps each column j with a nonzero entry to that entry; zeros are
+    never stored and rows are never mutated once built, so rows may be
+    shared between matrices and every operation costs its nonzeros.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(entries)
-        if not all(type(e) is int for e in data):
-            # Accept bools and int subclasses, but never floats: silent
-            # truncation would corrupt exact arithmetic.
-            coerced = []
-            for e in data:
-                if not isinstance(e, int):
-                    raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
-                coerced.append(int(e))
-            data = tuple(coerced)
+        """The matrix with the given entries in row-major order."""
+        _check_shape(rows, cols)
+        data = _int_entries(entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self._data = data
+        self._rows = tuple(
+            {j: e for j, e in enumerate(data[i * cols : (i + 1) * cols]) if e}
+            for i in range(rows)
+        )
 
     @classmethod
-    def _make(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
-        # Internal fast path: data must already be a tuple of ints of the right length.
+    def _wrap(cls, rows: int, cols: int, row_dicts: tuple) -> "IntMatrix":
+        # Internal: row_dicts must hold nonzero int entries in range, one dict per row.
         obj = object.__new__(cls)
         obj.rows = rows
         obj.cols = cols
-        obj._data = data
+        obj._rows = row_dicts
         return obj
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        m = len(rows)
+        rows = [_int_entries(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(m, cols, [e for r in rows for e in r])
+        return cls._wrap(len(rows), cols, tuple({j: e for j, e in enumerate(r) if e} for r in rows))
+
+    @classmethod
+    def from_entries(
+        cls, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]
+    ) -> "IntMatrix":
+        """The rows x cols matrix whose (i, j) entry sums e over every (i, j, e) given.
+
+        >>> IntMatrix.from_entries(2, 3, [(0, 2, 5), (1, 0, -1), (0, 2, 1)])
+        IntMatrix.from_rows([[0, 0, 6], [-1, 0, 0]])
+        """
+        _check_shape(rows, cols)
+        out = [{} for _ in range(rows)]
+        for i, j, e in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"({i}, {j}) out of bounds for {rows}x{cols}")
+            if not isinstance(e, int):
+                raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
+            row = out[i]
+            v = row.get(j, 0) + e
+            if v:
+                row[j] = v
+            else:
+                row.pop(j, None)
+        return cls._wrap(rows, cols, tuple(out))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._make(rows, cols, (0,) * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._wrap(rows, cols, (_EMPTY_ROW,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        k = len(values)
-        rows = k if rows is None else rows
-        cols = k if cols is None else cols
-        data = [0] * (rows * cols)
-        for i, v in enumerate(values):
-            data[i * cols + i] = v
-        return cls(rows, cols, data)
+        _check_shape(n, n)
+        return cls._wrap(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
         return cls(len(values), 1, values)
 
+    def nonzeros(self) -> Iterator[tuple[int, int, int]]:
+        """Every nonzero entry as (row, column, entry), row by row."""
+        for i, row in enumerate(self._rows):
+            for j, e in row.items():
+                yield i, j, e
+
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of bounds for {self.rows}x{self.cols}")
-        return self._data[i * self.cols + j]
+        return self._rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i * self.cols : (i + 1) * self.cols]
+        out = [0] * self.cols
+        for j, e in self._rows[i].items():
+            out[j] = e
+        return tuple(out)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        return tuple(row.get(j, 0) for row in self._rows)
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -118,16 +141,23 @@ class IntMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return not any(self._rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, e in row.items():
+                out[j][i] = e
+        return IntMatrix._wrap(self.cols, self.rows, tuple(out))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [c * e for e in self._data])
+        if not isinstance(c, int):
+            raise TypeError(f"matrix entries must be integers, got {type(c).__name__}")
+        if not c:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._wrap(
+            self.rows, self.cols, tuple({j: c * e for j, e in row.items()} for row in self._rows)
+        )
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
@@ -137,7 +167,20 @@ class IntMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._data, other._data)])
+        out = []
+        for a, b in zip(self._rows, other._rows):
+            if not b:
+                out.append(a)
+                continue
+            row = dict(a)
+            for j, e in b.items():
+                v = row.get(j, 0) + e
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return IntMatrix._wrap(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -149,79 +192,68 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        m, k, n = self.rows, self.cols, other.cols
-        a, b = self._data, other._data
-        # These matrices are mostly block-sparse; index the nonzeros once.
-        b_nonzero = [
-            [(j, b[t * n + j]) for j in range(n) if b[t * n + j]]
-            for t in range(k)
-        ]
-        out = [0] * (m * n)
-        for i in range(m):
-            base = i * n
-            arow = a[i * k : (i + 1) * k]
-            for t in range(k):
-                c = arow[t]
-                if c:
-                    for j, val in b_nonzero[t]:
-                        out[base + j] += c * val
-        return IntMatrix._make(m, n, tuple(out))
+        b = other._rows
+        out = []
+        for arow in self._rows:
+            acc = {}
+            for t, c in arow.items():
+                for j, e in b[t].items():
+                    acc[j] = acc.get(j, 0) + c * e
+            if 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
+            out.append(acc)
+        return IntMatrix._wrap(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        data = []
-        for i in range(self.rows):
-            data.extend(self.row(i))
-            data.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, data)
+        return IntMatrix.block([[self, other]])
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")
-        return IntMatrix(self.rows + other.rows, self.cols, self._data + other._data)
+        return IntMatrix._wrap(self.rows + other.rows, self.cols, self._rows + other._rows)
 
     def take_rows(self, count: int) -> "IntMatrix":
         if not 0 <= count <= self.rows:
             raise ValueError("row count out of range")
-        return IntMatrix(count, self.cols, self._data[: count * self.cols])
+        return IntMatrix._wrap(count, self.cols, self._rows[:count])
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
         """Assemble a block matrix; shapes must be consistent along rows and columns."""
         if not grid:
             return cls.zeros(0, 0)
-        heights = [r[0].rows for r in grid]
         widths = [b.cols for b in grid[0]]
+        offsets = [sum(widths[:k]) for k in range(len(widths))]
+        out = []
         for r in grid:
             if len(r) != len(widths):
                 raise ValueError("ragged block grid")
             for b, w in zip(r, widths):
                 if b.cols != w or b.rows != r[0].rows:
                     raise ValueError("inconsistent block shapes")
-        data = []
-        for r, h in zip(grid, heights):
-            for i in range(h):
-                for b in r:
-                    data.extend(b.row(i))
-        return cls(sum(heights), sum(widths), data)
+            for i in range(r[0].rows):
+                row = {}
+                for b, off in zip(r, offsets):
+                    for j, e in b._rows[i].items():
+                        row[off + j] = e
+                out.append(row)
+        return cls._wrap(len(out), sum(widths), tuple(out))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; row (i, r) maps to i * other.rows + r, same for columns."""
-        m, n = self.rows, self.cols
-        p, q = other.rows, other.cols
-        data = [0] * (m * p * n * q)
-        width = n * q
-        for i in range(m):
-            for j in range(n):
-                c = self._data[i * n + j]
-                if c:
-                    for r in range(p):
-                        base = (i * p + r) * width + j * q
-                        brow = other.row(r)
-                        for s in range(q):
-                            data[base + s] = c * brow[s]
-        return IntMatrix(m * p, n * q, data)
+        q = other.cols
+        out = []
+        for arow in self._rows:
+            for brow in other._rows:
+                row = {}
+                for j, c in arow.items():
+                    base = j * q
+                    for s, e in brow.items():
+                        row[base + s] = c * e
+                out.append(row)
+        return IntMatrix._wrap(self.rows * other.rows, self.cols * q, tuple(out))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -251,15 +283,35 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self._rows)))
 
     def __repr__(self) -> str:
         if self.rows <= 6 and self.cols <= 6:
             return f"IntMatrix.from_rows({self.to_rows()!r})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
+
+
+_EMPTY_ROW: dict = {}
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
+def _int_entries(entries: Iterable[int]) -> list[int]:
+    data = list(entries)
+    if not all(type(e) is int for e in data):
+        # Accept bools and int subclasses, but never floats: silent
+        # truncation would corrupt exact arithmetic.
+        for e in data:
+            if not isinstance(e, int):
+                raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
+        data = [int(e) for e in data]
+    return data
 
 
 @dataclass(frozen=True)
@@ -426,7 +478,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of a, each dividing the next.
 
-    The nonzeros are read into row dicts with a column index, and +-1
+    The rows are copied and indexed by column, and +-1
     pivots are eliminated in order of least Markowitz cost
     (row count - 1) * (column count - 1), ties going to the lowest row
     and then the lowest column.  Each such pivot is an invariant factor
@@ -440,16 +492,11 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     >>> smith_diagonal(IntMatrix.zeros(0, 3))
     ()
     """
-    n = a.cols
-    data = a._data
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
     cols: dict[int, set[int]] = {}
-    for i in range(a.rows):
-        row = {j: e for j, e in enumerate(data[i * n : (i + 1) * n]) if e}
-        if row:
-            rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
@@ -492,9 +539,9 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                 heappush(heap, (cost(i, j), i, j))
     if not rows:
         return (1,) * units
-    core_cols = sorted(j for j, members in cols.items() if members)
-    core = tuple(row.get(j, 0) for row in rows.values() for j in core_cols)
-    _, d, _, _, _ = _snf_reduce(IntMatrix._make(len(rows), len(core_cols), core))
+    index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
+    core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
+    _, d, _, _, _ = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
     k = min(d.rows, d.cols)
     return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(k)) if x)
 
@@ -507,11 +554,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
         diag = d[(j, j)] if j < a.rows else 0
         if diag == 0:
             keep.append(j)
-    data = []
-    for i in range(a.cols):
-        row = v.row(i)
-        data.extend(row[j] for j in keep)
-    return IntMatrix(a.cols, len(keep), data)
+    return IntMatrix.from_rows([[row[j] for j in keep] for row in v.to_rows()], len(keep))
 
 
 def column_span_basis(a: IntMatrix) -> IntMatrix:
@@ -522,11 +565,9 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
         diag = d[(j, j)]
         if diag:
             pairs.append((j, diag))
-    data = []
-    for i in range(a.rows):
-        row = ui.row(i)
-        data.extend(row[j] * diag for j, diag in pairs)
-    return IntMatrix(a.rows, len(pairs), data)
+    return IntMatrix.from_rows(
+        [[row[j] * diag for j, diag in pairs] for row in ui.to_rows()], len(pairs)
+    )
 
 
 def _solve_reduced(u: IntMatrix, d: IntMatrix, v: IntMatrix, b: Sequence[int]) -> list[int] | None:
@@ -561,7 +602,7 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     u, d, v, _, _ = _snf_reduce(a, want_u=True, want_v=True)
     y = u * b
     width = b.cols
-    xprime = [0] * (a.cols * width)
+    xprime = [[0] * width for _ in range(a.cols)]
     for i in range(a.rows):
         diag = d[(i, i)] if i < a.cols else 0
         yrow = y.row(i)
@@ -569,13 +610,10 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
             for j in range(width):
                 if yrow[j] % diag:
                     return None
-            if i < a.cols:
-                base = i * width
-                for j in range(width):
-                    xprime[base + j] = yrow[j] // diag
+            xprime[i] = [e // diag for e in yrow]
         elif any(yrow):
             return None
-    return v * IntMatrix._make(a.cols, width, tuple(xprime))
+    return v * IntMatrix.from_rows(xprime, width)
 
 
 def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:

@@ -25,6 +25,7 @@ from .intmat import IntMatrix
 from .reports import Report
 
 __all__ = [
+    "MAX_COUNT",
     "SubsetKey",
     "StratumData",
     "SncDatum",
@@ -38,6 +39,11 @@ __all__ = [
 ]
 
 SubsetKey = tuple[int, ...]
+
+# The largest count an input file may give: "dim", "components" and each
+# "generators" of a datum, and "vertices" of a raw simplicial complex.
+# Parsers reject larger counts before they allocate anything by them.
+MAX_COUNT = 10_000
 
 
 class InvalidDatumError(ValueError):
@@ -325,24 +331,23 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
         src_offsets[I] = pos
         pos += coh.get(b, _ZERO).generators
 
-    data = [0] * (tgt_group.generators * src_group.generators)
-    width = src_group.generators
+    entries = []
     row0 = 0
     for I, coh in tgt.blocks:
         height = coh.get(b, _ZERO).generators
+        if not height:
+            continue  # a block row into a zero group holds no entry
         for j, i in enumerate(I):
             J = tuple(x for x in I if x != i)
             if J not in src_offsets:
                 continue
             sign = -1 if j % 2 else 1
-            mat = s.restriction_matrix(I, i, b)
             col0 = src_offsets[J]
-            for r in range(mat.rows):
-                base = (row0 + r) * width + col0
-                row = mat.row(r)
-                for c in range(mat.cols):
-                    if row[c]:
-                        data[base + c] += sign * row[c]
+            entries.extend(
+                (row0 + r, col0 + c, sign * e)
+                for r, c, e in s.restriction_matrix(I, i, b).nonzeros()
+            )
         row0 += height
 
-    return FpAbHom(src_group, tgt_group, IntMatrix(tgt_group.generators, width, data))
+    matrix = IntMatrix.from_entries(tgt_group.generators, src_group.generators, entries)
+    return FpAbHom(src_group, tgt_group, matrix)

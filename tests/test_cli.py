@@ -2,6 +2,7 @@ import json
 
 from sncweight.builders import affine_space_snc, to_json, torus_snc
 from sncweight.cli import main
+from sncweight.sncdata import MAX_COUNT
 
 
 def run(capsys, *argv):
@@ -72,6 +73,59 @@ def test_compute_flat_matrix_exit_2(capsys, tmp_path):
     assert "matrix rows must be equal-length integer lists" in lines[0]
 
 
+def _one_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), argv
+    assert message in lines[0], lines[0]
+
+
+def _set_count(obj, field, value):
+    if field == "generators":
+        obj["strata"][0]["cohomology"]["2"]["generators"] = value
+    else:
+        obj[field] = value
+
+
+def test_count_fields_are_bounded_exit_2(capsys, tmp_path):
+    # Counts above the bound fail at parse time, before anything is allocated
+    # by them; a count of 10**30 used to hang or be killed for its memory.
+    base = json.loads(to_json(affine_space_snc(1)))
+    assert base["strata"][0]["subset"] == []
+    for field in ("dim", "components", "generators"):
+        for value in (MAX_COUNT + 1, 10**30):
+            obj = json.loads(json.dumps(base))
+            _set_count(obj, field, value)
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(obj))
+            for argv in (("compute", str(path)), ("check", str(path), "all")):
+                _one_parse_error(capsys, argv, f"must be at most {MAX_COUNT}")
+    path = tmp_path / "complex.json"
+    for value in (MAX_COUNT + 1, 10**30):
+        path.write_text(json.dumps({"vertices": value, "facets": [[0, 1, 2]]}))
+        _one_parse_error(capsys, ("dual", str(path), "--complex"),
+                         f'"vertices" must be at most {MAX_COUNT}')
+
+
+def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
+    obj = json.loads(to_json(affine_space_snc(1)))
+    for field in ("dim", "components", "generators"):
+        _set_count(obj, field, MAX_COUNT)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "compute", str(path), "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["a,b,free_rank,torsion", f"0,2,{MAX_COUNT},"]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": MAX_COUNT, "facets": [[0, 1, 2]]}))
+    code, out, _ = run(capsys, "dual", str(path), "--complex")
+    assert code == 0
+    # A triangle and MAX_COUNT - 3 isolated vertices.
+    assert f"H~0 = Z^{MAX_COUNT - 3}" in out
+
+
 def test_non_utf8_file_exit_2(capsys, tmp_path):
     # A file that starts with a UTF-16 byte-order mark is not a UTF-8 datum.
     path = tmp_path / "utf16.json"
@@ -125,11 +179,14 @@ def test_dual_raw_complex(capsys, tmp_path):
 
 
 def test_check_all_passes(capsys):
-    code, out, _ = run(capsys, "check", "--builder", "torus:2", "all")
-    assert code == 0
-    for name in ("d2", "nerve-identity", "euler", "affine-line-stability",
-                  "degeneration", "product-consistency"):
-        assert f"PASS {name}" in out
+    # On torus:3, product-consistency runs the torus:6-sized self-product
+    # through kron, block, the commuting squares and d after d.
+    for spec in ("torus:2", "torus:3"):
+        code, out, _ = run(capsys, "check", "--builder", spec, "all")
+        assert code == 0, spec
+        for name in ("d2", "nerve-identity", "euler", "affine-line-stability",
+                      "degeneration", "product-consistency"):
+            assert f"PASS {name}" in out
 
 
 def test_check_single_suites(capsys):

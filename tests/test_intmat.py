@@ -137,6 +137,150 @@ SMALL = (1, -1, 2, -2, 3, -3)
 NO_UNIT = (2, -2, 3, -3, 4, 6)
 
 
+# -- IntMatrix against a list-of-lists reference -------------------------
+
+MATRIX_KINDS = {
+    "dense": (tuple(range(-9, 10)), 1.0),
+    "sparse": (SMALL, 0.3),
+    "units": ((1, -1), 0.15),
+    "zero": ((0,), 1.0),
+}
+
+
+def _random_rows(rng, rows=None, cols=None):
+    rows = rng.choice((0, 1, 2, 3, 5)) if rows is None else rows
+    cols = rng.choice((0, 1, 2, 4, 6)) if cols is None else cols
+    values, density = MATRIX_KINDS[rng.choice(sorted(MATRIX_KINDS))]
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _ref_nonzeros(ref):
+    return {(i, j, e) for i, r in enumerate(ref) for j, e in enumerate(r) if e}
+
+
+def _ref_mul(a, b, n):
+    return [[sum(r[t] * b[t][j] for t in range(len(r))) for j in range(n)] for r in a]
+
+
+def _ref_det(a):
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _ref_det([r[:j] + r[j + 1:] for r in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def _assert_is(m, ref, cols):
+    """m holds exactly ref (rows x cols) and equals and hashes like every other build of it."""
+    rows = len(ref)
+    assert m.shape == (rows, cols)
+    assert m.to_rows() == ref
+    assert [m.row(i) for i in range(rows)] == [tuple(r) for r in ref]
+    assert [m.col(j) for j in range(cols)] == [tuple(r[j] for r in ref) for j in range(cols)]
+    assert all(m[(i, j)] == ref[i][j] for i in range(rows) for j in range(cols))
+    found = list(m.nonzeros())
+    assert len(found) == len(set(found)) and set(found) == _ref_nonzeros(ref)
+    assert m.is_zero == (not found)
+    flat = [e for r in ref for e in r]
+    for other in (IntMatrix.from_rows(ref, cols), IntMatrix(rows, cols, flat),
+                  IntMatrix.from_entries(rows, cols, reversed(found))):
+        assert m == other and not m != other
+        assert hash(m) == hash(other)
+    if found:
+        assert m != IntMatrix.zeros(rows, cols)
+
+
+def test_matrix_operations_agree_with_list_reference():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        a = _random_rows(rng)
+        m, n = len(a), len(a[0]) if a else rng.choice((0, 3))
+        ma = IntMatrix.from_rows(a, n)
+        _assert_is(ma, a, n)
+        b = _random_rows(rng, m, n)
+        mb = IntMatrix.from_rows(b, n)
+        _assert_is(ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], n)
+        _assert_is(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], n)
+        c = rng.randint(-3, 3)
+        _assert_is(ma.scale(c), [[c * x for x in r] for r in a], n)
+        _assert_is(-ma, [[-x for x in r] for r in a], n)
+        _assert_is(ma.transpose(), [[r[j] for r in a] for j in range(n)], m)
+        k = rng.choice((0, 1, 3, 5))
+        b = _random_rows(rng, n, k)
+        _assert_is(ma * IntMatrix.from_rows(b, k), _ref_mul(a, b, k), k)
+        b = _random_rows(rng, m)
+        q = len(b[0]) if b else 0
+        mb = IntMatrix.from_rows(b, q)
+        _assert_is(ma.hstack(mb), [r + s for r, s in zip(a, b)], n + q)
+        b = _random_rows(rng, cols=n)
+        _assert_is(ma.vstack(IntMatrix.from_rows(b, n)), a + b, n)
+        t = rng.randint(0, m)
+        _assert_is(ma.take_rows(t), a[:t], n)
+        b = _random_rows(rng, rng.choice((0, 1, 2)), rng.choice((0, 1, 3)))
+        p, q = len(b), len(b[0]) if b else 0
+        kron = [[a[i][j] * b[r][s] for j in range(n) for s in range(q)]
+                for i in range(m) for r in range(p)]
+        _assert_is(ma.kron(IntMatrix.from_rows(b, q)), kron, n * q)
+        if m == n and m <= 4:
+            assert ma.determinant() == _ref_det(a)
+
+
+def test_block_agrees_with_list_reference():
+    rng = random.Random(4242)
+    for _ in range(150):
+        heights = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 3))]
+        widths = [rng.choice((0, 1, 2, 4)) for _ in range(rng.randint(1, 3))]
+        grid = [[_random_rows(rng, h, w) for w in widths] for h in heights]
+        ref = [sum((blk[i] for blk in row), []) for row, h in zip(grid, heights)
+               for i in range(h)]
+        got = IntMatrix.block([[IntMatrix.from_rows(blk, w) for blk, w in zip(row, widths)]
+                               for row in grid])
+        _assert_is(got, ref, sum(widths))
+
+
+def test_constructors_and_cancellation_agree():
+    rng = random.Random(99)
+    for rows, cols in [(0, 0), (0, 4), (4, 0), (3, 3), (2, 5)]:
+        zero = [[0] * cols for _ in range(rows)]
+        _assert_is(IntMatrix.zeros(rows, cols), zero, cols)
+        a = IntMatrix.from_rows(_random_rows(rng, rows, cols), cols)
+        # Sums that cancel store no zero: they equal zeros and hash like it.
+        eye = IntMatrix.identity(cols)
+        for cancelled in (a + (-a), a - a, a.scale(0), a + a.scale(-1),
+                          a.hstack(a) * eye.vstack(-eye)):
+            _assert_is(cancelled, zero, cols)
+            assert cancelled.is_zero
+        diagonal = range(min(rows, cols))
+        entries = [(i, i, e) for i in diagonal for e in (2, 2, -4)]
+        _assert_is(IntMatrix.from_entries(rows, cols, entries), zero, cols)
+    for n in range(5):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        _assert_is(IntMatrix.identity(n), eye, n)
+    # One matrix built five ways.
+    eye6 = IntMatrix.identity(6)
+    for built in (IntMatrix.identity(2).kron(IntMatrix.identity(3)),
+                  IntMatrix.block([[IntMatrix.identity(2), IntMatrix.zeros(2, 4)],
+                                   [IntMatrix.zeros(4, 2), IntMatrix.identity(4)]]),
+                  IntMatrix.from_rows(eye6.to_rows()) * eye6,
+                  eye6.transpose() + IntMatrix.zeros(6, 6),
+                  IntMatrix.from_entries(6, 6, [(i, i, 1) for i in range(6)])):
+        _assert_is(built, eye6.to_rows(), 6)
+    for _ in range(50):
+        a = IntMatrix.from_rows(_random_rows(rng, 3, 4), 4)
+        b = IntMatrix.from_rows(_random_rows(rng, 2, 2), 2)
+        assert a * IntMatrix.identity(4) == IntMatrix.identity(3) * a == a
+        assert hash(a * IntMatrix.identity(4)) == hash(a)
+        stacked = IntMatrix.block([[b.scale(x) for x in row] for row in a.to_rows()])
+        assert a.kron(b) == stacked and hash(a.kron(b)) == hash(stacked)
+    _assert_is(IntMatrix.column([1, 0, -2]), [[1], [0], [-2]], 1)
+    with pytest.raises(TypeError):
+        IntMatrix.from_entries(1, 1, [(0, 0, 1.0)])
+    with pytest.raises(IndexError):
+        IntMatrix.from_entries(2, 2, [(2, 0, 1)])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, 0.0]])
+
+
 def _sparse_matrix(rng, rows, cols, values, density):
     return IntMatrix(rows, cols, [
         rng.choice(values) if rng.random() < density else 0 for _ in range(rows * cols)
