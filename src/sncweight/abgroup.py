@@ -8,7 +8,6 @@ format.  An FpAbHom is a homomorphism between presented groups, given by
 its matrix on generators.
 """
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -20,6 +19,7 @@ from .intmat import (
     smith_diagonal,
     solve_matrix,
 )
+from .reports import _Record
 
 __all__ = [
     "FgAbGroup",
@@ -43,27 +43,35 @@ class NonzeroCompositionError(ValueError):
     """Two maps expected to compose to zero do not."""
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Record):
     """Z^free_rank plus cyclic factors Z/d1 x ... x Z/dk with d1 | d2 | ... | dk.
 
     >>> str(FgAbGroup(2, (2, 4)))
     'Z^2 x Z/2 x Z/4'
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    _fields = __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"torsion coefficient {t} < 2")
             if prev is not None and t % prev:
                 raise ValueError(f"invariant factors must divide: {prev} does not divide {t}")
             prev = t
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def zero(cls) -> "FgAbGroup":
@@ -132,18 +140,26 @@ class FgAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class FpAbPresentation:
+class FpAbPresentation(_Record):
     """Z^generators modulo the column span of the relation matrix."""
 
-    generators: int
-    relations: IntMatrix
+    _fields = __slots__ = ("generators", "relations")
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators:
+    def __init__(self, generators: int, relations: IntMatrix):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        if relations.rows != generators:
             raise ValueError(
-                f"relation matrix has {self.relations.rows} rows for {self.generators} generators"
+                f"relation matrix has {relations.rows} rows for {generators} generators"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.relations) == (other.generators, other.relations)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.relations))
 
     @classmethod
     def free(cls, n: int) -> "FpAbPresentation":
@@ -182,24 +198,33 @@ class FpAbPresentation:
         return FpAbPresentation(total, IntMatrix.block(grid))
 
 
-@dataclass(frozen=True)
-class FpAbHom:
+class FpAbHom(_Record):
     """A homomorphism source -> target given by a matrix on generators.
 
     The matrix acts on column vectors of source coordinates, so it has
     shape target.generators x source.generators.
     """
 
-    source: FpAbPresentation
-    target: FpAbPresentation
-    matrix: IntMatrix
+    _fields = __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.target.generators, self.source.generators):
+    def __init__(self, source: FpAbPresentation, target: FpAbPresentation, matrix: IntMatrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.shape != (target.generators, source.generators):
             raise ValueError(
-                f"hom matrix shape {self.matrix.shape} does not match "
-                f"{self.target.generators}x{self.source.generators}"
+                f"hom matrix shape {matrix.shape} does not match "
+                f"{target.generators}x{source.generators}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.matrix)
+                    == (other.source, other.target, other.matrix))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.matrix))
 
     @classmethod
     def zero(cls, source: FpAbPresentation, target: FpAbPresentation) -> "FpAbHom":

@@ -288,7 +288,12 @@ def from_json(path) -> SncDatum:
 
 
 def parse_builder(spec: str) -> SncDatum:
-    """Build a datum from a spec string: point, affine:D, torus:N or curve:G,N."""
+    """Build a datum from a spec string: point, affine:D, torus:N or curve:G,N.
+
+    Sizes are bounded by MAX_COUNT, as for datum files, and checked before
+    anything is built: D <= MAX_COUNT; N <= MAX_COUNT and 2G + N - 1 <=
+    MAX_COUNT for a curve; 3^N <= MAX_COUNT strata for a torus (N <= 8).
+    """
     name, _, args = spec.partition(":")
     try:
         if name == "point":
@@ -296,11 +301,20 @@ def parse_builder(spec: str) -> SncDatum:
                 raise ValueError("point takes no arguments")
             return point_snc()
         if name == "affine":
-            return affine_space_snc(int(args))
+            d = int(args)
+            if d > MAX_COUNT:
+                raise ValueError(f"affine:D needs D <= {MAX_COUNT}")
+            return affine_space_snc(d)
         if name == "torus":
-            return torus_snc(int(args))
+            n = int(args)
+            # 3^n > n, so a larger n never needs the power computed.
+            if n > MAX_COUNT or 3 ** n > MAX_COUNT:
+                raise ValueError(f"torus:N builds 3^N strata and needs 3^N <= {MAX_COUNT}")
+            return torus_snc(n)
         if name == "curve":
             g, n = (int(x) for x in args.split(","))
+            if n > MAX_COUNT or 2 * g + n - 1 > MAX_COUNT:
+                raise ValueError(f"curve:G,N needs N <= {MAX_COUNT} and 2G + N - 1 <= {MAX_COUNT}")
             return punctured_curve_snc(g, n)
     except (TypeError, ValueError) as e:
         raise ValueError(f"bad builder spec {spec!r}: {e}") from None

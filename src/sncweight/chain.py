@@ -1,6 +1,5 @@
 """Bounded cochain complexes of finitely presented abelian groups."""
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .abgroup import (
@@ -10,7 +9,7 @@ from .abgroup import (
     subquotient_cohomology,
 )
 from .intmat import IntMatrix, smith_diagonal
-from .reports import Report
+from .reports import Report, _Record
 
 __all__ = [
     "CochainComplex",
@@ -38,24 +37,25 @@ class FreeTensorError(ValueError):
     """Tensor products are only implemented for complexes of free groups."""
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(_Record):
     """Groups indexed by consecutive degrees starting at min_degree.
 
     differentials[i] maps groups[i] to groups[i + 1]; an empty groups
     tuple is the zero complex.
     """
 
-    min_degree: int
-    groups: tuple[FpAbPresentation, ...]
-    differentials: tuple[FpAbHom, ...]
+    _fields = __slots__ = ("min_degree", "groups", "differentials")
 
-    def __post_init__(self):
-        expected = max(len(self.groups) - 1, 0)
-        if len(self.differentials) != expected:
-            raise ValueError(f"expected {expected} differentials, got {len(self.differentials)}")
-        for i, d in enumerate(self.differentials):
-            if d.source != self.groups[i] or d.target != self.groups[i + 1]:
+    def __init__(self, min_degree: int, groups: tuple[FpAbPresentation, ...],
+                 differentials: tuple[FpAbHom, ...]):
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "differentials", differentials)
+        expected = max(len(groups) - 1, 0)
+        if len(differentials) != expected:
+            raise ValueError(f"expected {expected} differentials, got {len(differentials)}")
+        for i, d in enumerate(differentials):
+            if d.source != groups[i] or d.target != groups[i + 1]:
                 raise ValueError(f"differential {i} does not match adjacent groups")
 
     @classmethod
@@ -90,13 +90,16 @@ class CochainComplex:
         return FpAbHom.zero(self.group_at(degree), self.group_at(degree + 1))
 
 
-@dataclass(frozen=True)
-class ComplexMap:
+class ComplexMap(_Record):
     """A degreewise map of cochain complexes, expected to commute with d."""
 
-    source: CochainComplex
-    target: CochainComplex
-    components: Mapping[int, FpAbHom]
+    _fields = __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: CochainComplex, target: CochainComplex,
+                 components: Mapping[int, FpAbHom]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", components)
 
     def component_at(self, degree: int) -> FpAbHom:
         if degree in self.components:

@@ -8,7 +8,6 @@ fixed input and flag set: fixed orderings everywhere and no timestamps.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import builders, dual, weight
@@ -27,19 +26,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 
 CHECK_SUITES = ("all", "prop1", "d2", "stability", "euler", "degeneration", "product-consistency")
-
-
-@dataclass
-class RunReport:
-    """What one invocation computed: deterministic for a fixed input and version."""
-
-    input_id: str
-    table: "weight.BigradedTable | None" = None
-    checks: list[Report] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,14 +149,13 @@ def cmd_compute(args) -> int:
     code = _require_valid_or_report(datum)
     if code:
         return code
-    report = RunReport(identifier)
-    report.table = weight.e2_page(datum, rational=args.rational)
+    table = weight.e2_page(datum, rational=args.rational)
     if args.format == "text":
-        print(_table_text(report.table, identifier, args.rational))
+        print(_table_text(table, identifier, args.rational))
     elif args.format == "csv":
-        print(_table_csv(report.table))
+        print(_table_csv(table))
     else:
-        print(json.dumps(_table_json_obj(report.table, identifier, args.rational),
+        print(json.dumps(_table_json_obj(table, identifier, args.rational),
                          indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -332,24 +317,24 @@ def cmd_check(args) -> int:
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
 
-    report = RunReport(identifier, checks=_run_checks(datum, args.which, expected_hc))
+    checks = _run_checks(datum, args.which, expected_hc)
     if args.json:
         obj = {
             "input": identifier,
             "checks": [
                 {"name": r.name, "passed": r.passed, "details": list(r.details)}
-                for r in report.checks
+                for r in checks
             ],
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(f"input: {identifier}")
-        for r in report.checks:
+        for r in checks:
             print(r.summary())
             if not r.passed:
                 for d in r.details:
                     print(f"  {d}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_examples(args) -> int:

@@ -9,13 +9,13 @@ edge-path fundamental group presentations and their simplification).
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
+from .reports import _Record
 from .sncdata import MAX_COUNT, SncDatum, require_valid
 
 __all__ = [
@@ -42,16 +42,16 @@ class DisconnectedComplexError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Record):
     """Vertices plus a downward-closed set of nonempty sorted faces."""
 
-    vertices: tuple[int, ...]
-    faces: frozenset[tuple[int, ...]]
+    _fields = __slots__ = ("vertices", "faces")
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for f in self.faces:
+    def __init__(self, vertices: tuple[int, ...], faces: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
+        vs = set(vertices)
+        for f in faces:
             if not f or list(f) != sorted(set(f)) or not set(f) <= vs:
                 raise ValueError(f"bad face {f}")
 
@@ -101,17 +101,17 @@ class SimplicialComplex:
         return len(self.connected_components()) == 1
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Record):
     """Relators are words in signed 1-based generator indices."""
 
-    n_generators: int
-    relators: tuple[tuple[int, ...], ...]
+    _fields = __slots__ = ("n_generators", "relators")
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, n_generators: int, relators: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n_generators", n_generators)
+        object.__setattr__(self, "relators", relators)
+        for r in relators:
             for x in r:
-                if x == 0 or abs(x) > self.n_generators:
+                if x == 0 or abs(x) > n_generators:
                     raise ValueError(f"relator letter {x} out of range")
 
     @property

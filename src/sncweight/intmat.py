@@ -15,9 +15,10 @@ eliminates unit entries on a copy of the rows and runs the dense
 reduction on the unit-free core alone; it tracks no transform.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
+
+from .reports import _Record
 
 __all__ = [
     "IntMatrix",
@@ -314,17 +315,19 @@ def _int_entries(entries: Iterable[int]) -> list[int]:
     return data
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """Unimodular u, v and diagonal d with u * a * v = d.
 
     Diagonal entries are nonnegative and each nonzero entry divides the
     next one.
     """
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    _fields = __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -15,14 +15,13 @@ views.  That makes validation a property of the datum, so each tier
 per datum and cached on it.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation, canonical_form
 from .intmat import IntMatrix
-from .reports import Report
+from .reports import Report, _Record
 
 __all__ = [
     "MAX_COUNT",
@@ -62,8 +61,7 @@ _ZERO = FpAbPresentation.zero()
 _NO_MAPS: Mapping[int, IntMatrix] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class StratumData:
+class StratumData(_Record):
     """Graded cohomology of one nonempty stratum plus its incoming restrictions.
 
     restrictions[i][b] is the matrix of the degree-b pullback from the
@@ -71,28 +69,29 @@ class StratumData:
     this value is stored).
     """
 
-    cohomology: Mapping[int, FpAbPresentation]
-    restrictions: Mapping[int, Mapping[int, IntMatrix]]
+    _fields = __slots__ = ("cohomology", "restrictions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cohomology", MappingProxyType(dict(self.cohomology)))
+    def __init__(self, cohomology: Mapping[int, FpAbPresentation],
+                 restrictions: Mapping[int, Mapping[int, IntMatrix]]):
+        object.__setattr__(self, "cohomology", MappingProxyType(dict(cohomology)))
         object.__setattr__(self, "restrictions", MappingProxyType({
             i: MappingProxyType(dict(per_degree))
-            for i, per_degree in self.restrictions.items()
+            for i, per_degree in restrictions.items()
         }))
 
 
-@dataclass(frozen=True)
-class SncDatum:
-    dim: int
-    n_components: int
-    strata: Mapping[SubsetKey, StratumData]
-    # Validation reports by tier, filled on first use; sound because the
-    # datum cannot change after construction.
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class SncDatum(_Record):
+    _fields = ("dim", "n_components", "strata")
+    # _reports holds the validation reports by tier, filled on first use;
+    # sound because the datum cannot change after construction.  It is
+    # not a field: equality, hash and repr ignore it.
+    __slots__ = _fields + ("_reports",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "strata", MappingProxyType(dict(self.strata)))
+    def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "n_components", n_components)
+        object.__setattr__(self, "strata", MappingProxyType(dict(strata)))
+        object.__setattr__(self, "_reports", {})
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
@@ -133,12 +132,14 @@ class SncDatum:
         return IntMatrix.zeros(target.generators, source.generators)
 
 
-@dataclass(frozen=True)
-class StrataLevel:
+class StrataLevel(_Record):
     """All nonempty strata of a fixed codimension, in lexicographic subset order."""
 
-    k: int
-    blocks: tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]
+    _fields = __slots__ = ("k", "blocks")
+
+    def __init__(self, k: int, blocks: tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "blocks", blocks)
 
     def group(self, b: int) -> FpAbPresentation:
         return FpAbPresentation.direct_sum(
@@ -270,30 +271,53 @@ def _square_problems(s: SncDatum) -> tuple[str, ...]:
     difference lies in the target's relation span.
     """
     problems = []
+    strata = s.strata
     for I in s.nonempty_subsets():
         if len(I) < 2:
             continue
-        target_coh = s.strata[I].cohomology
+        stratum = strata[I]
+        target_coh = stratum.cohomology
         for i, j in combinations(I, 2):
             Ii = tuple(x for x in I if x != i)
             Ij = tuple(x for x in I if x != j)
             J = tuple(x for x in I if x != i and x != j)
-            source_coh = s.strata[J].cohomology
+            source_coh = strata[J].cohomology
+            # The stored maps of both paths, by degree; a missing one is an
+            # implied zero, and a path through it is zero.
+            outer_i = stratum.restrictions.get(i, _NO_MAPS)
+            inner_i = strata[Ii].restrictions.get(j, _NO_MAPS)
+            outer_j = stratum.restrictions.get(j, _NO_MAPS)
+            inner_j = strata[Ij].restrictions.get(i, _NO_MAPS)
             # A degree missing at either end gives empty paths, which agree.
             for b in sorted(source_coh.keys() & target_coh.keys()):
-                via_i = s.restriction_matrix(I, i, b) * s.restriction_matrix(Ii, j, b)
-                via_j = s.restriction_matrix(I, j, b) * s.restriction_matrix(Ij, i, b)
-                if via_i == via_j:
+                via_i = _path(outer_i.get(b), inner_i.get(b))
+                via_j = _path(outer_j.get(b), inner_j.get(b))
+                if via_i is None or via_j is None:
+                    # The difference is the other path, up to a sign that
+                    # does not change whether it lies in the relation span.
+                    diff = via_j if via_i is None else via_i
+                    if diff is None or diff.is_zero:
+                        continue
+                elif via_i == via_j:
                     continue
+                else:
+                    diff = via_i - via_j
                 target = target_coh[b]
                 if target.is_relation_free or not FpAbHom(
-                    source_coh[b], target, via_i - via_j
+                    source_coh[b], target, diff
                 ).is_zero_hom():
                     problems.append(
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
                     )
     return tuple(problems)
+
+
+def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:
+    """outer * inner, or None when either map is an implied zero."""
+    if outer is None or inner is None:
+        return None
+    return outer * inner
 
 
 def require_valid(s: SncDatum) -> None:

@@ -13,7 +13,6 @@ the central cross-check of this package (computed here along a code path
 fully independent of the simplicial one).
 """
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
@@ -25,7 +24,7 @@ from .dual import (
     simplify_presentation,
 )
 from .intmat import IntMatrix
-from .reports import Report
+from .reports import Report, _Record
 from .sncdata import (
     SncDatum,
     StratumData,
@@ -55,27 +54,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightCochainComplex:
+class WeightCochainComplex(_Record):
     """The strata cochain complex in one cohomological degree b."""
 
-    b: int
-    complex: CochainComplex
+    _fields = __slots__ = ("b", "complex")
+
+    def __init__(self, b: int, complex: CochainComplex):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "complex", complex)
 
 
-@dataclass(frozen=True)
-class BigradedTable:
+class BigradedTable(_Record):
     """(a, b) -> group, nonzero entries only; zero outside 0 <= a <= dim."""
 
-    dim: int
-    n_components: int
-    entries: Mapping[tuple[int, int], FgAbGroup]
+    _fields = __slots__ = ("dim", "n_components", "entries")
 
-    def __post_init__(self):
-        for (a, b), g in self.entries.items():
+    def __init__(self, dim: int, n_components: int, entries: Mapping[tuple[int, int], FgAbGroup]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "n_components", n_components)
+        object.__setattr__(self, "entries", entries)
+        for (a, b), g in entries.items():
             if g.is_zero:
                 raise ValueError(f"zero entry stored at ({a}, {b})")
-            if a < 0 or a > self.dim or b < 0:
+            if a < 0 or a > dim or b < 0:
                 raise ValueError(f"entry at ({a}, {b}) outside the allowed range")
 
     def entry(self, a: int, b: int) -> FgAbGroup:
@@ -335,12 +336,15 @@ STATUS_SPHERE = "sphere-like"
 STATUS_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ContractibilityReport:
-    status: str
-    sphere_dim: int | None
-    cohomology: Mapping[int, FgAbGroup]
-    details: tuple[str, ...]
+class ContractibilityReport(_Record):
+    _fields = __slots__ = ("status", "sphere_dim", "cohomology", "details")
+
+    def __init__(self, status: str, sphere_dim: int | None,
+                 cohomology: Mapping[int, FgAbGroup], details: tuple[str, ...]):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "sphere_dim", sphere_dim)
+        object.__setattr__(self, "cohomology", cohomology)
+        object.__setattr__(self, "details", details)
 
     def render(self) -> str:
         head = self.status

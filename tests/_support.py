@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and random input generators.
+"""Shared test helpers: independent oracles, random input generators and record checks.
 
 The reduction oracle here deliberately mirrors none of the package
 internals: rank is computed over the rationals with Fraction arithmetic,
@@ -9,6 +9,9 @@ first nonzero pivot instead of the minimal one.
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
+
+import pytest
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
@@ -161,6 +164,48 @@ def oracle_cochain_cohomology(dims: list[int], deltas: list[list[list[int]]]):
         if free or torsion:
             out[i] = (free, torsion)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Record semantics
+
+
+def check_record(cls, fields, values, equal_values, other_values, hashable=True):
+    """Assert the value semantics every immutable record class keeps.
+
+    fields names the constructor parameters in order.  values and
+    equal_values are equal arguments built as distinct objects;
+    other_values differ from them.  Construction by position and by
+    keyword agree; equality is by value and never holds against another
+    class with the same field values, a subclass included; equal values
+    hash equal (when the fields are hashable); fields can be neither
+    assigned nor deleted and no attribute can be added; instances have no
+    __dict__; repr names every field.
+    """
+    a = cls(*values)
+    b = cls(**dict(zip(fields, equal_values)))
+    c = cls(*other_values)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    if hashable:
+        assert hash(a) == hash(b)
+    look_alike = SimpleNamespace(**{name: getattr(a, name) for name in fields})
+    assert a.__eq__(look_alike) is NotImplemented
+    assert a != look_alike and look_alike != a
+    subclass = type("Sub" + cls.__name__, (cls,), {"__slots__": ()})
+    assert a != subclass(*values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(c, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert not hasattr(a, "__dict__")
+    assert a == b
+    text = repr(a)
+    assert text.startswith(cls.__name__ + "(")
+    assert all(f"{name}=" in text for name in fields), text
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sncweight.abgroup import (
 )
 from sncweight.intmat import IntMatrix
 
-from _support import oracle_canonical_form, random_presentation, random_unimodular
+from _support import check_record, oracle_canonical_form, random_presentation, random_unimodular
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -206,3 +206,27 @@ def test_subquotient_with_torsion_middle():
     # Zero maps leave the whole middle group.
     z = FpAbHom.zero(z4, z4)
     assert subquotient_cohomology(z, z) == FgAbGroup(0, (4,))
+
+
+def test_record_semantics():
+    check_record(FgAbGroup, ("free_rank", "torsion"), (1, (2, 4)), (1, (2, 4)), (1, (4,)))
+    assert FgAbGroup() == FgAbGroup.zero() == FgAbGroup(torsion=())
+    assert FgAbGroup(torsion=(3,)) == FgAbGroup.cyclic(3)
+    assert repr(FgAbGroup(1, (2,))) == "FgAbGroup(free_rank=1, torsion=(2,))"
+    three = IntMatrix.from_rows([[3]])
+    check_record(FpAbPresentation, ("generators", "relations"),
+                 (1, IntMatrix.from_rows([[2]])), (1, IntMatrix.from_rows([[2]])), (1, three))
+    assert FpAbPresentation(generators=2, relations=IntMatrix.zeros(2, 0)) == F(2)
+    z2 = FpAbPresentation.from_relation_columns(1, [[2]])
+    check_record(FpAbHom, ("source", "target", "matrix"),
+                 (F(1), z2, IntMatrix.from_rows([[1]])),
+                 (F(1), FpAbPresentation.from_relation_columns(1, [[2]]), IntMatrix.identity(1)),
+                 (F(1), z2, three))
+    assert FpAbHom(F(1), z2, three) != FpAbHom(F(1), F(1), three)
+
+
+def test_records_validate_on_construction():
+    with pytest.raises(ValueError, match="relation matrix has 1 rows for 2 generators"):
+        FpAbPresentation(2, IntMatrix.zeros(1, 0))
+    with pytest.raises(ValueError, match=r"hom matrix shape \(1, 1\) does not match 2x1"):
+        FpAbHom(F(1), F(2), IntMatrix.identity(1))

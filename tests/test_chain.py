@@ -16,7 +16,7 @@ from sncweight.chain import (
 )
 from sncweight.intmat import IntMatrix
 
-from _support import oracle_cochain_cohomology, random_unimodular
+from _support import check_record, oracle_cochain_cohomology, random_unimodular
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -248,3 +248,19 @@ def test_cone_euler_bookkeeping():
                                      (IntMatrix.identity(c.group_at(a).generators).scale(m)).to_rows())
                               for a in c.degrees})
         assert euler(cohomology(cone(f))) == euler(cohomology(c)) - euler(cohomology(c))
+
+
+def test_record_semantics():
+    check_record(CochainComplex, ("min_degree", "groups", "differentials"),
+                 (0, (F(1), F(1)), (hom(F(1), F(1), [[2]]),)),
+                 (0, (F(1), F(1)), (hom(F(1), F(1), [[2]]),)),
+                 (1, (F(1), F(1)), (hom(F(1), F(1), [[2]]),)))
+    assert two_term(2) == two_term(2) != two_term(3)
+    with pytest.raises(ValueError, match="differential 0 does not match adjacent groups"):
+        CochainComplex(0, (F(1), F(2)), (hom(F(1), F(1), [[1]]),))
+    c = exact_three_term()
+    check_record(ComplexMap, ("source", "target", "components"),
+                 (c, c, {0: FpAbHom.identity(F(1))}),
+                 (exact_three_term(), exact_three_term(), {0: FpAbHom.identity(F(1))}),
+                 (c, c, {}),
+                 hashable=False)

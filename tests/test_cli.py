@@ -126,6 +126,42 @@ def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
     assert f"H~0 = Z^{MAX_COUNT - 3}" in out
 
 
+def test_builder_sizes_are_bounded_exit_2(capsys, monkeypatch):
+    # Each spec is one past a bound, or far past it: torus:14, affine:100000000
+    # and curve:0,100000000 used to run without end.  They must fail before
+    # any builder runs.
+    import sncweight.builders as builders
+
+    def never(*args):
+        raise AssertionError("a builder ran on a spec past its bound")
+
+    for name in ("affine_space_snc", "torus_snc", "punctured_curve_snc"):
+        monkeypatch.setattr(builders, name, never)
+    specs = (
+        f"affine:{MAX_COUNT + 1}", "affine:100000000",
+        f"curve:0,{MAX_COUNT + 1}", "curve:0,100000000",
+        f"curve:{MAX_COUNT // 2},2",  # 2G + N - 1 = MAX_COUNT + 1
+        "torus:9", "torus:14",  # 3^9 > MAX_COUNT >= 3^8
+    )
+    for spec in specs:
+        for argv in (("compute", "--builder", spec),
+                     ("check", "--builder", spec, "all"),
+                     ("examples", spec)):
+            _one_parse_error(capsys, argv, f"<= {MAX_COUNT}")
+
+
+def test_builder_specs_at_the_bound_are_accepted(capsys):
+    # curve:0,MAX_COUNT has N at its bound, curve:(MAX_COUNT/2),1 has 2G + N - 1 at it.
+    code, out, _ = run(capsys, "compute", "--builder", f"curve:0,{MAX_COUNT}",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["a,b,free_rank,torsion", "0,2,1,", f"1,0,{MAX_COUNT - 1},"]
+    code, out, _ = run(capsys, "compute", "--builder", f"curve:{MAX_COUNT // 2},1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,{MAX_COUNT},", "0,2,1,"]
+
+
 def test_non_utf8_file_exit_2(capsys, tmp_path):
     # A file that starts with a UTF-16 byte-order mark is not a UTF-8 datum.
     path = tmp_path / "utf16.json"
@@ -292,6 +328,34 @@ def test_cross_process_byte_identical(tmp_path):
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # Start-up cost and the empty dependency list: importing the CLI loads
+    # neither dataclasses nor inspect (with ast, dis and tokenize behind
+    # it), and nothing outside the standard library, even where numpy or
+    # sympy are installed.  -S keeps site-packages hooks out of the picture.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = "import sys, sncweight.cli; print(*sorted(sys.modules), sep='\\n')"
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "sncweight.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    outside = [
+        name for name in loaded
+        if name != "__main__"
+        and name.partition(".")[0] not in sys.stdlib_module_names
+        and name.partition(".")[0] != "sncweight"
+    ]
+    assert outside == []
 
 
 def test_compute_csv_with_torsion(capsys, tmp_path):

@@ -21,6 +21,8 @@ from sncweight.dual import (
 )
 from sncweight.intmat import IntMatrix
 
+from _support import check_record
+
 Z = FgAbGroup.free(1)
 
 
@@ -196,3 +198,15 @@ def test_complex_json_round_trip():
         complex_from_dict({"vertices": 2, "facets": [[0, 5]]})
     with pytest.raises(ValueError):
         complex_from_dict({"facets": []})
+
+
+def test_record_semantics():
+    check_record(SimplicialComplex, ("vertices", "faces"),
+                 ((1, 2), frozenset({(1,), (2,), (1, 2)})),
+                 ((1, 2), frozenset({(1, 2), (2,), (1,)})),
+                 ((1, 2), frozenset({(1,), (2,)})))
+    assert cycle(4) == cycle(4) != cycle(5)
+    check_record(GroupPresentation, ("n_generators", "relators"),
+                 (2, ((1, 2, -1, -2),)), (2, ((1, 2, -1, -2),)), (2, ()))
+    with pytest.raises(ValueError, match="relator letter 3 out of range"):
+        GroupPresentation(2, ((3,),))

@@ -5,6 +5,7 @@ import pytest
 from sncweight import intmat
 from sncweight.intmat import (
     IntMatrix,
+    SnfDecomposition,
     column_span_basis,
     in_column_span,
     kernel_basis,
@@ -14,7 +15,7 @@ from sncweight.intmat import (
     solve_matrix,
 )
 
-from _support import oracle_canonical_form, random_matrix, random_unimodular
+from _support import check_record, oracle_canonical_form, random_matrix, random_unimodular
 
 
 def test_matrix_basics():
@@ -392,3 +393,13 @@ def test_solve_randomized_consistency():
         got = solve(a, list(b.col(0)))
         assert got is not None
         assert a * IntMatrix.column(got) == b
+
+
+def test_snf_decomposition_record_semantics():
+    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    snf = smith_normal_form(a)
+    again = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    check_record(SnfDecomposition, ("u", "d", "v"),
+                 (snf.u, snf.d, snf.v), (again.u, again.d, again.v),
+                 (snf.u, snf.d.scale(2), snf.v))
+    assert snf == again and snf.diagonal == (2, 4)

@@ -5,12 +5,15 @@ import pytest
 
 import sncweight.sncdata as sncdata
 
+from sncweight.reports import Report
+
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import (
     InvalidDatumError,
     SncDatum,
+    StrataLevel,
     StratumData,
     level_differential,
     require_valid,
@@ -19,7 +22,7 @@ from sncweight.sncdata import (
     validate_structure,
 )
 
-from _support import random_valid_datum
+from _support import check_record, random_valid_datum
 
 F = FpAbPresentation.free
 ONE = IntMatrix.identity(1)
@@ -118,6 +121,35 @@ def test_validate_commuting_squares_violation():
                 "commuting squares: paths {} -> {2} -> {1,2} and "
                 "{} -> {1} -> {1,2} differ in degree 1",
             )
+
+
+def _zero_path_datum(zero_side, target, outer):
+    """Like _square_datum, but Y_{zero_side} has no degree-1 cohomology.
+
+    The path through Y_{zero_side} is then an implied zero, and the other
+    path is outer after the identity.
+    """
+    other = 3 - zero_side
+    return SncDatum(3, 2, {
+        (): StratumData({0: F(1), 1: F(1)}, {}),
+        (zero_side,): StratumData({0: F(1)}, {zero_side: {0: ONE}}),
+        (other,): StratumData({0: F(1), 1: F(1)}, {other: {0: ONE, 1: ONE}}),
+        (1, 2): StratumData({0: F(1), 1: target},
+                            {other: {0: ONE}, zero_side: {0: ONE, 1: outer}}),
+    })
+
+
+def test_validate_squares_through_an_implied_zero():
+    z2 = FpAbPresentation.from_relation_columns(1, [[2]])
+    zero, one, two = IntMatrix.from_rows([[0]]), ONE, IntMatrix.from_rows([[2]])
+    finding = ("commuting squares: paths {} -> {2} -> {1,2} and "
+               "{} -> {1} -> {1,2} differ in degree 1")
+    for zero_side in (1, 2):
+        for target, outer, commutes in ((F(1), zero, True), (F(1), one, False),
+                                        (z2, two, True), (z2, one, False)):
+            rep = validate(_zero_path_datum(zero_side, target, outer))
+            assert rep.passed == commutes, (zero_side, outer, rep.details)
+            assert rep.details == (() if commutes else (finding,))
 
 
 def test_validate_ill_defined_restriction():
@@ -277,3 +309,30 @@ def test_shape_failure_skips_the_squares(monkeypatch):
     assert not rep.passed and any("has shape" in d for d in rep.details)
     assert validate_structure(s) is rep
     assert calls == {"_check_structure": 1}
+
+
+def test_record_semantics():
+    check_record(StratumData, ("cohomology", "restrictions"),
+                 ({0: F(1)}, {1: {0: ONE}}), ({0: F(1)}, {1: {0: IntMatrix.identity(1)}}),
+                 ({0: F(1)}, {1: {0: IntMatrix.from_rows([[2]])}}),
+                 hashable=False)
+    point = {(): StratumData({0: F(1)}, {})}
+    check_record(SncDatum, ("dim", "n_components", "strata"),
+                 (0, 0, point), (0, 0, {(): StratumData({0: F(1)}, {})}), (1, 0, point),
+                 hashable=False)
+    check_record(StrataLevel, ("k", "blocks"),
+                 (0, (((), {0: F(1)}),)), (0, (((), {0: F(1)}),)), (1, ()),
+                 hashable=False)
+    check_record(Report, ("name", "passed", "details"),
+                 ("euler", False, ("x",)), ("euler", False, ("x",)), ("euler", True, ("x",)))
+    assert Report("euler", True).details == () and Report("euler", True) == Report.ok("euler")
+
+
+def test_validated_datum_equals_a_fresh_one():
+    built = torus_snc(2)
+    assert validate(built).passed and validate_structure(built).passed
+    fresh = SncDatum(built.dim, built.n_components, dict(built.strata))
+    assert fresh == built and built == fresh
+    assert repr(fresh) == repr(built) and "_reports" not in repr(built)
+    with pytest.raises(AttributeError):
+        built._reports = {}

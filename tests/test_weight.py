@@ -9,11 +9,13 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import FreeTensorError, verify_complex
+from sncweight.chain import CochainComplex, FreeTensorError, verify_complex
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData
 from sncweight.weight import (
     BigradedTable,
+    ContractibilityReport,
+    WeightCochainComplex,
     STATUS_CONTRACTIBLE,
     STATUS_OTHER,
     STATUS_SPHERE,
@@ -29,7 +31,7 @@ from sncweight.weight import (
     weight_cohomology_table,
 )
 
-from _support import random_valid_datum
+from _support import check_record, random_valid_datum
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -270,3 +272,23 @@ def test_contractible_product_nerve():
     s = product_snc(affine_space_snc(1), torus_snc(1))
     rep = contractibility_report(s)
     assert rep.status == STATUS_CONTRACTIBLE
+
+
+def test_record_semantics():
+    check_record(WeightCochainComplex, ("b", "complex"),
+                 (0, CochainComplex.concentrated(F(1), 0)),
+                 (0, CochainComplex.concentrated(F(1), 0)),
+                 (2, CochainComplex.concentrated(F(1), 0)))
+    assert weight_cochain_complex(torus_snc(1), 0) == weight_cochain_complex(torus_snc(1), 0)
+    check_record(BigradedTable, ("dim", "n_components", "entries"),
+                 (1, 2, {(1, 0): Z}), (1, 2, {(1, 0): FgAbGroup(1)}), (1, 2, {(0, 2): Z}),
+                 hashable=False)
+    assert weight_cohomology_table(torus_snc(2)) == weight_cohomology_table(torus_snc(2))
+    with pytest.raises(ValueError, match=r"zero entry stored at \(0, 0\)"):
+        BigradedTable(1, 1, {(0, 0): FgAbGroup()})
+    h = {0: Z}
+    check_record(ContractibilityReport, ("status", "sphere_dim", "cohomology", "details"),
+                 (STATUS_SPHERE, 0, h, ("one",)), (STATUS_SPHERE, 0, {0: Z}, ("one",)),
+                 (STATUS_OTHER, None, h, ("one",)),
+                 hashable=False)
+    assert contractibility_report(affine_space_snc(2)) == contractibility_report(affine_space_snc(2))
