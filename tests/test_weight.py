@@ -120,6 +120,21 @@ def test_product_of_tori_matches_torus2():
     assert weight_cohomology_table(prod).entries_equal(weight_cohomology_table(torus_snc(2)))
 
 
+def test_product_json_is_pinned_in_both_orders():
+    # Every stratum, degree and restriction block of both legs, byte for byte.
+    import hashlib
+
+    from sncweight.builders import to_json
+
+    curve, plane = punctured_curve_snc(1, 2), affine_space_snc(2)
+    digests = [hashlib.sha256(to_json(product_snc(x, y)).encode()).hexdigest()
+               for x, y in ((curve, plane), (plane, curve))]
+    assert digests == [
+        "83a045589fb406ad99f3d91eb38bfc2224f81c8374c3ac85cd3346b304d3499b",
+        "ae96ed61480b67e9fd0303cffcc381078a4b6be6528d536624d2ad36c0131aa8",
+    ]
+
+
 def test_product_rejects_torsion():
     with pytest.raises(FreeTensorError):
         product_snc(torsion_datum(), torus_snc(1))
