@@ -8,8 +8,10 @@ format.  An FpAbHom is a homomorphism between presented groups, given by
 its matrix on generators.
 """
 
+from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from .intmat import (
     IntMatrix,
@@ -28,9 +30,6 @@ __all__ = [
     "IllDefinedHomError",
     "NonzeroCompositionError",
     "canonical_form",
-    "kernel",
-    "image",
-    "cokernel",
     "subquotient_cohomology",
 ]
 
@@ -80,12 +79,6 @@ class FgAbGroup(_Record):
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
         return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbGroup":
-        if order == 0:
-            return cls.free(1)
-        return cls.from_cyclic_orders([order])
 
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
@@ -248,36 +241,6 @@ class FpAbHom(_Record):
             raise ValueError("composition mismatch: inner target differs from outer source")
         return FpAbHom(inner.source, self.target, self.matrix * inner.matrix)
 
-    def scale(self, c: int) -> "FpAbHom":
-        return FpAbHom(self.source, self.target, self.matrix.scale(c))
-
-    def __add__(self, other: "FpAbHom") -> "FpAbHom":
-        if not isinstance(other, FpAbHom):
-            return NotImplemented
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("can only add homs with equal source and target")
-        return FpAbHom(self.source, self.target, self.matrix + other.matrix)
-
-    def __sub__(self, other: "FpAbHom") -> "FpAbHom":
-        if not isinstance(other, FpAbHom):
-            return NotImplemented
-        return self.__add__(other.scale(-1))
-
-    @staticmethod
-    def direct_sum(homs: Sequence["FpAbHom"]) -> "FpAbHom":
-        if not homs:
-            return FpAbHom.zero(FpAbPresentation.zero(), FpAbPresentation.zero())
-        source = FpAbPresentation.direct_sum([h.source for h in homs])
-        target = FpAbPresentation.direct_sum([h.target for h in homs])
-        grid = [
-            [
-                h.matrix if i == j else IntMatrix.zeros(h.target.generators, g.source.generators)
-                for j, g in enumerate(homs)
-            ]
-            for i, h in enumerate(homs)
-        ]
-        return FpAbHom(source, target, IntMatrix.block(grid))
-
 
 def _columns_in_span(m: IntMatrix, span: IntMatrix) -> bool:
     if m.is_zero:
@@ -298,7 +261,7 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     return FgAbGroup(p.generators - len(diag), torsion)
 
 
-def _require_well_defined(f: FpAbHom, what: str = "homomorphism") -> None:
+def _require_well_defined(f: FpAbHom, what: str) -> None:
     if not f.is_well_defined():
         raise IllDefinedHomError(
             f"{what} does not send source relations into the target relation span"
@@ -313,30 +276,6 @@ def _preimage_basis(matrix: IntMatrix, span: IntMatrix) -> IntMatrix:
     lifted = kernel_basis(stacked)
     gens = lifted.take_rows(matrix.cols)
     return column_span_basis(gens)
-
-
-def kernel(f: FpAbHom) -> FpAbPresentation:
-    """Presentation of the kernel of the induced map on quotient groups."""
-    _require_well_defined(f)
-    lift = _preimage_basis(f.matrix, f.target.relations)
-    rels = solve_matrix(lift, f.source.relations)
-    assert rels is not None, "source relations must lie in the kernel lift"
-    return FpAbPresentation(lift.cols, rels)
-
-
-def image(f: FpAbHom) -> FpAbPresentation:
-    """Presentation of the image inside the target group."""
-    _require_well_defined(f)
-    # The image is Z^source-generators modulo everything that maps to zero.
-    return FpAbPresentation(f.source.generators, _preimage_basis(f.matrix, f.target.relations))
-
-
-def cokernel(f: FpAbHom) -> FpAbPresentation:
-    """Presentation of target modulo the image."""
-    _require_well_defined(f)
-    return FpAbPresentation(
-        f.target.generators, f.matrix.hstack(f.target.relations)
-    )
 
 
 def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:

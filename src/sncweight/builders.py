@@ -23,7 +23,6 @@ generators by source generators).
 
 import json
 from math import comb
-from pathlib import Path
 
 from .intmat import IntMatrix
 from .abgroup import FpAbPresentation
@@ -271,13 +270,12 @@ def datum_from_dict(obj) -> SncDatum:
 def from_json(path) -> SncDatum:
     """Parse a datum file; raises DatumParseError on malformed input."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     except OSError as e:
         raise DatumParseError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatumParseError(f"{path} is not valid JSON: {e}") from e
     return datum_from_dict(obj)

@@ -7,8 +7,8 @@ fixed input and flag set: fixed orderings everywhere and no timestamps.
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import builders, dual, weight
 from .chain import FreeTensorError
@@ -199,8 +199,8 @@ def cmd_dual(args) -> int:
         if not args.input:
             return _fail("--complex needs an input file")
         try:
-            obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
-            k = dual.complex_from_dict(obj)
+            with open(args.input, encoding="utf-8") as fh:
+                k = dual.complex_from_dict(json.load(fh))
         except (OSError, ValueError) as e:  # decode and JSON errors are ValueErrors
             return _fail(str(e))
         print(f"input: {args.input}")
@@ -337,26 +337,24 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
 
 
+def _rp2_json() -> str:
+    return json.dumps(dual.complex_to_dict(dual.real_projective_plane()), indent=2, sort_keys=True)
+
+
 def cmd_examples(args) -> int:
     names = builders.example_names()
     if args.dir:
-        import os
-
-        os.makedirs(args.dir, exist_ok=True)
-        written = []
-        for name in names:
-            datum = builders.parse_builder(name)
-            filename = name.replace(":", "_").replace(",", "_") + ".json"
-            path = os.path.join(args.dir, filename)
-            with open(path, "w") as fh:
-                fh.write(builders.to_json(datum))
-            written.append(filename)
-        rp2_path = os.path.join(args.dir, "rp2_complex.json")
-        with open(rp2_path, "w") as fh:
-            fh.write(json.dumps(dual.complex_to_dict(dual.real_projective_plane()),
-                                indent=2, sort_keys=True) + "\n")
-        written.append("rp2_complex.json")
-        for filename in written:
+        files = [(name.replace(":", "_").replace(",", "_") + ".json",
+                  builders.to_json(builders.parse_builder(name))) for name in names]
+        files.append(("rp2_complex.json", _rp2_json() + "\n"))
+        try:
+            os.makedirs(args.dir, exist_ok=True)
+            for filename, text in files:
+                with open(os.path.join(args.dir, filename), "w") as fh:
+                    fh.write(text)
+        except OSError as e:
+            return _fail(f"cannot write examples into {args.dir}: {e}")
+        for filename, _ in files:
             print(filename)
         return EXIT_OK
     if args.name is None:
@@ -365,8 +363,7 @@ def cmd_examples(args) -> int:
         print("rp2  (raw simplicial complex; use with dual --complex)")
         return EXIT_OK
     if args.name == "rp2":
-        print(json.dumps(dual.complex_to_dict(dual.real_projective_plane()),
-                         indent=2, sort_keys=True))
+        print(_rp2_json())
         return EXIT_OK
     try:
         datum = builders.parse_builder(args.name)

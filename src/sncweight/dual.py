@@ -8,9 +8,11 @@ complex.  The module also carries the generic simplicial machinery
 edge-path fundamental group presentations and their simplification).
 """
 
+from __future__ import annotations
+
 from collections import deque
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from .chain import CochainComplex, cohomology
@@ -57,14 +59,23 @@ class SimplicialComplex(_Record):
 
     @classmethod
     def from_facets(cls, vertices: Iterable[int], facets: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        """Downward closure of the given facets; isolated vertices are kept."""
+        """Downward closure of the given facets; isolated vertices are kept.
+
+        The closure may hold at most MAX_COUNT faces; a facet of k vertices
+        alone has 2^k - 1, so each one is checked before it is expanded.
+        """
         vertices = tuple(sorted(set(vertices)))
-        faces = {(v,) for v in vertices}
+        closure = set()
         for facet in facets:
             facet = tuple(sorted(set(facet)))
+            if 2 ** len(facet) - 1 > MAX_COUNT:
+                raise ValueError(f"a facet of {len(facet)} vertices has more than "
+                                 f"{MAX_COUNT} faces")
             for size in range(1, len(facet) + 1):
-                faces.update(combinations(facet, size))
-        return cls(vertices, frozenset(faces))
+                closure.update(combinations(facet, size))
+            if len(closure) > MAX_COUNT:
+                raise ValueError(f"the facets have more than {MAX_COUNT} faces")
+        return cls(vertices, frozenset(closure.union((v,) for v in vertices)))
 
     @property
     def dim(self) -> int:
@@ -74,27 +85,7 @@ class SimplicialComplex(_Record):
         return sorted(f for f in self.faces if len(f) == k)
 
     def connected_components(self) -> list[tuple[int, ...]]:
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.faces_of_card(2):
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = set()
-        out = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            queue = deque([v])
-            comp = []
-            seen.add(v)
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in sorted(adj[x]):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            out.append(tuple(sorted(comp)))
-        return out
+        return _spanning_forest(self)[0]
 
     @property
     def is_connected(self) -> bool:
@@ -179,24 +170,35 @@ def euler_characteristic(k: SimplicialComplex) -> int:
     return sum(1 if len(f) % 2 else -1 for f in k.faces)
 
 
-def _spanning_tree(k: SimplicialComplex) -> set[tuple[int, ...]]:
-    edges = k.faces_of_card(2)
-    adj = {v: [] for v in k.vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = k.vertices[0]
-    seen = {root}
+def _spanning_forest(k: SimplicialComplex) -> tuple[list[tuple[int, ...]], set[tuple[int, int]]]:
+    """The connected components, and the edges of a breadth-first tree in each.
+
+    Each search starts at the smallest vertex not yet reached and visits
+    neighbours in ascending order.
+    """
+    adj = {v: set() for v in k.vertices}
+    for a, b in k.faces_of_card(2):
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = set()
+    components = []
     tree = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                tree.add(tuple(sorted((x, y))))
-                queue.append(y)
-    return tree
+    for v in k.vertices:
+        if v in seen:
+            continue
+        queue = deque([v])
+        comp = []
+        seen.add(v)
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in sorted(adj[x]):
+                if y not in seen:
+                    seen.add(y)
+                    tree.add((x, y) if x < y else (y, x))
+                    queue.append(y)
+        components.append(tuple(sorted(comp)))
+    return components, tree
 
 
 def edge_path_presentation(k: SimplicialComplex) -> GroupPresentation:
@@ -205,10 +207,9 @@ def edge_path_presentation(k: SimplicialComplex) -> GroupPresentation:
     Generators are the non-tree edges; each triangle contributes the
     relator saying its three edges compose trivially.
     """
-    comps = k.connected_components()
+    comps, tree = _spanning_forest(k)
     if len(comps) != 1:
         raise DisconnectedComplexError(comps)
-    tree = _spanning_tree(k)
     generators = [e for e in k.faces_of_card(2) if e not in tree]
     gen_index = {e: i + 1 for i, e in enumerate(generators)}
 

@@ -15,8 +15,10 @@ eliminates unit entries on a copy of the rows and runs the dense
 reduction on the unit-free core alone; it tracks no transform.
 """
 
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
 
 from .reports import _Record
 
@@ -27,9 +29,7 @@ __all__ = [
     "smith_diagonal",
     "kernel_basis",
     "column_span_basis",
-    "solve",
     "solve_matrix",
-    "in_column_span",
 ]
 
 
@@ -573,31 +573,6 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
     )
 
 
-def _solve_reduced(u: IntMatrix, d: IntMatrix, v: IntMatrix, b: Sequence[int]) -> list[int] | None:
-    rows, cols = d.shape
-    y = u * IntMatrix.column(b)
-    xprime = [0] * cols
-    for i in range(rows):
-        diag = d[(i, i)] if i < cols else 0
-        yi = y[(i, 0)]
-        if diag:
-            if yi % diag:
-                return None
-            xprime[i] = yi // diag
-        elif yi:
-            return None
-    x = v * IntMatrix.column(xprime)
-    return list(x.col(0))
-
-
-def solve(a: IntMatrix, b: Sequence[int]) -> list[int] | None:
-    """An integer solution x of a * x = b, or None if none exists."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    u, d, v, _, _ = _snf_reduce(a, want_u=True, want_v=True)
-    return _solve_reduced(u, d, v, b)
-
-
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer matrix x with a * x = b, or None if some column has no solution."""
     if a.rows != b.rows:
@@ -618,6 +593,3 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
             return None
     return v * IntMatrix.from_rows(xprime, width)
 
-
-def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(a, b) is not None

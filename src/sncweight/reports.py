@@ -47,14 +47,6 @@ class Report(_Record):
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "details", details)
 
-    @classmethod
-    def ok(cls, name: str, details: tuple[str, ...] = ()) -> "Report":
-        return cls(name, True, details)
-
-    @classmethod
-    def fail(cls, name: str, details: tuple[str, ...]) -> "Report":
-        return cls(name, False, details)
-
     def summary(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}"
 

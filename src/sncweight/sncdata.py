@@ -15,9 +15,11 @@ views.  That makes validation a property of the datum, so each tier
 per datum and cached on it.
 """
 
+from __future__ import annotations
+
+from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation, canonical_form
 from .intmat import IntMatrix
@@ -28,20 +30,24 @@ __all__ = [
     "SubsetKey",
     "StratumData",
     "SncDatum",
-    "StrataLevel",
     "InvalidDatumError",
     "validate",
     "validate_structure",
     "strata_level",
+    "level_group",
     "level_differential",
     "require_valid",
 ]
 
 SubsetKey = tuple[int, ...]
+# One level of strata: (subset, cohomology by degree) for each nonempty
+# stratum with a fixed |I|, in lexicographic subset order.
+Level = tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]
 
 # The largest count an input file may give: "dim", "components" and each
 # "generators" of a datum, and "vertices" of a raw simplicial complex.
 # Parsers reject larger counts before they allocate anything by them.
+# The downward closure of a raw complex's facets is held to as many faces.
 MAX_COUNT = 10_000
 
 
@@ -130,21 +136,6 @@ class SncDatum(_Record):
         target = self.cohomology_of(I, b)
         source = self.cohomology_of(tuple(x for x in I if x != i), b)
         return IntMatrix.zeros(target.generators, source.generators)
-
-
-class StrataLevel(_Record):
-    """All nonempty strata of a fixed codimension, in lexicographic subset order."""
-
-    _fields = __slots__ = ("k", "blocks")
-
-    def __init__(self, k: int, blocks: tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", blocks)
-
-    def group(self, b: int) -> FpAbPresentation:
-        return FpAbPresentation.direct_sum(
-            [coh.get(b, _ZERO) for _, coh in self.blocks]
-        )
 
 
 def validate(s: SncDatum) -> Report:
@@ -326,14 +317,14 @@ def require_valid(s: SncDatum) -> None:
         raise InvalidDatumError(rep)
 
 
-def strata_level(s: SncDatum, k: int) -> StrataLevel:
-    """Nonempty strata with |I| = k in lexicographic order (empty above dim)."""
-    blocks = tuple(
-        (I, s.strata[I].cohomology)
-        for I in sorted(s.strata)
-        if len(I) == k
-    )
-    return StrataLevel(k, blocks)
+def strata_level(s: SncDatum, k: int) -> Level:
+    """The nonempty strata with |I| = k (none above dim)."""
+    return tuple((I, s.strata[I].cohomology) for I in sorted(s.strata) if len(I) == k)
+
+
+def level_group(level: Level, b: int) -> FpAbPresentation:
+    """The direct sum of the degree-b cohomology of a level's strata, in level order."""
+    return FpAbPresentation.direct_sum([coh.get(b, _ZERO) for _, coh in level])
 
 
 def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
@@ -346,18 +337,18 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
         raise ValueError("level differentials start at k = 1")
     src = strata_level(s, k - 1)
     tgt = strata_level(s, k)
-    src_group = src.group(b)
-    tgt_group = tgt.group(b)
+    src_group = level_group(src, b)
+    tgt_group = level_group(tgt, b)
 
     src_offsets = {}
     pos = 0
-    for I, coh in src.blocks:
+    for I, coh in src:
         src_offsets[I] = pos
         pos += coh.get(b, _ZERO).generators
 
     entries = []
     row0 = 0
-    for I, coh in tgt.blocks:
+    for I, coh in tgt:
         height = coh.get(b, _ZERO).generators
         if not height:
             continue  # a block row into a zero group holds no entry

@@ -13,7 +13,9 @@ the central cross-check of this package (computed here along a code path
 fully independent of the simplicial one).
 """
 
-from typing import Mapping
+from __future__ import annotations
+
+from collections.abc import Mapping
 
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
 from .chain import CochainComplex, FreeTensorError, cohomology
@@ -29,6 +31,7 @@ from .sncdata import (
     SncDatum,
     StratumData,
     level_differential,
+    level_group,
     require_valid,
     strata_level,
 )
@@ -96,9 +99,6 @@ class BigradedTable(_Record):
         }
         return BigradedTable(self.dim, self.n_components, entries)
 
-    def total_rank_in_degree(self, k: int) -> int:
-        return sum(g.free_rank for (a, b), g in self.entries.items() if a + b == k)
-
     def euler_sum(self) -> int:
         return sum(
             (g.free_rank if (a + b) % 2 == 0 else -g.free_rank)
@@ -107,7 +107,7 @@ class BigradedTable(_Record):
 
 
 def _weight_complex_unchecked(s: SncDatum, b: int) -> WeightCochainComplex:
-    groups = [strata_level(s, k).group(b) for k in range(s.dim + 1)]
+    groups = [level_group(strata_level(s, k), b) for k in range(s.dim + 1)]
     diffs = [level_differential(s, k, b) for k in range(1, s.dim + 1)]
     return WeightCochainComplex(b, CochainComplex(0, tuple(groups), tuple(diffs)))
 
@@ -164,6 +164,46 @@ def _require_relation_free(s: SncDatum, who: str) -> None:
                 )
 
 
+def _tensor_degrees(cx: Mapping[int, FpAbPresentation],
+                    cy: Mapping[int, FpAbPresentation]) -> dict[int, list[tuple[int, int]]]:
+    """Graded pieces of the tensor: degree -> [(p, q), ...], p ascending."""
+    degrees = {}
+    for p, gp in sorted(cx.items()):
+        for q, gq in sorted(cy.items()):
+            if gp.generators and gq.generators:
+                degrees.setdefault(p + q, []).append((p, q))
+    return degrees
+
+
+def _leg_restriction(degrees, target, source, rx, ry) -> dict[int, IntMatrix]:
+    """Degree -> pullback between the graded tensors of two pairs of strata.
+
+    target = (cx, cy) and source = (src_cx, src_cy) are the cohomologies of
+    the two legs, and degrees is _tensor_degrees(cx, cy).  rx(p) and ry(q)
+    are the degree-p and degree-q maps on the legs: one is a restriction,
+    the other an identity.  Pullbacks keep both leg degrees, so only the
+    blocks with equal (p, q) at source and target are nonzero.
+    """
+    (cx, cy), (src_cx, src_cy) = target, source
+    src_degrees = _tensor_degrees(src_cx, src_cy)
+    per_degree = {}
+    for b, tgt_pairs in sorted(degrees.items()):
+        pairs = src_degrees.get(b)
+        if not pairs:
+            continue
+        per_degree[b] = IntMatrix.block([
+            [
+                rx(tp).kron(ry(tq))
+                if (tp, tq) == (sp, sq)
+                else IntMatrix.zeros(cx[tp].generators * cy[tq].generators,
+                                     src_cx[sp].generators * src_cy[sq].generators)
+                for sp, sq in pairs
+            ]
+            for tp, tq in tgt_pairs
+        ])
+    return per_degree
+
+
 def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     """The compactified product: strata are pairs, cohomology is the graded tensor.
 
@@ -178,22 +218,13 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     _require_relation_free(sy, "right factor")
     nx = sx.n_components
 
-    def tensor_degrees(cx, cy):
-        # Ordered graded pieces of the tensor: degree -> [(p, q), ...], p ascending.
-        degrees = {}
-        for p, gp in sorted(cx.items()):
-            for q, gq in sorted(cy.items()):
-                if gp.generators and gq.generators:
-                    degrees.setdefault(p + q, []).append((p, q))
-        return degrees
-
     strata: dict[tuple[int, ...], StratumData] = {}
     for ix in sx.nonempty_subsets():
         cx = sx.strata[ix].cohomology
         for iy in sy.nonempty_subsets():
             cy = sy.strata[iy].cohomology
             key = ix + tuple(j + nx for j in iy)
-            degrees = tensor_degrees(cx, cy)
+            degrees = _tensor_degrees(cx, cy)
             cohomology_dict = {
                 b: FpAbPresentation.free(
                     sum(cx[p].generators * cy[q].generators for p, q in pairs)
@@ -203,54 +234,19 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
 
             restrictions: dict[int, dict[int, IntMatrix]] = {}
             for e in key:
-                per_degree: dict[int, IntMatrix] = {}
                 if e <= nx:
                     src_cx = sx.strata[tuple(x for x in ix if x != e)].cohomology
-                    src_pairs = tensor_degrees(src_cx, cy)
-                    for b, tgt_pairs in sorted(degrees.items()):
-                        pairs = src_pairs.get(b, [])
-                        if not pairs:
-                            continue
-                        # Pullbacks preserve both tensor-leg degrees, so only
-                        # blocks with (tp, tq) == (sp, sq) are nonzero.
-                        blocks = [
-                            [
-                                sx.restriction_matrix(ix, e, tp).kron(
-                                    IntMatrix.identity(cy[tq].generators)
-                                )
-                                if (tp, tq) == (sp, sq)
-                                else IntMatrix.zeros(
-                                    cx[tp].generators * cy[tq].generators,
-                                    src_cx[sp].generators * cy[sq].generators,
-                                )
-                                for sp, sq in pairs
-                            ]
-                            for tp, tq in tgt_pairs
-                        ]
-                        per_degree[b] = IntMatrix.block(blocks)
+                    per_degree = _leg_restriction(
+                        degrees, (cx, cy), (src_cx, cy),
+                        lambda p: sx.restriction_matrix(ix, e, p),
+                        lambda q: IntMatrix.identity(cy[q].generators))
                 else:
                     j = e - nx
                     src_cy = sy.strata[tuple(y for y in iy if y != j)].cohomology
-                    src_pairs = tensor_degrees(cx, src_cy)
-                    for b, tgt_pairs in sorted(degrees.items()):
-                        pairs = src_pairs.get(b, [])
-                        if not pairs:
-                            continue
-                        blocks = [
-                            [
-                                IntMatrix.identity(cx[tp].generators).kron(
-                                    sy.restriction_matrix(iy, j, tq)
-                                )
-                                if (tp, tq) == (sp, sq)
-                                else IntMatrix.zeros(
-                                    cx[tp].generators * cy[tq].generators,
-                                    cx[sp].generators * src_cy[sq].generators,
-                                )
-                                for sp, sq in pairs
-                            ]
-                            for tp, tq in tgt_pairs
-                        ]
-                        per_degree[b] = IntMatrix.block(blocks)
+                    per_degree = _leg_restriction(
+                        degrees, (cx, cy), (cx, src_cy),
+                        lambda p: IntMatrix.identity(cx[p].generators),
+                        lambda q: sy.restriction_matrix(iy, j, q))
                 if per_degree:
                     restrictions[e] = per_degree
             strata[key] = StratumData(cohomology_dict, restrictions)
@@ -315,9 +311,8 @@ def euler_check(s: SncDatum) -> Report:
     table_side = weight_cohomology_table(s).euler_sum()
     strata_side = 0
     for k in range(s.dim + 1):
-        level = strata_level(s, k)
         chi = 0
-        for _, coh in level.blocks:
+        for _, coh in strata_level(s, k):
             for b, p in coh.items():
                 rank = canonical_form(p).free_rank
                 chi += rank if b % 2 == 0 else -rank

@@ -109,6 +109,38 @@ def test_count_fields_are_bounded_exit_2(capsys, tmp_path):
                          f'"vertices" must be at most {MAX_COUNT}')
 
 
+def test_complex_faces_are_bounded_exit_2(capsys, tmp_path):
+    # The closure of a k-vertex facet has 2^k - 1 faces: a 40-vertex simplex,
+    # a file under 200 bytes, used to run without end.
+    import time
+
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": 40, "facets": [list(range(40))]}))
+    start = time.perf_counter()
+    _one_parse_error(capsys, ("dual", str(path), "--complex"),
+                     f"a facet of 40 vertices has more than {MAX_COUNT} faces")
+    assert time.perf_counter() - start < 1
+    # Two 13-vertex facets, each within the bound, share 4095 of their faces.
+    path.write_text(json.dumps({"vertices": 14, "facets": [list(range(13)), list(range(1, 14))]}))
+    _one_parse_error(capsys, ("dual", str(path), "--complex"),
+                     f"the facets have more than {MAX_COUNT} faces")
+
+
+def test_complex_faces_at_the_bound_are_accepted(capsys, tmp_path):
+    # The 13-vertex simplex has 8191 faces; its report is the same as before
+    # the bound.
+    import hashlib
+
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": 13, "facets": [list(range(13))]}))
+    code, out, _ = run(capsys, "dual", str(path), "--complex")
+    assert code == 0
+    head, report = out.split("\n", 1)
+    assert head == f"input: {path}"
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "bb977fe50e133af0e11812e14fb6ec83055f9025823599030d8a3aff18d62eab")
+
+
 def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
     obj = json.loads(to_json(affine_space_snc(1)))
     for field in ("dim", "components", "generators"):
@@ -318,6 +350,14 @@ def test_examples_directory(capsys, tmp_path):
     assert from_json(out_dir / "torus_2.json") == torus_snc(2)
 
 
+def test_examples_directory_that_cannot_be_made_exit_2(capsys, tmp_path):
+    # An existing file, and a path below one, used to end in a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target in (blocker, blocker / "sub"):
+        _one_parse_error(capsys, ("examples", "--dir", str(target)), "cannot write examples")
+
+
 def test_cross_process_byte_identical(tmp_path):
     import subprocess
     import sys
@@ -333,8 +373,10 @@ def test_cross_process_byte_identical(tmp_path):
 def test_cli_imports_only_the_standard_library():
     # Start-up cost and the empty dependency list: importing the CLI loads
     # neither dataclasses nor inspect (with ast, dis and tokenize behind
-    # it), and nothing outside the standard library, even where numpy or
-    # sympy are installed.  -S keeps site-packages hooks out of the picture.
+    # it), nor typing or pathlib, and nothing outside the standard library,
+    # even where numpy or sympy are installed.  -S keeps site-packages hooks
+    # out of the picture.  The package root re-exports nothing, so importing
+    # it loads no submodule.
     import os
     import subprocess
     import sys
@@ -342,13 +384,21 @@ def test_cli_imports_only_the_standard_library():
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    script = "import sys, sncweight.cli; print(*sorted(sys.modules), sep='\\n')"
-    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    loaded = done.stdout.split()
+
+    def modules_loaded_by(statement):
+        script = f"import sys, {statement}; print(*sorted(sys.modules), sep='\\n')"
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    root = modules_loaded_by("sncweight")
+    assert "sncweight" in root
+    assert [name for name in root if name.startswith("sncweight.")] == []
+    loaded = modules_loaded_by("sncweight.cli")
     assert "sncweight.cli" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "typing" not in loaded and "pathlib" not in loaded
     outside = [
         name for name in loaded
         if name != "__main__"

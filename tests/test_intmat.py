@@ -7,11 +7,9 @@ from sncweight.intmat import (
     IntMatrix,
     SnfDecomposition,
     column_span_basis,
-    in_column_span,
     kernel_basis,
     smith_diagonal,
     smith_normal_form,
-    solve,
     solve_matrix,
 )
 
@@ -360,7 +358,7 @@ def test_kernel_basis_spans_kernel():
         for _ in range(3):
             coeffs = IntMatrix.column([rng.randint(-3, 3) for _ in range(k.cols)])
             vec = k * coeffs
-            assert solve(k, list(vec.col(0))) is not None
+            assert solve_matrix(k, vec) is not None
 
 
 def test_column_span_basis():
@@ -374,14 +372,16 @@ def test_column_span_basis():
 
 
 def test_solve():
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve(a, [4, 9]) == [2, 3]
-    assert solve(a, [1, 0]) is None
-    assert in_column_span(a, [2, 3])
-    assert not in_column_span(a, [1, 1])
+    rows, col = IntMatrix.from_rows, IntMatrix.column
+    a = rows([[2, 0], [0, 3]])
+    assert solve_matrix(a, col([4, 9])) == col([2, 3])
+    assert solve_matrix(a, col([1, 0])) is None
+    assert solve_matrix(a, rows([[2, 4], [3, 0]])) == rows([[1, 2], [1, 0]])
+    # One unsolvable column fails the whole right-hand side.
+    assert solve_matrix(a, rows([[2, 1], [3, 1]])) is None
     # Underdetermined and overdetermined shapes.
-    assert solve(IntMatrix.from_rows([[1, 1]]), [5]) is not None
-    assert solve(IntMatrix.from_rows([[1], [1]]), [5, 4]) is None
+    assert solve_matrix(rows([[1, 1]]), col([5])) is not None
+    assert solve_matrix(rows([[1], [1]]), col([5, 4])) is None
 
 
 def test_solve_randomized_consistency():
@@ -390,9 +390,9 @@ def test_solve_randomized_consistency():
         a = random_matrix(rng, max_dim=5, bound=5)
         x = [rng.randint(-4, 4) for _ in range(a.cols)]
         b = a * IntMatrix.column(x)
-        got = solve(a, list(b.col(0)))
+        got = solve_matrix(a, b)
         assert got is not None
-        assert a * IntMatrix.column(got) == b
+        assert a * got == b
 
 
 def test_snf_decomposition_record_semantics():
