@@ -181,14 +181,13 @@ class FpAbPresentation(_Record):
         total = sum(p.generators for p in parts)
         if all(p.relations.cols == 0 for p in parts):
             return FpAbPresentation.free(total)
-        grid = [
-            [
-                p.relations if i == j else IntMatrix.zeros(p.generators, q.relations.cols)
-                for j, q in enumerate(parts)
-            ]
-            for i, p in enumerate(parts)
-        ]
-        return FpAbPresentation(total, IntMatrix.block(grid))
+        entries = []
+        row0 = col0 = 0
+        for p in parts:
+            entries.extend((row0 + i, col0 + j, e) for i, j, e in p.relations.nonzeros())
+            row0 += p.generators
+            col0 += p.relations.cols
+        return FpAbPresentation(total, IntMatrix.from_entries(total, col0, entries))
 
 
 class FpAbHom(_Record):

@@ -278,6 +278,8 @@ def from_json(path) -> SncDatum:
         raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise DatumParseError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise DatumParseError(f"{path} is nested too deeply to parse") from e
     return datum_from_dict(obj)
 
 

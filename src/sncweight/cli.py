@@ -203,6 +203,8 @@ def cmd_dual(args) -> int:
                 k = dual.complex_from_dict(json.load(fh))
         except (OSError, ValueError) as e:  # decode and JSON errors are ValueErrors
             return _fail(str(e))
+        except RecursionError:
+            return _fail(f"{args.input} is nested too deeply to parse")
         print(f"input: {args.input}")
         _print_dual_report(k, args.simplify, None)
         return EXIT_OK
@@ -231,7 +233,7 @@ def _d2_report(datum: SncDatum) -> Report:
     """Compose the level differentials directly; works on structurally sound data."""
     problems = []
     for b in datum.graded_degrees():
-        for k in range(1, datum.dim):
+        for k in range(1, len(datum.levels) - 1):
             lhs = level_differential(datum, k + 1, b)
             rhs = level_differential(datum, k, b)
             if not (lhs.matrix * rhs.matrix).is_zero:
@@ -317,7 +319,10 @@ def cmd_check(args) -> int:
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
 
-    checks = _run_checks(datum, args.which, expected_hc)
+    try:
+        checks = _run_checks(datum, args.which, expected_hc)
+    except weight.ProductTooLargeError as e:
+        return _fail(str(e))
     if args.json:
         obj = {
             "input": identifier,

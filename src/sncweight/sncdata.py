@@ -33,7 +33,6 @@ __all__ = [
     "InvalidDatumError",
     "validate",
     "validate_structure",
-    "strata_level",
     "level_group",
     "level_differential",
     "require_valid",
@@ -88,10 +87,12 @@ class StratumData(_Record):
 
 class SncDatum(_Record):
     _fields = ("dim", "n_components", "strata")
-    # _reports holds the validation reports by tier, filled on first use;
-    # sound because the datum cannot change after construction.  It is
-    # not a field: equality, hash and repr ignore it.
-    __slots__ = _fields + ("_reports",)
+    # levels[k] is the Level of the strata with |I| = k, for k up to the
+    # largest |I| present.  _reports holds the validation reports by tier,
+    # filled on first use.  Both are sound because the datum cannot change
+    # after construction, and neither is a field: equality, hash and repr
+    # ignore them.
+    __slots__ = _fields + ("levels", "_reports")
 
     def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
         object.__setattr__(self, "dim", dim)
@@ -101,12 +102,16 @@ class SncDatum(_Record):
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
+        levels = [[] for _ in range(max(map(len, self.strata), default=-1) + 1)]
+        for I in sorted(self.strata):
+            levels[len(I)].append((I, self.strata[I].cohomology))
+        object.__setattr__(self, "levels", tuple(map(tuple, levels)))
 
     def is_nonempty(self, I: SubsetKey) -> bool:
         return tuple(I) in self.strata
 
     def nonempty_subsets(self) -> list[SubsetKey]:
-        return sorted(self.strata, key=lambda I: (len(I), I))
+        return [I for level in self.levels for I, _ in level]
 
     def cohomology_of(self, I: SubsetKey, b: int) -> FpAbPresentation:
         stratum = self.strata.get(tuple(I))
@@ -122,20 +127,6 @@ class SncDatum(_Record):
                 if p.generators:
                     degrees.add(b)
         return sorted(degrees)
-
-    def restriction_matrix(self, I: SubsetKey, i: int, b: int) -> IntMatrix:
-        """Matrix of the degree-b pullback from Y_(I minus i) into Y_I; implied zero."""
-        I = tuple(I)
-        if i not in I:
-            raise KeyError(f"component {i} is not in {_fmt(I)}")
-        stratum = self.strata.get(I)
-        if stratum is not None:
-            stored = stratum.restrictions.get(i, _NO_MAPS).get(b)
-            if stored is not None:
-                return stored
-        target = self.cohomology_of(I, b)
-        source = self.cohomology_of(tuple(x for x in I if x != i), b)
-        return IntMatrix.zeros(target.generators, source.generators)
 
 
 def validate(s: SncDatum) -> Report:
@@ -317,11 +308,6 @@ def require_valid(s: SncDatum) -> None:
         raise InvalidDatumError(rep)
 
 
-def strata_level(s: SncDatum, k: int) -> Level:
-    """The nonempty strata with |I| = k (none above dim)."""
-    return tuple((I, s.strata[I].cohomology) for I in sorted(s.strata) if len(I) == k)
-
-
 def level_group(level: Level, b: int) -> FpAbPresentation:
     """The direct sum of the degree-b cohomology of a level's strata, in level order."""
     return FpAbPresentation.direct_sum([coh.get(b, _ZERO) for _, coh in level])
@@ -331,12 +317,12 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
     """Signed block matrix of pullbacks from codimension k-1 to codimension k.
 
     The block from Y_(I minus i_j) into Y_I carries the sign (-1)^(j-1),
-    where i_j is the j-th smallest element of I.
+    where i_j is the j-th smallest element of I.  A level past the last
+    one is empty.
     """
     if k < 1:
         raise ValueError("level differentials start at k = 1")
-    src = strata_level(s, k - 1)
-    tgt = strata_level(s, k)
+    src, tgt = (s.levels[j] if j < len(s.levels) else () for j in (k - 1, k))
     src_group = level_group(src, b)
     tgt_group = level_group(tgt, b)
 
@@ -349,20 +335,16 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
     entries = []
     row0 = 0
     for I, coh in tgt:
-        height = coh.get(b, _ZERO).generators
-        if not height:
-            continue  # a block row into a zero group holds no entry
+        restrictions = s.strata[I].restrictions
         for j, i in enumerate(I):
-            J = tuple(x for x in I if x != i)
-            if J not in src_offsets:
+            # A missing map is an implied zero and adds no entry.
+            stored = restrictions.get(i, _NO_MAPS).get(b)
+            col0 = src_offsets.get(tuple(x for x in I if x != i))
+            if stored is None or col0 is None:
                 continue
             sign = -1 if j % 2 else 1
-            col0 = src_offsets[J]
-            entries.extend(
-                (row0 + r, col0 + c, sign * e)
-                for r, c, e in s.restriction_matrix(I, i, b).nonzeros()
-            )
-        row0 += height
+            entries.extend((row0 + r, col0 + c, sign * e) for r, c, e in stored.nonzeros())
+        row0 += coh.get(b, _ZERO).generators
 
     matrix = IntMatrix.from_entries(tgt_group.generators, src_group.generators, entries)
     return FpAbHom(src_group, tgt_group, matrix)

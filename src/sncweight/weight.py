@@ -28,12 +28,12 @@ from .dual import (
 from .intmat import IntMatrix
 from .reports import Report, _Record
 from .sncdata import (
+    MAX_COUNT,
     SncDatum,
     StratumData,
     level_differential,
     level_group,
     require_valid,
-    strata_level,
 )
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "weight_cohomology_table",
     "check_nerve_identity",
     "product_snc",
+    "ProductTooLargeError",
     "a1_stability_check",
     "e2_page",
     "degeneration_check",
@@ -107,8 +108,8 @@ class BigradedTable(_Record):
 
 
 def _weight_complex_unchecked(s: SncDatum, b: int) -> WeightCochainComplex:
-    groups = [level_group(strata_level(s, k), b) for k in range(s.dim + 1)]
-    diffs = [level_differential(s, k, b) for k in range(1, s.dim + 1)]
+    groups = [level_group(level, b) for level in s.levels]
+    diffs = [level_differential(s, k, b) for k in range(1, len(s.levels))]
     return WeightCochainComplex(b, CochainComplex(0, tuple(groups), tuple(diffs)))
 
 
@@ -191,17 +192,29 @@ def _leg_restriction(degrees, target, source, rx, ry) -> dict[int, IntMatrix]:
         pairs = src_degrees.get(b)
         if not pairs:
             continue
-        per_degree[b] = IntMatrix.block([
-            [
-                rx(tp).kron(ry(tq))
-                if (tp, tq) == (sp, sq)
-                else IntMatrix.zeros(cx[tp].generators * cy[tq].generators,
-                                     src_cx[sp].generators * src_cy[sq].generators)
-                for sp, sq in pairs
-            ]
-            for tp, tq in tgt_pairs
-        ])
+        col_offsets = {}
+        width = 0
+        for sp, sq in pairs:
+            col_offsets[sp, sq] = width
+            width += src_cx[sp].generators * src_cy[sq].generators
+        entries = []
+        height = 0
+        for tp, tq in tgt_pairs:
+            col0 = col_offsets.get((tp, tq))
+            if col0 is not None:
+                entries.extend((height + r, col0 + c, e)
+                               for r, c, e in rx(tp).kron(ry(tq)).nonzeros())
+            height += cx[tp].generators * cy[tq].generators
+        per_degree[b] = IntMatrix.from_entries(height, width, entries)
     return per_degree
+
+
+class ProductTooLargeError(ValueError):
+    """A product would exceed the size budget of product_snc."""
+
+
+def _generator_total(s: SncDatum) -> int:
+    return sum(p.generators for st in s.strata.values() for p in st.cohomology.values())
 
 
 def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
@@ -210,12 +223,22 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     Components of the first factor keep their indices; components of the
     second are shifted up by the first factor's count.  Restrictions act
     on one tensor leg and identically on the other.  Requires free
-    stratum cohomology on both sides.
+    stratum cohomology on both sides.  A product with more than MAX_COUNT
+    strata, or more than 100 * MAX_COUNT generators over all strata and
+    degrees, raises ProductTooLargeError before anything is built.
     """
     require_valid(sx)
     require_valid(sy)
     _require_relation_free(sx, "left factor")
     _require_relation_free(sy, "right factor")
+    n_strata = len(sx.strata) * len(sy.strata)
+    if n_strata > MAX_COUNT:
+        raise ProductTooLargeError(
+            f"the product would have {n_strata} strata, more than {MAX_COUNT}")
+    n_generators = _generator_total(sx) * _generator_total(sy)
+    if n_generators > 100 * MAX_COUNT:
+        raise ProductTooLargeError(
+            f"the product would have {n_generators} generators, more than {100 * MAX_COUNT}")
     nx = sx.n_components
 
     strata: dict[tuple[int, ...], StratumData] = {}
@@ -238,7 +261,7 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
                     src_cx = sx.strata[tuple(x for x in ix if x != e)].cohomology
                     per_degree = _leg_restriction(
                         degrees, (cx, cy), (src_cx, cy),
-                        lambda p: sx.restriction_matrix(ix, e, p),
+                        lambda p: sx.strata[ix].restrictions[e][p],
                         lambda q: IntMatrix.identity(cy[q].generators))
                 else:
                     j = e - nx
@@ -246,7 +269,7 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
                     per_degree = _leg_restriction(
                         degrees, (cx, cy), (cx, src_cy),
                         lambda p: IntMatrix.identity(cx[p].generators),
-                        lambda q: sy.restriction_matrix(iy, j, q))
+                        lambda q: sy.strata[iy].restrictions[j][q])
                 if per_degree:
                     restrictions[e] = per_degree
             strata[key] = StratumData(cohomology_dict, restrictions)
@@ -310,9 +333,9 @@ def euler_check(s: SncDatum) -> Report:
     require_valid(s)
     table_side = weight_cohomology_table(s).euler_sum()
     strata_side = 0
-    for k in range(s.dim + 1):
+    for k, level in enumerate(s.levels):
         chi = 0
-        for _, coh in strata_level(s, k):
+        for _, coh in level:
             for b, p in coh.items():
                 rank = canonical_form(p).free_rank
                 chi += rank if b % 2 == 0 else -rank

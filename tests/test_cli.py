@@ -2,7 +2,7 @@ import json
 
 from sncweight.builders import affine_space_snc, to_json, torus_snc
 from sncweight.cli import main
-from sncweight.sncdata import MAX_COUNT
+from sncweight.sncdata import MAX_COUNT, level_differential
 
 
 def run(capsys, *argv):
@@ -107,6 +107,82 @@ def test_count_fields_are_bounded_exit_2(capsys, tmp_path):
         path.write_text(json.dumps({"vertices": value, "facets": [[0, 1, 2]]}))
         _one_parse_error(capsys, ("dual", str(path), "--complex"),
                          f'"vertices" must be at most {MAX_COUNT}')
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    # 100,000 nested brackets used to end in a RecursionError traceback.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path)),
+                 ("dual", str(path), "--complex")):
+        _one_parse_error(capsys, argv, "nested too deeply")
+
+
+def test_oversized_product_exit_2(capsys, tmp_path):
+    # A stratum with 10^4 generators: the self-product of product-consistency
+    # would have about 10^8 of them (7.5 s and 2.3 GB before the budget).
+    import time
+
+    obj = json.loads(to_json(affine_space_snc(1)))
+    assert obj["strata"][0]["subset"] == []
+    obj["strata"][0]["cohomology"]["2"]["generators"] = 10_000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    for suite in ("d2", "prop1", "euler", "stability"):
+        code, out, _ = run(capsys, "check", str(path), suite)
+        assert code == 0 and "PASS" in out, suite
+    start = time.perf_counter()
+    for suite in ("all", "product-consistency"):
+        _one_parse_error(capsys, ("check", str(path), suite),
+                         "the product would have 100040004 generators, more than 1000000")
+    assert time.perf_counter() - start < 1
+
+
+def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
+    # affine:50 has two levels: one differential per graded degree (51), and
+    # no pair of consecutive differentials for d2 to compose.
+    import sncweight.cli as cli
+    import sncweight.weight as weight
+
+    calls = []
+
+    def counted(s, k, b):
+        calls.append((k, b))
+        return level_differential(s, k, b)
+
+    monkeypatch.setattr(weight, "level_differential", counted)
+    monkeypatch.setattr(cli, "level_differential", counted)
+    code, _, _ = run(capsys, "compute", "--builder", "affine:50")
+    assert code == 0 and len(calls) == 51
+    calls.clear()
+    code, _, _ = run(capsys, "check", "--builder", "affine:50", "d2")
+    assert code == 0 and calls == []
+
+
+def test_compute_at_the_affine_bound_finishes():
+    # affine:10000 has two strata; building all 10001 levels in every degree
+    # used to run past 120 s.
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "sncweight.cli", "compute", "--builder", "affine:10000",
+           "--format", "csv"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a,b,free_rank,torsion", "0,20000,1,"]
+
+
+def test_bench_tracer_hooks_exist():
+    # bench/tracer.py finds its per-layer counters only through these names;
+    # if one goes, the counters read zero instead of failing.
+    import sncweight.abgroup as abgroup
+    import sncweight.dual as dual
+    import sncweight.intmat as intmat
+    import sncweight.sncdata as sncdata
+
+    assert "level_differential" in sncdata.__all__
+    assert "simplify_presentation" in dual.__all__
+    assert abgroup._snf_reduce is intmat._snf_reduce
 
 
 def test_complex_faces_are_bounded_exit_2(capsys, tmp_path):

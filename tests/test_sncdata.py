@@ -17,7 +17,6 @@ from sncweight.sncdata import (
     level_differential,
     require_valid,
     level_group,
-    strata_level,
     validate,
     validate_structure,
 )
@@ -170,15 +169,20 @@ def test_require_valid_raises():
 
 
 def test_strata_level_blocks():
-    assert [I for I, _ in strata_level(affine_space_snc(2), 0)] == [()]
+    assert [I for I, _ in affine_space_snc(2).levels[0]] == [()]
     t2 = torus_snc(2)
-    assert [I for I, _ in strata_level(t2, 1)] == [(1,), (2,), (3,), (4,)]
-    assert [I for I, _ in strata_level(t2, 2)] == [(1, 3), (1, 4), (2, 3), (2, 4)]
-    assert strata_level(t2, 3) == ()
-    assert strata_level(t2, 99) == ()
-    assert level_group(strata_level(t2, 1), 0) == F(4)
-    assert level_group(strata_level(t2, 1), 2) == F(4)
-    assert level_group(strata_level(t2, 2), 2) == F(0)
+    assert [I for I, _ in t2.levels[1]] == [(1,), (2,), (3,), (4,)]
+    assert [I for I, _ in t2.levels[2]] == [(1, 3), (1, 4), (2, 3), (2, 4)]
+    assert t2.levels[3:] == ()
+    assert t2.levels[99:] == ()
+    with pytest.raises(AttributeError):
+        t2.levels = ()
+    assert level_group(t2.levels[1], 0) == F(4)
+    assert level_group(t2.levels[1], 2) == F(4)
+    assert level_group(t2.levels[2], 2) == F(0)
+    rng = random.Random(5)
+    for s in [t2] + [random_valid_datum(rng, max_factors=2) for _ in range(10)]:
+        assert s.nonempty_subsets() == sorted(s.strata, key=lambda I: (len(I), I))
 
 
 def test_level_differential_affine():

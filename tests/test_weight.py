@@ -25,6 +25,7 @@ from sncweight.weight import (
     degeneration_check,
     e2_page,
     euler_check,
+    ProductTooLargeError,
     product_snc,
     tensor_table,
     weight_cochain_complex,
@@ -133,6 +134,24 @@ def test_product_json_is_pinned_in_both_orders():
         "83a045589fb406ad99f3d91eb38bfc2224f81c8374c3ac85cd3346b304d3499b",
         "ae96ed61480b67e9fd0303cffcc381078a4b6be6528d536624d2ad36c0131aa8",
     ]
+
+
+def test_product_size_budget():
+    # MAX_COUNT strata are allowed; one more is rejected before anything is built.
+    assert len(product_snc(punctured_curve_snc(0, 9999), point_snc()).strata) == 10_000
+    with pytest.raises(ProductTooLargeError, match="10001 strata"):
+        product_snc(punctured_curve_snc(0, 10_000), point_snc())
+    # affine:1000 has 2001 generators over its strata, so its square has about 4e6.
+    with pytest.raises(ProductTooLargeError, match="4004001 generators"):
+        product_snc(affine_space_snc(1000), affine_space_snc(1000))
+
+
+def test_weight_complex_spans_the_levels_that_exist():
+    # affine:50 has two strata, so each degree's complex has two groups, not 51.
+    s = affine_space_snc(50)
+    assert len(s.graded_degrees()) == 51
+    for b in s.graded_degrees():
+        assert len(weight_cochain_complex(s, b).complex.groups) == 2
 
 
 def test_product_rejects_torsion():
