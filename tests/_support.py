@@ -15,6 +15,7 @@ import pytest
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
+from sncweight.dual import SimplicialComplex, real_projective_plane
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import product_snc
@@ -297,3 +298,44 @@ def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:
     for _ in range(count):
         out = product_snc(out, rng.choice(makers)(rng))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Triangulated surfaces, as 0-based triangle lists
+
+
+def torus_grid(m: int, n: int) -> list[tuple[int, int, int]]:
+    """An m x n grid of squares on the torus, each cut along the same diagonal (m, n >= 3)."""
+    def v(i, j):
+        return (i % m) * n + (j % n)
+
+    return [t for i in range(m) for j in range(n)
+            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
+def rp2_triangles() -> list[tuple[int, int, int]]:
+    return [tuple(x - 1 for x in f) for f in sorted(real_projective_plane().faces_of_card(3))]
+
+
+def connected_sum(s1: list, s2: list) -> list[tuple[int, ...]]:
+    """Cut the first triangle out of s1 and the last out of s2, and glue the boundaries."""
+    shift = max(map(max, s1)) + 1
+    glue = dict(zip(s2[-1], s1[0]))
+    tris = s1[1:] + [tuple(glue.get(u, u + shift) for u in t) for t in s2[:-1]]
+    labels = {u: k for k, u in enumerate(sorted({u for t in tris for u in t}))}
+    return [tuple(labels[u] for u in t) for t in tris]
+
+
+def genus_two_surface() -> list[tuple[int, ...]]:
+    return connected_sum(torus_grid(4, 5), torus_grid(5, 6))
+
+
+def crosscap_surface() -> list[tuple[int, ...]]:
+    """Three crosscaps: rp2 # T."""
+    return connected_sum(rp2_triangles(), torus_grid(4, 5))
+
+
+def surface_json(tris: list) -> dict:
+    """The {vertices, facets} file format of dual --complex; labels are 0..count-1."""
+    return {"vertices": max(map(max, tris)) + 1, "facets": [list(t) for t in tris]}

@@ -217,6 +217,34 @@ def test_complex_faces_at_the_bound_are_accepted(capsys, tmp_path):
         "bb977fe50e133af0e11812e14fb6ec83055f9025823599030d8a3aff18d62eab")
 
 
+def test_dual_simplify_stdout_is_pinned(capsys, tmp_path):
+    # The report of dual --complex --simplify on three surfaces, at budgets
+    # that stop before, inside and after the simplification, byte for byte.
+    import hashlib
+
+    from _support import crosscap_surface, genus_two_surface, rp2_triangles, surface_json
+
+    pinned = [
+        ("genus2", genus_two_surface(),
+         "be4b7b1ffbc6391571f75fbbe6a4543b9a463ffc207a9856b8a7addcd09a2f4a"),
+        ("crosscap3", crosscap_surface(),
+         "e85b71599a59e747a22a73b4167c01b63724efcc58078facff72fb5a8df6ea4a"),
+        ("rp2", rp2_triangles(),
+         "cbab8c6edc62c358ac6b2443ec165a1b002ed0fd55015773f3f66aedb41750e4"),
+    ]
+    for name, tris, digest in pinned:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(surface_json(tris)))
+        reports = []
+        for budget in ("0", "7", "500", "200000"):
+            code, out, _ = run(capsys, "dual", str(path), "--complex", "--simplify", budget)
+            assert code == 0
+            head, report = out.split("\n", 1)
+            assert head == f"input: {path}"
+            reports.append(report)
+        assert hashlib.sha256("".join(reports).encode()).hexdigest() == digest, name
+
+
 def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
     obj = json.loads(to_json(affine_space_snc(1)))
     for field in ("dim", "components", "generators"):
