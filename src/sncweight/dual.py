@@ -10,6 +10,8 @@ edge-path fundamental group presentations and their simplification).
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import combinations
@@ -255,54 +257,76 @@ def _canonical_relator(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(candidates)
 
 
+def _first_single(word: tuple[int, ...]) -> int | None:
+    """The smallest generator that occurs exactly once (over both signs) in word."""
+    counts: dict[int, int] = {}
+    for x in word:
+        counts[abs(x)] = counts.get(abs(x), 0) + 1
+    return min((g for g, c in counts.items() if c == 1), default=None)
+
+
 def simplify_presentation(p: GroupPresentation, budget: int = 10_000) -> GroupPresentation:
     """Tietze simplification within a move budget.
 
     Moves used: free and cyclic reduction, dropping empty and duplicate
-    relators, and eliminating a generator that occurs exactly once in
-    some relator.  The result presents an isomorphic group; the budget
-    only limits how far simplification goes.
+    relators (the first in list order stays), and eliminating the
+    smallest generator that occurs exactly once in the first relator, in
+    (length, word) order, that has one.  The result presents an
+    isomorphic group; the budget only limits how far simplification
+    goes.  An elimination is charged one move per live relator, so a
+    budget stops where it always did, while its work is proportional to
+    the relators it rewrites: those that hold the eliminated generator.
+    Generators keep their labels until the end; renumbering them then
+    keeps every order.
     """
-    n = p.n_generators
-    relators = [_cyclic_reduce(r) for r in p.relators]
+    words: dict[int, tuple[int, ...]] = {}  # list position -> live relator
+    keys: dict[int, tuple[int, ...]] = {}  # list position -> canonical key
+    owner: dict[tuple[int, ...], int] = {}  # canonical key -> list position
+    holders: dict[int, set[int]] = {}  # generator -> positions that use it
+    heap: list[tuple[int, tuple[int, ...], int]] = []  # lazy: may hold stale entries
+
+    def unplace(i: int) -> tuple[int, ...]:
+        del owner[keys.pop(i)]
+        w = words.pop(i)
+        for x in w:
+            holders[abs(x)].discard(i)
+        return w
+
+    def place(i: int, w: tuple[int, ...]) -> None:
+        if not w:
+            return
+        key = _canonical_relator(w)
+        j = owner.get(key)
+        if j is not None:
+            if j < i:
+                return
+            unplace(j)
+        words[i], keys[i], owner[key] = w, key, i
+        for x in w:
+            holders.setdefault(abs(x), set()).add(i)
+        if _first_single(w) is not None:
+            heapq.heappush(heap, (len(w), w, i))
+
+    for i, r in enumerate(p.relators):
+        place(i, _cyclic_reduce(r))
+    eliminated = []
     moves = 0
-
-    def cleaned(rels: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for r in rels:
-            r = _cyclic_reduce(r)
-            if not r:
-                continue
-            key = _canonical_relator(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(r)
-        return out
-
-    relators = cleaned(relators)
     while moves < budget:
-        # Find a relator using some generator exactly once (over both signs).
-        pick = None
-        for r in sorted(relators, key=lambda w: (len(w), w)):
-            counts: dict[int, int] = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            once = sorted(g for g, c in counts.items() if c == 1)
-            if once:
-                pick = (r, once[0])
-                break
-        if pick is None:
+        while heap and words.get(heap[0][2]) != heap[0][1]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        rel, gen = pick
-        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        _, rel, i = heapq.heappop(heap)
+        gen = _first_single(rel)
+        moves += len(words)
+        pos = next(k for k, x in enumerate(rel) if abs(x) == gen)
         rotated = rel[pos:] + rel[:pos]
         if rotated[0] == -gen:
             rotated = tuple(-x for x in reversed(rotated))
             rotated = rotated[-1:] + rotated[:-1]
         # rotated = gen . w, so gen = w^-1
         replacement = tuple(-x for x in reversed(rotated[1:]))
+        inverse = tuple(-y for y in reversed(replacement))
 
         def substitute(word: tuple[int, ...]) -> tuple[int, ...]:
             out: list[int] = []
@@ -310,30 +334,27 @@ def simplify_presentation(p: GroupPresentation, budget: int = 10_000) -> GroupPr
                 if x == gen:
                     out.extend(replacement)
                 elif x == -gen:
-                    out.extend(-y for y in reversed(replacement))
+                    out.extend(inverse)
                 else:
                     out.append(x)
             return tuple(out)
 
-        new_relators = []
-        for r in relators:
-            if r == rel:
-                continue
-            new_relators.append(substitute(r))
-            moves += 1
-        moves += 1
+        unplace(i)
+        # Unplace every rewritten relator before placing any, so that a new
+        # word meets only the relators that stay as they are.
+        rewritten = [(j, unplace(j)) for j in sorted(holders[gen])]
+        del holders[gen]
+        for j, w in rewritten:
+            place(j, _cyclic_reduce(substitute(w)))
+        eliminated.append(gen)
+    eliminated.sort()
 
-        def renumber(word: tuple[int, ...]) -> tuple[int, ...]:
-            out = []
-            for x in word:
-                a = abs(x)
-                a = a - 1 if a > gen else a
-                out.append(a if x > 0 else -a)
-            return tuple(out)
+    def renumber(word: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(x - bisect_left(eliminated, x) if x > 0
+                     else x + bisect_left(eliminated, -x) for x in word)
 
-        relators = cleaned([renumber(r) for r in new_relators])
-        n -= 1
-    return GroupPresentation(n, tuple(sorted(relators, key=lambda w: (len(w), w))))
+    relators = sorted(words.values(), key=lambda w: (len(w), w))
+    return GroupPresentation(p.n_generators - len(eliminated), tuple(map(renumber, relators)))
 
 
 def real_projective_plane() -> SimplicialComplex:

@@ -15,7 +15,7 @@ import pytest
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
-from sncweight.dual import SimplicialComplex, real_projective_plane
+from sncweight.dual import GroupPresentation, real_projective_plane
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import product_snc
@@ -301,6 +301,118 @@ def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:
 
 
 # ---------------------------------------------------------------------------
+# Tietze simplification oracle
+
+
+def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
+    word = _free_reduce(word)
+    while len(word) >= 2 and word[0] == -word[-1]:
+        word = word[1:-1]
+    return word
+
+
+def _canonical_relator(word: tuple[int, ...]) -> tuple[int, ...]:
+    if not word:
+        return word
+    candidates = []
+    for w in (word, tuple(-x for x in reversed(word))):
+        for r in range(len(w)):
+            candidates.append(w[r:] + w[:r])
+    return min(candidates)
+
+
+def oracle_simplify_presentation(p: GroupPresentation, budget: int = 10_000) -> GroupPresentation:
+    """The quadratic Tietze loop that dual.simplify_presentation replaced, kept as its oracle.
+
+    Moves used: free and cyclic reduction, dropping empty and duplicate
+    relators, and eliminating a generator that occurs exactly once in
+    some relator.  Every elimination re-sorts, rewrites, renumbers and
+    re-keys every relator, and is charged one move per relator.
+    """
+    n = p.n_generators
+    relators = [_cyclic_reduce(r) for r in p.relators]
+    moves = 0
+
+    def cleaned(rels: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        seen = set()
+        out = []
+        for r in rels:
+            r = _cyclic_reduce(r)
+            if not r:
+                continue
+            key = _canonical_relator(r)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(r)
+        return out
+
+    relators = cleaned(relators)
+    while moves < budget:
+        # Find a relator using some generator exactly once (over both signs).
+        pick = None
+        for r in sorted(relators, key=lambda w: (len(w), w)):
+            counts: dict[int, int] = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            once = sorted(g for g, c in counts.items() if c == 1)
+            if once:
+                pick = (r, once[0])
+                break
+        if pick is None:
+            break
+        rel, gen = pick
+        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        rotated = rel[pos:] + rel[:pos]
+        if rotated[0] == -gen:
+            rotated = tuple(-x for x in reversed(rotated))
+            rotated = rotated[-1:] + rotated[:-1]
+        # rotated = gen . w, so gen = w^-1
+        replacement = tuple(-x for x in reversed(rotated[1:]))
+
+        def substitute(word: tuple[int, ...]) -> tuple[int, ...]:
+            out: list[int] = []
+            for x in word:
+                if x == gen:
+                    out.extend(replacement)
+                elif x == -gen:
+                    out.extend(-y for y in reversed(replacement))
+                else:
+                    out.append(x)
+            return tuple(out)
+
+        new_relators = []
+        for r in relators:
+            if r == rel:
+                continue
+            new_relators.append(substitute(r))
+            moves += 1
+        moves += 1
+
+        def renumber(word: tuple[int, ...]) -> tuple[int, ...]:
+            out = []
+            for x in word:
+                a = abs(x)
+                a = a - 1 if a > gen else a
+                out.append(a if x > 0 else -a)
+            return tuple(out)
+
+        relators = cleaned([renumber(r) for r in new_relators])
+        n -= 1
+    return GroupPresentation(n, tuple(sorted(relators, key=lambda w: (len(w), w))))
+
+
+# ---------------------------------------------------------------------------
 # Triangulated surfaces, as 0-based triangle lists
 
 
@@ -339,3 +451,24 @@ def crosscap_surface() -> list[tuple[int, ...]]:
 def surface_json(tris: list) -> dict:
     """The {vertices, facets} file format of dual --complex; labels are 0..count-1."""
     return {"vertices": max(map(max, tris)) + 1, "facets": [list(t) for t in tris]}
+
+
+def random_group_presentation(rng: random.Random) -> GroupPresentation:
+    """0-7 generators and words of length at most 7, with empty words, repeats,
+    and cyclic rotations and inverses of earlier relators mixed in."""
+    n = rng.randint(0, 7)
+    relators = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if relators and kind < 0.15:
+            relators.append(rng.choice(relators))
+        elif relators and kind < 0.35:
+            w = rng.choice(relators)
+            r = rng.randrange(len(w) or 1)
+            w = w[r:] + w[:r]
+            relators.append(tuple(-x for x in reversed(w)) if rng.random() < 0.5 else w)
+        else:
+            letters = [g * rng.choice((1, -1)) for g in range(1, n + 1)]
+            relators.append(tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+                            if letters else ())
+    return GroupPresentation(n, tuple(relators))
