@@ -88,10 +88,10 @@ class StratumData(_Record):
 class SncDatum(_Record):
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
-    # largest |I| present.  _reports holds the validation reports by tier,
-    # filled on first use.  Both are sound because the datum cannot change
-    # after construction, and neither is a field: equality, hash and repr
-    # ignore them.
+    # largest |I| present.  _reports holds the validation reports by tier
+    # and the weight cohomology table, each filled on first use.  Both are
+    # sound because the datum cannot change after construction, and neither
+    # is a field: equality, hash and repr ignore them.
     __slots__ = _fields + ("levels", "_reports")
 
     def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):

@@ -16,6 +16,7 @@ fully independent of the simplicial one).
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
 from .chain import CochainComplex, FreeTensorError, cohomology
@@ -69,14 +70,18 @@ class WeightCochainComplex(_Record):
 
 
 class BigradedTable(_Record):
-    """(a, b) -> group, nonzero entries only; zero outside 0 <= a <= dim."""
+    """(a, b) -> group, nonzero entries only; zero outside 0 <= a <= dim.
+
+    The entries are a read-only copy, so a table cached on its datum
+    cannot be changed by a caller.
+    """
 
     _fields = __slots__ = ("dim", "n_components", "entries")
 
     def __init__(self, dim: int, n_components: int, entries: Mapping[tuple[int, int], FgAbGroup]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n_components", n_components)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
         for (a, b), g in entries.items():
             if g.is_zero:
                 raise ValueError(f"zero entry stored at ({a}, {b})")
@@ -119,13 +124,18 @@ def weight_cochain_complex(s: SncDatum, b: int) -> WeightCochainComplex:
 
 
 def weight_cohomology_table(s: SncDatum) -> BigradedTable:
-    """Cohomology of every degree-b strata complex, collected as a table."""
+    """Cohomology of every degree-b strata complex, collected as a table.
+
+    Computed once per datum and cached beside its validation reports.
+    """
     require_valid(s)
-    entries: dict[tuple[int, int], FgAbGroup] = {}
-    for b in s.graded_degrees():
-        for a, g in cohomology(_weight_complex_unchecked(s, b).complex).items():
-            entries[(a, b)] = g
-    return BigradedTable(s.dim, s.n_components, entries)
+    if "table" not in s._reports:
+        entries: dict[tuple[int, int], FgAbGroup] = {}
+        for b in s.graded_degrees():
+            for a, g in cohomology(_weight_complex_unchecked(s, b).complex).items():
+                entries[(a, b)] = g
+        s._reports["table"] = BigradedTable(s.dim, s.n_components, entries)
+    return s._reports["table"]
 
 
 def check_nerve_identity(s: SncDatum) -> Report:

@@ -361,6 +361,28 @@ def test_check_all_passes(capsys):
             assert f"PASS {name}" in out
 
 
+def test_check_all_builds_each_table_once(capsys, monkeypatch):
+    # nerve-identity, euler, affine-line-stability, degeneration and
+    # product-consistency all read the table of the datum; each of the four
+    # distinct datums (torus:3 and its products with A^1, a point and itself)
+    # used to have its table computed again by every suite that read it.
+    import sncweight.weight as weight
+
+    built = []
+    unchecked = weight._weight_complex_unchecked
+
+    def counted(s, b):
+        built.append((s, b))
+        return unchecked(s, b)
+
+    monkeypatch.setattr(weight, "_weight_complex_unchecked", counted)
+    code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
+    assert code == 0 and "FAIL" not in out
+    datums = {id(s) for s, _ in built}
+    assert len(datums) == 4
+    assert len({(id(s), b) for s, b in built}) == len(built)
+
+
 def test_check_single_suites(capsys):
     for which in ("prop1", "d2", "stability", "euler", "product-consistency"):
         code, out, _ = run(capsys, "check", "--builder", "affine:2", which)

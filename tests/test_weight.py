@@ -308,6 +308,19 @@ def test_contractible_product_nerve():
     assert rep.status == STATUS_CONTRACTIBLE
 
 
+def test_table_is_cached_on_the_datum_and_read_only():
+    s = torus_snc(2)
+    table = weight_cohomology_table(s)
+    assert weight_cohomology_table(s) is table
+    assert e2_page(s) is table
+    with pytest.raises(TypeError):
+        table.entries[(0, 0)] = Z
+    entries = {(1, 0): Z}
+    copied = BigradedTable(1, 2, entries)
+    entries[(0, 2)] = Z
+    assert dict(copied.entries) == {(1, 0): Z}
+
+
 def test_record_semantics():
     check_record(WeightCochainComplex, ("b", "complex"),
                  (0, CochainComplex.concentrated(F(1), 0)),
