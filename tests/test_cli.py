@@ -245,6 +245,92 @@ def test_dual_simplify_stdout_is_pinned(capsys, tmp_path):
         assert hashlib.sha256("".join(reports).encode()).hexdigest() == digest, name
 
 
+def _mutated_complex_texts(rng):
+    """Seeded damaged {vertices, facets} files, as text, from three good ones."""
+    from _support import rp2_triangles, surface_json, torus_grid
+
+    bases = [surface_json(rp2_triangles()), surface_json(torus_grid(3, 3)),
+             {"vertices": 4, "facets": [[0, 1, 2], [1, 2, 3]]}]
+
+    def damage(obj):
+        facets = obj["facets"]
+        f = rng.randrange(len(facets))
+        kind = rng.randrange(9)
+        if kind == 0:
+            facets[f][0] = -rng.randint(1, 5)
+        elif kind == 1:
+            facets[f][-1] = rng.choice((True, False))
+        elif kind == 2:
+            facets[f][0] = rng.choice((0.0, 1.5, -2.0))
+        elif kind == 3:
+            facets[f][0] = obj["vertices"] + rng.choice((0, 1, 10**30))
+        elif kind == 4:
+            facets.insert(f, [])
+        elif kind == 5:
+            facets[f] = facets[f] + facets[f][:rng.randint(1, 3)]
+        elif kind == 6:
+            nested = facets[f]
+            for _ in range(rng.randint(1, 40)):
+                nested = [nested]
+            facets[f] = nested
+        elif kind == 7:
+            obj["facets"] = rng.choice(({"0": facets}, "facets", 7, None, facets[f]))
+        else:
+            obj["vertices"] = rng.choice((-1, True, 2.5, "6", obj["vertices"] + 3))
+
+    texts = []
+    for _ in range(40):
+        obj = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            if isinstance(obj.get("facets"), list) and obj["facets"]:
+                damage(obj)
+        texts.append(json.dumps(obj))
+    texts.append('{"vertices": 3, "facets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return texts
+
+
+def test_dual_complex_fuzz_exits_0_or_2(capsys, tmp_path):
+    # Damaged complex files, with and without --simplify at any budget, end in
+    # a report (0) or one error line (2), never in a traceback, and quickly.
+    import random
+    import time
+
+    rng = random.Random(83)
+    budgets = ([], ["--simplify", "-1"], ["--simplify", "0"], ["--simplify", "1"],
+               ["--simplify", str(10**9)])
+    path = tmp_path / "complex.json"
+    outcomes = set()
+    for text in _mutated_complex_texts(rng):
+        path.write_text(text)
+        for extra in budgets:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "dual", str(path), "--complex", *extra)
+            assert time.perf_counter() - start < 5, (text[:200], extra)
+            assert code in (0, 2), (text[:200], extra)
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == "" and len(err.splitlines()) == 1, (text[:200], extra)
+            outcomes.add(code)
+    assert outcomes == {0, 2}
+
+
+def test_dual_complex_fuzz_in_a_process(tmp_path):
+    # The same contract as seen from outside, on a few of the damaged files.
+    import random
+    import subprocess
+    import sys
+
+    texts = _mutated_complex_texts(random.Random(83))
+    path = tmp_path / "complex.json"
+    for text in (texts[0], texts[2], texts[-1]):  # a bad label, a report, deep nesting
+        path.write_text(text)
+        cmd = [sys.executable, "-m", "sncweight.cli", "dual", str(path), "--complex",
+               "--simplify", str(10**9)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+        assert done.returncode in (0, 2), done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
     obj = json.loads(to_json(affine_space_snc(1)))
     for field in ("dim", "components", "generators"):
