@@ -297,7 +297,7 @@ def simplify_presentation(p: GroupPresentation, budget: int = 10_000) -> GroupPr
             return
         key = _canonical_relator(w)
         j = owner.get(key)
-        if j is not None:
+        if j is not None:  # of two equal relators, the one earlier in the list stays
             if j < i:
                 return
             unplace(j)

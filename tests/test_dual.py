@@ -188,7 +188,8 @@ def test_simplify_matches_the_quadratic_oracle_on_complexes():
     surfaces = (genus_two_surface(), crosscap_surface(), rp2_triangles(),
                 connected_sum(torus_grid(3, 3), torus_grid(3, 4)))
     for tris in surfaces:
-        _assert_simplify_matches_oracle(edge_path_presentation(complex_from_dict(surface_json(tris))))
+        k = complex_from_dict(surface_json(tris))
+        _assert_simplify_matches_oracle(edge_path_presentation(k))
 
 
 def test_simplify_rewrites_only_the_relators_that_hold_the_generator(monkeypatch):
