@@ -302,6 +302,9 @@ def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:
 
 # ---------------------------------------------------------------------------
 # Tietze simplification oracle
+#
+# The reduction and key helpers are copies, not imports from dual, so that
+# a change to the package's helpers cannot move the oracle along with it.
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
