@@ -6,6 +6,9 @@ FpAbPresentation is Z^n modulo the column span of an integer relation
 matrix; relations are always stored as columns, here and in every file
 format.  An FpAbHom is a homomorphism between presented groups, given by
 its matrix on generators.
+
+Canonical forms and span membership read only Smith diagonals; the
+presented subquotient reads kernel bases off the column transform v.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from math import gcd
 
-from .intmat import (
-    IntMatrix,
-    _snf_reduce,
-    column_span_basis,
-    kernel_basis,
-    smith_diagonal,
-    solve_matrix,
-)
+from .intmat import IntMatrix, _snf_reduce, smith_diagonal
 from .reports import _Record
 
 __all__ = [
@@ -242,11 +238,12 @@ class FpAbHom(_Record):
 
 
 def _columns_in_span(m: IntMatrix, span: IntMatrix) -> bool:
-    if m.is_zero:
-        return True
-    if span.cols == 0:
-        return False
-    return solve_matrix(span, m) is not None
+    # span lies in span | m, so Z^n / span maps onto Z^n / (span | m).  Finitely
+    # generated abelian groups are Hopfian, so the two lattices are equal
+    # exactly when the two cokernels have the same invariant factors.
+    if m.is_zero or span.cols == 0:
+        return m.is_zero
+    return smith_diagonal(span) == smith_diagonal(span.hstack(m))
 
 
 def canonical_form(p: FpAbPresentation) -> FgAbGroup:
@@ -267,21 +264,28 @@ def _require_well_defined(f: FpAbHom, what: str) -> None:
         )
 
 
-def _preimage_basis(matrix: IntMatrix, span: IntMatrix) -> IntMatrix:
-    """Basis of the subgroup {x : matrix * x lies in the column span of span}."""
-    if span.cols == 0:
-        return kernel_basis(matrix)
-    stacked = matrix.hstack(span)
-    lifted = kernel_basis(stacked)
-    gens = lifted.take_rows(matrix.cols)
-    return column_span_basis(gens)
+def _kernel_basis(a: IntMatrix) -> IntMatrix:
+    """A matrix whose columns form a basis of {x : a * x = 0} in Z^cols.
+
+    With u * a * v = d, these are the columns of v past the rank of d,
+    whose nonzero diagonal entries come first.
+    """
+    _, d, v = _snf_reduce(a, want_v=True)
+    rank = sum(1 for _ in d.nonzeros())
+    return IntMatrix.from_entries(
+        v.rows, v.cols - rank, ((i, j - rank, e) for i, j, e in v.nonzeros() if j >= rank)
+    )
 
 
 def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:
     """Canonical form of ker(d_out) / im(d_in) at the shared middle group.
 
     Requires target(d_in) == source(d_out) and d_out after d_in to be the
-    zero map on the quotients.
+    zero map on the quotients.  The top rows of a kernel basis of
+    [d_out | target relations] are columns G that generate the cocycles.
+    With B = [d_in | middle relations], the result is Z^k modulo
+    {c : G * c lies in the span of B}, which is the top k rows of a kernel
+    basis of [G | B].
     """
     if d_in.target != d_out.source:
         raise ValueError("middle groups differ: target(d_in) != source(d_out)")
@@ -291,26 +295,8 @@ def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:
         raise NonzeroCompositionError("composition of the two maps is not zero")
     middle = d_in.target
     boundaries = d_in.matrix.hstack(middle.relations)
-    if d_out.target.relations.cols == 0:
-        # Free target: read boundary coordinates off the kernel basis directly.
-        # With u * B * v = d, the kernel is spanned by the v-columns over zero
-        # diagonal entries, and coordinates in that basis are rows of v^-1.
-        _, d, _, _, vi = _snf_reduce(d_out.matrix, want_vi=True)
-        keep = [
-            j for j in range(d_out.matrix.cols)
-            if (d[(j, j)] if j < d_out.matrix.rows else 0) == 0
-        ]
-        lifted = vi * boundaries
-        keep_set = set(keep)
-        rows = []
-        for j in range(lifted.rows):
-            if j in keep_set:
-                rows.append(lifted.row(j))
-            else:
-                assert not any(lifted.row(j)), "boundaries must lie in the kernel"
-        rels = IntMatrix.from_rows(rows, boundaries.cols)
-        return canonical_form(FpAbPresentation(len(keep), rels))
-    cocycles = _preimage_basis(d_out.matrix, d_out.target.relations)
-    rels = solve_matrix(cocycles, boundaries)
-    assert rels is not None, "boundaries must lie in the cocycle subgroup"
+    cocycles = _kernel_basis(d_out.matrix.hstack(d_out.target.relations)).take_rows(
+        middle.generators
+    )
+    rels = _kernel_basis(cocycles.hstack(boundaries)).take_rows(cocycles.cols)
     return canonical_form(FpAbPresentation(cocycles.cols, rels))

@@ -83,27 +83,38 @@ def verify_complex(c: CochainComplex) -> Report:
 def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     """Degree -> cohomology group, nonzero entries only.
 
-    For a complex of free groups, with r_a the rank of d_a, H^a is
-    Z^(n_a - r_a - r_(a-1)) plus the invariant factors > 1 of d_(a-1),
-    so each differential needs only its Smith diagonal.  Complexes with
-    relations take the presented subquotient path.
+    At a degree a whose next group is relation-free (the last degree,
+    and every degree of a free complex), ker d_a is saturated and holds
+    the span of B = [d_(a-1) | relations in degree a], so H^a is
+    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
+    This reads Smith diagonals only, each differential's at most once.
+    Every other degree takes the kernel route of subquotient_cohomology.
+
+    >>> from sncweight.intmat import IntMatrix
+    >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
+    >>> c = CochainComplex(0, (FpAbPresentation.free(1), z2),
+    ...                    (FpAbHom(FpAbPresentation.free(1), z2, IntMatrix.from_rows([[1]])),))
+    >>> {a: str(h) for a, h in cohomology(c).items()}
+    {0: 'Z'}
+    >>> z4 = FpAbPresentation.from_relation_columns(1, [[4]])
+    >>> c = CochainComplex(0, (z4, z4), (FpAbHom(z4, z4, IntMatrix.from_rows([[2]])),))
+    >>> {a: str(h) for a, h in cohomology(c).items()}
+    {0: 'Z/2', 1: 'Z/2'}
     """
     rep = verify_complex(c)
     if not rep.passed:
         raise InvalidComplexError("; ".join(rep.details))
     out = {}
-    if all(g.is_relation_free for g in c.groups):
-        diagonals = [()] + [smith_diagonal(d.matrix) for d in c.differentials] + [()]
-        for i, g in enumerate(c.groups):
-            d_in, d_out = diagonals[i], diagonals[i + 1]
-            h = FgAbGroup(g.generators - len(d_out) - len(d_in),
-                          tuple(x for x in d_in if x > 1))
-            if not h.is_zero:
-                out[c.min_degree + i] = h
-        return out
-    for a in c.degrees:
-        h = subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
+    last = ()  # the Smith diagonal of d_(a-1) when degree a-1 took the diagonal rule
+    for a, g in zip(c.degrees, c.groups):
+        d_in, d_out = c.differential_at(a - 1), c.differential_at(a)
+        if c.group_at(a + 1).is_relation_free:
+            # If g is relation-free, degree a-1 took this rule too and reduced d_in.
+            b = last if g.is_relation_free else smith_diagonal(d_in.matrix.hstack(g.relations))
+            last = smith_diagonal(d_out.matrix)
+            h = FgAbGroup(g.generators - len(last) - len(b), tuple(x for x in b if x > 1))
+        else:
+            h = subquotient_cohomology(d_in, d_out)
         if not h.is_zero:
             out[a] = h
     return out
-

@@ -8,7 +8,8 @@ entries, and fixed-width overflow would silently corrupt torsion
 coefficients.  Pivoting always selects a nonzero entry of minimal
 absolute value (first such entry in row-major order), which keeps
 intermediate entries small at the sizes used here and makes every
-decomposition reproducible.
+decomposition reproducible.  The full reduction tracks the transforms
+u and v only when asked for them, and no inverse transform at all.
 
 When only the invariant factors are wanted, smith_diagonal first
 eliminates unit entries on a copy of the rows and runs the dense
@@ -27,9 +28,6 @@ __all__ = [
     "SnfDecomposition",
     "smith_normal_form",
     "smith_diagonal",
-    "kernel_basis",
-    "column_span_basis",
-    "solve_matrix",
 ]
 
 
@@ -339,21 +337,19 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_reduce(a: IntMatrix, want_u=False, want_ui=False, want_v=False, want_vi=False):
-    """Reduce a to Smith form; track only the transforms a caller asked for.
+def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
+    """Reduce a to Smith form u * a * v = d; return (u, d, v).
 
-    Untracked slots come back as None.  Skipping the bookkeeping matters:
-    the downstream cohomology routines run this on every differential.
+    The nonzero diagonal entries come first.  u and v are tracked only
+    when asked for; an untracked slot comes back as None.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
     u = _identity_rows(m) if want_u else None
-    ui = _identity_rows(m) if want_ui else None
     v = _identity_rows(n) if want_v else None
-    vi = _identity_rows(n) if want_vi else None
 
     def row_add(i, j, q):
-        # r_i += q * r_j on d and u; c_j -= q * c_i on the inverse.
+        # r_i += q * r_j on d and u.
         di, dj = d[i], d[j]
         for t in range(n):
             di[t] += q * dj[t]
@@ -361,37 +357,24 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_ui=False, want_v=False, want_vi
             uu_i, uu_j = u[i], u[j]
             for t in range(m):
                 uu_i[t] += q * uu_j[t]
-        if ui is not None:
-            for t in range(m):
-                ui[t][j] -= q * ui[t][i]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         if u is not None:
             u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            for t in range(m):
-                ui[t][i], ui[t][j] = ui[t][j], ui[t][i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
         if u is not None:
             u[i] = [-x for x in u[i]]
-        if ui is not None:
-            for t in range(m):
-                ui[t][i] = -ui[t][i]
 
     def col_add(j, k, q):
-        # c_j += q * c_k on d and v; r_k -= q * r_j on the inverse.
+        # c_j += q * c_k on d and v.
         for r in d:
             r[j] += q * r[k]
         if v is not None:
             for r in v:
                 r[j] += q * r[k]
-        if vi is not None:
-            rk, rj = vi[k], vi[j]
-            for t in range(n):
-                rk[t] -= q * rj[t]
 
     def col_swap(i, j):
         for r in d:
@@ -399,8 +382,6 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_ui=False, want_v=False, want_vi
         if v is not None:
             for r in v:
                 r[i], r[j] = r[j], r[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
 
     def find_pivot(t):
         best = None
@@ -461,10 +442,8 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_ui=False, want_v=False, want_vi
             piv = find_pivot(t)
         t += 1
 
-    def pack(rows, width):
-        return IntMatrix.from_rows(rows, width) if rows is not None else None
-
-    return pack(u, m), IntMatrix.from_rows(d, n), pack(v, n), pack(ui, m), pack(vi, n)
+    return (IntMatrix.from_rows(u, m) if want_u else None, IntMatrix.from_rows(d, n),
+            IntMatrix.from_rows(v, n) if want_v else None)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -474,7 +453,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     >>> dec.diagonal
     (2, 4)
     """
-    u, d, v, _, _ = _snf_reduce(a, want_u=True, want_v=True)
+    u, d, v = _snf_reduce(a, want_u=True, want_v=True)
     return SnfDecomposition(u, d, v)
 
 
@@ -544,52 +523,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         return (1,) * units
     index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
     core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
-    _, d, _, _, _ = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
+    _, d, _ = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
     k = min(d.rows, d.cols)
     return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(k)) if x)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """A matrix whose columns form a basis of {x : a * x = 0} in Z^cols."""
-    _, d, v, _, _ = _snf_reduce(a, want_v=True)
-    keep = []
-    for j in range(a.cols):
-        diag = d[(j, j)] if j < a.rows else 0
-        if diag == 0:
-            keep.append(j)
-    return IntMatrix.from_rows([[row[j] for j in keep] for row in v.to_rows()], len(keep))
-
-
-def column_span_basis(a: IntMatrix) -> IntMatrix:
-    """A matrix whose columns form a basis of the column span of a."""
-    _, d, _, ui, _ = _snf_reduce(a, want_ui=True)
-    pairs = []
-    for j in range(min(a.rows, a.cols)):
-        diag = d[(j, j)]
-        if diag:
-            pairs.append((j, diag))
-    return IntMatrix.from_rows(
-        [[row[j] * diag for j, diag in pairs] for row in ui.to_rows()], len(pairs)
-    )
-
-
-def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer matrix x with a * x = b, or None if some column has no solution."""
-    if a.rows != b.rows:
-        raise ValueError("row counts differ")
-    u, d, v, _, _ = _snf_reduce(a, want_u=True, want_v=True)
-    y = u * b
-    width = b.cols
-    xprime = [[0] * width for _ in range(a.cols)]
-    for i in range(a.rows):
-        diag = d[(i, i)] if i < a.cols else 0
-        yrow = y.row(i)
-        if diag:
-            for j in range(width):
-                if yrow[j] % diag:
-                    return None
-            xprime[i] = [e // diag for e in yrow]
-        elif any(yrow):
-            return None
-    return v * IntMatrix.from_rows(xprime, width)
 

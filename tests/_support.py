@@ -13,10 +13,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from sncweight.abgroup import FpAbPresentation
+from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
 from sncweight.dual import GroupPresentation, real_projective_plane
-from sncweight.intmat import IntMatrix
+from sncweight.chain import CochainComplex
+from sncweight.intmat import IntMatrix, smith_normal_form
 from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import product_snc
 
@@ -241,6 +242,65 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 10) -> IntMatrix:
         else:
             m[i] = [-a for a in m[i]]
     return IntMatrix.from_rows(m, n)
+
+
+def unimodular_inverse(u: IntMatrix) -> IntMatrix:
+    # u is unimodular, so its Smith form is p * u * q = I and u^-1 = q * p.
+    dec = smith_normal_form(u)
+    assert dec.d == IntMatrix.identity(u.rows)
+    return dec.v * dec.u
+
+
+def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
+    """A seeded cochain complex of presented groups, and its cohomology by closed forms.
+
+    The complex is a direct sum of pieces Z/m --k--> Z/n and one-term
+    pieces Z/m, with 0 standing for Z and k chosen so that the map is well
+    defined.  A two-term piece has coker Z/gcd(k, n), and its kernel is
+    the subgroup of Z/m generated by n/gcd(n, k).  Each degree is then
+    twisted by a unimodular change of basis, with its relations moved
+    along and recombined.  Returns the complex and degree -> FgAbGroup,
+    nonzero entries only.
+    """
+    min_degree = rng.randint(-2, 2)
+    length = rng.randint(1, 4)
+    rels = [[] for _ in range(length)]  # per degree, the order of each generator
+    maps = [[] for _ in range(length - 1)]  # per step, (row, col, k)
+    cyclic = [[] for _ in range(length)]  # per degree, cohomology orders (0 for Z)
+    for _ in range(rng.randint(1, 5)):
+        a = rng.randrange(length)
+        m = rng.choice(orders)
+        if a + 1 < length and rng.random() < 0.7:
+            n = rng.choice(orders)
+            if n:
+                k = n // gcd(n, m) * rng.randint(-2, 2)
+            else:
+                k = 0 if m else rng.randint(-4, 4)
+            maps[a].append((len(rels[a + 1]), len(rels[a]), k))
+            rels[a + 1].append(n)
+            t = n // gcd(n, k) if n or k else 1
+            cyclic[a].append((0 if t else 1) if m == 0 else m // gcd(m, t))
+            cyclic[a + 1].append(gcd(k, n))
+        else:
+            cyclic[a].append(m)
+        rels[a].append(m)
+    twists = [random_unimodular(rng, len(r)) for r in rels]
+    groups = []
+    for u, r in zip(twists, rels):
+        cols = [[o if i == j else 0 for i in range(len(r))] for j, o in enumerate(r) if o]
+        raw = FpAbPresentation.from_relation_columns(len(r), cols).relations
+        groups.append(FpAbPresentation(len(r), u * raw * random_unimodular(rng, raw.cols)))
+    diffs = []
+    for a, entries in enumerate(maps):
+        raw = IntMatrix.from_entries(len(rels[a + 1]), len(rels[a]), entries)
+        moved = twists[a + 1] * raw * unimodular_inverse(twists[a])
+        diffs.append(FpAbHom(groups[a], groups[a + 1], moved))
+    expected = {}
+    for a, found in enumerate(cyclic):
+        h = FgAbGroup.from_cyclic_orders([o for o in found if o], found.count(0))
+        if not h.is_zero:
+            expected[min_degree + a] = h
+    return CochainComplex(min_degree, tuple(groups), tuple(diffs)), expected
 
 
 def _random_curve_datum(rng: random.Random) -> SncDatum:

@@ -84,6 +84,42 @@ def test_canonical_form_matches_oracle():
         assert canonical_form(p) == FgAbGroup(free, torsion)
 
 
+def _block(rng, rows, cols):
+    return IntMatrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)])
+
+
+def test_span_membership_matches_oracle():
+    # The lattice S = u * diag(d) * w misses u * e_i whenever d_i is not 1, so
+    # every case below has a known answer; the oracle compares the Bezout
+    # invariant factors of S and of S with the candidate columns appended.
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        diag = [rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(n)]
+        u = random_unimodular(rng, n)
+        lattice = u * IntMatrix.from_entries(n, n, ((i, i, e) for i, e in enumerate(diag)))
+        lattice = lattice * random_unimodular(rng, n)
+        lattice = lattice.hstack(lattice * _block(rng, n, rng.randint(0, 2)))
+        inside = lattice * _block(rng, lattice.cols, rng.randint(1, 3))
+        cases = [(inside, True)]
+        missed = [i for i, e in enumerate(diag) if e != 1]
+        if missed:
+            e_i = IntMatrix.from_entries(n, 1, [(rng.choice(missed), 0, 1)])
+            cases.append((inside.hstack(u * e_i + lattice * _block(rng, lattice.cols, 1)), False))
+        cases.append((_block(rng, n, rng.randint(1, 2)), None))
+        for m, member in cases:
+            oracle = (oracle_canonical_form(n, lattice.to_rows())
+                      == oracle_canonical_form(n, lattice.hstack(m).to_rows()))
+            assert member in (None, oracle)
+            target = FpAbPresentation(n, lattice)
+            assert FpAbHom(F(m.cols), target, m).is_zero_hom() == oracle
+            assert FpAbHom(FpAbPresentation(n, m), target, IntMatrix.identity(n)).is_well_defined() \
+                == oracle
+            seen.add(oracle)
+    assert seen == {True, False}
+
+
 def test_kernel_image_cokernel_examples():
     times2 = hom(F(1), F(1), [[2]])
     assert kernel_of(times2).is_zero

@@ -11,7 +11,13 @@ from sncweight.chain import (
 )
 from sncweight.intmat import IntMatrix
 
-from _support import check_record, oracle_cochain_cohomology, random_unimodular
+from _support import (
+    check_record,
+    oracle_cochain_cohomology,
+    random_presented_complex,
+    random_unimodular,
+    unimodular_inverse,
+)
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -60,17 +66,9 @@ def random_free_complex(rng, values):
     twisted = []
     for a in range(length):
         u_next = twists[a + 1]
-        u_inv = _unimodular_inverse(twists[a])
+        u_inv = unimodular_inverse(twists[a])
         twisted.append(FpAbHom(groups[a], groups[a + 1], u_next * diffs[a].matrix * u_inv))
     return CochainComplex(min_degree, groups, tuple(twisted))
-
-
-def _unimodular_inverse(u):
-    from sncweight.intmat import solve_matrix
-
-    inv = solve_matrix(u, IntMatrix.identity(u.rows))
-    assert inv is not None
-    return inv
 
 
 def test_verify_complex():
@@ -116,6 +114,30 @@ def test_free_cohomology_agrees_with_oracle_and_presented_path():
         for g in got.values():
             seen_torsion.update(g.torsion)
     assert {2, 4, 6} <= seen_torsion
+
+
+def test_presented_cohomology_agrees_with_closed_forms():
+    # Both rules of cohomology against the per-piece closed forms, and per
+    # degree against the kernel route of subquotient_cohomology alone.
+    rng = random.Random(20261018)
+    seen_torsion = set()
+    diagonal_rule_with_relations = kernel_route = 0
+    for _ in range(400):
+        c, expected = random_presented_complex(rng)
+        got = cohomology(c)
+        assert got == expected
+        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
+                     for a in c.degrees}
+        assert got == {a: h for a, h in presented.items() if not h.is_zero}
+        for g, after in zip(c.groups, c.groups[1:] + (F(0),)):
+            if after.is_relation_free:
+                diagonal_rule_with_relations += not g.is_relation_free
+            else:
+                kernel_route += 1
+        for g in got.values():
+            seen_torsion.update(g.torsion)
+    assert {2, 3, 4, 6} <= seen_torsion
+    assert diagonal_rule_with_relations > 100 and kernel_route > 100
 
 
 def test_cohomology_rejects_bad_complex():

@@ -1,8 +1,10 @@
 import json
 
+from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, to_json, torus_snc
 from sncweight.cli import main
-from sncweight.sncdata import MAX_COUNT, level_differential
+from sncweight.intmat import IntMatrix
+from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
 
 
 def run(capsys, *argv):
@@ -495,6 +497,28 @@ def _sign_flipped_torus(tmp_path):
     path = tmp_path / "flipped.json"
     path.write_text(json.dumps(obj))
     return path
+
+
+def test_check_d2_allows_composites_in_the_relation_span(capsys, tmp_path):
+    # Into Z/2 the two paths of the square differ by 3 - 1 = 2, which the
+    # relation kills: validation accepts the datum, and so must d2.
+    z2 = FpAbPresentation.from_relation_columns(1, [[2]])
+    one, three = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[3]])
+    point = {0: FpAbPresentation.free(1), 1: FpAbPresentation.free(1)}
+    datum = SncDatum(3, 2, {
+        (): StratumData(point, {}),
+        (1,): StratumData(point, {1: {0: one, 1: one}}),
+        (2,): StratumData(point, {2: {0: one, 1: one}}),
+        (1, 2): StratumData({0: FpAbPresentation.free(1), 1: z2},
+                            {1: {0: one, 1: three}, 2: {0: one, 1: one}}),
+    })
+    path = tmp_path / "square.json"
+    path.write_text(to_json(datum))
+    assert run(capsys, "compute", str(path))[0] == 0
+    for suite in ("d2", "all"):
+        code, out, _ = run(capsys, "check", str(path), suite)
+        assert code == 0, out
+        assert out.splitlines()[1] == "PASS d2"
 
 
 def test_check_sign_flip_breaks_d2(capsys, tmp_path):
