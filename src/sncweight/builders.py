@@ -35,6 +35,7 @@ __all__ = [
     "affine_space_snc",
     "torus_snc",
     "punctured_curve_snc",
+    "read_json",
     "from_json",
     "to_json",
     "datum_to_dict",
@@ -46,12 +47,7 @@ __all__ = [
 
 
 class DatumParseError(ValueError):
-    """The JSON input does not follow the documented schema."""
-
-
-def _is_int(x) -> bool:
-    # JSON true/false parse as bools, which are int subclasses; reject them.
-    return isinstance(x, int) and not isinstance(x, bool)
+    """The input file cannot be read as JSON or does not follow the documented schema."""
 
 
 def point_snc() -> SncDatum:
@@ -188,27 +184,28 @@ def _parse_presentation(obj, where: str) -> FpAbPresentation:
     _expect(isinstance(obj, dict), f"{where}: presentation must be an object")
     _expect("generators" in obj, f"{where}: missing generator count")
     gens = obj["generators"]
-    _expect(_is_int(gens) and gens >= 0, f"{where}: bad generator count")
+    _expect(type(gens) is int and gens >= 0, f"{where}: bad generator count")
     _expect(gens <= MAX_COUNT, f"{where}: generator count must be at most {MAX_COUNT}")
     columns = obj.get("relations", [])
     _expect(isinstance(columns, list), f"{where}: relations must be a list of columns")
-    for c in columns:
-        _expect(
-            isinstance(c, list) and len(c) == gens and all(_is_int(x) for x in c),
-            f"{where}: each relation must be an integer column of length {gens}",
-        )
-    return FpAbPresentation.from_relation_columns(gens, columns)
+    message = f"{where}: each relation must be an integer column of length {gens}"
+    _expect(all(isinstance(c, list) for c in columns), message)
+    # The entries and column lengths are checked once, by the constructor.
+    try:
+        return FpAbPresentation.from_relation_columns(gens, columns)
+    except (TypeError, ValueError):
+        raise DatumParseError(message) from None
 
 
 def _parse_matrix(obj, where: str) -> IntMatrix:
     _expect(isinstance(obj, list), f"{where}: matrix must be a list of rows")
     message = f"{where}: matrix rows must be equal-length integer lists"
-    # Check every row's type before taking any length: a flat list is malformed.
+    # A flat list is malformed; entries and row lengths are left to from_rows.
     _expect(all(isinstance(r, list) for r in obj), message)
-    width = len(obj[0]) if obj else 0
-    for r in obj:
-        _expect(len(r) == width and all(_is_int(x) for x in r), message)
-    return IntMatrix.from_rows(obj, width)
+    try:
+        return IntMatrix.from_rows(obj)
+    except (TypeError, ValueError):
+        raise DatumParseError(message) from None
 
 
 def datum_from_dict(obj) -> SncDatum:
@@ -216,8 +213,10 @@ def datum_from_dict(obj) -> SncDatum:
     for key in ("dim", "components", "strata"):
         _expect(key in obj, f'missing top-level key "{key}"')
     dim, n, strata_list = obj["dim"], obj["components"], obj["strata"]
-    _expect(_is_int(dim) and dim >= 0, '"dim" must be a nonnegative integer')
-    _expect(_is_int(n) and n >= 0, '"components" must be a nonnegative integer')
+    # A value is an integer exactly when its type is int, so JSON true and
+    # false (bools, an int subclass) are refused here and in IntMatrix.
+    _expect(type(dim) is int and dim >= 0, '"dim" must be a nonnegative integer')
+    _expect(type(n) is int and n >= 0, '"components" must be a nonnegative integer')
     _expect(dim <= MAX_COUNT, f'"dim" must be at most {MAX_COUNT}')
     _expect(n <= MAX_COUNT, f'"components" must be at most {MAX_COUNT}')
     _expect(isinstance(strata_list, list), '"strata" must be a list')
@@ -228,7 +227,7 @@ def datum_from_dict(obj) -> SncDatum:
         _expect("subset" in entry, "stratum without a subset")
         subset = entry["subset"]
         _expect(
-            isinstance(subset, list) and all(_is_int(x) for x in subset),
+            isinstance(subset, list) and all(type(x) is int for x in subset),
             f"malformed subset {subset!r}",
         )
         _expect(
@@ -267,20 +266,32 @@ def datum_from_dict(obj) -> SncDatum:
     return SncDatum(dim, n, strata)
 
 
-def from_json(path) -> SncDatum:
-    """Parse a datum file; raises DatumParseError on malformed input."""
+def read_json(path):
+    """The JSON value in a file, for datum and complex files alike.
+
+    Every failure is a DatumParseError that names the file.  Python refuses
+    an integer literal over its int-string digit limit (4300 digits by
+    default, which bounds the parse time) with the one ValueError left
+    after the decode and syntax errors.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise DatumParseError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise DatumParseError(f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:
+        raise DatumParseError(f"{path} holds an integer too long to read") from e
     except RecursionError as e:
         raise DatumParseError(f"{path} is nested too deeply to parse") from e
-    return datum_from_dict(obj)
+
+
+def from_json(path) -> SncDatum:
+    """Parse a datum file; raises DatumParseError on malformed input."""
+    return datum_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,9 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     the span of B = [d_(a-1) | relations in degree a], so H^a is
     Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
     This reads Smith diagonals only, each differential's at most once.
-    Every other degree takes the kernel route of subquotient_cohomology.
+    Every other degree takes the kernel route of subquotient_cohomology,
+    whose preconditions (well-defined maps, zero composite) verify_complex
+    has checked once, up front, for every differential.
 
     >>> from sncweight.intmat import IntMatrix
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])

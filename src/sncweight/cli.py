@@ -199,12 +199,9 @@ def cmd_dual(args) -> int:
         if not args.input:
             return _fail("--complex needs an input file")
         try:
-            with open(args.input, encoding="utf-8") as fh:
-                k = dual.complex_from_dict(json.load(fh))
-        except (OSError, ValueError) as e:  # decode and JSON errors are ValueErrors
+            k = dual.complex_from_dict(builders.read_json(args.input))
+        except ValueError as e:  # DatumParseError is a ValueError too
             return _fail(str(e))
-        except RecursionError:
-            return _fail(f"{args.input} is nested too deeply to parse")
         print(f"input: {args.input}")
         _print_dual_report(k, args.simplify, None)
         return EXIT_OK
@@ -237,9 +234,10 @@ def _d2_report(datum: SncDatum) -> Report:
     for b in datum.graded_degrees():
         diffs = [level_differential(datum, k, b) for k in levels]
         for k, (rhs, lhs) in enumerate(zip(diffs, diffs[1:]), start=1):
-            # The composite need only vanish modulo the target's relations.
+            # rhs maps level k-1 to k and lhs level k to k+1; the composite
+            # need only vanish modulo the target's relations.
             if not lhs.compose(rhs).is_zero_hom():
-                problems.append(f"d after d is nonzero at levels k={k}->{k + 2}, degree b={b}")
+                problems.append(f"d after d is nonzero at levels {k - 1}->{k + 1}, degree b={b}")
     return Report("d2", not problems, tuple(problems))
 
 

@@ -371,15 +371,14 @@ def complex_from_dict(obj: dict) -> SimplicialComplex:
     if not isinstance(obj, dict) or "vertices" not in obj or "facets" not in obj:
         raise ValueError('expected an object with "vertices" and "facets"')
     v = obj["vertices"]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+    # An integer is a value of type int: JSON true and false (bools) are refused.
+    if type(v) is not int or v < 0:
         raise ValueError('"vertices" must be a nonnegative integer count')
     if v > MAX_COUNT:
         raise ValueError(f'"vertices" must be at most {MAX_COUNT}')
     facets = obj["facets"]
     if not isinstance(facets, list) or not all(
-        isinstance(f, list)
-        and all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < v for x in f)
-        for f in facets
+        isinstance(f, list) and all(type(x) is int and 0 <= x < v for x in f) for f in facets
     ):
         raise ValueError('"facets" must be lists of vertex indices below the count')
     return SimplicialComplex.from_facets(range(v), facets)

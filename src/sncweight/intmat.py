@@ -2,10 +2,11 @@
 
 A matrix keeps one dict of nonzero entries per row, so building,
 multiplying, stacking and comparing cost the nonzeros, not rows x cols.
-Every matrix entry in this package is a Python int, so all arithmetic is
-arbitrary precision: normal-form pivoting can blow up intermediate
-entries, and fixed-width overflow would silently corrupt torsion
-coefficients.  Pivoting always selects a nonzero entry of minimal
+Every matrix entry in this package is a Python int: the constructors
+refuse any value whose type is not exactly int, bools and floats alike.
+So all arithmetic is arbitrary precision: normal-form pivoting can blow
+up intermediate entries, and fixed-width overflow would silently corrupt
+torsion coefficients.  Pivoting always selects a nonzero entry of minimal
 absolute value (first such entry in row-major order), which keeps
 intermediate entries small at the sizes used here and makes every
 decomposition reproducible.  The full reduction tracks the transforms
@@ -86,7 +87,7 @@ class IntMatrix:
         for i, j, e in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"({i}, {j}) out of bounds for {rows}x{cols}")
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
             row = out[i]
             v = row.get(j, 0) + e
@@ -142,24 +143,14 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
-    def transpose(self) -> "IntMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._rows):
-            for j, e in row.items():
-                out[j][i] = e
-        return IntMatrix._wrap(self.cols, self.rows, tuple(out))
-
     def scale(self, c: int) -> "IntMatrix":
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise TypeError(f"matrix entries must be integers, got {type(c).__name__}")
         if not c:
             return IntMatrix.zeros(self.rows, self.cols)
         return IntMatrix._wrap(
             self.rows, self.cols, tuple({j: c * e for j, e in row.items()} for row in self._rows)
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -207,11 +198,6 @@ class IntMatrix:
         if self.rows != other.rows:
             raise ValueError("row counts differ")
         return IntMatrix.block([[self, other]])
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return IntMatrix._wrap(self.rows + other.rows, self.cols, self._rows + other._rows)
 
     def take_rows(self, count: int) -> "IntMatrix":
         if not 0 <= count <= self.rows:
@@ -303,13 +289,9 @@ def _check_shape(rows: int, cols: int) -> None:
 
 def _int_entries(entries: Iterable[int]) -> list[int]:
     data = list(entries)
-    if not all(type(e) is int for e in data):
-        # Accept bools and int subclasses, but never floats: silent
-        # truncation would corrupt exact arithmetic.
-        for e in data:
-            if not isinstance(e, int):
-                raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
-        data = [int(e) for e in data]
+    for e in data:
+        if type(e) is not int:
+            raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
     return data
 
 

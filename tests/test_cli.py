@@ -1,7 +1,7 @@
 import json
 
 from sncweight.abgroup import FpAbPresentation
-from sncweight.builders import affine_space_snc, to_json, torus_snc
+from sncweight.builders import affine_space_snc, parse_builder, to_json, torus_snc
 from sncweight.cli import main
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
@@ -60,19 +60,29 @@ def test_compute_parse_error_exit_2(capsys, tmp_path):
 
 
 def test_compute_flat_matrix_exit_2(capsys, tmp_path):
-    # A restriction matrix given as a flat list is a parse error, not a crash.
+    # A restriction matrix given as a flat list is a parse error, not a crash,
+    # and so are bool, float and ragged entries of a matrix or a relation.
     flat = tmp_path / "flat.json"
-    obj = json.loads(to_json(affine_space_snc(1)))
-    for entry in obj["strata"]:
-        if entry["subset"] == [1]:
-            entry["restrictions"] = {"1": {"0": [1]}}
-    flat.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "compute", str(flat))
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "matrix rows must be equal-length integer lists" in lines[0]
+    matrix_message = "matrix rows must be equal-length integer lists"
+    relation_message = "each relation must be an integer column of length 1"
+    cases = [("restrictions", m, matrix_message)
+             for m in ([1], [[True]], [[1.5]], [[1], [1, 0]])]
+    cases += [("relations", r, relation_message) for r in ([[True]], [[1.5]], [[2, 0]])]
+    for field, value, message in cases:
+        obj = json.loads(to_json(affine_space_snc(1)))
+        for entry in obj["strata"]:
+            if entry["subset"] == [1]:
+                if field == "restrictions":
+                    entry["restrictions"] = {"1": {"0": value}}
+                else:
+                    entry["cohomology"]["0"]["relations"] = value
+        flat.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "compute", str(flat))
+        assert code == 2, value
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert message in lines[0], lines[0]
 
 
 def _one_parse_error(capsys, argv, message):
@@ -118,6 +128,24 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path):
     for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path)),
                  ("dual", str(path), "--complex")):
         _one_parse_error(capsys, argv, "nested too deeply")
+
+
+_HUGE = "9" * 4301  # longer than Python's int-string limit: only text can hold it
+
+
+def test_integer_too_long_to_read_exit_2(capsys, tmp_path):
+    # Python refuses int literals over 4300 digits with a ValueError that is
+    # not a JSONDecodeError; it used to end datum reads in a traceback.
+    text = to_json(affine_space_snc(1)).replace('"generators": 1', f'"generators": {_HUGE}', 1)
+    assert _HUGE in text
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path)),
+                 ("dual", str(path), "--complex")):
+        _one_parse_error(capsys, argv, "holds an integer too long to read")
+    path.write_text('{"vertices": 3, "facets": [[0, 1, %s]]}' % _HUGE)
+    _one_parse_error(capsys, ("dual", str(path), "--complex"),
+                     "holds an integer too long to read")
 
 
 def test_oversized_product_exit_2(capsys, tmp_path):
@@ -333,6 +361,116 @@ def test_dual_complex_fuzz_in_a_process(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def _mutated_datum_texts(rng):
+    """Seeded damaged datum files, as text, from three builder datums."""
+    bases = [json.loads(to_json(parse_builder(spec)))
+             for spec in ("torus:2", "curve:1,2", "affine:2")]
+    bad_entries = (-3, True, 1.5, 10**400, "HUGE")
+    bad_keys = ("1", "3", "-1", "-2", "x", "1.5", " 2", "+0", "2_0", "", "1000000000")
+
+    def matrices(obj):
+        return [(per_degree, b) for entry in obj["strata"]
+                for per_degree in entry["restrictions"].values() for b in per_degree]
+
+    def presentations(obj):
+        return [p for entry in obj["strata"] for p in entry["cohomology"].values()]
+
+    def rekey(mapping):
+        key = rng.choice(sorted(mapping))
+        mapping[rng.choice(bad_keys)] = mapping.pop(key)
+
+    def damage(obj):
+        strata, n = obj["strata"], obj["components"]
+        entry = rng.choice(strata)
+        kind = rng.randrange(9)
+        if kind == 0:  # a bad matrix entry
+            per_degree, b = rng.choice(matrices(obj))
+            row = rng.choice(per_degree[b])
+            row[rng.randrange(len(row))] = rng.choice(bad_entries)
+        elif kind == 1:  # a relation column with a bad entry
+            p = rng.choice([p for p in presentations(obj) if p["generators"]])
+            column = [rng.randint(-2, 2) for _ in range(p["generators"])]
+            column[rng.randrange(len(column))] = rng.choice(bad_entries)
+            p["relations"].append(column)
+        elif kind == 2:  # a duplicate subset
+            strata.append(json.loads(json.dumps(entry)))
+        elif kind == 3:  # an out-of-range subset
+            entry["subset"] = rng.choice(([0], [n + 1], [-1], [1, n + 1], [10**400]))
+        elif kind == 4:  # an odd, negative or non-integer degree key
+            if entry["restrictions"] and rng.random() < 0.5:
+                rekey(rng.choice(list(entry["restrictions"].values())))
+            else:
+                rekey(entry["cohomology"])
+        elif kind == 5:  # a ragged matrix
+            per_degree, b = rng.choice(matrices(obj))
+            rows = per_degree[b]
+            if rng.random() < 0.5:
+                rows[rng.randrange(len(rows))].append(1)
+            else:
+                rows.append([])
+        elif kind == 6:  # a flat matrix
+            per_degree, b = rng.choice(matrices(obj))
+            per_degree[b] = rng.choice((per_degree[b][0], 1, "1", None))
+        elif kind == 7:  # relations that are not a list of lists
+            p = rng.choice(presentations(obj))
+            p["relations"] = rng.choice(
+                (5, "rel", None, {"0": [1]}, [5], [[0] * p["generators"], 2]))
+        else:  # a generator count over the bound
+            rng.choice(presentations(obj))["generators"] = rng.choice((MAX_COUNT + 1, 10**30))
+
+    texts = []
+    for _ in range(90):
+        obj = json.loads(json.dumps(rng.choice(bases)))
+        damage(obj)
+        texts.append(json.dumps(obj).replace('"HUGE"', _HUGE))
+    return texts
+
+
+def _assert_contract(code, out, err, context):
+    assert code in (0, 1, 2), context
+    assert "Traceback" not in err, context
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, context
+        assert err.startswith("error:"), context
+
+
+def test_datum_fuzz_exits_0_1_or_2(capsys, tmp_path):
+    # Damaged datum files end in a result (0), a failed validation or check
+    # (1) or one error line (2) under compute, check all and dual, never in
+    # a traceback, and quickly.
+    import random
+    import time
+
+    path = tmp_path / "datum.json"
+    outcomes = set()
+    for text in _mutated_datum_texts(random.Random(91)):
+        path.write_text(text)
+        for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path))):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 5, (text[:200], argv)
+            _assert_contract(code, out, err, (text[:200], argv))
+            outcomes.add(code)
+    assert outcomes == {0, 1, 2}
+
+
+def test_datum_fuzz_in_a_process(tmp_path):
+    # The same contract as seen from outside, on three of the damaged files.
+    import random
+    import subprocess
+    import sys
+
+    texts = _mutated_datum_texts(random.Random(91))
+    picks = [next(t for t in texts if _HUGE in t), next(t for t in texts if "true" in t), texts[0]]
+    path = tmp_path / "datum.json"
+    for text in picks:
+        path.write_text(text)
+        for argv in (("compute",), ("check", "all"), ("dual",)):
+            cmd = [sys.executable, "-m", "sncweight.cli", argv[0], str(path), *argv[1:]]
+            done = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+            _assert_contract(done.returncode, done.stdout, done.stderr, (text[:200], argv))
+
+
 def test_counts_at_the_bound_are_accepted(capsys, tmp_path):
     obj = json.loads(to_json(affine_space_snc(1)))
     for field in ("dim", "components", "generators"):
@@ -526,7 +664,7 @@ def test_check_sign_flip_breaks_d2(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "d2")
     assert code == 1
     assert "FAIL d2" in out
-    assert "k=1" in out and "b=0" in out
+    assert "levels 0->2" in out and "b=0" in out
 
 
 def test_check_all_on_incoherent_datum(capsys, tmp_path):
@@ -539,7 +677,7 @@ def test_check_all_on_incoherent_datum(capsys, tmp_path):
     assert out.splitlines() == [
         f"input: {path}",
         "FAIL d2",
-        "  d after d is nonzero at levels k=1->3, degree b=0",
+        "  d after d is nonzero at levels 0->2, degree b=0",
         "FAIL nerve-identity", refused,
         "FAIL euler", refused,
         "FAIL affine-line-stability", refused,
@@ -642,6 +780,29 @@ def test_cli_imports_only_the_standard_library():
         and name.partition(".")[0] != "sncweight"
     ]
     assert outside == []
+
+
+def test_files_are_read_by_one_reader():
+    # builders.read_json is the only place that turns file text into JSON,
+    # so every file input gets the same error mapping (exit 2, one line).
+    import ast
+    from pathlib import Path
+
+    readers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sncweight").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk goes breadth first, so an inner function overrides its outer one.
+        enclosing = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "json"), path.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("load", "loads")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+                readers.append((path.stem, enclosing.get(id(node)), node.func.attr))
+    assert readers == [("builders", "read_json", "load")]
 
 
 def test_compute_csv_with_torsion(capsys, tmp_path):

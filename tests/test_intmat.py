@@ -15,8 +15,6 @@ def test_matrix_basics():
     assert m[(1, 2)] == 6
     assert m.row(0) == (1, 2, 3)
     assert m.col(1) == (2, 5)
-    assert m.transpose().shape == (3, 2)
-    assert m.transpose().transpose() == m
     assert (m - m).is_zero
     assert m.scale(2) == m + m
 
@@ -195,8 +193,6 @@ def test_matrix_operations_agree_with_list_reference():
         _assert_is(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], n)
         c = rng.randint(-3, 3)
         _assert_is(ma.scale(c), [[c * x for x in r] for r in a], n)
-        _assert_is(-ma, [[-x for x in r] for r in a], n)
-        _assert_is(ma.transpose(), [[r[j] for r in a] for j in range(n)], m)
         k = rng.choice((0, 1, 3, 5))
         b = _random_rows(rng, n, k)
         _assert_is(ma * IntMatrix.from_rows(b, k), _ref_mul(a, b, k), k)
@@ -204,8 +200,6 @@ def test_matrix_operations_agree_with_list_reference():
         q = len(b[0]) if b else 0
         mb = IntMatrix.from_rows(b, q)
         _assert_is(ma.hstack(mb), [r + s for r, s in zip(a, b)], n + q)
-        b = _random_rows(rng, cols=n)
-        _assert_is(ma.vstack(IntMatrix.from_rows(b, n)), a + b, n)
         t = rng.randint(0, m)
         _assert_is(ma.take_rows(t), a[:t], n)
         b = _random_rows(rng, rng.choice((0, 1, 2)), rng.choice((0, 1, 3)))
@@ -237,9 +231,9 @@ def test_constructors_and_cancellation_agree():
         _assert_is(IntMatrix.zeros(rows, cols), zero, cols)
         a = IntMatrix.from_rows(_random_rows(rng, rows, cols), cols)
         # Sums that cancel store no zero: they equal zeros and hash like it.
-        eye = IntMatrix.identity(cols)
-        for cancelled in (a + (-a), a - a, a.scale(0), a + a.scale(-1),
-                          a.hstack(a) * eye.vstack(-eye)):
+        eye = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        eye_over_minus_eye = IntMatrix.from_rows(eye + [[-x for x in r] for r in eye], cols)
+        for cancelled in (a - a, a.scale(0), a + a.scale(-1), a.hstack(a) * eye_over_minus_eye):
             _assert_is(cancelled, zero, cols)
             assert cancelled.is_zero
         diagonal = range(min(rows, cols))
@@ -254,7 +248,8 @@ def test_constructors_and_cancellation_agree():
                   IntMatrix.block([[IntMatrix.identity(2), IntMatrix.zeros(2, 4)],
                                    [IntMatrix.zeros(4, 2), IntMatrix.identity(4)]]),
                   IntMatrix.from_rows(eye6.to_rows()) * eye6,
-                  eye6.transpose() + IntMatrix.zeros(6, 6),
+                  IntMatrix.from_entries(6, 6, [(i, i, 1) for i in reversed(range(6))])
+                  + IntMatrix.zeros(6, 6),
                   IntMatrix.from_entries(6, 6, [(i, i, 1) for i in range(6)])):
         _assert_is(built, eye6.to_rows(), 6)
     for _ in range(50):
@@ -265,12 +260,19 @@ def test_constructors_and_cancellation_agree():
         stacked = IntMatrix.block([[b.scale(x) for x in row] for row in a.to_rows()])
         assert a.kron(b) == stacked and hash(a.kron(b)) == hash(stacked)
     _assert_is(IntMatrix.column([1, 0, -2]), [[1], [0], [-2]], 1)
-    with pytest.raises(TypeError):
-        IntMatrix.from_entries(1, 1, [(0, 0, 1.0)])
+    # An entry is an integer exactly when its type is int: floats and bools
+    # are refused alike, never converted.
+    for bad in (0.0, 1.0, True):
+        with pytest.raises(TypeError):
+            IntMatrix.from_entries(1, 1, [(0, 0, bad)])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, bad]])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [1, bad])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).scale(bad)
     with pytest.raises(IndexError):
         IntMatrix.from_entries(2, 2, [(2, 0, 1)])
-    with pytest.raises(TypeError):
-        IntMatrix.from_rows([[1, 0.0]])
 
 
 def _sparse_matrix(rng, rows, cols, values, density):
