@@ -15,6 +15,7 @@ __all__ = [
     "FreeTensorError",
     "verify_complex",
     "cohomology",
+    "unchecked_cohomology",
 ]
 
 
@@ -81,16 +82,11 @@ def verify_complex(c: CochainComplex) -> Report:
 
 
 def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
-    """Degree -> cohomology group, nonzero entries only.
+    """Degree -> cohomology group, nonzero entries only; the checked entry point.
 
-    At a degree a whose next group is relation-free (the last degree,
-    and every degree of a free complex), ker d_a is saturated and holds
-    the span of B = [d_(a-1) | relations in degree a], so H^a is
-    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
-    This reads Smith diagonals only, each differential's at most once.
-    Every other degree takes the kernel route of subquotient_cohomology,
-    whose preconditions (well-defined maps, zero composite) verify_complex
-    has checked once, up front, for every differential.
+    Raises InvalidComplexError unless verify_complex passes: every
+    differential well defined and every consecutive composite zero, the
+    preconditions of unchecked_cohomology.
 
     >>> from sncweight.intmat import IntMatrix
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
@@ -106,6 +102,24 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     rep = verify_complex(c)
     if not rep.passed:
         raise InvalidComplexError("; ".join(rep.details))
+    return unchecked_cohomology(c)
+
+
+def unchecked_cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
+    """Cohomology of a complex known to be one; its preconditions are not checked.
+
+    For complexes that are complexes by construction: the weight
+    complexes of a valid datum and the simplicial cochain complexes.  On
+    anything else the answer is undefined.
+
+    At a degree a whose next group is relation-free (the last degree,
+    and every degree of a free complex), ker d_a is saturated and holds
+    the span of B = [d_(a-1) | relations in degree a], so H^a is
+    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
+    This reads Smith diagonals only, each differential's at most once.
+    Every other degree takes the kernel route of subquotient_cohomology,
+    which assumes well-defined maps and a zero composite.
+    """
     out = {}
     last = ()  # the Smith diagonal of d_(a-1) when degree a-1 took the diagonal rule
     for a, g in zip(c.degrees, c.groups):

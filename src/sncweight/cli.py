@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import builders, dual, weight
 from .chain import FreeTensorError
@@ -17,6 +18,7 @@ from .sncdata import (
     InvalidDatumError,
     SncDatum,
     level_differential,
+    require_valid,
     validate,
     validate_structure,
 )
@@ -88,11 +90,33 @@ def _load_datum(args) -> tuple[SncDatum | None, str, int]:
 
 
 def _require_valid_or_report(datum: SncDatum) -> int:
-    rep = validate(datum)
-    if rep.passed:
-        return EXIT_OK
-    print(rep.render())
-    return EXIT_CHECK_FAILED
+    """Validate a datum read from a file; a builder's datum is valid by construction."""
+    try:
+        require_valid(datum)
+    except InvalidDatumError as e:
+        print(e.report.render())
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
+
+
+@contextmanager
+def _exact_output():
+    """Lift Python's int-string digit limit while a command computes and prints.
+
+    The limit (4300 digits by default) bounds the time to parse an
+    integer literal, so it stays on while input is read.  An answer can
+    outgrow it, a torsion coefficient being a product of input entries,
+    and must still print exactly.  Interpreters older than 3.10.7 have
+    no limit, and 0 means none is set.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _table_text(table, identifier: str, rational: bool) -> str:
@@ -149,14 +173,15 @@ def cmd_compute(args) -> int:
     code = _require_valid_or_report(datum)
     if code:
         return code
-    table = weight.e2_page(datum, rational=args.rational)
-    if args.format == "text":
-        print(_table_text(table, identifier, args.rational))
-    elif args.format == "csv":
-        print(_table_csv(table))
-    else:
-        print(json.dumps(_table_json_obj(table, identifier, args.rational),
-                         indent=2, sort_keys=True))
+    with _exact_output():
+        table = weight.e2_page(datum, rational=args.rational)
+        if args.format == "text":
+            print(_table_text(table, identifier, args.rational))
+        elif args.format == "csv":
+            print(_table_csv(table))
+        else:
+            print(json.dumps(_table_json_obj(table, identifier, args.rational),
+                             indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -203,7 +228,8 @@ def cmd_dual(args) -> int:
         except ValueError as e:  # DatumParseError is a ValueError too
             return _fail(str(e))
         print(f"input: {args.input}")
-        _print_dual_report(k, args.simplify, None)
+        with _exact_output():
+            _print_dual_report(k, args.simplify, None)
         return EXIT_OK
     datum, identifier, code = _load_datum(args)
     if code:
@@ -214,7 +240,8 @@ def cmd_dual(args) -> int:
     print(f"input: {identifier}")
     k = dual.nerve(datum)
     budget = args.simplify if args.simplify is not None else 10_000
-    _print_dual_report(k, args.simplify, weight.contractibility_report(datum, budget))
+    with _exact_output():
+        _print_dual_report(k, args.simplify, weight.contractibility_report(datum, budget))
     return EXIT_OK
 
 
@@ -319,8 +346,13 @@ def cmd_check(args) -> int:
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
 
+    # The suites that need a valid datum read its full report through
+    # require_valid.  It is computed here even for a builder's datum, so
+    # check never takes validity by construction on trust.
+    validate(datum)
     try:
-        checks = _run_checks(datum, args.which, expected_hc)
+        with _exact_output():
+            checks = _run_checks(datum, args.which, expected_hc)
     except weight.ProductTooLargeError as e:
         return _fail(str(e))
     if args.json:

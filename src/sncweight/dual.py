@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
-from .chain import CochainComplex, cohomology
+from .chain import CochainComplex, unchecked_cohomology
 from .intmat import IntMatrix
 from .reports import _Record
 from .sncdata import MAX_COUNT, SncDatum, require_valid
@@ -164,8 +164,12 @@ def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
 
 
 def reduced_cohomology(k: SimplicialComplex) -> dict[int, FgAbGroup]:
-    """Reduced integral cohomology, torsion included; nonzero degrees only."""
-    return cohomology(reduced_cochain_complex(k))
+    """Reduced integral cohomology, torsion included; nonzero degrees only.
+
+    The simplicial coboundary squares to zero by construction, so the
+    complex goes to unchecked_cohomology without verify_complex.
+    """
+    return unchecked_cohomology(reduced_cochain_complex(k))
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

@@ -12,7 +12,10 @@ a zero group may be omitted and are implied zero.
 A datum is read-only once built: its mappings are copied into read-only
 views.  That makes validation a property of the datum, so each tier
 (structure, and full with the commuting squares) is computed at most once
-per datum and cached on it.
+per datum and cached on it.  A datum the package builds itself, from a
+builder or as a product of valid factors, is marked valid by construction
+when it is built: require_valid passes it without a validation pass.
+Data from files carry no mark and are validated in full, once.
 """
 
 from __future__ import annotations
@@ -86,19 +89,29 @@ class StratumData(_Record):
 
 
 class SncDatum(_Record):
+    """A compactification datum; see the module docstring.
+
+    valid_by_construction=True is for data the package builds from parts
+    it knows to be valid.  It is a flag that require_valid reads, not a
+    report: validate still computes the full report from scratch.
+    """
+
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
     # largest |I| present.  _reports holds the validation reports by tier
     # and the weight cohomology table, each filled on first use.  Both are
     # sound because the datum cannot change after construction, and neither
-    # is a field: equality, hash and repr ignore them.
-    __slots__ = _fields + ("levels", "_reports")
+    # they nor the validity mark are fields: equality, hash and repr ignore
+    # them.
+    __slots__ = _fields + ("levels", "_reports", "valid_by_construction")
 
-    def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
+    def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData],
+                 *, valid_by_construction: bool = False):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n_components", n_components)
         object.__setattr__(self, "strata", MappingProxyType(dict(strata)))
         object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "valid_by_construction", valid_by_construction)
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
@@ -134,6 +147,8 @@ def validate(s: SncDatum) -> Report:
 
     Computed once per datum: the cached structure tier is reused and only
     the commuting squares are added, unless a shape problem rules them out.
+    A mark of validity by construction is ignored: the report is always
+    computed from the datum itself.
     """
     reports = s._reports
     if "full" not in reports:
@@ -303,6 +318,15 @@ def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:
 
 
 def require_valid(s: SncDatum) -> None:
+    """Raise InvalidDatumError unless s is valid.
+
+    A datum marked valid by construction passes with no validation pass,
+    until a full report has been computed for it (check computes one for
+    the datum it is given); from then on that report decides, as it does
+    for every other datum, which is validated in full on first use.
+    """
+    if s.valid_by_construction and "full" not in s._reports:
+        return
     rep = validate(s)
     if not rep.passed:
         raise InvalidDatumError(rep)

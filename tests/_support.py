@@ -22,6 +22,17 @@ from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import product_snc
 
 
+# Every builder family at small sizes.  Builders and products mark their
+# data valid by construction and are not validated when built; tests that
+# validate these from scratch stand in for that skipped runtime check.
+BUILDER_SPECS = (
+    ["point"]
+    + [f"affine:{d}" for d in range(1, 5)]
+    + [f"torus:{n}" for n in range(1, 5)]
+    + [f"curve:{g},{n}" for g in range(3) for n in range(1, 4)]
+)
+
+
 # ---------------------------------------------------------------------------
 # Independent linear-algebra oracle
 

@@ -8,6 +8,7 @@ from sncweight.builders import (
     affine_space_snc,
     builder_betti,
     datum_from_dict,
+    datum_to_dict,
     example_names,
     from_json,
     parse_builder,
@@ -20,6 +21,8 @@ from sncweight.builders import (
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData, validate
 from sncweight.weight import degeneration_check, weight_cohomology_table
+
+from _support import BUILDER_SPECS
 
 
 def torsion_datum():
@@ -53,6 +56,19 @@ def test_every_builder_validates():
     data += [affine_space_snc(d) for d in range(1, 5)]
     for s in data:
         assert validate(s).passed
+
+
+def test_builders_validate_from_scratch():
+    # Builders are valid by construction and skip validation when built.
+    # Through the dict format the copy carries neither the mark nor a
+    # cached report, so validate proves every invariant anew.
+    for spec in BUILDER_SPECS:
+        s = parse_builder(spec)
+        assert s.valid_by_construction, spec
+        copy = datum_from_dict(datum_to_dict(s))
+        assert copy == s and not copy.valid_by_construction and not copy._reports
+        rep = validate(copy)
+        assert rep.passed, (spec, rep.details)
 
 
 def test_round_trip_affine():

@@ -577,8 +577,8 @@ def test_dual_raw_complex(capsys, tmp_path):
 
 
 def test_check_all_passes(capsys):
-    # On torus:3, product-consistency runs the torus:6-sized self-product
-    # through kron, block, the commuting squares and d after d.
+    # On torus:3, product-consistency builds the torus:6-sized self-product
+    # through kron and computes its table.
     for spec in ("torus:2", "torus:3"):
         code, out, _ = run(capsys, "check", "--builder", spec, "all")
         assert code == 0, spec
@@ -607,6 +607,87 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     datums = {id(s) for s, _ in built}
     assert len(datums) == 4
     assert len({(id(s), b) for s, b in built}) == len(built)
+
+
+def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_path):
+    # Each full validation runs the commuting squares once; seen records
+    # the datum of each.
+    import sncweight.sncdata as sncdata
+
+    seen = []
+    squares = sncdata._square_problems
+
+    def counted(s):
+        seen.append(s)
+        return squares(s)
+
+    monkeypatch.setattr(sncdata, "_square_problems", counted)
+    # Builders and products are valid by construction: compute and dual on a
+    # builder validate nothing (torus:5 used to validate its four nested
+    # products).
+    code, _, _ = run(capsys, "compute", "--builder", "torus:5")
+    assert code == 0 and seen == []
+    code, _, _ = run(capsys, "dual", "--builder", "torus:3")
+    assert code == 0 and seen == []
+    # check computes its own full report for the datum it is given, and only
+    # for it: the products of stability and product-consistency are not
+    # validated.
+    code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
+    assert code == 0 and "FAIL" not in out
+    assert seen == [parse_builder("torus:3")]
+    # A file datum is validated in full exactly once.
+    seen.clear()
+    path = tmp_path / "torus3.json"
+    path.write_text(to_json(torus_snc(3)))
+    code, _, _ = run(capsys, "compute", str(path))
+    assert code == 0 and seen == [torus_snc(3)]
+
+
+def test_answers_longer_than_the_int_string_limit_print_exactly(capsys, tmp_path):
+    # A torsion coefficient of 8001 digits used to end in a ValueError
+    # traceback at print time; the input literals stay under the limit.
+    import re
+    import sys
+
+    from _support import oracle_canonical_form
+
+    limit = sys.get_int_max_str_digits()
+    a, b = 10**4000 + 1, 10**4000 + 3
+    # dim 1, one boundary point; the total space has H^1 = Z^2 / diag(a, b).
+    obj = json.loads(to_json(affine_space_snc(1)))
+    assert obj["strata"][0]["subset"] == []
+    obj["strata"][0]["cohomology"]["1"] = {"generators": 2, "relations": [[a, 0], [0, b]]}
+    path = tmp_path / "huge_torsion.json"
+    path.write_text(json.dumps(obj))
+    assert oracle_canonical_form(2, [[a, 0], [0, b]]) == (0, (a * b,))
+    code, text, _ = run(capsys, "compute", str(path))
+    assert code == 0
+    code, js, _ = run(capsys, "compute", str(path), "--format", "json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for output only
+    entries = json.loads(js, parse_int=str)["entries"]
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(a * b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 8001
+    assert re.findall(r"Z/(\d+)", text) == [expected]
+    assert [(e["a"], e["b"], e["torsion"]) for e in entries if e["torsion"]] == [
+        ("0", "1", [expected])]
+    # The same coefficient in a check report: with free groups and the
+    # restriction diag(a, b) in degree 2, (1, 2) = Z/ab, and stability
+    # names it, shifted to (1, 4), in its details.
+    obj = json.loads(to_json(affine_space_snc(2)))
+    assert [st["subset"] for st in obj["strata"]] == [[], [1]]
+    obj["strata"][1]["cohomology"]["2"]["generators"] = 2
+    obj["strata"][1]["restrictions"]["1"]["2"] = [[a, 0], [0, b]]
+    obj["strata"][0]["cohomology"]["2"]["generators"] = 2
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", str(path), "stability", "--json")
+    assert code == 0
+    (report,) = json.loads(out)["checks"]
+    assert f"ok (1, 4): product = Z/{expected}, shifted base = Z/{expected}" in report["details"]
 
 
 def test_check_single_suites(capsys):

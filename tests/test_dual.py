@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sncweight.dual
 from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation, canonical_form, subquotient_cohomology
 from sncweight.builders import affine_space_snc, punctured_curve_snc, torus_snc
 from sncweight.chain import verify_complex
@@ -34,6 +35,22 @@ from _support import (
 )
 
 Z = FgAbGroup.free(1)
+
+
+@pytest.fixture(autouse=True)
+def every_reduced_complex_is_a_complex(monkeypatch):
+    """reduced_cohomology skips verify_complex: the simplicial coboundary
+    squares to zero by construction.  Every complex it builds in these
+    tests is verified here instead."""
+    build = sncweight.dual.reduced_cochain_complex
+
+    def verified(k):
+        c = build(k)
+        rep = verify_complex(c)
+        assert rep.passed, rep.details
+        return c
+
+    monkeypatch.setattr(sncweight.dual, "reduced_cochain_complex", verified)
 
 
 def cycle(n):
@@ -100,6 +117,23 @@ def test_cone_over_complex_is_acyclic():
         facets = [f + (apex,) for f in base.faces]
         coned = SimplicialComplex.from_facets(list(base.vertices) + [apex], facets)
         assert reduced_cohomology(coned) == {}
+
+
+def test_reduced_cochain_complexes_are_complexes():
+    # Simplices up to dimension 5, cones and surfaces: every sign of the
+    # alternating face rule is exercised.
+    cases = [SimplicialComplex.from_facets(range(n), [tuple(range(n))]) for n in range(1, 7)]
+    cases += [cycle(5), real_projective_plane(),
+              SimplicialComplex.from_facets(range(16), torus_grid(4, 4))]
+    rng = random.Random(97)
+    for _ in range(5):
+        base = _random_two_complex(rng)
+        apex = max(base.vertices, default=0) + 1
+        cases.append(SimplicialComplex.from_facets(list(base.vertices) + [apex],
+                                                   [f + (apex,) for f in base.faces]))
+    for k in cases:
+        rep = verify_complex(reduced_cochain_complex(k))
+        assert rep.passed, rep.details
 
 
 def test_euler_characteristic():

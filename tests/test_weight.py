@@ -5,13 +5,16 @@ import pytest
 from sncweight.abgroup import FgAbGroup, FpAbPresentation
 from sncweight.builders import (
     affine_space_snc,
+    datum_from_dict,
+    datum_to_dict,
+    parse_builder,
     point_snc,
     punctured_curve_snc,
     torus_snc,
 )
 from sncweight.chain import CochainComplex, FreeTensorError, verify_complex
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData
+from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData, validate
 from sncweight.weight import (
     BigradedTable,
     ContractibilityReport,
@@ -32,7 +35,7 @@ from sncweight.weight import (
     weight_cohomology_table,
 )
 
-from _support import check_record, random_valid_datum
+from _support import BUILDER_SPECS, check_record, random_valid_datum
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -165,6 +168,38 @@ def test_d_squared_on_products_of_random_data():
         s = random_valid_datum(rng)
         for b in s.graded_degrees():
             assert verify_complex(weight_cochain_complex(s, b).complex).passed
+
+
+def _random_pairs(seed, count):
+    rng = random.Random(seed)
+    return [(random_valid_datum(rng, max_factors=2), random_valid_datum(rng, max_factors=2))
+            for _ in range(count)]
+
+
+def test_products_validate_from_scratch():
+    # product_snc marks its output valid by construction and skips
+    # validating it; here each product, in both orders, is validated anew
+    # from a dict copy that carries neither the mark nor a cached report.
+    for x, y in _random_pairs(83, 8):
+        for s in (product_snc(x, y), product_snc(y, x)):
+            assert s.valid_by_construction
+            copy = datum_from_dict(datum_to_dict(s))
+            assert copy == s and not copy.valid_by_construction
+            rep = validate(copy)
+            assert rep.passed, rep.details
+
+
+def test_every_weight_complex_is_a_complex():
+    # The table takes cohomology without verify_complex, since the complexes
+    # of a valid datum are complexes by construction; this checks that claim
+    # on every builder family, a presented datum and random products.
+    corpus = [parse_builder(spec) for spec in BUILDER_SPECS] + [torsion_datum()]
+    for x, y in _random_pairs(89, 6):
+        corpus += [x, y, product_snc(x, y), product_snc(y, x)]
+    for s in corpus:
+        for b in s.graded_degrees():
+            rep = verify_complex(weight_cochain_complex(s, b).complex)
+            assert rep.passed, (b, rep.details)
 
 
 def test_a1_stability():
