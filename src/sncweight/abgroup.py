@@ -14,9 +14,10 @@ presented subquotient reads kernel bases off the column transform v.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from math import gcd
 
-from .intmat import IntMatrix, _snf_reduce, smith_diagonal
+from .intmat import IntMatrix, _int_entries, _snf_reduce, smith_diagonal
 from .reports import _Record
 
 __all__ = [
@@ -150,10 +151,13 @@ class FpAbPresentation(_Record):
 
     @classmethod
     def from_relation_columns(cls, generators: int, columns: Sequence[Sequence[int]]) -> "FpAbPresentation":
-        cols = [list(c) for c in columns]
+        cols = [_int_entries(c) for c in columns]
         if any(len(c) != generators for c in cols):
             raise ValueError("relation column length must equal generator count")
-        entries = ((i, j, e) for j, c in enumerate(cols) for i, e in enumerate(c))
+        # Every entry's type is checked above, so zeros can be skipped unread;
+        # a tuple of positions lets compress skip them without making ints.
+        gens = tuple(range(generators))
+        entries = ((i, j, c[i]) for j, c in enumerate(cols) for i in compress(gens, c))
         return cls(generators, IntMatrix.from_entries(generators, len(cols), entries))
 
     @property

@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 on success (all checks passing), 1 on validation or check
-failure, 2 on I/O, parse or usage errors.  Output is deterministic for a
-fixed input and flag set: fixed orderings everywhere and no timestamps.
+failure, 2 on I/O, parse or usage errors and on an input whose dense
+Smith reduction would be over budget (intmat.MAX_DENSE_WORK).  Output
+is deterministic for a fixed input and flag set: fixed orderings
+everywhere and no timestamps.
 """
 
 import argparse
@@ -13,6 +15,7 @@ from contextlib import contextmanager
 
 from . import builders, dual, weight
 from .chain import FreeTensorError
+from .intmat import DenseWorkTooLargeError
 from .reports import Report
 from .sncdata import (
     InvalidDatumError,
@@ -194,10 +197,13 @@ def _complex_summary(k: dual.SimplicialComplex) -> str:
     return f"faces: {', '.join(counts)}"
 
 
-def _print_dual_report(k: dual.SimplicialComplex, simplify_budget: int | None,
+def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budget: int | None,
                        contractibility: "weight.ContractibilityReport | None") -> None:
-    print(_complex_summary(k))
+    # The Smith reductions run before the first line, so a dense core over
+    # budget leaves stdout empty.
     h = dual.reduced_cohomology(k)
+    print(f"input: {identifier}")
+    print(_complex_summary(k))
     if h:
         for deg, group in sorted(h.items()):
             print(f"reduced cohomology H~{deg} = {group}")
@@ -227,9 +233,8 @@ def cmd_dual(args) -> int:
             k = dual.complex_from_dict(builders.read_json(args.input))
         except ValueError as e:  # DatumParseError is a ValueError too
             return _fail(str(e))
-        print(f"input: {args.input}")
         with _exact_output():
-            _print_dual_report(k, args.simplify, None)
+            _print_dual_report(args.input, k, args.simplify, None)
         return EXIT_OK
     datum, identifier, code = _load_datum(args)
     if code:
@@ -237,11 +242,11 @@ def cmd_dual(args) -> int:
     code = _require_valid_or_report(datum)
     if code:
         return code
-    print(f"input: {identifier}")
     k = dual.nerve(datum)
     budget = args.simplify if args.simplify is not None else 10_000
     with _exact_output():
-        _print_dual_report(k, args.simplify, weight.contractibility_report(datum, budget))
+        _print_dual_report(identifier, k, args.simplify,
+                           weight.contractibility_report(datum, budget))
     return EXIT_OK
 
 
@@ -418,7 +423,10 @@ def main(argv=None) -> int:
         "check": cmd_check,
         "examples": cmd_examples,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except DenseWorkTooLargeError as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

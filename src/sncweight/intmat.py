@@ -14,18 +14,26 @@ u and v only when asked for them, and no inverse transform at all.
 
 When only the invariant factors are wanted, smith_diagonal first
 eliminates unit entries on a copy of the rows and runs the dense
-reduction on the unit-free core alone; it tracks no transform.
+reduction on the unit-free core alone; it tracks no transform.  The
+columns are sorted once by (nonzero count, index) and taken from a
+first-in first-out queue, so the elimination order is fixed up front and
+needs no priority queue.  A column without a unit entry is deferred and
+goes back on the queue only when an elimination sets one of its entries
+to +-1.  The dense reduction refuses, before it starts, any input whose
+work estimate rows x cols x min(rows, cols) is over MAX_DENSE_WORK.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from heapq import heapify, heappop, heappush
 
 from .reports import _Record
 
 __all__ = [
+    "DenseWorkTooLargeError",
     "IntMatrix",
+    "MAX_DENSE_WORK",
     "SnfDecomposition",
     "smith_normal_form",
     "smith_diagonal",
@@ -288,10 +296,11 @@ def _check_shape(rows: int, cols: int) -> None:
 
 
 def _int_entries(entries: Iterable[int]) -> list[int]:
-    data = list(entries)
-    for e in data:
-        if type(e) is not int:
-            raise TypeError(f"matrix entries must be integers, got {type(e).__name__}")
+    # A list is only read here and by the callers, never kept, so it is not copied.
+    data = entries if type(entries) is list else list(entries)
+    if not {int}.issuperset(map(type, data)):
+        bad = next(e for e in data if type(e) is not int)
+        raise TypeError(f"matrix entries must be integers, got {type(bad).__name__}")
     return data
 
 
@@ -319,13 +328,27 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+MAX_DENSE_WORK = 10**8
+
+
+class DenseWorkTooLargeError(ValueError):
+    """A dense Smith reduction whose estimated work is over MAX_DENSE_WORK."""
+
+
 def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
     """Reduce a to Smith form u * a * v = d; return (u, d, v).
 
     The nonzero diagonal entries come first.  u and v are tracked only
-    when asked for; an untracked slot comes back as None.
+    when asked for; an untracked slot comes back as None.  The work is
+    about rows x cols x min(rows, cols) entry updates; over
+    MAX_DENSE_WORK it raises DenseWorkTooLargeError before starting.
     """
     m, n = a.rows, a.cols
+    if m * n * min(m, n) > MAX_DENSE_WORK:
+        raise DenseWorkTooLargeError(
+            f"a {m}x{n} dense Smith reduction would take about {m * n * min(m, n)} "
+            f"entry updates, more than {MAX_DENSE_WORK}"
+        )
     d = a.to_rows()
     u = _identity_rows(m) if want_u else None
     v = _identity_rows(n) if want_v else None
@@ -442,12 +465,16 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of a, each dividing the next.
 
-    The rows are copied and indexed by column, and +-1
-    pivots are eliminated in order of least Markowitz cost
-    (row count - 1) * (column count - 1), ties going to the lowest row
-    and then the lowest column.  Each such pivot is an invariant factor
-    1.  The dense reduction runs only on the core left when no unit
-    entry remains, and only if that core is nonzero.
+    The rows are copied and indexed by column, and +-1 pivots are
+    eliminated in a static column order: the columns are sorted once by
+    (initial nonzero count, index) and taken from a first-in first-out
+    queue.  A popped column's pivot is its +-1 entry in the currently
+    shortest row, ties going to the lowest row.  A column with no unit
+    entry is deferred; when an elimination sets an entry of a deferred
+    column to +-1, that column goes back on the end of the queue.  So
+    when the queue runs dry no unit entry is left, and each eliminated
+    pivot is an invariant factor 1.  The dense reduction runs only on
+    that unit-free core, and only if it is nonzero.
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
@@ -461,26 +488,21 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    # Stale heap entries are skipped when popped: every entry whose row or
-    # column count changes is pushed again with its new cost.
-    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, e in row.items() if e in (1, -1)]
-    heapify(heap)
+    queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
+    deferred = set()
     units = 0
-    while heap:
-        c, p, q = heappop(heap)
-        prow = rows.get(p)
-        if prow is None or prow.get(q) not in (1, -1) or c != cost(p, q):
+    while queue:
+        q = queue.popleft()
+        candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
+        if not candidates:
+            deferred.add(q)
             continue
+        _, p = min(candidates)
         units += 1
-        del rows[p]
+        prow = rows.pop(p)
         for j in prow:
             cols[j].discard(p)
         pivot = prow.pop(q)
-        touched = set()
         for i in cols.pop(q):
             row = rows[i]
             f = row.pop(q) * pivot
@@ -489,18 +511,14 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                 if v:
                     row[j] = v
                     cols[j].add(i)
+                    if v in (1, -1) and j in deferred:
+                        deferred.discard(j)
+                        queue.append(j)
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if row:
-                touched.update((i, j) for j in row)
-            else:
+            if not row:
                 del rows[i]
-        for j in prow:
-            touched.update((i, j) for i in cols[j])
-        for i, j in touched:
-            if rows[i][j] in (1, -1):
-                heappush(heap, (cost(i, j), i, j))
     if not rows:
         return (1,) * units
     index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}

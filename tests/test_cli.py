@@ -168,6 +168,57 @@ def test_oversized_product_exit_2(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+def _write_cyclic_datum(path, n):
+    # dim 1; the total space has H^1 = Z^n modulo the cyclic relation
+    # columns 2e_i + 3e_(i+1).  No entry is a unit, so the whole n x n
+    # relation matrix is the dense core of its Smith reduction.
+    obj = json.loads(to_json(affine_space_snc(1)))
+    assert obj["strata"][0]["subset"] == []
+    rels = [[0] * n for _ in range(n)]
+    for i, col in enumerate(rels):
+        col[i] += 2
+        col[(i + 1) % n] += 3
+    obj["strata"][0]["cohomology"]["1"] = {"generators": n, "relations": rels}
+    path.write_text(json.dumps(obj, separators=(",", ":")))
+
+
+def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
+    # The dense reduction is cubic in the generators: 400 are accepted, and
+    # 2000 would take minutes.
+    import time
+
+    from sncweight import intmat
+    from sncweight.intmat import MAX_DENSE_WORK
+
+    assert 400**3 <= MAX_DENSE_WORK < 2000**3
+    small = tmp_path / "cyclic200.json"
+    _write_cyclic_datum(small, 200)
+    code, out, err = run(capsys, "compute", str(small), "--format", "csv")
+    assert code == 0 and err == ""
+    # The relation matrix is 2I + 3P for the cyclic shift P: its cokernel
+    # is cyclic of order |det| = 3^200 - 2^200.
+    assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**200 - 2**200}", "0,2,1,"]
+    big = tmp_path / "cyclic2000.json"
+    _write_cyclic_datum(big, 2000)
+    # CPU time, which other processes on a loaded machine do not inflate;
+    # reading the 8 MB file is most of it.
+    start = time.process_time()
+    _one_parse_error(capsys, ("compute", str(big)),
+                     f"a 2000x2000 dense Smith reduction would take about {2000**3} entry "
+                     f"updates, more than {MAX_DENSE_WORK}")
+    assert time.process_time() - start < 1
+    _one_parse_error(capsys, ("check", str(big), "all"), f"more than {MAX_DENSE_WORK}")
+    # The dual complex of this datum is a point, so dual needs no reduction.
+    # RP^2 leaves a dense core (its Z/2), so with no budget at all its
+    # report exits 2 and leaves stdout empty.
+    code, out, _ = run(capsys, "examples", "rp2")
+    assert code == 0
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(out)
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
+    _one_parse_error(capsys, ("dual", str(rp2), "--complex"), "more than 0")
+
+
 def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
     # affine:50 has two levels: one differential per graded degree (51), and
     # no pair of consecutive differentials for d2 to compose.

@@ -299,6 +299,12 @@ def test_smith_diagonal_agrees_with_reduction_oracle():
         density = rng.choice((0.2, 0.5, 1.0))
         values = rng.choice((SMALL, NO_UNIT, (1, -1), tuple(range(-9, 10))))
         _check_diagonal(_sparse_matrix(rng, rows, cols, values, density))
+    # Larger shapes, where the column order, deferral and re-queueing of
+    # the unit elimination have room to matter.
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+        density = rng.choice((0.2, 0.4, 0.7))
+        _check_diagonal(_sparse_matrix(rng, rows, cols, (1, -1, 2, -3, 4), density))
 
 
 def test_smith_diagonal_reduces_only_the_unit_free_core(monkeypatch):
@@ -338,6 +344,38 @@ def test_smith_diagonal_reduces_only_the_unit_free_core(monkeypatch):
         for core in cores:
             assert not any(abs(core[(i, j)]) == 1
                            for i in range(core.rows) for j in range(core.cols))
+    # Column 0 comes first but holds no unit, so it is deferred.  Column 1
+    # eliminates through row 0 (a tie goes to the lowest row), which sets
+    # column 0's entry in row 1 to 1, so column 0 goes back on the queue
+    # and no dense core is left.
+    cores.clear()
+    assert _check_diagonal(IntMatrix.from_rows([[2, 1], [3, 1]])) == (1, 1)
+    assert cores == []
+
+
+def _chain_matrix(n):
+    # Row k = {c_(k+1): 2, c_k: 3, c_(k-1): -2} and the last row
+    # {c_(n-1): 1, c_(n-2): 2}.  Every column but the last starts without a
+    # unit, and each elimination frees one in the column before it.
+    entries = [(k, j, e) for k in range(n - 1)
+               for j, e in ((k + 1, 2), (k, 3), (k - 1, -2)) if 0 <= j < n]
+    return IntMatrix.from_entries(n, n, entries + [(n - 1, n - 1, 1), (n - 1, n - 2, 2)])
+
+
+def test_smith_diagonal_requeues_in_linear_time(monkeypatch):
+    # Retrying the skipped columns in whole passes would take about n passes
+    # here, tens of seconds at n = 10000; the queue takes each column back once.
+    import time
+
+    def no_core(a, *args, **kwargs):
+        raise AssertionError(f"a {a.rows}x{a.cols} dense core was left")
+
+    monkeypatch.setattr(intmat, "_snf_reduce", no_core)
+    n = 10_000
+    a = _chain_matrix(n)
+    start = time.perf_counter()
+    assert smith_diagonal(a) == (1,) * n
+    assert time.perf_counter() - start < 5
 
 
 def test_kernel_basis_spans_kernel():
