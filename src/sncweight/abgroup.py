@@ -212,10 +212,6 @@ class FpAbHom(_Record):
     def zero(cls, source: FpAbPresentation, target: FpAbPresentation) -> "FpAbHom":
         return cls(source, target, IntMatrix.zeros(target.generators, source.generators))
 
-    @classmethod
-    def identity(cls, p: FpAbPresentation) -> "FpAbHom":
-        return cls(p, p, IntMatrix.identity(p.generators))
-
     def is_well_defined(self) -> bool:
         moved = self.matrix * self.source.relations
         return _columns_in_span(moved, self.target.relations)
@@ -257,7 +253,7 @@ def _kernel_basis(a: IntMatrix) -> IntMatrix:
     With u * a * v = d, these are the columns of v past the rank of d,
     whose nonzero diagonal entries come first.
     """
-    _, d, v = _snf_reduce(a, want_v=True)
+    v, d = _snf_reduce(a, want_v=True)
     rank = sum(1 for _ in d.nonzeros())
     return IntMatrix.from_entries(
         v.rows, v.cols - rank, ((i, j - rank, e) for i, j, e in v.nonzeros() if j >= rank)
@@ -269,12 +265,12 @@ def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:
 
     Requires target(d_in) == source(d_out), and raises ValueError otherwise.
     Preconditions that are not checked here: both maps are well defined and
-    d_out after d_in is the zero map on the quotients (chain.cohomology
-    checks both, once, through verify_complex).  The top rows of a kernel
-    basis of [d_out | target relations] are columns G that generate the
-    cocycles.  With B = [d_in | middle relations], the result is Z^k
-    modulo {c : G * c lies in the span of B}, which is the top k rows of a
-    kernel basis of [G | B].
+    d_out after d_in is the zero map on the quotients (chain.verify_complex
+    tests both; the complexes of this package hold them by construction).
+    The top rows of a kernel basis of [d_out | target relations] are
+    columns G that generate the cocycles.  With B = [d_in | middle
+    relations], the result is Z^k modulo {c : G * c lies in the span of
+    B}, which is the top k rows of a kernel basis of [G | B].
     """
     if d_in.target != d_out.source:
         raise ValueError("middle groups differ: target(d_in) != source(d_out)")

@@ -11,16 +11,10 @@ from .reports import Report, _Record
 
 __all__ = [
     "CochainComplex",
-    "InvalidComplexError",
     "FreeTensorError",
     "verify_complex",
     "cohomology",
-    "unchecked_cohomology",
 ]
-
-
-class InvalidComplexError(ValueError):
-    """The differentials do not square to zero (or are ill defined)."""
 
 
 class FreeTensorError(ValueError):
@@ -47,10 +41,6 @@ class CochainComplex(_Record):
         for i, d in enumerate(differentials):
             if d.source != groups[i] or d.target != groups[i + 1]:
                 raise ValueError(f"differential {i} does not match adjacent groups")
-
-    @classmethod
-    def concentrated(cls, group: FpAbPresentation, degree: int) -> "CochainComplex":
-        return cls(degree, (group,), ())
 
     @property
     def degrees(self) -> range:
@@ -82,11 +72,21 @@ def verify_complex(c: CochainComplex) -> Report:
 
 
 def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
-    """Degree -> cohomology group, nonzero entries only; the checked entry point.
+    """Degree -> cohomology group, nonzero entries only.
 
-    Raises InvalidComplexError unless verify_complex passes: every
-    differential well defined and every consecutive composite zero, the
-    preconditions of unchecked_cohomology.
+    Precondition, not checked here: c is a complex, every differential
+    well defined and every consecutive composite zero (what verify_complex
+    tests).  The weight complexes of a valid datum and the simplicial
+    cochain complexes hold it by construction; on anything else the
+    answer is undefined.
+
+    At a degree a whose next group is relation-free (the last degree,
+    and every degree of a free complex), ker d_a is saturated and holds
+    the span of B = [d_(a-1) | relations in degree a], so H^a is
+    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
+    This reads Smith diagonals only, each differential's at most once.
+    Every other degree takes the kernel route of subquotient_cohomology,
+    which assumes well-defined maps and a zero composite.
 
     >>> from sncweight.intmat import IntMatrix
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
@@ -98,27 +98,6 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     >>> c = CochainComplex(0, (z4, z4), (FpAbHom(z4, z4, IntMatrix.from_rows([[2]])),))
     >>> {a: str(h) for a, h in cohomology(c).items()}
     {0: 'Z/2', 1: 'Z/2'}
-    """
-    rep = verify_complex(c)
-    if not rep.passed:
-        raise InvalidComplexError("; ".join(rep.details))
-    return unchecked_cohomology(c)
-
-
-def unchecked_cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
-    """Cohomology of a complex known to be one; its preconditions are not checked.
-
-    For complexes that are complexes by construction: the weight
-    complexes of a valid datum and the simplicial cochain complexes.  On
-    anything else the answer is undefined.
-
-    At a degree a whose next group is relation-free (the last degree,
-    and every degree of a free complex), ker d_a is saturated and holds
-    the span of B = [d_(a-1) | relations in degree a], so H^a is
-    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
-    This reads Smith diagonals only, each differential's at most once.
-    Every other degree takes the kernel route of subquotient_cohomology,
-    which assumes well-defined maps and a zero composite.
     """
     out = {}
     last = ()  # the Smith diagonal of d_(a-1) when degree a-1 took the diagonal rule

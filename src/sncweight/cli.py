@@ -177,7 +177,9 @@ def cmd_compute(args) -> int:
     if code:
         return code
     with _exact_output():
-        table = weight.e2_page(datum, rational=args.rational)
+        table = weight.weight_cohomology_table(datum)
+        if args.rational:
+            table = table.rationalized()
         if args.format == "text":
             print(_table_text(table, identifier, args.rational))
         elif args.format == "csv":
@@ -189,19 +191,23 @@ def cmd_compute(args) -> int:
 
 
 def _complex_summary(k: dual.SimplicialComplex) -> str:
-    counts = []
-    for card in range(1, max((len(f) for f in k.faces), default=0) + 1):
-        counts.append(f"{len(k.faces_of_card(card))} of dimension {card - 1}")
-    if not counts:
-        return "empty complex"
-    return f"faces: {', '.join(counts)}"
+    counts = [f"{len(k.faces_of_card(card))} of dimension {card - 1}"
+              for card in range(1, k.dim + 2)]
+    return f"faces: {', '.join(counts)}" if counts else "empty complex"
 
 
 def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budget: int | None,
-                       contractibility: "weight.ContractibilityReport | None") -> None:
-    # The Smith reductions run before the first line, so a dense core over
-    # budget leaves stdout empty.
+                       certify: bool) -> None:
+    # Each part is computed once, and all of them before the first line, so
+    # a dense core over budget leaves stdout empty.  Vanishing reduced
+    # cohomology forces a connected complex, whose presentation the
+    # contractibility line needs simplified (within --simplify if given).
     h = dual.reduced_cohomology(k)
+    pres = dual.edge_path_presentation(k) if k.is_connected else None
+    simp = None
+    if pres is not None and (simplify_budget is not None or (certify and not h)):
+        simp = dual.simplify_presentation(pres, 10_000 if simplify_budget is None
+                                          else simplify_budget)
     print(f"input: {identifier}")
     print(_complex_summary(k))
     if h:
@@ -210,19 +216,17 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
     else:
         print("reduced cohomology: all zero")
     print(f"euler characteristic: {dual.euler_characteristic(k)}")
-    if k.is_connected:
-        pres = dual.edge_path_presentation(k)
+    if pres is not None:
         print(f"pi1 presentation: {pres.n_generators} generators, "
               f"{len(pres.relators)} relators: {pres}")
         if simplify_budget is not None:
-            simp = dual.simplify_presentation(pres, simplify_budget)
             print(f"pi1 simplified: {simp.n_generators} generators, "
                   f"{len(simp.relators)} relators: {simp}")
     else:
         comps = k.connected_components()
         print(f"pi1 presentation: skipped, complex has {len(comps)} components")
-    if contractibility is not None:
-        print(f"contractibility: {contractibility.render()}")
+    if certify:
+        print(f"contractibility: {weight.contractibility_report(h, simp).render()}")
 
 
 def cmd_dual(args) -> int:
@@ -234,7 +238,7 @@ def cmd_dual(args) -> int:
         except ValueError as e:  # DatumParseError is a ValueError too
             return _fail(str(e))
         with _exact_output():
-            _print_dual_report(args.input, k, args.simplify, None)
+            _print_dual_report(args.input, k, args.simplify, False)
         return EXIT_OK
     datum, identifier, code = _load_datum(args)
     if code:
@@ -242,11 +246,8 @@ def cmd_dual(args) -> int:
     code = _require_valid_or_report(datum)
     if code:
         return code
-    k = dual.nerve(datum)
-    budget = args.simplify if args.simplify is not None else 10_000
     with _exact_output():
-        _print_dual_report(identifier, k, args.simplify,
-                           weight.contractibility_report(datum, budget))
+        _print_dual_report(identifier, dual.nerve(datum), args.simplify, True)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
-from .chain import CochainComplex, unchecked_cohomology
+from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
 from .reports import _Record
 from .sncdata import MAX_COUNT, SncDatum, require_valid
@@ -142,7 +142,7 @@ def nerve(s: SncDatum) -> SimplicialComplex:
 
 def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
     """Augmented simplicial cochain complex, with Z for the empty face in degree -1."""
-    max_card = max((len(f) for f in k.faces), default=0)
+    max_card = k.dim + 1
     layers = [k.faces_of_card(c) for c in range(1, max_card + 1)]
     groups = [FpAbPresentation.free(1)]
     groups.extend(FpAbPresentation.free(len(layer)) for layer in layers)
@@ -167,9 +167,9 @@ def reduced_cohomology(k: SimplicialComplex) -> dict[int, FgAbGroup]:
     """Reduced integral cohomology, torsion included; nonzero degrees only.
 
     The simplicial coboundary squares to zero by construction, so the
-    complex goes to unchecked_cohomology without verify_complex.
+    complex goes to chain.cohomology without verify_complex.
     """
-    return unchecked_cohomology(reduced_cochain_complex(k))
+    return cohomology(reduced_cochain_complex(k))
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

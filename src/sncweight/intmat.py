@@ -9,8 +9,8 @@ up intermediate entries, and fixed-width overflow would silently corrupt
 torsion coefficients.  Pivoting always selects a nonzero entry of minimal
 absolute value (first such entry in row-major order), which keeps
 intermediate entries small at the sizes used here and makes every
-decomposition reproducible.  The full reduction tracks the transforms
-u and v only when asked for them, and no inverse transform at all.
+reduction reproducible.  The dense reduction tracks the column transform
+v only when asked for it (kernel bases read it) and no row transform.
 
 When only the invariant factors are wanted, smith_diagonal first
 eliminates unit entries on a copy of the rows and runs the dense
@@ -28,14 +28,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
-from .reports import _Record
-
 __all__ = [
     "DenseWorkTooLargeError",
     "IntMatrix",
     "MAX_DENSE_WORK",
-    "SnfDecomposition",
-    "smith_normal_form",
     "smith_diagonal",
 ]
 
@@ -203,36 +199,24 @@ class IntMatrix:
         return IntMatrix._wrap(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
+        """The block matrix [self | other]; both must have the same row count.
+
+        >>> IntMatrix.from_rows([[1], [2]]).hstack(IntMatrix.from_rows([[0, 3], [4, 0]]))
+        IntMatrix.from_rows([[1, 0, 3], [2, 4, 0]])
+        """
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return IntMatrix.block([[self, other]])
+        off = self.cols
+        rows = tuple(
+            {**a, **{off + j: e for j, e in b.items()}} if b else a
+            for a, b in zip(self._rows, other._rows)
+        )
+        return IntMatrix._wrap(self.rows, off + other.cols, rows)
 
     def take_rows(self, count: int) -> "IntMatrix":
         if not 0 <= count <= self.rows:
             raise ValueError("row count out of range")
         return IntMatrix._wrap(count, self.cols, self._rows[:count])
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence["IntMatrix"]]) -> "IntMatrix":
-        """Assemble a block matrix; shapes must be consistent along rows and columns."""
-        if not grid:
-            return cls.zeros(0, 0)
-        widths = [b.cols for b in grid[0]]
-        offsets = [sum(widths[:k]) for k in range(len(widths))]
-        out = []
-        for r in grid:
-            if len(r) != len(widths):
-                raise ValueError("ragged block grid")
-            for b, w in zip(r, widths):
-                if b.cols != w or b.rows != r[0].rows:
-                    raise ValueError("inconsistent block shapes")
-            for i in range(r[0].rows):
-                row = {}
-                for b, off in zip(r, offsets):
-                    for j, e in b._rows[i].items():
-                        row[off + j] = e
-                out.append(row)
-        return cls._wrap(len(out), sum(widths), tuple(out))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; row (i, r) maps to i * other.rows + r, same for columns."""
@@ -247,31 +231,6 @@ class IntMatrix:
                         row[base + s] = c * e
                 out.append(row)
         return IntMatrix._wrap(self.rows * other.rows, self.cols * q, tuple(out))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -304,30 +263,6 @@ def _int_entries(entries: Iterable[int]) -> list[int]:
     return data
 
 
-class SnfDecomposition(_Record):
-    """Unimodular u, v and diagonal d with u * a * v = d.
-
-    Diagonal entries are nonnegative and each nonzero entry divides the
-    next one.
-    """
-
-    _fields = __slots__ = ("u", "d", "v")
-
-    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(self.d.rows, self.d.cols)
-        return tuple(self.d[(i, i)] for i in range(k))
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 MAX_DENSE_WORK = 10**8
 
 
@@ -335,13 +270,20 @@ class DenseWorkTooLargeError(ValueError):
     """A dense Smith reduction whose estimated work is over MAX_DENSE_WORK."""
 
 
-def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
-    """Reduce a to Smith form u * a * v = d; return (u, d, v).
+def _snf_reduce(a: IntMatrix, want_v=False):
+    """Reduce a to Smith form d = u * a * v for some unimodular u; return (v, d).
 
-    The nonzero diagonal entries come first.  u and v are tracked only
-    when asked for; an untracked slot comes back as None.  The work is
-    about rows x cols x min(rows, cols) entry updates; over
-    MAX_DENSE_WORK it raises DenseWorkTooLargeError before starting.
+    The nonzero diagonal entries come first.  Only the column transform
+    v is ever tracked, and only when asked for; otherwise it comes back
+    as None.  The work is about rows x cols x min(rows, cols) entry
+    updates; over MAX_DENSE_WORK it raises DenseWorkTooLargeError before
+    starting.
+
+    >>> v, d = _snf_reduce(IntMatrix.from_rows([[2, 4], [6, 8]]), want_v=True)
+    >>> d
+    IntMatrix.from_rows([[2, 0], [0, 4]])
+    >>> IntMatrix.from_rows([[2, 4], [6, 8]]) * v  # column i is d_i times a column of u^-1
+    IntMatrix.from_rows([[2, 0], [6, -4]])
     """
     m, n = a.rows, a.cols
     if m * n * min(m, n) > MAX_DENSE_WORK:
@@ -350,28 +292,13 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
             f"entry updates, more than {MAX_DENSE_WORK}"
         )
     d = a.to_rows()
-    u = _identity_rows(m) if want_u else None
-    v = _identity_rows(n) if want_v else None
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
 
     def row_add(i, j, q):
-        # r_i += q * r_j on d and u.
+        # r_i += q * r_j on d.
         di, dj = d[i], d[j]
         for t in range(n):
             di[t] += q * dj[t]
-        if u is not None:
-            uu_i, uu_j = u[i], u[j]
-            for t in range(m):
-                uu_i[t] += q * uu_j[t]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def col_add(j, k, q):
         # c_j += q * c_k on d and v.
@@ -412,11 +339,11 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
         while True:
             i0, j0 = piv
             if i0 != t:
-                row_swap(t, i0)
+                d[t], d[i0] = d[i0], d[t]
             if j0 != t:
                 col_swap(t, j0)
             if d[t][t] < 0:
-                row_negate(t)
+                d[t] = [-x for x in d[t]]
             p = d[t][t]
             for i in range(t + 1, m):
                 e = d[i][t]
@@ -447,19 +374,7 @@ def _snf_reduce(a: IntMatrix, want_u=False, want_v=False):
             piv = find_pivot(t)
         t += 1
 
-    return (IntMatrix.from_rows(u, m) if want_u else None, IntMatrix.from_rows(d, n),
-            IntMatrix.from_rows(v, n) if want_v else None)
-
-
-def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form of a: u * a * v = d with u, v unimodular.
-
-    >>> dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> dec.diagonal
-    (2, 4)
-    """
-    u, d, v = _snf_reduce(a, want_u=True, want_v=True)
-    return SnfDecomposition(u, d, v)
+    return (IntMatrix.from_rows(v, n) if want_v else None), IntMatrix.from_rows(d, n)
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -523,7 +438,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         return (1,) * units
     index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
     core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
-    _, d, _ = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
+    _, d = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
     k = min(d.rows, d.cols)
     return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(k)) if x)
 

@@ -19,13 +19,8 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
-from .chain import CochainComplex, FreeTensorError, unchecked_cohomology
-from .dual import (
-    edge_path_presentation,
-    nerve,
-    reduced_cohomology,
-    simplify_presentation,
-)
+from .chain import CochainComplex, FreeTensorError, cohomology
+from .dual import GroupPresentation, nerve, reduced_cohomology
 from .intmat import IntMatrix
 from .reports import Report, _Record
 from .sncdata import (
@@ -38,16 +33,14 @@ from .sncdata import (
 )
 
 __all__ = [
-    "WeightCochainComplex",
     "BigradedTable",
     "ContractibilityReport",
-    "weight_cochain_complex",
+    "weight_complex",
     "weight_cohomology_table",
     "check_nerve_identity",
     "product_snc",
     "ProductTooLargeError",
     "a1_stability_check",
-    "e2_page",
     "degeneration_check",
     "euler_check",
     "contractibility_report",
@@ -57,16 +50,6 @@ __all__ = [
     "STATUS_SPHERE",
     "STATUS_OTHER",
 ]
-
-
-class WeightCochainComplex(_Record):
-    """The strata cochain complex in one cohomological degree b."""
-
-    _fields = __slots__ = ("b", "complex")
-
-    def __init__(self, b: int, complex: CochainComplex):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "complex", complex)
 
 
 class BigradedTable(_Record):
@@ -112,30 +95,30 @@ class BigradedTable(_Record):
         )
 
 
-def _weight_complex_unchecked(s: SncDatum, b: int) -> WeightCochainComplex:
+def weight_complex(s: SncDatum, b: int) -> CochainComplex:
+    """The strata cochain complex in cohomological degree b, one group per level.
+
+    s must be valid (require_valid is the caller's), and then the result
+    is a complex: each restriction is well defined, and the commuting
+    squares make d after d vanish.
+    """
     groups = [level_group(level, b) for level in s.levels]
     diffs = [level_differential(s, k, b) for k in range(1, len(s.levels))]
-    return WeightCochainComplex(b, CochainComplex(0, tuple(groups), tuple(diffs)))
-
-
-def weight_cochain_complex(s: SncDatum, b: int) -> WeightCochainComplex:
-    require_valid(s)
-    return _weight_complex_unchecked(s, b)
+    return CochainComplex(0, tuple(groups), tuple(diffs))
 
 
 def weight_cohomology_table(s: SncDatum) -> BigradedTable:
     """Cohomology of every degree-b strata complex, collected as a table.
 
     Computed once per datum and cached beside its validation reports.
-    The complexes of a valid datum are complexes by construction: each
-    restriction is well defined, and the commuting squares make d after d
-    vanish.  So their cohomology is taken without verify_complex.
+    The complexes of a valid datum are complexes by construction, so
+    their cohomology is taken without verify_complex.
     """
     require_valid(s)
     if "table" not in s._reports:
         entries: dict[tuple[int, int], FgAbGroup] = {}
         for b in s.graded_degrees():
-            for a, g in unchecked_cohomology(_weight_complex_unchecked(s, b).complex).items():
+            for a, g in cohomology(weight_complex(s, b)).items():
                 entries[(a, b)] = g
         s._reports["table"] = BigradedTable(s.dim, s.n_components, entries)
     return s._reports["table"]
@@ -315,12 +298,6 @@ def a1_stability_check(s: SncDatum) -> Report:
     return Report("affine-line-stability", passed, tuple(details))
 
 
-def e2_page(s: SncDatum, rational: bool = False) -> BigradedTable:
-    """The table itself, or its free ranks when rational coefficients are wanted."""
-    table = weight_cohomology_table(s)
-    return table.rationalized() if rational else table
-
-
 def degeneration_check(s: SncDatum, expected_hc: Mapping[int, int]) -> Report:
     """Total ranks along a + b = k must match compactly supported Betti numbers."""
     table = weight_cohomology_table(s)
@@ -390,20 +367,18 @@ class ContractibilityReport(_Record):
         return "\n".join(lines)
 
 
-def contractibility_report(s: SncDatum, budget: int = 10_000) -> ContractibilityReport:
-    """Classify the dual boundary complex by reduced cohomology and pi_1.
+def contractibility_report(h: Mapping[int, FgAbGroup],
+                           simplified: GroupPresentation | None) -> ContractibilityReport:
+    """Classify a dual boundary complex by its reduced cohomology h and pi_1.
 
-    Contractibility is certified only when all reduced cohomology
-    vanishes and the edge-path presentation simplifies to the literally
-    empty one; a trivial group that the budget cannot expose is reported
-    as a homology point.
+    simplified is the complex's edge-path presentation after
+    simplify_presentation; it is read only when h vanishes, which forces
+    a nonempty connected complex.  Contractibility is certified only when
+    all reduced cohomology vanishes and the presentation simplified to
+    the literally empty one; a trivial group that the budget could not
+    expose is reported as a homology point.
     """
-    k = nerve(s)
-    h = reduced_cohomology(k)
     if not h:
-        # Vanishing reduced cohomology forces a nonempty connected complex.
-        pres = edge_path_presentation(k)
-        simplified = simplify_presentation(pres, budget)
         if simplified.is_trivial:
             return ContractibilityReport(
                 STATUS_CONTRACTIBLE, None, h,

@@ -15,11 +15,18 @@ import pytest
 
 from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
-from sncweight.dual import GroupPresentation, real_projective_plane
+from sncweight.dual import (
+    GroupPresentation,
+    edge_path_presentation,
+    nerve,
+    real_projective_plane,
+    reduced_cohomology,
+    simplify_presentation,
+)
 from sncweight.chain import CochainComplex
-from sncweight.intmat import IntMatrix, smith_normal_form
+from sncweight.intmat import IntMatrix, _snf_reduce, smith_diagonal
 from sncweight.sncdata import SncDatum, StratumData
-from sncweight.weight import product_snc
+from sncweight.weight import contractibility_report, product_snc
 
 
 # Every builder family at small sizes.  Builders and products mark their
@@ -31,6 +38,14 @@ BUILDER_SPECS = (
     + [f"torus:{n}" for n in range(1, 5)]
     + [f"curve:{g},{n}" for g in range(3) for n in range(1, 4)]
 )
+
+
+def contractibility(s: SncDatum, budget: int = 10_000):
+    """The contractibility report of s's dual boundary complex, as `dual` builds it."""
+    k = nerve(s)
+    h = reduced_cohomology(k)
+    simplified = None if h else simplify_presentation(edge_path_presentation(k), budget)
+    return contractibility_report(h, simplified)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +174,33 @@ def oracle_canonical_form(generators: int, relation_rows: list[list[int]]):
     return generators - rank, oracle_invariant_factors(diag)
 
 
+def check_snf_reduction(a: IntMatrix) -> tuple[int, ...]:
+    """Assert what the package reads of v, d = _snf_reduce(a, want_v=True).
+
+    d is diagonal, its nonzero entries come first and form a divisibility
+    chain equal to smith_diagonal(a) and to this oracle; v is unimodular;
+    and column i of a * v is d_i times an integer column (a * v = u^-1 * d),
+    so the columns of v past the rank span the kernel.  Returns the
+    nonzero diagonal.
+    """
+    v, d = _snf_reduce(a, want_v=True)
+    n = a.cols
+    assert d.shape == a.shape and v.shape == (n, n)
+    assert all(i == j for i, j, _ in d.nonzeros())
+    diag = [d[(i, i)] for i in range(min(a.rows, n))]
+    rank = sum(1 for x in diag if x)
+    assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:rank]))
+    got = tuple(diag[:rank])
+    assert got == smith_diagonal(a)
+    free, torsion = oracle_canonical_form(a.rows, a.to_rows())
+    assert rank == a.rows - free and tuple(x for x in got if x > 1) == torsion
+    assert smith_diagonal(v) == (1,) * n
+    for i, j, e in (a * v).nonzeros():
+        assert j < rank and e % diag[j] == 0
+    return got
+
+
 def oracle_cochain_cohomology(dims: list[int], deltas: list[list[list[int]]]):
     """Cohomology of a complex of free groups straight from coboundary matrices.
 
@@ -240,26 +282,34 @@ def random_presentation(rng: random.Random, max_gens: int = 4, max_rels: int = 4
     )
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 10) -> IntMatrix:
+def random_unimodular(rng: random.Random, n: int,
+                      steps: int = 10) -> tuple[IntMatrix, IntMatrix]:
+    """A random n x n unimodular u, built from elementary row moves, and its inverse.
+
+    Each move u <- e * u is undone on the inverse by u^-1 <- u^-1 * e^-1,
+    a column move, so the inverse costs no reduction.
+    """
     m = IntMatrix.identity(n).to_rows()
+    inv = IntMatrix.identity(n).to_rows()
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         q = rng.randint(-2, 2)
         op = rng.randint(0, 2)
         if op == 0:
             m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+            for r in inv:
+                r[j] -= q * r[i]
         elif op == 1:
             m[i], m[j] = m[j], m[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
         else:
             m[i] = [-a for a in m[i]]
-    return IntMatrix.from_rows(m, n)
-
-
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    # u is unimodular, so its Smith form is p * u * q = I and u^-1 = q * p.
-    dec = smith_normal_form(u)
-    assert dec.d == IntMatrix.identity(u.rows)
-    return dec.v * dec.u
+            for r in inv:
+                r[i] = -r[i]
+    u, u_inv = IntMatrix.from_rows(m, n), IntMatrix.from_rows(inv, n)
+    assert u * u_inv == IntMatrix.identity(n)
+    return u, u_inv
 
 
 def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
@@ -297,14 +347,14 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         rels[a].append(m)
     twists = [random_unimodular(rng, len(r)) for r in rels]
     groups = []
-    for u, r in zip(twists, rels):
+    for (u, _), r in zip(twists, rels):
         cols = [[o if i == j else 0 for i in range(len(r))] for j, o in enumerate(r) if o]
         raw = FpAbPresentation.from_relation_columns(len(r), cols).relations
-        groups.append(FpAbPresentation(len(r), u * raw * random_unimodular(rng, raw.cols)))
+        groups.append(FpAbPresentation(len(r), u * raw * random_unimodular(rng, raw.cols)[0]))
     diffs = []
     for a, entries in enumerate(maps):
         raw = IntMatrix.from_entries(len(rels[a + 1]), len(rels[a]), entries)
-        moved = twists[a + 1] * raw * unimodular_inverse(twists[a])
+        moved = twists[a + 1][0] * raw * twists[a][1]
         diffs.append(FpAbHom(groups[a], groups[a + 1], moved))
     expected = {}
     for a, found in enumerate(cyclic):

@@ -9,7 +9,7 @@ from sncweight.abgroup import (
     canonical_form,
     subquotient_cohomology,
 )
-from sncweight.chain import CochainComplex, InvalidComplexError, cohomology
+from sncweight.chain import CochainComplex, verify_complex
 from sncweight.intmat import IntMatrix
 
 from _support import check_record, oracle_canonical_form, random_presentation, random_unimodular
@@ -68,8 +68,8 @@ def test_canonical_form_unimodular_invariance():
     for _ in range(60):
         p = random_presentation(rng)
         base = canonical_form(p)
-        u = random_unimodular(rng, p.generators)
-        v = random_unimodular(rng, p.relations.cols)
+        u, _ = random_unimodular(rng, p.generators)
+        v, _ = random_unimodular(rng, p.relations.cols)
         # Changing the generator basis or recombining relations is harmless.
         assert canonical_form(FpAbPresentation(p.generators, u * p.relations)) == base
         assert canonical_form(FpAbPresentation(p.generators, p.relations * v)) == base
@@ -96,9 +96,9 @@ def test_span_membership_matches_oracle():
     for _ in range(300):
         n = rng.randint(1, 5)
         diag = [rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(n)]
-        u = random_unimodular(rng, n)
+        u, _ = random_unimodular(rng, n)
         lattice = u * IntMatrix.from_entries(n, n, ((i, i, e) for i, e in enumerate(diag)))
-        lattice = lattice * random_unimodular(rng, n)
+        lattice = lattice * random_unimodular(rng, n)[0]
         lattice = lattice.hstack(lattice * _block(rng, n, rng.randint(0, 2)))
         inside = lattice * _block(rng, lattice.cols, rng.randint(1, 3))
         cases = [(inside, True)]
@@ -147,15 +147,16 @@ def test_kernel_with_torsion_target():
 
 def test_ill_defined_hom_rejected():
     # subquotient_cohomology takes well-definedness as a precondition;
-    # cohomology checks it, once, for the complexes behind kernel_of and
-    # cokernel_of.
+    # verify_complex rejects the complexes behind kernel_of and cokernel_of.
     z2 = FpAbPresentation.from_relation_columns(1, [[2]])
     f = hom(z2, F(1), [[1]])  # Z/2 -> Z by 1 is not a homomorphism
     assert not f.is_well_defined()
-    for maps in ((FpAbHom.zero(F(0), f.source), f), (f, FpAbHom.zero(f.target, F(0)))):
+    for degree, maps in ((1, (FpAbHom.zero(F(0), f.source), f)),
+                         (0, (f, FpAbHom.zero(f.target, F(0))))):
         groups = (maps[0].source, maps[0].target, maps[1].target)
-        with pytest.raises(InvalidComplexError, match="not well defined"):
-            cohomology(CochainComplex(0, groups, maps))
+        rep = verify_complex(CochainComplex(0, groups, maps))
+        assert not rep.passed
+        assert rep.details == (f"degree {degree}: differential is not well defined",)
 
 
 def test_rank_nullity_randomized():
@@ -191,10 +192,10 @@ def test_subquotient_examples():
 
 def test_subquotient_rejects_nonzero_composition():
     # A zero composite is a precondition of subquotient_cohomology, which
-    # cohomology checks; the middle groups it still checks itself.
-    one = FpAbHom.identity(F(1))
-    with pytest.raises(InvalidComplexError, match="d after d is nonzero"):
-        cohomology(CochainComplex(0, (F(1), F(1), F(1)), (one, one)))
+    # verify_complex tests; the middle groups it still checks itself.
+    one = hom(F(1), F(1), [[1]])
+    rep = verify_complex(CochainComplex(0, (F(1), F(1), F(1)), (one, one)))
+    assert rep.details == ("degree 0: d after d is nonzero",)
     with pytest.raises(ValueError):
         subquotient_cohomology(hom(F(1), F(2), [[1], [0]]), hom(F(1), F(1), [[0]]))
 

@@ -219,6 +219,53 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     _one_parse_error(capsys, ("dual", str(rp2), "--complex"), "more than 0")
 
 
+def test_dual_computes_each_part_once(capsys, monkeypatch, tmp_path):
+    # The contractibility line reuses the nerve, its reduced cohomology and
+    # the (simplified) edge-path presentation that the report lines print.
+    import sys
+
+    import sncweight.dual as dual
+    from sncweight.intmat import DenseWorkTooLargeError
+
+    names = ("nerve", "reduced_cohomology", "edge_path_presentation", "simplify_presentation")
+    calls = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.startswith("sncweight.")]
+    for name in names:
+        real = getattr(dual, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        # Every module that imported the function calls it through its own name.
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "examples", "rp2")
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(out)
+    # torus:3 has a sphere for nerve, so nothing is simplified without
+    # --simplify; affine:2 has a contractible one, certified within the
+    # --simplify budget.
+    for argv, expected in ((("dual", "--builder", "torus:3"), (1, 1, 1, 0)),
+                           (("dual", "--builder", "affine:2"), (1, 1, 1, 1)),
+                           (("dual", "--builder", "affine:2", "--simplify", "10"), (1, 1, 1, 1)),
+                           (("dual", "--builder", "torus:2", "--simplify", "10"), (1, 1, 1, 1)),
+                           (("dual", str(rp2), "--complex", "--simplify", "10"), (0, 1, 1, 1))):
+        calls.update(dict.fromkeys(names, 0))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("input: "), argv
+        assert tuple(calls[n] for n in names) == expected, argv
+
+    def over_budget(k):
+        raise DenseWorkTooLargeError("over budget")
+
+    for module in modules:
+        if getattr(module, "reduced_cohomology", None) is not None:
+            monkeypatch.setattr(module, "reduced_cohomology", over_budget)
+    _one_parse_error(capsys, ("dual", "--builder", "torus:3"), "over budget")
+
+
 def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
     # affine:50 has two levels: one differential per graded degree (51), and
     # no pair of consecutive differentials for d2 to compose.
@@ -257,10 +304,12 @@ def test_bench_tracer_hooks_exist():
     # bench/tracer.py finds its per-layer counters only through these names;
     # if one goes, the counters read zero instead of failing.
     import sncweight.abgroup as abgroup
+    import sncweight.chain as chain
     import sncweight.dual as dual
     import sncweight.intmat as intmat
     import sncweight.sncdata as sncdata
 
+    assert "cohomology" in chain.__all__
     assert "level_differential" in sncdata.__all__
     assert "simplify_presentation" in dual.__all__
     assert abgroup._snf_reduce is intmat._snf_reduce
@@ -646,13 +695,13 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     import sncweight.weight as weight
 
     built = []
-    unchecked = weight._weight_complex_unchecked
+    real = weight.weight_complex
 
     def counted(s, b):
         built.append((s, b))
-        return unchecked(s, b)
+        return real(s, b)
 
-    monkeypatch.setattr(weight, "_weight_complex_unchecked", counted)
+    monkeypatch.setattr(weight, "weight_complex", counted)
     code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
     assert code == 0 and "FAIL" not in out
     datums = {id(s) for s, _ in built}

@@ -12,30 +12,27 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import CochainComplex, FreeTensorError, verify_complex
+from sncweight.chain import FreeTensorError, verify_complex
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData, validate
+from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData, require_valid, validate
 from sncweight.weight import (
     BigradedTable,
     ContractibilityReport,
-    WeightCochainComplex,
     STATUS_CONTRACTIBLE,
     STATUS_OTHER,
     STATUS_SPHERE,
     a1_stability_check,
     check_nerve_identity,
-    contractibility_report,
     degeneration_check,
-    e2_page,
     euler_check,
     ProductTooLargeError,
     product_snc,
     tensor_table,
-    weight_cochain_complex,
     weight_cohomology_table,
+    weight_complex,
 )
 
-from _support import BUILDER_SPECS, check_record, random_valid_datum
+from _support import BUILDER_SPECS, check_record, contractibility, random_valid_datum
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -51,16 +48,16 @@ def torsion_datum():
 
 
 def test_weight_complex_affine():
-    w0 = weight_cochain_complex(affine_space_snc(1), 0)
-    assert [w0.complex.group_at(a).generators for a in w0.complex.degrees] == [1, 1]
-    assert w0.complex.differentials[0].matrix == IntMatrix.identity(1)
-    w2 = weight_cochain_complex(affine_space_snc(1), 2)
-    assert [w2.complex.group_at(a).generators for a in w2.complex.degrees] == [1, 0]
+    w0 = weight_complex(affine_space_snc(1), 0)
+    assert [w0.group_at(a).generators for a in w0.degrees] == [1, 1]
+    assert w0.differentials[0].matrix == IntMatrix.identity(1)
+    w2 = weight_complex(affine_space_snc(1), 2)
+    assert [w2.group_at(a).generators for a in w2.degrees] == [1, 0]
 
 
 def test_weight_complex_torus1():
-    w0 = weight_cochain_complex(torus_snc(1), 0)
-    assert w0.complex.differentials[0].matrix == IntMatrix.from_rows([[1], [1]])
+    w0 = weight_complex(torus_snc(1), 0)
+    assert w0.differentials[0].matrix == IntMatrix.from_rows([[1], [1]])
 
 
 def test_tables_of_builders():
@@ -154,7 +151,7 @@ def test_weight_complex_spans_the_levels_that_exist():
     s = affine_space_snc(50)
     assert len(s.graded_degrees()) == 51
     for b in s.graded_degrees():
-        assert len(weight_cochain_complex(s, b).complex.groups) == 2
+        assert len(weight_complex(s, b).groups) == 2
 
 
 def test_product_rejects_torsion():
@@ -166,8 +163,9 @@ def test_d_squared_on_products_of_random_data():
     rng = random.Random(79)
     for _ in range(10):
         s = random_valid_datum(rng)
+        require_valid(s)
         for b in s.graded_degrees():
-            assert verify_complex(weight_cochain_complex(s, b).complex).passed
+            assert verify_complex(weight_complex(s, b)).passed
 
 
 def _random_pairs(seed, count):
@@ -197,8 +195,9 @@ def test_every_weight_complex_is_a_complex():
     for x, y in _random_pairs(89, 6):
         corpus += [x, y, product_snc(x, y), product_snc(y, x)]
     for s in corpus:
+        require_valid(s)
         for b in s.graded_degrees():
-            rep = verify_complex(weight_cochain_complex(s, b).complex)
+            rep = verify_complex(weight_complex(s, b))
             assert rep.passed, (b, rep.details)
 
 
@@ -218,11 +217,12 @@ def test_a1_stability_values():
 
 
 def test_e2_page_rational():
-    table = e2_page(torsion_datum(), rational=True)
+    # compute --rational prints the table's free ranks.
+    table = weight_cohomology_table(torsion_datum()).rationalized()
     assert dict(table.entries) == {(0, 2): Z}
-    integral = e2_page(torsion_datum(), rational=False)
+    integral = weight_cohomology_table(torsion_datum())
     assert integral.entry(0, 2) == FgAbGroup(1, (2,))
-    ranks = e2_page(torus_snc(1), rational=True)
+    ranks = weight_cohomology_table(torus_snc(1)).rationalized()
     assert dict(ranks.entries) == {(1, 0): Z, (0, 2): Z}
 
 
@@ -248,15 +248,15 @@ def test_euler_check_values():
 
 
 def test_contractibility_statuses():
-    assert contractibility_report(affine_space_snc(1)).status == STATUS_CONTRACTIBLE
-    r1 = contractibility_report(torus_snc(1))
+    assert contractibility(affine_space_snc(1)).status == STATUS_CONTRACTIBLE
+    r1 = contractibility(torus_snc(1))
     assert r1.status == STATUS_SPHERE and r1.sphere_dim == 0
-    r2 = contractibility_report(torus_snc(2))
+    r2 = contractibility(torus_snc(2))
     assert r2.status == STATUS_SPHERE and r2.sphere_dim == 1
     # A curve with three punctures has a three-point nerve: not a sphere.
-    assert contractibility_report(punctured_curve_snc(0, 3)).status == STATUS_OTHER
+    assert contractibility(punctured_curve_snc(0, 3)).status == STATUS_OTHER
     # A compact variety has an empty nerve: the (-1)-sphere by the reduced convention.
-    rp = contractibility_report(point_snc())
+    rp = contractibility(point_snc())
     assert rp.status == STATUS_SPHERE and rp.sphere_dim == -1
 
 
@@ -282,9 +282,9 @@ def test_torus_table_is_tensor_power():
 def test_weight_complex_degree_zero_is_total_space():
     for s in [affine_space_snc(2), torus_snc(2), punctured_curve_snc(1, 1)]:
         for b in s.graded_degrees():
-            w = weight_cochain_complex(s, b)
-            assert w.complex.min_degree == 0
-            assert w.complex.group_at(0) == s.cohomology_of((), b)
+            w = weight_complex(s, b)
+            assert w.min_degree == 0
+            assert w.group_at(0) == s.cohomology_of((), b)
 
 
 def test_product_associativity_on_tables():
@@ -339,7 +339,7 @@ def test_contractible_product_nerve():
     # A path nerve: the middle vertex is the affine line's divisor, the two
     # torus points hang off it, and the torus points never meet each other.
     s = product_snc(affine_space_snc(1), torus_snc(1))
-    rep = contractibility_report(s)
+    rep = contractibility(s)
     assert rep.status == STATUS_CONTRACTIBLE
 
 
@@ -347,7 +347,6 @@ def test_table_is_cached_on_the_datum_and_read_only():
     s = torus_snc(2)
     table = weight_cohomology_table(s)
     assert weight_cohomology_table(s) is table
-    assert e2_page(s) is table
     with pytest.raises(TypeError):
         table.entries[(0, 0)] = Z
     entries = {(1, 0): Z}
@@ -357,11 +356,7 @@ def test_table_is_cached_on_the_datum_and_read_only():
 
 
 def test_record_semantics():
-    check_record(WeightCochainComplex, ("b", "complex"),
-                 (0, CochainComplex.concentrated(F(1), 0)),
-                 (0, CochainComplex.concentrated(F(1), 0)),
-                 (2, CochainComplex.concentrated(F(1), 0)))
-    assert weight_cochain_complex(torus_snc(1), 0) == weight_cochain_complex(torus_snc(1), 0)
+    assert weight_complex(torus_snc(1), 0) == weight_complex(torus_snc(1), 0)
     check_record(BigradedTable, ("dim", "n_components", "entries"),
                  (1, 2, {(1, 0): Z}), (1, 2, {(1, 0): FgAbGroup(1)}), (1, 2, {(0, 2): Z}),
                  hashable=False)
@@ -373,4 +368,4 @@ def test_record_semantics():
                  (STATUS_SPHERE, 0, h, ("one",)), (STATUS_SPHERE, 0, {0: Z}, ("one",)),
                  (STATUS_OTHER, None, h, ("one",)),
                  hashable=False)
-    assert contractibility_report(affine_space_snc(2)) == contractibility_report(affine_space_snc(2))
+    assert contractibility(affine_space_snc(2)) == contractibility(affine_space_snc(2))
