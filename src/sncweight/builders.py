@@ -52,8 +52,7 @@ class DatumParseError(ValueError):
 
 def point_snc() -> SncDatum:
     """A single point: no boundary at all."""
-    return SncDatum(0, 0, {(): StratumData({0: FpAbPresentation.free(1)}, {})},
-                    valid_by_construction=True)
+    return SncDatum(0, 0, {(): StratumData({0: FpAbPresentation.free(1)}, {})})
 
 
 def projective_space_cohomology(m: int) -> dict[int, FpAbPresentation]:
@@ -79,7 +78,7 @@ def affine_space_snc(d: int) -> SncDatum:
             {1: {2 * j: one for j in range(d)}},
         ),
     }
-    return SncDatum(d, 1, strata, valid_by_construction=True)
+    return SncDatum(d, 1, strata)
 
 
 def _torus_factor() -> SncDatum:
@@ -92,7 +91,7 @@ def _torus_factor() -> SncDatum:
         (1,): StratumData(dict(point), {1: {0: one}}),
         (2,): StratumData(dict(point), {2: {0: one}}),
     }
-    return SncDatum(1, 2, strata, valid_by_construction=True)
+    return SncDatum(1, 2, strata)
 
 
 def torus_snc(n: int) -> SncDatum:
@@ -100,8 +99,7 @@ def torus_snc(n: int) -> SncDatum:
 
     Built as the n-fold product of the one-dimensional case, so it also
     exercises the product construction.  Like every builder's datum it is
-    marked valid by construction, here by product_snc, and is not
-    validated when it is built.
+    valid by construction and is not validated when it is built.
     """
     if n < 0:
         raise ValueError("torus builder needs n >= 0")
@@ -130,7 +128,7 @@ def punctured_curve_snc(g: int, n: int) -> SncDatum:
     strata: dict[tuple[int, ...], StratumData] = {(): StratumData(curve, {})}
     for i in range(1, n + 1):
         strata[(i,)] = StratumData({0: FpAbPresentation.free(1)}, {i: {0: one}})
-    return SncDatum(1, n, strata, valid_by_construction=True)
+    return SncDatum(1, n, strata)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ failure, 2 on I/O, parse or usage errors and on an input whose dense
 Smith reduction would be over budget (intmat.MAX_DENSE_WORK).  Output
 is deterministic for a fixed input and flag set: fixed orderings
 everywhere and no timestamps.
+
+Data enter the program only here, so only here is a datum validated; the
+library takes a valid datum as a precondition.
 """
 
 import argparse
@@ -17,14 +20,7 @@ from . import builders, dual, weight
 from .chain import FreeTensorError
 from .intmat import DenseWorkTooLargeError
 from .reports import Report
-from .sncdata import (
-    InvalidDatumError,
-    SncDatum,
-    level_differential,
-    require_valid,
-    validate,
-    validate_structure,
-)
+from .sncdata import SncDatum, level_differential, validate, validate_structure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,14 +88,15 @@ def _load_datum(args) -> tuple[SncDatum | None, str, int]:
     return None, "", _fail("no input: give a JSON file or --builder")
 
 
-def _require_valid_or_report(datum: SncDatum) -> int:
-    """Validate a datum read from a file; a builder's datum is valid by construction."""
-    try:
-        require_valid(datum)
-    except InvalidDatumError as e:
-        print(e.report.render())
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+def _load_valid_datum(args) -> tuple[SncDatum | None, str, int]:
+    """_load_datum; a datum read from a file must pass full validation (else exit 1)."""
+    datum, identifier, code = _load_datum(args)
+    if datum is not None and args.input:
+        rep = validate(datum)
+        if not rep.passed:
+            print(rep.render())
+            return None, "", EXIT_CHECK_FAILED
+    return datum, identifier, code
 
 
 @contextmanager
@@ -170,10 +167,7 @@ def _table_json_obj(table, identifier: str, rational: bool) -> dict:
 
 
 def cmd_compute(args) -> int:
-    datum, identifier, code = _load_datum(args)
-    if code:
-        return code
-    code = _require_valid_or_report(datum)
+    datum, identifier, code = _load_valid_datum(args)
     if code:
         return code
     with _exact_output():
@@ -203,7 +197,10 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
     # cohomology forces a connected complex, whose presentation the
     # contractibility line needs simplified (within --simplify if given).
     h = dual.reduced_cohomology(k)
-    pres = dual.edge_path_presentation(k) if k.is_connected else None
+    try:
+        pres = dual.edge_path_presentation(k)
+    except dual.DisconnectedComplexError as e:
+        pres, components = None, e.components
     simp = None
     if pres is not None and (simplify_budget is not None or (certify and not h)):
         simp = dual.simplify_presentation(pres, 10_000 if simplify_budget is None
@@ -223,8 +220,7 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
             print(f"pi1 simplified: {simp.n_generators} generators, "
                   f"{len(simp.relators)} relators: {simp}")
     else:
-        comps = k.connected_components()
-        print(f"pi1 presentation: skipped, complex has {len(comps)} components")
+        print(f"pi1 presentation: skipped, complex has {len(components)} components")
     if certify:
         print(f"contractibility: {weight.contractibility_report(h, simp).render()}")
 
@@ -240,10 +236,7 @@ def cmd_dual(args) -> int:
         with _exact_output():
             _print_dual_report(args.input, k, args.simplify, False)
         return EXIT_OK
-    datum, identifier, code = _load_datum(args)
-    if code:
-        return code
-    code = _require_valid_or_report(datum)
+    datum, identifier, code = _load_valid_datum(args)
     if code:
         return code
     with _exact_output():
@@ -274,11 +267,12 @@ def _d2_report(datum: SncDatum) -> Report:
     return Report("d2", not problems, tuple(problems))
 
 
-def _guarding(name: str, thunk) -> Report:
+def _guarding(name: str, valid: bool, thunk) -> Report:
+    """thunk's report on a valid datum; a suite on an invalid one is refused."""
+    if not valid:
+        return Report(name, False, ("datum fails full validation; see the validate report",))
     try:
         return thunk()
-    except InvalidDatumError:
-        return Report(name, False, ("datum fails full validation; see the validate report",))
     except FreeTensorError as e:
         return Report(name, True, (f"not applicable: {e}",))
 
@@ -297,26 +291,29 @@ def _product_consistency(datum: SncDatum) -> Report:
     return Report("product-consistency", not problems, tuple(problems))
 
 
-def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None) -> list[Report]:
+def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None,
+                valid: bool) -> list[Report]:
     reports = []
     if which in ("all", "d2"):
         reports.append(_d2_report(datum))
     if which in ("all", "prop1"):
-        reports.append(_guarding("nerve-identity", lambda: weight.check_nerve_identity(datum)))
+        reports.append(_guarding("nerve-identity", valid,
+                                 lambda: weight.check_nerve_identity(datum)))
     if which in ("all", "euler"):
-        reports.append(_guarding("euler", lambda: weight.euler_check(datum)))
+        reports.append(_guarding("euler", valid, lambda: weight.euler_check(datum)))
     if which in ("all", "stability"):
-        reports.append(_guarding("affine-line-stability",
+        reports.append(_guarding("affine-line-stability", valid,
                                  lambda: weight.a1_stability_check(datum)))
     if which in ("all", "degeneration"):
         if expected_hc is None:
             reports.append(Report("degeneration", True,
                                   ("skipped: no expected Betti numbers available",)))
         else:
-            reports.append(_guarding("degeneration",
+            reports.append(_guarding("degeneration", valid,
                                      lambda: weight.degeneration_check(datum, expected_hc)))
     if which in ("all", "product-consistency"):
-        reports.append(_guarding("product-consistency", lambda: _product_consistency(datum)))
+        reports.append(_guarding("product-consistency", valid,
+                                 lambda: _product_consistency(datum)))
     return reports
 
 
@@ -352,13 +349,13 @@ def cmd_check(args) -> int:
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
 
-    # The suites that need a valid datum read its full report through
-    # require_valid.  It is computed here even for a builder's datum, so
-    # check never takes validity by construction on trust.
-    validate(datum)
+    # Every suite but d2 needs a valid datum.  The full report is computed
+    # here even for a builder's datum, so check never takes validity by
+    # construction on trust; d2 alone does not read it.
+    valid = args.which == "d2" or validate(datum).passed
     try:
         with _exact_output():
-            checks = _run_checks(datum, args.which, expected_hc)
+            checks = _run_checks(datum, args.which, expected_hc, valid)
     except weight.ProductTooLargeError as e:
         return _fail(str(e))
     if args.json:

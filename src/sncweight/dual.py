@@ -20,7 +20,7 @@ from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
 from .reports import _Record
-from .sncdata import MAX_COUNT, SncDatum, require_valid
+from .sncdata import MAX_COUNT, SncDatum
 
 __all__ = [
     "SimplicialComplex",
@@ -49,15 +49,22 @@ class DisconnectedComplexError(ValueError):
 class SimplicialComplex(_Record):
     """Vertices plus a downward-closed set of nonempty sorted faces."""
 
-    _fields = __slots__ = ("vertices", "faces")
+    _fields = ("vertices", "faces")
+    # _by_card[c] holds the faces with c vertices in sorted order, for c up to
+    # the largest face; _by_card[0] is empty.  It is not a field: equality,
+    # hash and repr ignore it.
+    __slots__ = _fields + ("_by_card",)
 
     def __init__(self, vertices: tuple[int, ...], faces: frozenset[tuple[int, ...]]):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
         vs = set(vertices)
-        for f in faces:
+        by_card = [[] for _ in range(max(map(len, faces), default=0) + 1)]
+        for f in sorted(faces):
             if not f or list(f) != sorted(set(f)) or not set(f) <= vs:
                 raise ValueError(f"bad face {f}")
+            by_card[len(f)].append(f)
+        object.__setattr__(self, "_by_card", tuple(map(tuple, by_card)))
 
     @classmethod
     def from_facets(cls, vertices: Iterable[int], facets: Iterable[Sequence[int]]) -> "SimplicialComplex":
@@ -81,17 +88,10 @@ class SimplicialComplex(_Record):
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
+        return len(self._by_card) - 2
 
     def faces_of_card(self, k: int) -> list[tuple[int, ...]]:
-        return sorted(f for f in self.faces if len(f) == k)
-
-    def connected_components(self) -> list[tuple[int, ...]]:
-        return _spanning_forest(self)[0]
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
+        return list(self._by_card[k]) if 0 <= k < len(self._by_card) else []
 
 
 class GroupPresentation(_Record):
@@ -133,8 +133,11 @@ class GroupPresentation(_Record):
 
 
 def nerve(s: SncDatum) -> SimplicialComplex:
-    """Vertices are components with nonempty divisor; faces are nonempty intersections."""
-    require_valid(s)
+    """Vertices are components with nonempty divisor; faces are nonempty intersections.
+
+    s must be valid: its strata are then downward closed, so the faces
+    form a simplicial complex.
+    """
     vertices = tuple(i for i in range(1, s.n_components + 1) if s.is_nonempty((i,)))
     faces = frozenset(I for I in s.strata if I)
     return SimplicialComplex(vertices, faces)

@@ -9,13 +9,14 @@ as sorted 1-indexed tuples; absent subsets mean empty strata; absent
 cohomology degrees mean zero groups; restriction matrices into or out of
 a zero group may be omitted and are implied zero.
 
-A datum is read-only once built: its mappings are copied into read-only
-views.  That makes validation a property of the datum, so each tier
-(structure, and full with the commuting squares) is computed at most once
-per datum and cached on it.  A datum the package builds itself, from a
-builder or as a product of valid factors, is marked valid by construction
-when it is built: require_valid passes it without a validation pass.
-Data from files carry no mark and are validated in full, once.
+A datum is validated once, at the boundary where it enters from outside:
+the command line validates a datum read from a file before it computes
+anything on it.  Every other function of the package takes a valid datum
+as a precondition and does not check it.  Builders and products of valid
+factors are valid by construction, and the tests validate them from
+scratch.  A datum is read-only once built (its mappings are copied into
+read-only views), so the structure tier of validation is computed at most
+once per datum and cached on it; the full report reuses it.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ __all__ = [
     "SubsetKey",
     "StratumData",
     "SncDatum",
-    "InvalidDatumError",
     "validate",
     "validate_structure",
     "level_group",
     "level_differential",
-    "require_valid",
 ]
 
 SubsetKey = tuple[int, ...]
@@ -51,14 +50,6 @@ Level = tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]
 # Parsers reject larger counts before they allocate anything by them.
 # The downward closure of a raw complex's facets is held to as many faces.
 MAX_COUNT = 10_000
-
-
-class InvalidDatumError(ValueError):
-    """Raised when an operation requires a datum that fails validation."""
-
-    def __init__(self, report: Report):
-        self.report = report
-        super().__init__("invalid compactification datum:\n" + report.render())
 
 
 def _fmt(I: SubsetKey) -> str:
@@ -91,27 +82,24 @@ class StratumData(_Record):
 class SncDatum(_Record):
     """A compactification datum; see the module docstring.
 
-    valid_by_construction=True is for data the package builds from parts
-    it knows to be valid.  It is a flag that require_valid reads, not a
-    report: validate still computes the full report from scratch.
+    Constructing one checks only its subset keys.  Whether it is valid is
+    decided by validate, which the command line runs on a datum read from
+    a file; the functions that compute on a datum require a valid one.
     """
 
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
-    # largest |I| present.  _reports holds the validation reports by tier
-    # and the weight cohomology table, each filled on first use.  Both are
-    # sound because the datum cannot change after construction, and neither
-    # they nor the validity mark are fields: equality, hash and repr ignore
-    # them.
-    __slots__ = _fields + ("levels", "_reports", "valid_by_construction")
+    # largest |I| present.  _reports holds the structure report and the
+    # weight cohomology table, each filled on first use.  Both are sound
+    # because the datum cannot change after construction, and neither is a
+    # field: equality, hash and repr ignore them.
+    __slots__ = _fields + ("levels", "_reports")
 
-    def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData],
-                 *, valid_by_construction: bool = False):
+    def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n_components", n_components)
         object.__setattr__(self, "strata", MappingProxyType(dict(strata)))
         object.__setattr__(self, "_reports", {})
-        object.__setattr__(self, "valid_by_construction", valid_by_construction)
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
@@ -145,20 +133,15 @@ class SncDatum(_Record):
 def validate(s: SncDatum) -> Report:
     """Check every invariant; the report enumerates violations.
 
-    Computed once per datum: the cached structure tier is reused and only
-    the commuting squares are added, unless a shape problem rules them out.
-    A mark of validity by construction is ignored: the report is always
-    computed from the datum itself.
+    The cached structure tier is reused and the commuting squares are
+    checked on each call, unless a shape problem rules them out.  Callers
+    validate a datum once, where it enters the program.
     """
-    reports = s._reports
-    if "full" not in reports:
-        structure, shapes_ok = _structure_tier(s)
-        if shapes_ok:
-            problems = structure.details + _square_problems(s)
-            reports["full"] = Report("validate", not problems, problems)
-        else:
-            reports["full"] = structure
-    return reports["full"]
+    structure, shapes_ok = _structure_tier(s)
+    if not shapes_ok:
+        return structure
+    problems = structure.details + _square_problems(s)
+    return Report("validate", not problems, problems)
 
 
 def validate_structure(s: SncDatum) -> Report:
@@ -315,21 +298,6 @@ def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:
     if outer is None or inner is None:
         return None
     return outer * inner
-
-
-def require_valid(s: SncDatum) -> None:
-    """Raise InvalidDatumError unless s is valid.
-
-    A datum marked valid by construction passes with no validation pass,
-    until a full report has been computed for it (check computes one for
-    the datum it is given); from then on that report decides, as it does
-    for every other datum, which is validated in full on first use.
-    """
-    if s.valid_by_construction and "full" not in s._reports:
-        return
-    rep = validate(s)
-    if not rep.passed:
-        raise InvalidDatumError(rep)
 
 
 def level_group(level: Level, b: int) -> FpAbPresentation:

@@ -29,7 +29,6 @@ from .sncdata import (
     StratumData,
     level_differential,
     level_group,
-    require_valid,
 )
 
 __all__ = [
@@ -98,9 +97,8 @@ class BigradedTable(_Record):
 def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     """The strata cochain complex in cohomological degree b, one group per level.
 
-    s must be valid (require_valid is the caller's), and then the result
-    is a complex: each restriction is well defined, and the commuting
-    squares make d after d vanish.
+    s must be valid, and then the result is a complex: each restriction
+    is well defined, and the commuting squares make d after d vanish.
     """
     groups = [level_group(level, b) for level in s.levels]
     diffs = [level_differential(s, k, b) for k in range(1, len(s.levels))]
@@ -110,11 +108,10 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
 def weight_cohomology_table(s: SncDatum) -> BigradedTable:
     """Cohomology of every degree-b strata complex, collected as a table.
 
-    Computed once per datum and cached beside its validation reports.
-    The complexes of a valid datum are complexes by construction, so
-    their cohomology is taken without verify_complex.
+    s must be valid.  Computed once per datum and cached beside its
+    structure report.  The complexes of a valid datum are complexes by
+    construction, so their cohomology is taken without verify_complex.
     """
-    require_valid(s)
     if "table" not in s._reports:
         entries: dict[tuple[int, int], FgAbGroup] = {}
         for b in s.graded_degrees():
@@ -223,14 +220,12 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     strata, or more than 100 * MAX_COUNT generators over all strata and
     degrees, raises ProductTooLargeError before anything is built.
 
-    Both factors must pass require_valid.  The product is then valid by
-    construction and is marked so, without a validation pass: restrictions
-    on different legs commute with sign +1 (they are degree-0 maps, so the
-    Koszul sign is trivial), and a square on one leg is a factor's square
-    tensored with an identity.  The tests validate products from scratch.
+    Both factors must be valid.  The product is then valid by construction
+    and is not validated: restrictions on different legs commute with sign
+    +1 (they are degree-0 maps, so the Koszul sign is trivial), and a
+    square on one leg is a factor's square tensored with an identity.  The
+    tests validate products from scratch.
     """
-    require_valid(sx)
-    require_valid(sy)
     _require_relation_free(sx, "left factor")
     _require_relation_free(sy, "right factor")
     n_strata = len(sx.strata) * len(sy.strata)
@@ -276,7 +271,7 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
                     restrictions[e] = per_degree
             strata[key] = StratumData(cohomology_dict, restrictions)
 
-    return SncDatum(sx.dim + sy.dim, nx + sy.n_components, strata, valid_by_construction=True)
+    return SncDatum(sx.dim + sy.dim, nx + sy.n_components, strata)
 
 
 def a1_stability_check(s: SncDatum) -> Report:
@@ -321,10 +316,9 @@ def degeneration_check(s: SncDatum, expected_hc: Mapping[int, int]) -> Report:
 def euler_check(s: SncDatum) -> Report:
     """Alternating rank sum of the table vs the strata-level Euler characteristic.
 
-    The right-hand side is computed straight from the stratum cohomology
-    ranks, without ever forming a differential.
+    s must be valid.  The right-hand side is computed straight from the
+    stratum cohomology ranks, without ever forming a differential.
     """
-    require_valid(s)
     table_side = weight_cohomology_table(s).euler_sum()
     strata_side = 0
     for k, level in enumerate(s.levels):

@@ -29,9 +29,9 @@ from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import contractibility_report, product_snc
 
 
-# Every builder family at small sizes.  Builders and products mark their
-# data valid by construction and are not validated when built; tests that
-# validate these from scratch stand in for that skipped runtime check.
+# Every builder family at small sizes.  Builders and products are valid by
+# construction and are not validated when built; tests that validate these
+# from scratch stand in for that skipped runtime check.
 BUILDER_SPECS = (
     ["point"]
     + [f"affine:{d}" for d in range(1, 5)]

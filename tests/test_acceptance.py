@@ -84,7 +84,7 @@ def test_criterion_2_nerve_identity_suite():
 
 
 def test_criterion_3_d_squared_suite():
-    from sncweight.sncdata import require_valid
+    from sncweight.sncdata import validate
     from sncweight.weight import weight_complex
 
     failures = []
@@ -95,7 +95,7 @@ def test_criterion_3_d_squared_suite():
     rng = random.Random(20260809)
     for i in range(200):
         datum = random_valid_datum(rng, max_factors=2)
-        require_valid(datum)
+        assert validate(datum).passed
         for b in datum.graded_degrees():
             if not verify_complex(weight_complex(datum, b)).passed:
                 failures.append(("random", i, b))

@@ -222,12 +222,15 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
 def test_dual_computes_each_part_once(capsys, monkeypatch, tmp_path):
     # The contractibility line reuses the nerve, its reduced cohomology and
     # the (simplified) edge-path presentation that the report lines print.
+    # A disconnected complex has its components counted from the error of
+    # edge_path_presentation, so every report builds one spanning forest.
     import sys
 
     import sncweight.dual as dual
     from sncweight.intmat import DenseWorkTooLargeError
 
-    names = ("nerve", "reduced_cohomology", "edge_path_presentation", "simplify_presentation")
+    names = ("nerve", "reduced_cohomology", "edge_path_presentation", "simplify_presentation",
+             "_spanning_forest")
     calls = dict.fromkeys(names, 0)
     modules = [m for key, m in sys.modules.items() if key.startswith("sncweight.")]
     for name in names:
@@ -244,18 +247,24 @@ def test_dual_computes_each_part_once(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "examples", "rp2")
     rp2 = tmp_path / "rp2.json"
     rp2.write_text(out)
+    points = tmp_path / "three_points.json"
+    points.write_text('{"vertices": 3, "facets": [[0, 1]]}')
     # torus:3 has a sphere for nerve, so nothing is simplified without
     # --simplify; affine:2 has a contractible one, certified within the
-    # --simplify budget.
-    for argv, expected in ((("dual", "--builder", "torus:3"), (1, 1, 1, 0)),
-                           (("dual", "--builder", "affine:2"), (1, 1, 1, 1)),
-                           (("dual", "--builder", "affine:2", "--simplify", "10"), (1, 1, 1, 1)),
-                           (("dual", "--builder", "torus:2", "--simplify", "10"), (1, 1, 1, 1)),
-                           (("dual", str(rp2), "--complex", "--simplify", "10"), (0, 1, 1, 1))):
+    # --simplify budget.  torus:1 and three_points are disconnected.
+    for argv, expected in ((("dual", "--builder", "torus:3"), (1, 1, 1, 0, 1)),
+                           (("dual", "--builder", "affine:2"), (1, 1, 1, 1, 1)),
+                           (("dual", "--builder", "affine:2", "--simplify", "10"), (1, 1, 1, 1, 1)),
+                           (("dual", "--builder", "torus:2", "--simplify", "10"), (1, 1, 1, 1, 1)),
+                           (("dual", str(rp2), "--complex", "--simplify", "10"), (0, 1, 1, 1, 1)),
+                           (("dual", "--builder", "torus:1", "--simplify", "10"), (1, 1, 1, 0, 1)),
+                           (("dual", str(points), "--complex"), (0, 1, 1, 0, 1))):
         calls.update(dict.fromkeys(names, 0))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.startswith("input: "), argv
         assert tuple(calls[n] for n in names) == expected, argv
+    for argv in (("dual", "--builder", "torus:1"), ("dual", str(points), "--complex")):
+        assert "pi1 presentation: skipped, complex has 2 components" in run(capsys, *argv)[1]
 
     def over_budget(k):
         raise DenseWorkTooLargeError("over budget")
@@ -741,6 +750,18 @@ def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_pat
     path.write_text(to_json(torus_snc(3)))
     code, _, _ = run(capsys, "compute", str(path))
     assert code == 0 and seen == [torus_snc(3)]
+    # The d2 suite needs only the structure tier: check with d2 alone runs
+    # it and never the commuting squares, on a file and on a builder.
+    structures = []
+    tier = sncdata._check_structure
+    monkeypatch.setattr(sncdata, "_check_structure",
+                        lambda s: structures.append(s) or tier(s))
+    seen.clear()
+    for argv in (("check", str(path), "d2"), ("check", "--builder", "torus:3", "d2")):
+        structures.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[1:] == ["PASS d2"], argv
+        assert structures == [torus_snc(3)] and seen == [], argv
 
 
 def test_answers_longer_than_the_int_string_limit_print_exactly(capsys, tmp_path):
@@ -865,13 +886,15 @@ def test_check_all_on_incoherent_datum(capsys, tmp_path):
         "PASS degeneration",
         "FAIL product-consistency", refused,
     ]
-    code, out, _ = run(capsys, "compute", str(path))
-    assert code == 1
-    assert out.splitlines() == [
-        "FAIL validate",
-        "  commuting squares: paths {} -> {3} -> {1,3} and {} -> {1} -> {1,3} "
-        "differ in degree 0",
-    ]
+    # compute and dual refuse the datum with its validate report alone.
+    for command in ("compute", "dual"):
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 1, command
+        assert out.splitlines() == [
+            "FAIL validate",
+            "  commuting squares: paths {} -> {3} -> {1,3} and {} -> {1} -> {1,3} "
+            "differ in degree 0",
+        ], command
 
 
 def test_check_json_format(capsys):
@@ -961,6 +984,27 @@ def test_cli_imports_only_the_standard_library():
         and name.partition(".")[0] != "sncweight"
     ]
     assert outside == []
+
+
+def test_validity_is_decided_at_the_command_line_boundary():
+    # Outside sncdata, only cli calls validate or validate_structure: the
+    # library takes a valid datum as a precondition and never re-asks.
+    # The machinery that let it re-ask is gone from the package.
+    import ast
+    from pathlib import Path
+
+    callers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sncweight").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for gone in ("require_valid", "InvalidDatumError", "valid_by_construction"):
+            assert gone not in text, (path.name, gone)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("validate", "validate_structure"):
+                    callers.add(path.stem)
+    assert callers - {"sncdata"} == {"cli"}
 
 
 def test_files_are_read_by_one_reader():

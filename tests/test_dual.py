@@ -64,6 +64,12 @@ def test_from_facets_closure():
     assert (1, 2) in k.faces and (2, 3) in k.faces and (9,) in k.faces
     assert k.dim == 2
     assert k.faces_of_card(2) == [(1, 2), (1, 3), (2, 3)]
+    assert k.faces_of_card(0) == k.faces_of_card(4) == []
+    # The faces are grouped by size once; the groups are not fields.
+    assert k == SimplicialComplex(k.vertices, frozenset(k.faces))
+    assert "_by_card" not in repr(k)
+    empty = SimplicialComplex((), frozenset())
+    assert empty.dim == -1 and empty.faces_of_card(1) == []
 
 
 def test_nerve_examples():
@@ -214,11 +220,12 @@ def test_simplify_matches_the_quadratic_oracle_on_random_words():
 
 
 def test_simplify_matches_the_quadratic_oracle_on_complexes():
+    # The random complexes are connected by construction: edge_path_presentation
+    # raises DisconnectedComplexError on any that is not.
     rng = random.Random(73)
     for _ in range(40):
         k = _random_two_complex(rng)
-        if k.is_connected:
-            _assert_simplify_matches_oracle(edge_path_presentation(k))
+        _assert_simplify_matches_oracle(edge_path_presentation(k))
     surfaces = (genus_two_surface(), crosscap_surface(), rp2_triangles(),
                 connected_sum(torus_grid(3, 3), torus_grid(3, 4)))
     for tris in surfaces:
@@ -267,9 +274,8 @@ def test_abelianized_edge_path_matches_h1():
     cases = [nerve(torus_snc(2)), cycle(5), real_projective_plane()]
     rng = random.Random(67)
     cases.extend(_random_two_complex(rng) for _ in range(20))
+    # Every case is connected: edge_path_presentation raises on one that is not.
     for k in cases:
-        if not k.is_connected:
-            continue
         p = edge_path_presentation(k)
         assert canonical_form(p.abelianization()) == _homological_h1(k)
         simp = simplify_presentation(p)

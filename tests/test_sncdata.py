@@ -11,11 +11,9 @@ from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import (
-    InvalidDatumError,
     SncDatum,
     StratumData,
     level_differential,
-    require_valid,
     level_group,
     validate,
     validate_structure,
@@ -162,12 +160,6 @@ def test_validate_ill_defined_restriction():
     assert any("not well defined" in d for d in rep.details)
 
 
-def test_require_valid_raises():
-    s = SncDatum(1, 1, {(1,): StratumData({0: F(1)}, {1: {0: ONE}})})
-    with pytest.raises(InvalidDatumError):
-        require_valid(s)
-
-
 def test_strata_level_blocks():
     assert [I for I, _ in affine_space_snc(2).levels[0]] == [()]
     t2 = torus_snc(2)
@@ -286,11 +278,8 @@ def test_validate_computes_each_tier_once(monkeypatch):
     # A new datum with the same content starts with no cached report.
     s = SncDatum(built.dim, built.n_components, built.strata)
     assert s == built and "_reports" not in repr(s)
-    first = validate(s)
-    assert first.passed
+    assert validate(s).passed
     assert calls == {"_check_structure": 1, "_square_problems": 1}
-    assert validate(s) is first
-    require_valid(s)
     assert validate_structure(s).passed
     assert calls == {"_check_structure": 1, "_square_problems": 1}
 

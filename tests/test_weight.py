@@ -14,7 +14,7 @@ from sncweight.builders import (
 )
 from sncweight.chain import FreeTensorError, verify_complex
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import InvalidDatumError, SncDatum, StratumData, require_valid, validate
+from sncweight.sncdata import SncDatum, StratumData, validate
 from sncweight.weight import (
     BigradedTable,
     ContractibilityReport,
@@ -87,12 +87,6 @@ def test_table_invariants():
         assert all(0 <= a <= s.dim for (a, _) in table.entries)
 
 
-def test_invalid_datum_rejected():
-    s = SncDatum(1, 1, {(1,): StratumData({0: F(1)}, {})})
-    with pytest.raises(InvalidDatumError):
-        weight_cohomology_table(s)
-
-
 def test_nerve_identity_builders_and_random():
     corpus = [point_snc(), affine_space_snc(2), torus_snc(2), punctured_curve_snc(1, 3),
               torsion_datum()]
@@ -163,7 +157,7 @@ def test_d_squared_on_products_of_random_data():
     rng = random.Random(79)
     for _ in range(10):
         s = random_valid_datum(rng)
-        require_valid(s)
+        assert validate(s).passed
         for b in s.graded_degrees():
             assert verify_complex(weight_complex(s, b)).passed
 
@@ -175,14 +169,13 @@ def _random_pairs(seed, count):
 
 
 def test_products_validate_from_scratch():
-    # product_snc marks its output valid by construction and skips
-    # validating it; here each product, in both orders, is validated anew
-    # from a dict copy that carries neither the mark nor a cached report.
+    # product_snc's output is valid by construction and is not validated;
+    # here each product, in both orders, is validated anew from a dict copy
+    # that carries no cached report.
     for x, y in _random_pairs(83, 8):
         for s in (product_snc(x, y), product_snc(y, x)):
-            assert s.valid_by_construction
             copy = datum_from_dict(datum_to_dict(s))
-            assert copy == s and not copy.valid_by_construction
+            assert copy == s and not copy._reports
             rep = validate(copy)
             assert rep.passed, rep.details
 
@@ -195,7 +188,7 @@ def test_every_weight_complex_is_a_complex():
     for x, y in _random_pairs(89, 6):
         corpus += [x, y, product_snc(x, y), product_snc(y, x)]
     for s in corpus:
-        require_valid(s)
+        assert validate(s).passed
         for b in s.graded_degrees():
             rep = verify_complex(weight_complex(s, b))
             assert rep.passed, (b, rep.details)
