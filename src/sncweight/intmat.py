@@ -218,20 +218,6 @@ class IntMatrix:
             raise ValueError("row count out of range")
         return IntMatrix._wrap(count, self.cols, self._rows[:count])
 
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product; row (i, r) maps to i * other.rows + r, same for columns."""
-        q = other.cols
-        out = []
-        for arow in self._rows:
-            for brow in other._rows:
-                row = {}
-                for j, c in arow.items():
-                    base = j * q
-                    for s, e in brow.items():
-                        row[base + s] = c * e
-                out.append(row)
-        return IntMatrix._wrap(self.rows * other.rows, self.cols * q, tuple(out))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

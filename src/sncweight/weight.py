@@ -21,7 +21,7 @@ from types import MappingProxyType
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
 from .chain import CochainComplex, FreeTensorError, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
-from .intmat import IntMatrix
+from .intmat import _EMPTY_ROW, IntMatrix
 from .reports import Report, _Record
 from .sncdata import (
     MAX_COUNT,
@@ -158,47 +158,62 @@ def _require_relation_free(s: SncDatum, who: str) -> None:
                 )
 
 
-def _tensor_degrees(cx: Mapping[int, FpAbPresentation],
-                    cy: Mapping[int, FpAbPresentation]) -> dict[int, list[tuple[int, int]]]:
-    """Graded pieces of the tensor: degree -> [(p, q), ...], p ascending."""
-    degrees = {}
-    for p, gp in sorted(cx.items()):
-        for q, gq in sorted(cy.items()):
-            if gp.generators and gq.generators:
-                degrees.setdefault(p + q, []).append((p, q))
-    return degrees
+def _signature(cohomology: Mapping[int, FpAbPresentation]) -> tuple[tuple[int, int], ...]:
+    """(degree, generator count) of every degree with generators, ascending."""
+    return tuple((p, g.generators) for p, g in sorted(cohomology.items()) if g.generators)
 
 
-def _leg_restriction(degrees, target, source, rx, ry) -> dict[int, IntMatrix]:
-    """Degree -> pullback between the graded tensors of two pairs of strata.
+def _tensor_layout(sig_x, sig_y) -> dict[int, tuple[int, dict]]:
+    """Degree -> (size, {(p, q): (offset, m, n)}) of the graded tensor of two strata.
 
-    target = (cx, cy) and source = (src_cx, src_cy) are the cohomologies of
-    the two legs, and degrees is _tensor_degrees(cx, cy).  rx(p) and ry(q)
-    are the degree-p and degree-q maps on the legs: one is a restriction,
-    the other an identity.  Pullbacks keep both leg degrees, so only the
-    blocks with equal (p, q) at source and target are nonzero.
+    sig_x and sig_y are the strata's signatures; the (p, q) block is
+    Z^m (x) Z^n, and the blocks of one degree are laid out with p
+    ascending.  Degrees ascend.
     """
-    (cx, cy), (src_cx, src_cy) = target, source
-    src_degrees = _tensor_degrees(src_cx, src_cy)
+    layout: dict[int, tuple[int, dict]] = {}
+    for p, m in sig_x:
+        for q, n in sig_y:
+            size, blocks = layout.get(p + q, (0, {}))
+            blocks[p, q] = (size, m, n)
+            layout[p + q] = (size + m * n, blocks)
+    return dict(sorted(layout.items()))
+
+
+def _leg_restriction(layout, src_layout, maps, left: bool) -> dict[int, IntMatrix]:
+    """Degree -> pullback between two tensor strata that differ on one leg.
+
+    layout and src_layout are the tensor layouts of the target and the
+    source; maps[d] is the factor's degree-d restriction on the leg that
+    moves (the left one if left), and the other leg maps identically.
+    See product_snc for how the blocks are written.
+    """
     per_degree = {}
-    for b, tgt_pairs in sorted(degrees.items()):
-        pairs = src_degrees.get(b)
-        if not pairs:
+    for b, (height, blocks) in layout.items():
+        src = src_layout.get(b)
+        if src is None:
             continue
-        col_offsets = {}
-        width = 0
-        for sp, sq in pairs:
-            col_offsets[sp, sq] = width
-            width += src_cx[sp].generators * src_cy[sq].generators
-        entries = []
-        height = 0
-        for tp, tq in tgt_pairs:
-            col0 = col_offsets.get((tp, tq))
-            if col0 is not None:
-                entries.extend((height + r, col0 + c, e)
-                               for r, c, e in rx(tp).kron(ry(tq)).nonzeros())
-            height += cx[tp].generators * cy[tq].generators
-        per_degree[b] = IntMatrix.from_entries(height, width, entries)
+        width, src_blocks = src
+        rows = [_EMPTY_ROW] * height
+        for (p, q), (row0, m, n) in blocks.items():
+            at = src_blocks.get((p, q))
+            if at is None:
+                continue
+            col0 = at[0]
+            if left:
+                for r, row in enumerate(maps[p]._rows):
+                    if row:
+                        base = row0 + r * n
+                        for k in range(n):
+                            rows[base + k] = {col0 + c * n + k: e for c, e in row.items()}
+            else:
+                r_map = maps[q]
+                m_s = r_map.cols
+                for k in range(m):
+                    base, cbase = row0 + k * n, col0 + k * m_s
+                    for r, row in enumerate(r_map._rows):
+                        if row:
+                            rows[base + r] = {cbase + c: e for c, e in row.items()}
+        per_degree[b] = IntMatrix._wrap(height, width, tuple(rows))
     return per_degree
 
 
@@ -214,17 +229,33 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     """The compactified product: strata are pairs, cohomology is the graded tensor.
 
     Components of the first factor keep their indices; components of the
-    second are shifted up by the first factor's count.  Restrictions act
-    on one tensor leg and identically on the other.  Requires free
+    second are shifted up by the first factor's count.  Requires free
     stratum cohomology on both sides.  A product with more than MAX_COUNT
     strata, or more than 100 * MAX_COUNT generators over all strata and
     degrees, raises ProductTooLargeError before anything is built.
+
+    The degree-b generators of a stratum pair are the blocks
+    Z^m (x) Z^n of the (p, q) with p + q = b, p ascending, generator
+    (i, k) of a block at i * n + k.  This layout depends only on the two
+    strata's (degree, generator count) signatures, so it is computed once
+    per pair of signatures and serves as the target layout of one pair
+    and the source layout of the pairs above it.  A restriction acts on
+    one leg by the factor's map R and on the other by an identity, and
+    keeps both leg degrees, so only the blocks with the same (p, q) at
+    source and target are nonzero.  Those blocks are written straight
+    from R's stored rows: on the left leg, R (x) I_n, whose row r*n + k is
+    {c*n + k: e} for each entry e at (r, c) of R; on the right leg,
+    I_m (x) R, whose row k*m_t + r is {k*m_s + c: e} for R of shape
+    m_t x m_s.  Every other row is one shared empty row, and each
+    degree's rows are wrapped into a matrix once.  So the work is that of
+    the rows and nonzeros written.
 
     Both factors must be valid.  The product is then valid by construction
     and is not validated: restrictions on different legs commute with sign
     +1 (they are degree-0 maps, so the Koszul sign is trivial), and a
     square on one leg is a factor's square tensored with an identity.  The
-    tests validate products from scratch.
+    tests validate products from scratch and compare them with a dense
+    reference product.
     """
     _require_relation_free(sx, "left factor")
     _require_relation_free(sy, "right factor")
@@ -237,39 +268,37 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
         raise ProductTooLargeError(
             f"the product would have {n_generators} generators, more than {100 * MAX_COUNT}")
     nx = sx.n_components
+    sig_x = {ix: _signature(st.cohomology) for ix, st in sx.strata.items()}
+    sig_y = {iy: _signature(st.cohomology) for iy, st in sy.strata.items()}
+    # Strata with the same signatures share a layout and its cohomology.
+    layouts: dict = {}
+
+    def layout_of(sx_sig, sy_sig):
+        key = (sx_sig, sy_sig)
+        if key not in layouts:
+            layout = _tensor_layout(sx_sig, sy_sig)
+            cohomology = {b: FpAbPresentation.free(size) for b, (size, _) in layout.items()}
+            layouts[key] = (layout, cohomology)
+        return layouts[key]
 
     strata: dict[tuple[int, ...], StratumData] = {}
     for ix in sx.nonempty_subsets():
-        cx = sx.strata[ix].cohomology
+        maps_x = sx.strata[ix].restrictions
         for iy in sy.nonempty_subsets():
-            cy = sy.strata[iy].cohomology
-            key = ix + tuple(j + nx for j in iy)
-            degrees = _tensor_degrees(cx, cy)
-            cohomology_dict = {
-                b: FpAbPresentation.free(
-                    sum(cx[p].generators * cy[q].generators for p, q in pairs)
-                )
-                for b, pairs in sorted(degrees.items())
-            }
-
+            maps_y = sy.strata[iy].restrictions
+            layout, cohomology = layout_of(sig_x[ix], sig_y[iy])
             restrictions: dict[int, dict[int, IntMatrix]] = {}
-            for e in key:
-                if e <= nx:
-                    src_cx = sx.strata[tuple(x for x in ix if x != e)].cohomology
-                    per_degree = _leg_restriction(
-                        degrees, (cx, cy), (src_cx, cy),
-                        lambda p: sx.strata[ix].restrictions[e][p],
-                        lambda q: IntMatrix.identity(cy[q].generators))
-                else:
-                    j = e - nx
-                    src_cy = sy.strata[tuple(y for y in iy if y != j)].cohomology
-                    per_degree = _leg_restriction(
-                        degrees, (cx, cy), (cx, src_cy),
-                        lambda p: IntMatrix.identity(cx[p].generators),
-                        lambda q: sy.strata[iy].restrictions[j][q])
+            for e in ix:
+                src, _ = layout_of(sig_x[tuple(x for x in ix if x != e)], sig_y[iy])
+                per_degree = _leg_restriction(layout, src, maps_x[e], True)
                 if per_degree:
                     restrictions[e] = per_degree
-            strata[key] = StratumData(cohomology_dict, restrictions)
+            for j in iy:
+                src, _ = layout_of(sig_x[ix], sig_y[tuple(y for y in iy if y != j)])
+                per_degree = _leg_restriction(layout, src, maps_y[j], False)
+                if per_degree:
+                    restrictions[j + nx] = per_degree
+            strata[ix + tuple(j + nx for j in iy)] = StratumData(cohomology, restrictions)
 
     return SncDatum(sx.dim + sy.dim, nx + sy.n_components, strata)
 

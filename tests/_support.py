@@ -422,6 +422,86 @@ def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:
 
 
 # ---------------------------------------------------------------------------
+# Product oracle
+#
+# The product by definition, on dense lists: every restriction block is a
+# Kronecker product of the factor's map with a dense identity, and each
+# degree's matrix is assembled block by block, zero blocks included.
+
+
+def _dense_kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _dense_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _ranks(s: SncDatum, I: tuple[int, ...]) -> dict[int, int]:
+    return {b: p.generators for b, p in sorted(s.strata[I].cohomology.items()) if p.generators}
+
+
+def _tensor_pieces(rx: dict[int, int], ry: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
+    pieces: dict[int, list[tuple[int, int]]] = {}
+    for p in rx:
+        for q in ry:
+            pieces.setdefault(p + q, []).append((p, q))
+    return dict(sorted(pieces.items()))
+
+
+def reference_product(sx: SncDatum, sy: SncDatum) -> SncDatum:
+    """The compactified product of two relation-free data, for product_snc to match.
+
+    Strata are pairs in the factors' order; the degree-b generators are
+    the (p, q) pieces with p + q = b, p ascending, each piece Z^m (x) Z^n
+    with generator (i, k) at i * n + k.  A restriction on the left leg is
+    R (x) I, on the right leg I (x) R, in the block of its own (p, q).
+    """
+    nx = sx.n_components
+    strata = {}
+    for ix in sx.nonempty_subsets():
+        for iy in sy.nonempty_subsets():
+            rx, ry = _ranks(sx, ix), _ranks(sy, iy)
+            pieces = _tensor_pieces(rx, ry)
+            restrictions = {}
+            for e in ix + tuple(j + nx for j in iy):
+                left = e <= nx
+                if left:
+                    src_x, src_y = _ranks(sx, tuple(x for x in ix if x != e)), ry
+                    maps = sx.strata[ix].restrictions[e]
+                else:
+                    src_x, src_y = rx, _ranks(sy, tuple(y for y in iy if y != e - nx))
+                    maps = sy.strata[iy].restrictions[e - nx]
+                src_pieces = _tensor_pieces(src_x, src_y)
+                per_degree = {}
+                for b, tgt in pieces.items():
+                    if b not in src_pieces:
+                        continue
+                    width = sum(src_x[p] * src_y[q] for p, q in src_pieces[b])
+                    rows = []
+                    for tp, tq in tgt:
+                        height = rx[tp] * ry[tq]
+                        blocks = []
+                        for sp, sq in src_pieces[b]:
+                            if (sp, sq) != (tp, tq):
+                                blocks.append([[0] * (src_x[sp] * src_y[sq])] * height)
+                            elif left:
+                                eye = _dense_identity(ry[tq])
+                                blocks.append(_dense_kron(maps[tp].to_rows(), eye))
+                            else:
+                                eye = _dense_identity(rx[tp])
+                                blocks.append(_dense_kron(eye, maps[tq].to_rows()))
+                        rows += [sum(parts, []) for parts in zip(*blocks)]
+                    per_degree[b] = IntMatrix.from_rows(rows, width)
+                if per_degree:
+                    restrictions[e] = per_degree
+            cohomology = {b: FpAbPresentation.free(sum(rx[p] * ry[q] for p, q in tgt))
+                          for b, tgt in pieces.items()}
+            strata[ix + tuple(j + nx for j in iy)] = StratumData(cohomology, restrictions)
+    return SncDatum(sx.dim + sy.dim, nx + sy.n_components, strata)
+
+
+# ---------------------------------------------------------------------------
 # Tietze simplification oracle
 #
 # The reduction and key helpers are copies, not imports from dual, so that

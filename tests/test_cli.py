@@ -309,6 +309,30 @@ def test_compute_at_the_affine_bound_finishes():
     assert done.stdout.splitlines() == ["a,b,free_rank,torsion", "0,20000,1,"]
 
 
+def test_compute_at_each_builder_bound_stays_small():
+    # Each compute runs under a small fresh wrapper process that reads its
+    # own RUSAGE_CHILDREN, so the peak RSS is the command's (plus what the
+    # wrapper's fork carries), not the test runner's.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    wrapper = ("import resource, subprocess, sys\n"
+               "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    for spec in ("torus:8", "affine:10000", "curve:0,10000", "curve:5000,1"):
+        done = subprocess.run(
+            [sys.executable, "-c", wrapper,
+             sys.executable, "-m", "sncweight.cli", "compute", "--builder", spec],
+            env=env, capture_output=True, text=True, timeout=120)
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0, (spec, done.stderr)
+        assert peak_kb < 500 * 1024, spec
+
+
 def test_bench_tracer_hooks_exist():
     # bench/tracer.py finds its per-layer counters only through these names;
     # if one goes, the counters read zero instead of failing.
@@ -687,7 +711,7 @@ def test_dual_raw_complex(capsys, tmp_path):
 
 def test_check_all_passes(capsys):
     # On torus:3, product-consistency builds the torus:6-sized self-product
-    # through kron and computes its table.
+    # and computes its table.
     for spec in ("torus:2", "torus:3"):
         code, out, _ = run(capsys, "check", "--builder", spec, "all")
         assert code == 0, spec

@@ -37,7 +37,7 @@ def test_matrix_shape_errors():
         IntMatrix.from_rows([[1]]) * IntMatrix.from_rows([[1, 2], [3, 4]])
 
 
-def test_block_and_kron():
+def test_hstack_blocks():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3]])
     assert a.hstack(b) == IntMatrix.from_rows([[1, 2, 3]])
@@ -45,8 +45,6 @@ def test_block_and_kron():
     assert right == IntMatrix.from_rows([[0, 0, 5], [0, 0, 6]])
     with pytest.raises(ValueError, match="row counts differ"):
         a.hstack(right)
-    k = IntMatrix.from_rows([[1, 2], [3, 4]]).kron(IntMatrix.from_rows([[0, 1]]))
-    assert k == IntMatrix.from_rows([[0, 1, 0, 2], [0, 3, 0, 4]])
 
 
 def test_snf_identity_and_zero():
@@ -171,11 +169,6 @@ def test_matrix_operations_agree_with_list_reference():
         _assert_is(ma.hstack(mb), [r + s for r, s in zip(a, b)], n + q)
         t = rng.randint(0, m)
         _assert_is(ma.take_rows(t), a[:t], n)
-        b = _random_rows(rng, rng.choice((0, 1, 2)), rng.choice((0, 1, 3)))
-        p, q = len(b), len(b[0]) if b else 0
-        kron = [[a[i][j] * b[r][s] for j in range(n) for s in range(q)]
-                for i in range(m) for r in range(p)]
-        _assert_is(ma.kron(IntMatrix.from_rows(b, q)), kron, n * q)
 
 
 def test_block_agrees_with_list_reference():
@@ -210,10 +203,9 @@ def test_constructors_and_cancellation_agree():
     for n in range(5):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         _assert_is(IntMatrix.identity(n), eye, n)
-    # One matrix built five ways.
+    # One matrix built four ways.
     eye6 = IntMatrix.identity(6)
-    for built in (IntMatrix.identity(2).kron(IntMatrix.identity(3)),
-                  IntMatrix.from_entries(6, 2, [(0, 0, 1), (1, 1, 1)]).hstack(
+    for built in (IntMatrix.from_entries(6, 2, [(0, 0, 1), (1, 1, 1)]).hstack(
                       IntMatrix.from_entries(6, 4, [(i + 2, i, 1) for i in range(4)])),
                   IntMatrix.from_rows(eye6.to_rows()) * eye6,
                   IntMatrix.from_entries(6, 6, [(i, i, 1) for i in reversed(range(6))])
@@ -222,12 +214,8 @@ def test_constructors_and_cancellation_agree():
         _assert_is(built, eye6.to_rows(), 6)
     for _ in range(50):
         a = IntMatrix.from_rows(_random_rows(rng, 3, 4), 4)
-        b = IntMatrix.from_rows(_random_rows(rng, 2, 2), 2)
         assert a * IntMatrix.identity(4) == IntMatrix.identity(3) * a == a
         assert hash(a * IntMatrix.identity(4)) == hash(a)
-        block_rows = [reduce(IntMatrix.hstack, [b.scale(x) for x in row]) for row in a.to_rows()]
-        stacked = IntMatrix.from_rows([r for blk in block_rows for r in blk.to_rows()], 8)
-        assert a.kron(b) == stacked and hash(a.kron(b)) == hash(stacked)
     _assert_is(IntMatrix.column([1, 0, -2]), [[1], [0], [-2]], 1)
     # An entry is an integer exactly when its type is int: floats and bools
     # are refused alike, never converted.

@@ -32,7 +32,13 @@ from sncweight.weight import (
     weight_complex,
 )
 
-from _support import BUILDER_SPECS, check_record, contractibility, random_valid_datum
+from _support import (
+    BUILDER_SPECS,
+    check_record,
+    contractibility,
+    random_valid_datum,
+    reference_product,
+)
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -128,6 +134,47 @@ def test_product_json_is_pinned_in_both_orders():
         "83a045589fb406ad99f3d91eb38bfc2224f81c8374c3ac85cd3346b304d3499b",
         "ae96ed61480b67e9fd0303cffcc381078a4b6be6528d536624d2ad36c0131aa8",
     ]
+
+
+def test_torus_json_is_pinned():
+    # torus:n is n - 1 nested products, so these pin the product's strata,
+    # generator order and restriction blocks at every size the bench runs.
+    import hashlib
+
+    from sncweight.builders import to_json
+
+    digests = {n: hashlib.sha256(to_json(torus_snc(n)).encode()).hexdigest()
+               for n in (3, 4, 5, 6)}
+    assert digests == {
+        3: "1983cd5e2f3efb1162f614f3ac791cab9fe614ced8b5039abc65b1fd60828ce1",
+        4: "f5342cd9894dcede39a73ba87fe9b99ced33a776783268a87fa592b8e662b39a",
+        5: "44f4384086be86f1b9d9d9db828cee85894512390e6d41079991e95842b8e8df",
+        6: "d5d7bac759ba9f1a4b80267ca0f6e735b17c308035e6661be737be3e5536223f",
+    }
+
+
+def _restriction_order(s: SncDatum) -> list:
+    return [(I, [(e, list(per_degree)) for e, per_degree in st.restrictions.items()])
+            for I, st in s.strata.items()]
+
+
+def test_product_matches_the_dense_reference():
+    # Random free pairs, and builder pairs whose restrictions and identity
+    # legs both have more than one generator in a degree (H^1 of a curve of
+    # genus >= 1, H^2 of the codimension-1 strata of torus:3), so that
+    # R (x) I_n and I_m (x) R are written with n > 1 and m > 1.  Both orders.
+    from sncweight.builders import to_json
+
+    wide = [parse_builder(spec) for spec in ("curve:1,2", "curve:2,1", "affine:2", "torus:3")]
+    pairs = _random_pairs(97, 20) + [
+        (x, y) for i, x in enumerate(wide) for y in wide[i + 1:]
+    ]
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            got, want = product_snc(a, b), reference_product(a, b)
+            assert got == want
+            assert to_json(got) == to_json(want)
+            assert _restriction_order(got) == _restriction_order(want)
 
 
 def test_product_size_budget():
