@@ -102,6 +102,46 @@ class IntMatrix:
         return cls._wrap(rows, cols, tuple(out))
 
     @classmethod
+    def from_kron_blocks(
+        cls, rows: int, cols: int,
+        blocks: Iterable[tuple[int, int, "IntMatrix", int, bool]],
+    ) -> "IntMatrix":
+        """The rows x cols matrix made of Kronecker blocks, zero elsewhere.
+
+        Each block (row0, col0, r, n, left) is r (x) I_n if left, else
+        I_n (x) r, with its top-left entry at (row0, col0).  No two blocks
+        may write the same row.  A block costs the rows and nonzeros it
+        writes; every other row is one shared empty row.
+
+        >>> r = IntMatrix.from_rows([[1, 2]])
+        >>> IntMatrix.from_kron_blocks(3, 5, [(1, 1, r, 2, True)])
+        IntMatrix.from_rows([[0, 0, 0, 0, 0], [0, 1, 0, 2, 0], [0, 0, 1, 0, 2]])
+        """
+        _check_shape(rows, cols)
+        out = [_EMPTY_ROW] * rows
+        for row0, col0, r, n, left in blocks:
+            height = r.rows * n
+            if not (row0 >= 0 and col0 >= 0 and n >= 0
+                    and row0 + height <= rows and col0 + r.cols * n <= cols):
+                raise IndexError(f"a {r.rows}x{r.cols} block times {n} at ({row0}, {col0}) "
+                                 f"does not fit in {rows}x{cols}")
+            if any(out[row0:row0 + height]):
+                raise ValueError(f"two blocks write rows {row0}..{row0 + height - 1}")
+            if left:
+                for i, row in enumerate(r._rows):
+                    if row:
+                        at = row0 + i * n
+                        for k in range(n):
+                            out[at + k] = {col0 + k + j * n: e for j, e in row.items()}
+            else:
+                for k in range(n):
+                    at, shift = row0 + k * r.rows, col0 + k * r.cols
+                    for i, row in enumerate(r._rows):
+                        if row:
+                            out[at + i] = {shift + j: e for j, e in row.items()}
+        return cls._wrap(rows, cols, tuple(out))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         _check_shape(rows, cols)
         return cls._wrap(rows, cols, (_EMPTY_ROW,) * rows)

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
 from .chain import CochainComplex, FreeTensorError, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
-from .intmat import _EMPTY_ROW, IntMatrix
+from .intmat import IntMatrix
 from .reports import Report, _Record
 from .sncdata import (
     MAX_COUNT,
@@ -167,8 +167,7 @@ def _tensor_layout(sig_x, sig_y) -> dict[int, tuple[int, dict]]:
     """Degree -> (size, {(p, q): (offset, m, n)}) of the graded tensor of two strata.
 
     sig_x and sig_y are the strata's signatures; the (p, q) block is
-    Z^m (x) Z^n, and the blocks of one degree are laid out with p
-    ascending.  Degrees ascend.
+    Z^m (x) Z^n.  Degrees ascend, and so does p within a degree.
     """
     layout: dict[int, tuple[int, dict]] = {}
     for p, m in sig_x:
@@ -185,7 +184,7 @@ def _leg_restriction(layout, src_layout, maps, left: bool) -> dict[int, IntMatri
     layout and src_layout are the tensor layouts of the target and the
     source; maps[d] is the factor's degree-d restriction on the leg that
     moves (the left one if left), and the other leg maps identically.
-    See product_snc for how the blocks are written.
+    Only the blocks with the same (p, q) at source and target are nonzero.
     """
     per_degree = {}
     for b, (height, blocks) in layout.items():
@@ -193,27 +192,13 @@ def _leg_restriction(layout, src_layout, maps, left: bool) -> dict[int, IntMatri
         if src is None:
             continue
         width, src_blocks = src
-        rows = [_EMPTY_ROW] * height
+        kron_blocks = []
         for (p, q), (row0, m, n) in blocks.items():
             at = src_blocks.get((p, q))
-            if at is None:
-                continue
-            col0 = at[0]
-            if left:
-                for r, row in enumerate(maps[p]._rows):
-                    if row:
-                        base = row0 + r * n
-                        for k in range(n):
-                            rows[base + k] = {col0 + c * n + k: e for c, e in row.items()}
-            else:
-                r_map = maps[q]
-                m_s = r_map.cols
-                for k in range(m):
-                    base, cbase = row0 + k * n, col0 + k * m_s
-                    for r, row in enumerate(r_map._rows):
-                        if row:
-                            rows[base + r] = {cbase + c: e for c, e in row.items()}
-        per_degree[b] = IntMatrix._wrap(height, width, tuple(rows))
+            if at is not None:
+                kron_blocks.append((row0, at[0], maps[p], n, True) if left
+                                   else (row0, at[0], maps[q], m, False))
+        per_degree[b] = IntMatrix.from_kron_blocks(height, width, kron_blocks)
     return per_degree
 
 
@@ -237,18 +222,14 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     The degree-b generators of a stratum pair are the blocks
     Z^m (x) Z^n of the (p, q) with p + q = b, p ascending, generator
     (i, k) of a block at i * n + k.  This layout depends only on the two
-    strata's (degree, generator count) signatures, so it is computed once
-    per pair of signatures and serves as the target layout of one pair
-    and the source layout of the pairs above it.  A restriction acts on
-    one leg by the factor's map R and on the other by an identity, and
-    keeps both leg degrees, so only the blocks with the same (p, q) at
-    source and target are nonzero.  Those blocks are written straight
-    from R's stored rows: on the left leg, R (x) I_n, whose row r*n + k is
-    {c*n + k: e} for each entry e at (r, c) of R; on the right leg,
-    I_m (x) R, whose row k*m_t + r is {k*m_s + c: e} for R of shape
-    m_t x m_s.  Every other row is one shared empty row, and each
-    degree's rows are wrapped into a matrix once.  So the work is that of
-    the rows and nonzeros written.
+    strata's generator-count signatures, so it is computed once per pair
+    of signatures and serves as the target layout of one pair and the
+    source layout of the pairs above it.  A restriction keeps both leg
+    degrees, so it is nonzero only on the blocks with the same (p, q) at
+    source and target; those are the Kronecker blocks R (x) I_n or
+    I_m (x) R of the factor's map R, written from R's rows.  The work is
+    that of the rows and nonzeros written, and the generator order and
+    the order of each stratum's restrictions are those of the definition.
 
     Both factors must be valid.  The product is then valid by construction
     and is not validated: restrictions on different legs commute with sign
@@ -288,14 +269,16 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
             maps_y = sy.strata[iy].restrictions
             layout, cohomology = layout_of(sig_x[ix], sig_y[iy])
             restrictions: dict[int, dict[int, IntMatrix]] = {}
+            # A factor may leave out a map into or out of a zero group, so a
+            # map is looked up only for a block that is written.
             for e in ix:
                 src, _ = layout_of(sig_x[tuple(x for x in ix if x != e)], sig_y[iy])
-                per_degree = _leg_restriction(layout, src, maps_x[e], True)
+                per_degree = _leg_restriction(layout, src, maps_x.get(e, {}), True)
                 if per_degree:
                     restrictions[e] = per_degree
             for j in iy:
                 src, _ = layout_of(sig_x[ix], sig_y[tuple(y for y in iy if y != j)])
-                per_degree = _leg_restriction(layout, src, maps_y[j], False)
+                per_degree = _leg_restriction(layout, src, maps_y.get(j, {}), False)
                 if per_degree:
                     restrictions[j + nx] = per_degree
             strata[ix + tuple(j + nx for j in iy)] = StratumData(cohomology, restrictions)

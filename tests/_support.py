@@ -429,6 +429,23 @@ def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:
 # degree's matrix is assembled block by block, zero blocks included.
 
 
+def disjoint_fibres_json() -> dict:
+    """P^1 x P^1 with two disjoint fibres {0} x P^1 and {oo} x P^1 as boundary.
+
+    The two components do not meet, so the datum stores no stratum {1, 2}.
+    """
+    point_line = {"0": {"generators": 1}, "2": {"generators": 1}}
+    return {"dim": 2, "components": 2, "strata": [
+        {"subset": [],
+         "cohomology": {"0": {"generators": 1}, "2": {"generators": 2}, "4": {"generators": 1}},
+         "restrictions": {}},
+        {"subset": [1], "cohomology": point_line,
+         "restrictions": {"1": {"0": [[1]], "2": [[0, 1]]}}},
+        {"subset": [2], "cohomology": point_line,
+         "restrictions": {"2": {"0": [[1]], "2": [[0, 1]]}}},
+    ]}
+
+
 def _dense_kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
@@ -468,10 +485,10 @@ def reference_product(sx: SncDatum, sy: SncDatum) -> SncDatum:
                 left = e <= nx
                 if left:
                     src_x, src_y = _ranks(sx, tuple(x for x in ix if x != e)), ry
-                    maps = sx.strata[ix].restrictions[e]
+                    maps = sx.strata[ix].restrictions.get(e, {})
                 else:
                     src_x, src_y = rx, _ranks(sy, tuple(y for y in iy if y != e - nx))
-                    maps = sy.strata[iy].restrictions[e - nx]
+                    maps = sy.strata[iy].restrictions.get(e - nx, {})
                 src_pieces = _tensor_pieces(src_x, src_y)
                 per_degree = {}
                 for b, tgt in pieces.items():

@@ -296,23 +296,13 @@ def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
     assert code == 0 and calls == []
 
 
-def test_compute_at_the_affine_bound_finishes():
-    # affine:10000 has two strata; building all 10001 levels in every degree
-    # used to run past 120 s.
-    import subprocess
-    import sys
+def _measured(*argv, timeout=120):
+    """(stdout lines, peak RSS in kB) of one cli run that exits 0, in a subprocess.
 
-    cmd = [sys.executable, "-m", "sncweight.cli", "compute", "--builder", "affine:10000",
-           "--format", "csv"]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["a,b,free_rank,torsion", "0,20000,1,"]
-
-
-def test_compute_at_each_builder_bound_stays_small():
-    # Each compute runs under a small fresh wrapper process that reads its
-    # own RUSAGE_CHILDREN, so the peak RSS is the command's (plus what the
-    # wrapper's fork carries), not the test runner's.
+    The run goes under a small fresh wrapper process that reads its own
+    RUSAGE_CHILDREN, so the peak is the command's (plus what the wrapper's
+    fork carries), not the test runner's.
+    """
     import os
     import subprocess
     import sys
@@ -321,15 +311,30 @@ def test_compute_at_each_builder_bound_stays_small():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     wrapper = ("import resource, subprocess, sys\n"
-               "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+               "code = subprocess.run(sys.argv[1:]).returncode\n"
                "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    for spec in ("torus:8", "affine:10000", "curve:0,10000", "curve:5000,1"):
-        done = subprocess.run(
-            [sys.executable, "-c", wrapper,
-             sys.executable, "-m", "sncweight.cli", "compute", "--builder", spec],
-            env=env, capture_output=True, text=True, timeout=120)
-        code, peak_kb = map(int, done.stdout.split())
-        assert code == 0, (spec, done.stderr)
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "sncweight.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout)
+    *out, last = done.stdout.splitlines()
+    code, peak_kb = map(int, last.split())
+    assert code == 0, (argv, done.stderr)
+    return out, peak_kb
+
+
+def test_compute_at_the_affine_bound_finishes():
+    # affine:10000 has two strata; building all 10001 levels in every degree
+    # used to run past 120 s.
+    out, peak_kb = _measured("compute", "--builder", "affine:10000", "--format", "csv",
+                             timeout=30)
+    assert out == ["a,b,free_rank,torsion", "0,20000,1,"]
+    assert peak_kb < 500 * 1024
+
+
+def test_compute_at_the_other_builder_bounds_stays_small():
+    # The affine bound is run by the test above.
+    for spec in ("torus:8", "curve:0,10000", "curve:5000,1"):
+        _, peak_kb = _measured("compute", "--builder", spec)
         assert peak_kb < 500 * 1024, spec
 
 
@@ -718,6 +723,18 @@ def test_check_all_passes(capsys):
         for name in ("d2", "nerve-identity", "euler", "affine-line-stability",
                       "degeneration", "product-consistency"):
             assert f"PASS {name}" in out
+
+
+def test_check_all_passes_when_boundary_curves_do_not_meet(capsys, tmp_path):
+    # The datum stores no stratum {1, 2}; stability and product-consistency
+    # build its products.
+    from _support import disjoint_fibres_json
+
+    path = tmp_path / "fibres.json"
+    path.write_text(json.dumps(disjoint_fibres_json()))
+    code, out, err = run(capsys, "check", str(path), "all")
+    assert code == 0 and err == ""
+    assert out.count("PASS ") == 6
 
 
 def test_check_all_builds_each_table_once(capsys, monkeypatch):

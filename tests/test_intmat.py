@@ -47,6 +47,29 @@ def test_hstack_blocks():
         a.hstack(right)
 
 
+def test_kron_blocks_match_dense_placement():
+    rng = random.Random(41)
+    for _ in range(40):
+        r = random_matrix(rng, max_dim=4, bound=3)
+        n = rng.randint(0, 3)
+        left = rng.random() < 0.5
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        a, b = (r.to_rows(), eye) if left else (eye, r.to_rows())
+        block = [[x * y for x in ra for y in rb] for ra in a for rb in b]
+        row0, col0 = rng.randint(0, 2), rng.randint(0, 2)
+        rows, cols = row0 + r.rows * n + rng.randint(0, 2), col0 + r.cols * n + rng.randint(0, 2)
+        want = [[0] * cols for _ in range(rows)]
+        for i, line in enumerate(block):
+            want[row0 + i][col0:col0 + len(line)] = line
+        got = IntMatrix.from_kron_blocks(rows, cols, [(row0, col0, r, n, left)])
+        assert got == IntMatrix.from_rows(want, cols)
+    one = IntMatrix.identity(1)
+    with pytest.raises(IndexError):
+        IntMatrix.from_kron_blocks(2, 2, [(1, 0, one, 2, True)])
+    with pytest.raises(ValueError, match="two blocks write rows 0..0"):
+        IntMatrix.from_kron_blocks(1, 2, [(0, 0, one, 1, True), (0, 1, one, 1, False)])
+
+
 def test_snf_identity_and_zero():
     v, d = _snf_reduce(IntMatrix.identity(3), want_v=True)
     assert d == IntMatrix.identity(3) and v == IntMatrix.identity(3)

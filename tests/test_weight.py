@@ -36,6 +36,7 @@ from _support import (
     BUILDER_SPECS,
     check_record,
     contractibility,
+    disjoint_fibres_json,
     random_valid_datum,
     reference_product,
 )
@@ -162,10 +163,12 @@ def test_product_matches_the_dense_reference():
     # Random free pairs, and builder pairs whose restrictions and identity
     # legs both have more than one generator in a degree (H^1 of a curve of
     # genus >= 1, H^2 of the codimension-1 strata of torus:3), so that
-    # R (x) I_n and I_m (x) R are written with n > 1 and m > 1.  Both orders.
+    # R (x) I_n and I_m (x) R are written with n > 1 and m > 1, and a
+    # surface whose two boundary curves do not meet.  Both orders.
     from sncweight.builders import to_json
 
     wide = [parse_builder(spec) for spec in ("curve:1,2", "curve:2,1", "affine:2", "torus:3")]
+    wide.append(datum_from_dict(disjoint_fibres_json()))
     pairs = _random_pairs(97, 20) + [
         (x, y) for i, x in enumerate(wide) for y in wide[i + 1:]
     ]
