@@ -171,13 +171,13 @@ class FpAbPresentation(_Record):
         total = sum(p.generators for p in parts)
         if all(p.relations.cols == 0 for p in parts):
             return FpAbPresentation.free(total)
-        entries = []
+        blocks = []
         row0 = col0 = 0
         for p in parts:
-            entries.extend((row0 + i, col0 + j, e) for i, j, e in p.relations.nonzeros())
+            blocks.append((row0, col0, p.relations, 1, True, 1))
             row0 += p.generators
             col0 += p.relations.cols
-        return FpAbPresentation(total, IntMatrix.from_entries(total, col0, entries))
+        return FpAbPresentation(total, IntMatrix.from_blocks(total, col0, blocks))
 
 
 class FpAbHom(_Record):

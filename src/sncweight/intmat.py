@@ -1,7 +1,8 @@
 """Exact integer matrices stored as sparse rows, and the Smith normal form engine.
 
 A matrix keeps one dict of nonzero entries per row, so building,
-multiplying, stacking and comparing cost the nonzeros, not rows x cols.
+multiplying, stacking and comparing cost the nonzeros, not rows x cols;
+every block matrix, stacking included, is written by from_blocks.
 Every matrix entry in this package is a Python int: the constructors
 refuse any value whose type is not exactly int, bools and floats alike.
 So all arithmetic is arbitrary precision: normal-form pivoting can blow
@@ -102,43 +103,51 @@ class IntMatrix:
         return cls._wrap(rows, cols, tuple(out))
 
     @classmethod
-    def from_kron_blocks(
+    def from_blocks(
         cls, rows: int, cols: int,
-        blocks: Iterable[tuple[int, int, "IntMatrix", int, bool]],
+        blocks: Iterable[tuple[int, int, "IntMatrix", int, bool, int]],
     ) -> "IntMatrix":
-        """The rows x cols matrix made of Kronecker blocks, zero elsewhere.
+        """The rows x cols matrix made of signed Kronecker blocks, zero elsewhere.
 
-        Each block (row0, col0, r, n, left) is r (x) I_n if left, else
-        I_n (x) r, with its top-left entry at (row0, col0).  No two blocks
-        may write the same row.  A block costs the rows and nonzeros it
-        writes; every other row is one shared empty row.
+        Each block (row0, col0, r, n, left, sign), sign 1 or -1, is
+        sign * (r (x) I_n) if left, else sign * (I_n (x) r), with its top-left
+        entry at (row0, col0); a plain block is n = 1.  Blocks may share a row
+        when they write disjoint entries.  An entry written twice raises
+        ValueError and a block that does not fit raises IndexError.  A
+        block costs the rows and nonzeros it writes: each written row is
+        one fresh dict, every other row is one shared empty row, and no row
+        of a block is changed.
 
         >>> r = IntMatrix.from_rows([[1, 2]])
-        >>> IntMatrix.from_kron_blocks(3, 5, [(1, 1, r, 2, True)])
-        IntMatrix.from_rows([[0, 0, 0, 0, 0], [0, 1, 0, 2, 0], [0, 0, 1, 0, 2]])
+        >>> IntMatrix.from_blocks(3, 5, [(1, 1, r, 2, True, 1), (0, 3, r, 1, True, -1)])
+        IntMatrix.from_rows([[0, 0, 0, -1, -2], [0, 1, 0, 2, 0], [0, 0, 1, 0, 2]])
         """
         _check_shape(rows, cols)
         out = [_EMPTY_ROW] * rows
-        for row0, col0, r, n, left in blocks:
-            height = r.rows * n
+        for row0, col0, r, n, left, sign in blocks:
             if not (row0 >= 0 and col0 >= 0 and n >= 0
-                    and row0 + height <= rows and col0 + r.cols * n <= cols):
+                    and row0 + r.rows * n <= rows and col0 + r.cols * n <= cols):
                 raise IndexError(f"a {r.rows}x{r.cols} block times {n} at ({row0}, {col0}) "
                                  f"does not fit in {rows}x{cols}")
-            if any(out[row0:row0 + height]):
-                raise ValueError(f"two blocks write rows {row0}..{row0 + height - 1}")
-            if left:
-                for i, row in enumerate(r._rows):
+            for k in range(n):
+                # Copy k of r: its rows go to at, at + stride, ..., and entry
+                # (i, j) of r to column shift + j * step.
+                if left:
+                    at, stride, shift, step = row0 + k, n, col0 + k, n
+                else:
+                    at, stride, shift, step = row0 + k * r.rows, 1, col0 + k * r.cols, 1
+                for row in r._rows:
                     if row:
-                        at = row0 + i * n
-                        for k in range(n):
-                            out[at + k] = {col0 + k + j * n: e for j, e in row.items()}
-            else:
-                for k in range(n):
-                    at, shift = row0 + k * r.rows, col0 + k * r.cols
-                    for i, row in enumerate(r._rows):
-                        if row:
-                            out[at + i] = {shift + j: e for j, e in row.items()}
+                        new = ({shift + j * step: sign * e for j, e in row.items()}
+                               if shift or step != 1 or sign != 1 else row.copy())
+                        target = out[at]
+                        if target is _EMPTY_ROW:
+                            out[at] = new
+                        elif target.keys().isdisjoint(new):
+                            target.update(new)
+                        else:
+                            raise ValueError(f"two blocks write an entry of row {at}")
+                    at += stride
         return cls._wrap(rows, cols, tuple(out))
 
     @classmethod
@@ -246,12 +255,8 @@ class IntMatrix:
         """
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        off = self.cols
-        rows = tuple(
-            {**a, **{off + j: e for j, e in b.items()}} if b else a
-            for a, b in zip(self._rows, other._rows)
-        )
-        return IntMatrix._wrap(self.rows, off + other.cols, rows)
+        return IntMatrix.from_blocks(self.rows, self.cols + other.cols, (
+            (0, 0, self, 1, True, 1), (0, self.cols, other, 1, True, 1)))
 
     def take_rows(self, count: int) -> "IntMatrix":
         if not 0 <= count <= self.rows:

@@ -186,7 +186,8 @@ def _check_structure(s: SncDatum) -> tuple[Report, bool]:
         bound = 2 * (s.dim - len(I))
         h0 = stratum.cohomology.get(0)
         if h0 is None or canonical_form(h0) != FgAbGroup.free(1):
-            problems.append(f"stratum {_fmt(I)}: degree-0 cohomology is not Z")
+            problems.append(f"stratum {_fmt(I)}: degree-0 cohomology is " + (
+                "absent (an empty stratum is left out of the file)" if h0 is None else "not Z"))
         for b, p in stratum.cohomology.items():
             if b < 0:
                 problems.append(f"stratum {_fmt(I)}: negative cohomology degree {b}")
@@ -308,9 +309,10 @@ def level_group(level: Level, b: int) -> FpAbPresentation:
 def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
     """Signed block matrix of pullbacks from codimension k-1 to codimension k.
 
-    The block from Y_(I minus i_j) into Y_I carries the sign (-1)^(j-1),
-    where i_j is the j-th smallest element of I.  A level past the last
-    one is empty.
+    The block from Y_(I minus i_j) into Y_I is the stored degree-b map
+    times (-1)^(j-1), where i_j is the j-th smallest element of I.
+    IntMatrix.from_blocks places those maps, several to a row, for the
+    targets with degree-b generators.  A level past the last one is empty.
     """
     if k < 1:
         raise ValueError("level differentials start at k = 1")
@@ -324,19 +326,20 @@ def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
         src_offsets[I] = pos
         pos += coh.get(b, _ZERO).generators
 
-    entries = []
+    blocks = []
     row0 = 0
     for I, coh in tgt:
+        height = coh.get(b, _ZERO).generators
+        if not height:
+            continue
         restrictions = s.strata[I].restrictions
         for j, i in enumerate(I):
-            # A missing map is an implied zero and adds no entry.
+            # A missing map is an implied zero and writes no block.
             stored = restrictions.get(i, _NO_MAPS).get(b)
-            col0 = src_offsets.get(tuple(x for x in I if x != i))
-            if stored is None or col0 is None:
-                continue
-            sign = -1 if j % 2 else 1
-            entries.extend((row0 + r, col0 + c, sign * e) for r, c, e in stored.nonzeros())
-        row0 += coh.get(b, _ZERO).generators
+            col0 = src_offsets.get(I[:j] + I[j + 1:])
+            if stored is not None and col0 is not None:
+                blocks.append((row0, col0, stored, 1, True, -1 if j % 2 else 1))
+        row0 += height
 
-    matrix = IntMatrix.from_entries(tgt_group.generators, src_group.generators, entries)
+    matrix = IntMatrix.from_blocks(tgt_group.generators, src_group.generators, blocks)
     return FpAbHom(src_group, tgt_group, matrix)

@@ -196,9 +196,9 @@ def _leg_restriction(layout, src_layout, maps, left: bool) -> dict[int, IntMatri
         for (p, q), (row0, m, n) in blocks.items():
             at = src_blocks.get((p, q))
             if at is not None:
-                kron_blocks.append((row0, at[0], maps[p], n, True) if left
-                                   else (row0, at[0], maps[q], m, False))
-        per_degree[b] = IntMatrix.from_kron_blocks(height, width, kron_blocks)
+                kron_blocks.append((row0, at[0], maps[p], n, True, 1) if left
+                                   else (row0, at[0], maps[q], m, False, 1))
+        per_degree[b] = IntMatrix.from_blocks(height, width, kron_blocks)
     return per_degree
 
 
@@ -227,7 +227,8 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
     source layout of the pairs above it.  A restriction keeps both leg
     degrees, so it is nonzero only on the blocks with the same (p, q) at
     source and target; those are the Kronecker blocks R (x) I_n or
-    I_m (x) R of the factor's map R, written from R's rows.  The work is
+    I_m (x) R of the factor's map R, which IntMatrix.from_blocks writes
+    from R's rows, one call per restriction and degree.  The work is
     that of the rows and nonzeros written, and the generator order and
     the order of each stratum's restrictions are those of the definition.
 

@@ -737,6 +737,24 @@ def test_check_all_passes_when_boundary_curves_do_not_meet(capsys, tmp_path):
     assert out.count("PASS ") == 6
 
 
+def test_listed_empty_stratum_is_told_apart_from_a_wrong_degree_0(capsys, tmp_path):
+    # The same datum listing {1, 2} with no cohomology: an empty stratum is
+    # left out of the file, and the message says so.  A degree-0 group that
+    # is present but not Z keeps its own message.  Both fail validation.
+    from _support import disjoint_fibres_json
+
+    for cohomology, message in (
+            ({}, "stratum {1,2}: degree-0 cohomology is absent "
+                 "(an empty stratum is left out of the file)"),
+            ({"0": {"generators": 2}}, "stratum {1,2}: degree-0 cohomology is not Z")):
+        data = disjoint_fibres_json()
+        data["strata"].append({"subset": [1, 2], "cohomology": cohomology})
+        path = tmp_path / "fibres.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "all")
+        assert (code, out, err) == (1, f"FAIL validate\n  {message}\n", "")
+
+
 def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # nerve-identity, euler, affine-line-stability, degeneration and
     # product-consistency all read the table of the datum; each of the four
@@ -1046,6 +1064,39 @@ def test_validity_is_decided_at_the_command_line_boundary():
                 if name in ("validate", "validate_structure"):
                     callers.add(path.stem)
     assert callers - {"sncdata"} == {"cli"}
+
+
+def test_matrix_layout_is_known_only_to_intmat():
+    # IntMatrix's row storage is private to intmat: every other module
+    # builds matrices through its constructors, blocks through from_blocks,
+    # and from_entries only where the input comes as (row, col, entry).
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    leaks, entry_callers = [], set()
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "from_kron_blocks" not in text, path.name
+        if path.stem == "intmat":
+            continue
+        tree = ast.parse(text)
+        enclosing = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_wrap"):
+                leaks.append((path.stem, node.attr))
+            if isinstance(node, ast.alias) and node.name in ("_wrap", "_EMPTY_ROW"):
+                leaks.append((path.stem, node.name))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_entries"):
+                entry_callers.add((path.stem, enclosing.get(id(node))))
+    assert leaks == []
+    assert entry_callers == {("dual", "reduced_cochain_complex"),
+                             ("abgroup", "from_relation_columns"),
+                             ("abgroup", "_kernel_basis")}
 
 
 def test_files_are_read_by_one_reader():

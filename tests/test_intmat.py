@@ -47,27 +47,60 @@ def test_hstack_blocks():
         a.hstack(right)
 
 
-def test_kron_blocks_match_dense_placement():
+def _dense_block(r, n, left, sign):
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, b = (r.to_rows(), eye) if left else (eye, r.to_rows())
+    return [[sign * x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def test_blocks_match_dense_placement():
+    # Seeded lists of signed Kronecker blocks, both orders, checked against
+    # dense placement.  A block is kept when its nonzeros miss every nonzero
+    # placed so far, so blocks share rows (and even area) in disjoint entries;
+    # a block that hits one must make the writer raise instead.
     rng = random.Random(41)
-    for _ in range(40):
-        r = random_matrix(rng, max_dim=4, bound=3)
-        n = rng.randint(0, 3)
-        left = rng.random() < 0.5
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        a, b = (r.to_rows(), eye) if left else (eye, r.to_rows())
-        block = [[x * y for x in ra for y in rb] for ra in a for rb in b]
-        row0, col0 = rng.randint(0, 2), rng.randint(0, 2)
-        rows, cols = row0 + r.rows * n + rng.randint(0, 2), col0 + r.cols * n + rng.randint(0, 2)
+    shared_rows = collisions = 0
+    for _ in range(200):
+        rows, cols = rng.randint(0, 10), rng.randint(2, 14)
         want = [[0] * cols for _ in range(rows)]
-        for i, line in enumerate(block):
-            want[row0 + i][col0:col0 + len(line)] = line
-        got = IntMatrix.from_kron_blocks(rows, cols, [(row0, col0, r, n, left)])
-        assert got == IntMatrix.from_rows(want, cols)
+        blocks, written = [], set()
+        for _ in range(rng.randint(0, 8)):
+            r = _sparse_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), (-2, -1, 1, 2), 0.5)
+            n, left, sign = rng.choice((0, 1, 1, 2, 3)), rng.random() < 0.5, rng.choice((1, -1))
+            block = _dense_block(r, n, left, sign)
+            if r.rows * n > rows or r.cols * n > cols:
+                continue
+            row0, col0 = rng.randint(0, rows - r.rows * n), rng.randint(0, cols - r.cols * n)
+            if blocks and rng.random() < 0.5 and blocks[-1][0] + r.rows * n <= rows:
+                row0 = blocks[-1][0]
+            spots = [(row0 + i, col0 + j) for i, line in enumerate(block)
+                     for j, x in enumerate(line) if x]
+            if any(want[i][j] for i, j in spots):
+                collisions += 1
+                with pytest.raises(ValueError, match="two blocks write an entry of row"):
+                    IntMatrix.from_blocks(rows, cols, blocks + [(row0, col0, r, n, left, sign)])
+                continue
+            for i, j in spots:
+                want[i][j] = block[i - row0][j - col0]
+            shared_rows += len(written & {i for i, _ in spots})
+            written.update(i for i, _ in spots)
+            blocks.append((row0, col0, r, n, left, sign))
+        before = [r.to_rows() for _, _, r, _, _, _ in blocks]
+        _assert_is(IntMatrix.from_blocks(rows, cols, blocks), want, cols)
+        assert [r.to_rows() for _, _, r, _, _, _ in blocks] == before
+    assert shared_rows > 20 and collisions > 5
     one = IntMatrix.identity(1)
-    with pytest.raises(IndexError):
-        IntMatrix.from_kron_blocks(2, 2, [(1, 0, one, 2, True)])
-    with pytest.raises(ValueError, match="two blocks write rows 0..0"):
-        IntMatrix.from_kron_blocks(1, 2, [(0, 0, one, 1, True), (0, 1, one, 1, False)])
+    for rows, cols, block in ((2, 2, (1, 0, one, 2, True, 1)), (2, 2, (0, 1, one, 2, False, -1)),
+                              (2, 2, (-1, 0, one, 1, True, 1)), (0, 0, (0, 0, one, 1, True, 1))):
+        with pytest.raises(IndexError, match="does not fit"):
+            IntMatrix.from_blocks(rows, cols, [block])
+    with pytest.raises(ValueError, match="two blocks write an entry of row 0"):
+        IntMatrix.from_blocks(1, 2, [(0, 0, one, 1, True, 1), (0, 0, one, 1, False, -1)])
+    pair = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert pair.hstack(pair.scale(-1)) == IntMatrix.from_blocks(
+        2, 4, [(0, 2, pair, 1, False, -1), (0, 0, pair, 1, True, 1)])
+    with pytest.raises(ValueError, match="row counts differ"):
+        pair.hstack(one)
 
 
 def test_snf_identity_and_zero():
