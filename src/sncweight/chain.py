@@ -11,14 +11,9 @@ from .reports import Report, _Record
 
 __all__ = [
     "CochainComplex",
-    "FreeTensorError",
     "verify_complex",
     "cohomology",
 ]
-
-
-class FreeTensorError(ValueError):
-    """Products of data are only implemented for free stratum cohomology."""
 
 
 class CochainComplex(_Record):

@@ -17,10 +17,9 @@ import sys
 from contextlib import contextmanager
 
 from . import builders, dual, weight
-from .chain import FreeTensorError
 from .intmat import DenseWorkTooLargeError
 from .reports import Report
-from .sncdata import SncDatum, level_differential, validate, validate_structure
+from .sncdata import SncDatum, level_differential, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,14 +87,19 @@ def _load_datum(args) -> tuple[SncDatum | None, str, int]:
     return None, "", _fail("no input: give a JSON file or --builder")
 
 
+def _refused(datum: SncDatum) -> bool:
+    """Whether datum fails full validation; if so, its validate report is printed."""
+    rep = validate(datum)
+    if not rep.passed:
+        print(rep.render())
+    return not rep.passed
+
+
 def _load_valid_datum(args) -> tuple[SncDatum | None, str, int]:
     """_load_datum; a datum read from a file must pass full validation (else exit 1)."""
     datum, identifier, code = _load_datum(args)
-    if datum is not None and args.input:
-        rep = validate(datum)
-        if not rep.passed:
-            print(rep.render())
-            return None, "", EXIT_CHECK_FAILED
+    if datum is not None and args.input and _refused(datum):
+        return None, "", EXIT_CHECK_FAILED
     return datum, identifier, code
 
 
@@ -203,8 +207,8 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
         pres, components = None, e.components
     simp = None
     if pres is not None and (simplify_budget is not None or (certify and not h)):
-        simp = dual.simplify_presentation(pres, 10_000 if simplify_budget is None
-                                          else simplify_budget)
+        budget = dual.SIMPLIFY_BUDGET if simplify_budget is None else simplify_budget
+        simp = dual.simplify_presentation(pres, budget)
     print(f"input: {identifier}")
     print(_complex_summary(k))
     if h:
@@ -253,7 +257,11 @@ def _parse_hc(text: str) -> dict[int, int]:
 
 
 def _d2_report(datum: SncDatum) -> Report:
-    """Compose the level differentials directly; works on structurally sound data."""
+    """Compose the program's own level differentials of a valid datum.
+
+    Validation has checked the squares they are built from, so a failure
+    here is a fault in level_differential, not in the datum.
+    """
     problems = []
     # Fewer than three levels leave no pair of differentials to compose.
     levels = range(1, len(datum.levels)) if len(datum.levels) > 2 else ()
@@ -267,13 +275,11 @@ def _d2_report(datum: SncDatum) -> Report:
     return Report("d2", not problems, tuple(problems))
 
 
-def _guarding(name: str, valid: bool, thunk) -> Report:
-    """thunk's report on a valid datum; a suite on an invalid one is refused."""
-    if not valid:
-        return Report(name, False, ("datum fails full validation; see the validate report",))
+def _needs_free(name: str, thunk) -> Report:
+    """thunk's report; a suite whose products need free cohomology passes as not applicable."""
     try:
         return thunk()
-    except FreeTensorError as e:
+    except weight.FreeTensorError as e:
         return Report(name, True, (f"not applicable: {e}",))
 
 
@@ -291,29 +297,25 @@ def _product_consistency(datum: SncDatum) -> Report:
     return Report("product-consistency", not problems, tuple(problems))
 
 
-def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None,
-                valid: bool) -> list[Report]:
+def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None) -> list[Report]:
     reports = []
     if which in ("all", "d2"):
         reports.append(_d2_report(datum))
     if which in ("all", "prop1"):
-        reports.append(_guarding("nerve-identity", valid,
-                                 lambda: weight.check_nerve_identity(datum)))
+        reports.append(weight.check_nerve_identity(datum))
     if which in ("all", "euler"):
-        reports.append(_guarding("euler", valid, lambda: weight.euler_check(datum)))
+        reports.append(weight.euler_check(datum))
     if which in ("all", "stability"):
-        reports.append(_guarding("affine-line-stability", valid,
-                                 lambda: weight.a1_stability_check(datum)))
+        reports.append(_needs_free("affine-line-stability",
+                                   lambda: weight.a1_stability_check(datum)))
     if which in ("all", "degeneration"):
         if expected_hc is None:
             reports.append(Report("degeneration", True,
                                   ("skipped: no expected Betti numbers available",)))
         else:
-            reports.append(_guarding("degeneration", valid,
-                                     lambda: weight.degeneration_check(datum, expected_hc)))
+            reports.append(weight.degeneration_check(datum, expected_hc))
     if which in ("all", "product-consistency"):
-        reports.append(_guarding("product-consistency", valid,
-                                 lambda: _product_consistency(datum)))
+        reports.append(_needs_free("product-consistency", lambda: _product_consistency(datum)))
     return reports
 
 
@@ -328,13 +330,6 @@ def cmd_check(args) -> int:
     datum, identifier, code = _load_datum(args)
     if code:
         return code
-    # Checks only need the structural tier up front: the d2 suite is a
-    # diagnostic for data whose coherence is exactly what is in question.
-    rep = validate_structure(datum)
-    if not rep.passed:
-        print(rep.render())
-        return EXIT_CHECK_FAILED
-
     expected_hc = None
     if args.hc:
         try:
@@ -348,14 +343,14 @@ def cmd_check(args) -> int:
             expected_hc = None
     if args.which == "degeneration" and expected_hc is None:
         return _fail("degeneration check needs --hc or a builder with known Betti numbers")
-
-    # Every suite but d2 needs a valid datum.  The full report is computed
-    # here even for a builder's datum, so check never takes validity by
-    # construction on trust; d2 alone does not read it.
-    valid = args.which == "d2" or validate(datum).passed
+    # The parse and usage errors are decided above, so their exit 2 does not
+    # depend on the datum's validity.  Unlike compute and dual, check
+    # validates a builder's datum too: it never takes validity on trust.
+    if _refused(datum):
+        return EXIT_CHECK_FAILED
     try:
         with _exact_output():
-            checks = _run_checks(datum, args.which, expected_hc, valid)
+            checks = _run_checks(datum, args.which, expected_hc)
     except weight.ProductTooLargeError as e:
         return _fail(str(e))
     if args.json:

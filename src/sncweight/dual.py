@@ -32,10 +32,14 @@ __all__ = [
     "euler_characteristic",
     "edge_path_presentation",
     "simplify_presentation",
+    "SIMPLIFY_BUDGET",
     "real_projective_plane",
     "complex_from_dict",
     "complex_to_dict",
 ]
+
+# The move budget of simplify_presentation when none is given.
+SIMPLIFY_BUDGET = 10_000
 
 
 class DisconnectedComplexError(ValueError):
@@ -272,7 +276,7 @@ def _first_single(word: tuple[int, ...]) -> int | None:
     return min((g for g, c in counts.items() if c == 1), default=None)
 
 
-def simplify_presentation(p: GroupPresentation, budget: int = 10_000) -> GroupPresentation:
+def simplify_presentation(p: GroupPresentation, budget: int = SIMPLIFY_BUDGET) -> GroupPresentation:
     """Tietze simplification within a move budget.
 
     Moves used: free and cyclic reduction, dropping empty and duplicate

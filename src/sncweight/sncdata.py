@@ -9,14 +9,14 @@ as sorted 1-indexed tuples; absent subsets mean empty strata; absent
 cohomology degrees mean zero groups; restriction matrices into or out of
 a zero group may be omitted and are implied zero.
 
-A datum is validated once, at the boundary where it enters from outside:
-the command line validates a datum read from a file before it computes
-anything on it.  Every other function of the package takes a valid datum
-as a precondition and does not check it.  Builders and products of valid
+A datum is validated once, in full, at the boundary where it enters from
+outside: the command line validates a datum read from a file before it
+computes anything on it, and check validates every datum it is given.
+Every other function of the package takes a valid datum as a
+precondition and does not check it.  Builders and products of valid
 factors are valid by construction, and the tests validate them from
-scratch.  A datum is read-only once built (its mappings are copied into
-read-only views), so the structure tier of validation is computed at most
-once per datum and cached on it; the full report reuses it.
+scratch.  A datum is read-only once built: its mappings are copied into
+read-only views.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "StratumData",
     "SncDatum",
     "validate",
-    "validate_structure",
     "level_group",
     "level_differential",
 ]
@@ -83,16 +82,16 @@ class SncDatum(_Record):
     """A compactification datum; see the module docstring.
 
     Constructing one checks only its subset keys.  Whether it is valid is
-    decided by validate, which the command line runs on a datum read from
-    a file; the functions that compute on a datum require a valid one.
+    decided by validate, which the command line runs where a datum enters;
+    the functions that compute on a datum require a valid one.
     """
 
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
-    # largest |I| present.  _reports holds the structure report and the
-    # weight cohomology table, each filled on first use.  Both are sound
-    # because the datum cannot change after construction, and neither is a
-    # field: equality, hash and repr ignore them.
+    # largest |I| present.  _reports holds the weight cohomology table,
+    # filled on first use.  Both are sound because the datum cannot change
+    # after construction, and neither is a field: equality, hash and repr
+    # ignore them.
     __slots__ = _fields + ("levels", "_reports")
 
     def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
@@ -133,36 +132,17 @@ class SncDatum(_Record):
 def validate(s: SncDatum) -> Report:
     """Check every invariant; the report enumerates violations.
 
-    The cached structure tier is reused and the commuting squares are
-    checked on each call, unless a shape problem rules them out.  Callers
-    validate a datum once, where it enters the program.
+    The commuting squares are checked only when the shapes admit them.
+    The command line validates a datum once, where it enters the program.
     """
-    structure, shapes_ok = _structure_tier(s)
-    if not shapes_ok:
-        return structure
-    problems = structure.details + _square_problems(s)
-    return Report("validate", not problems, problems)
+    problems, shapes_ok = _check_structure(s)
+    if shapes_ok:
+        problems += _square_problems(s)
+    return Report("validate", not problems, tuple(problems))
 
 
-def validate_structure(s: SncDatum) -> Report:
-    """Shape-level checks only: everything except the commuting squares.
-
-    Structurally sound data can still be mathematically inconsistent;
-    this tier is what diagnostic tooling needs before it can even build
-    the level differentials.  Computed once per datum.
-    """
-    return _structure_tier(s)[0]
-
-
-def _structure_tier(s: SncDatum) -> tuple[Report, bool]:
-    """The cached structure report, and whether the shapes admit the square checks."""
-    reports = s._reports
-    if "structure" not in reports:
-        reports["structure"] = _check_structure(s)
-    return reports["structure"]
-
-
-def _check_structure(s: SncDatum) -> tuple[Report, bool]:
+def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
+    """Every problem but the squares, and whether the shapes admit the square checks."""
     problems: list[str] = []
     n = s.n_components
 
@@ -213,7 +193,7 @@ def _check_structure(s: SncDatum) -> tuple[Report, bool]:
 
     # The remaining checks need consistent shapes, so skip them if broken.
     if problems:
-        return Report("validate", False, tuple(problems)), False
+        return problems, False
 
     for I in s.nonempty_subsets():
         stratum = s.strata[I]
@@ -242,10 +222,10 @@ def _check_structure(s: SncDatum) -> tuple[Report, bool]:
                         "is not well defined on the presentations"
                     )
 
-    return Report("validate", not problems, tuple(problems)), True
+    return problems, True
 
 
-def _square_problems(s: SncDatum) -> tuple[str, ...]:
+def _square_problems(s: SncDatum) -> list[str]:
     """Squares whose paths J -> I minus i -> I and J -> I minus j -> I differ.
 
     The paths are compared as plain matrix products; they agree when their
@@ -291,7 +271,7 @@ def _square_problems(s: SncDatum) -> tuple[str, ...]:
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
                     )
-    return tuple(problems)
+    return problems
 
 
 def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:

@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
-from .chain import CochainComplex, FreeTensorError, cohomology
+from .chain import CochainComplex, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
 from .intmat import IntMatrix
 from .reports import Report, _Record
@@ -38,6 +38,7 @@ __all__ = [
     "weight_cohomology_table",
     "check_nerve_identity",
     "product_snc",
+    "FreeTensorError",
     "ProductTooLargeError",
     "a1_stability_check",
     "degeneration_check",
@@ -200,6 +201,10 @@ def _leg_restriction(layout, src_layout, maps, left: bool) -> dict[int, IntMatri
                                    else (row0, at[0], maps[q], m, False, 1))
         per_degree[b] = IntMatrix.from_blocks(height, width, kron_blocks)
     return per_degree
+
+
+class FreeTensorError(ValueError):
+    """Products of data are only implemented for free stratum cohomology."""
 
 
 class ProductTooLargeError(ValueError):

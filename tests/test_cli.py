@@ -2,7 +2,7 @@ import json
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, parse_builder, to_json, torus_snc
-from sncweight.cli import main
+from sncweight.cli import CHECK_SUITES, main
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
 
@@ -778,18 +778,18 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
 
 
 def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_path):
-    # Each full validation runs the commuting squares once; seen records
-    # the datum of each.
+    # validate, the one entry point, runs the structure checks exactly once
+    # per call; seen records the datum of each validation.
     import sncweight.sncdata as sncdata
 
     seen = []
-    squares = sncdata._square_problems
+    structure = sncdata._check_structure
 
     def counted(s):
         seen.append(s)
-        return squares(s)
+        return structure(s)
 
-    monkeypatch.setattr(sncdata, "_square_problems", counted)
+    monkeypatch.setattr(sncdata, "_check_structure", counted)
     # Builders and products are valid by construction: compute and dual on a
     # builder validate nothing (torus:5 used to validate its four nested
     # products).
@@ -797,30 +797,22 @@ def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_pat
     assert code == 0 and seen == []
     code, _, _ = run(capsys, "dual", "--builder", "torus:3")
     assert code == 0 and seen == []
-    # check computes its own full report for the datum it is given, and only
-    # for it: the products of stability and product-consistency are not
-    # validated.
-    code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
-    assert code == 0 and "FAIL" not in out
-    assert seen == [parse_builder("torus:3")]
-    # A file datum is validated in full exactly once.
-    seen.clear()
-    path = tmp_path / "torus3.json"
-    path.write_text(to_json(torus_snc(3)))
-    code, _, _ = run(capsys, "compute", str(path))
-    assert code == 0 and seen == [torus_snc(3)]
-    # The d2 suite needs only the structure tier: check with d2 alone runs
-    # it and never the commuting squares, on a file and on a builder.
-    structures = []
-    tier = sncdata._check_structure
-    monkeypatch.setattr(sncdata, "_check_structure",
-                        lambda s: structures.append(s) or tier(s))
-    seen.clear()
-    for argv in (("check", str(path), "d2"), ("check", "--builder", "torus:3", "d2")):
-        structures.clear()
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and out.splitlines()[1:] == ["PASS d2"], argv
-        assert structures == [torus_snc(3)] and seen == [], argv
+    # A file datum is validated in full exactly once by compute and dual.
+    path = tmp_path / "torus2.json"
+    path.write_text(to_json(torus_snc(2)))
+    for command in ("compute", "dual"):
+        seen.clear()
+        code, _, _ = run(capsys, command, str(path))
+        assert code == 0 and seen == [torus_snc(2)], command
+    # check validates the datum it is given exactly once, from a file or a
+    # builder and for every suite, d2 included, and validates none of the
+    # products that stability and product-consistency build.
+    for suite in CHECK_SUITES:
+        for argv in ((str(path), suite, "--hc", "2:1,3:2,4:1"), ("--builder", "torus:2", suite)):
+            seen.clear()
+            code, out, _ = run(capsys, "check", *argv)
+            assert code == 0 and "FAIL" not in out, argv
+            assert seen == [torus_snc(2)], argv
 
 
 def test_answers_longer_than_the_int_string_limit_print_exactly(capsys, tmp_path):
@@ -920,40 +912,96 @@ def test_check_d2_allows_composites_in_the_relation_span(capsys, tmp_path):
         assert out.splitlines()[1] == "PASS d2"
 
 
+_FLIPPED_REPORT = [
+    "FAIL validate",
+    "  commuting squares: paths {} -> {3} -> {1,3} and {} -> {1} -> {1,3} differ in degree 0",
+]
+
+
 def test_check_sign_flip_breaks_d2(capsys, tmp_path):
+    # d2 runs only on a valid datum, so check refuses the flipped file with
+    # its validate report, which names the square and the degree.
     path = _sign_flipped_torus(tmp_path)
     code, out, _ = run(capsys, "check", str(path), "d2")
     assert code == 1
-    assert "FAIL d2" in out
-    assert "levels 0->2" in out and "b=0" in out
+    assert out.splitlines() == _FLIPPED_REPORT
 
 
 def test_check_all_on_incoherent_datum(capsys, tmp_path):
-    # The flipped datum passes the structure tier and fails the full one,
-    # so d2 runs on it and every suite that needs a valid datum says so.
+    # check, compute and dual follow one rule: an invalid datum prints its
+    # validate report alone, as text even under --json, and exits 1.
     path = _sign_flipped_torus(tmp_path)
-    code, out, _ = run(capsys, "check", str(path), "all")
-    assert code == 1
-    refused = "  datum fails full validation; see the validate report"
-    assert out.splitlines() == [
-        f"input: {path}",
-        "FAIL d2",
-        "  d after d is nonzero at levels 0->2, degree b=0",
-        "FAIL nerve-identity", refused,
-        "FAIL euler", refused,
-        "FAIL affine-line-stability", refused,
-        "PASS degeneration",
-        "FAIL product-consistency", refused,
-    ]
-    # compute and dual refuse the datum with its validate report alone.
-    for command in ("compute", "dual"):
-        code, out, _ = run(capsys, command, str(path))
-        assert code == 1, command
-        assert out.splitlines() == [
-            "FAIL validate",
-            "  commuting squares: paths {} -> {3} -> {1,3} and {} -> {1} -> {1,3} "
-            "differ in degree 0",
-        ], command
+    for argv in (("check", str(path), "all"), ("check", str(path), "all", "--json"),
+                 ("check", str(path), "euler"), ("compute", str(path)), ("dual", str(path))):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1, argv
+        assert out.splitlines() == _FLIPPED_REPORT, argv
+
+
+def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypatch, tmp_path):
+    # No valid datum reaches FAIL d2, so break the program instead: negate
+    # the first block of d_1 in degree 0, which d_2 after d_1 must see.  The
+    # file holds only the degree-0 part of torus:2, where 0 is the only
+    # graded degree.
+    import sncweight.cli as cli
+    from sncweight.abgroup import FpAbHom
+
+    def broken(datum, k, b):
+        d = level_differential(datum, k, b)
+        if (k, b) != (1, 0):
+            return d
+        rows = d.matrix.to_rows()
+        rows[0] = [-x for x in rows[0]]
+        return FpAbHom(d.source, d.target, IntMatrix.from_rows(rows))
+
+    obj = json.loads(to_json(torus_snc(2)))
+    for stratum in obj["strata"]:
+        stratum["cohomology"] = {"0": stratum["cohomology"]["0"]}
+        stratum["restrictions"] = {i: {"0": m["0"]} for i, m in stratum["restrictions"].items()}
+    path = tmp_path / "degree0.json"
+    path.write_text(json.dumps(obj))
+    for source in (("--builder", "torus:2"), (str(path),)):
+        monkeypatch.setattr(cli, "level_differential", level_differential)
+        code, out, _ = run(capsys, "check", *source, "d2")
+        assert code == 0 and out.splitlines()[1:] == ["PASS d2"], source
+        monkeypatch.setattr(cli, "level_differential", broken)
+        code, out, _ = run(capsys, "check", *source, "d2")
+        assert code == 1, source
+        assert out.splitlines()[1:] == [
+            "FAIL d2", "  d after d is nonzero at levels 0->2, degree b=0"], source
+
+
+def test_check_decides_usage_errors_before_validation(capsys, tmp_path):
+    # The exit code of a usage error does not depend on the datum: a file
+    # that fails the shape checks still exits 2 on a bad --hc value, and on
+    # degeneration without Betti numbers, before anything is validated.
+    obj = json.loads(to_json(torus_snc(2)))
+    obj["strata"][1]["restrictions"] = {str(obj["strata"][1]["subset"][0]): {"0": [[1, 0]]}}
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and out.startswith("FAIL validate\n") and "has shape (1, 2)" in out
+    for argv, message in (((str(path), "--hc", "x"), "error: cannot parse --hc value 'x'"),
+                          ((str(path), "degeneration"), "error: degeneration check needs --hc")):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == "" and err.startswith(message), argv
+
+
+def test_only_the_product_suites_are_not_applicable_to_relations(capsys, tmp_path):
+    # A stratum group with relations has no product here: the two suites
+    # that build products pass as not applicable, and the others run.
+    obj = json.loads(to_json(affine_space_snc(1)))
+    obj["strata"][0]["cohomology"]["2"] = {"generators": 2, "relations": [[0, 2]]}
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check", str(path), "all", "--hc", "2:1", "--json")
+    assert code == 0
+    details = {r["name"]: r["details"] for r in json.loads(out)["checks"]}
+    assert list(details) == ["d2", "nerve-identity", "euler", "affine-line-stability",
+                             "degeneration", "product-consistency"]
+    skipped = {name for name, d in details.items()
+               if any(line.startswith("not applicable: ") for line in d)}
+    assert skipped == {"affine-line-stability", "product-consistency"}
 
 
 def test_check_json_format(capsys):
@@ -1046,22 +1094,24 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_validity_is_decided_at_the_command_line_boundary():
-    # Outside sncdata, only cli calls validate or validate_structure: the
-    # library takes a valid datum as a precondition and never re-asks.
-    # The machinery that let it re-ask is gone from the package.
+    # Outside sncdata, only cli calls validate: the library takes a valid
+    # datum as a precondition and never re-asks.  The machinery that let it
+    # re-ask, and the cached structure tier beside validate, are gone from
+    # the package.
     import ast
     from pathlib import Path
 
     callers = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sncweight").glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        for gone in ("require_valid", "InvalidDatumError", "valid_by_construction"):
+        for gone in ("require_valid", "InvalidDatumError", "valid_by_construction",
+                     "validate_structure", "_structure_tier"):
             assert gone not in text, (path.name, gone)
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("validate", "validate_structure"):
+                if name == "validate":
                     callers.add(path.stem)
     assert callers - {"sncdata"} == {"cli"}
 

@@ -16,7 +16,6 @@ from sncweight.sncdata import (
     level_differential,
     level_group,
     validate,
-    validate_structure,
 )
 
 from _support import check_record, random_valid_datum
@@ -333,26 +332,26 @@ def _count_tiers(monkeypatch) -> Counter:
 
 
 def test_validate_computes_each_tier_once(monkeypatch):
+    # validate is the one entry point: each call runs the structure checks
+    # and the commuting squares once each.
     built = torus_snc(2)
     calls = _count_tiers(monkeypatch)
-    # A new datum with the same content starts with no cached report.
     s = SncDatum(built.dim, built.n_components, built.strata)
-    assert s == built and "_reports" not in repr(s)
+    assert s == built
     assert validate(s).passed
     assert calls == {"_check_structure": 1, "_square_problems": 1}
-    assert validate_structure(s).passed
-    assert calls == {"_check_structure": 1, "_square_problems": 1}
 
 
-def test_structure_tier_is_reused_by_full_validation(monkeypatch):
+def test_validation_caches_nothing_on_the_datum(monkeypatch):
+    # The command line validates a datum once, so no report is kept on it:
+    # a second call runs both checks again and the datum's cache stays empty.
     calls = _count_tiers(monkeypatch)
     s = punctured_curve_snc(1, 3)
-    structure = validate_structure(s)
-    assert structure.passed
-    assert calls == {"_check_structure": 1}
-    assert validate(s).passed
-    assert validate_structure(s) is structure
-    assert calls == {"_check_structure": 1, "_square_problems": 1}
+    first = validate(s)
+    assert first.passed and not s._reports
+    assert validate(s) == first
+    assert calls == {"_check_structure": 2, "_square_problems": 2}
+    assert not s._reports
 
 
 def test_shape_failure_skips_the_squares(monkeypatch):
@@ -363,7 +362,6 @@ def test_shape_failure_skips_the_squares(monkeypatch):
     })
     rep = validate(s)
     assert not rep.passed and any("has shape" in d for d in rep.details)
-    assert validate_structure(s) is rep
     assert calls == {"_check_structure": 1}
 
 
@@ -382,8 +380,14 @@ def test_record_semantics():
 
 
 def test_validated_datum_equals_a_fresh_one():
+    # A validated datum whose table is cached on it still equals, and reprs
+    # as, a fresh one with the same content.
+    from sncweight.weight import weight_cohomology_table
+
     built = torus_snc(2)
-    assert validate(built).passed and validate_structure(built).passed
+    assert validate(built).passed
+    weight_cohomology_table(built)
+    assert built._reports
     fresh = SncDatum(built.dim, built.n_components, dict(built.strata))
     assert fresh == built and built == fresh
     assert repr(fresh) == repr(built) and "_reports" not in repr(built)

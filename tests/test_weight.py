@@ -12,12 +12,13 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import FreeTensorError, verify_complex
+from sncweight.chain import verify_complex
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData, validate
 from sncweight.weight import (
     BigradedTable,
     ContractibilityReport,
+    FreeTensorError,
     STATUS_CONTRACTIBLE,
     STATUS_OTHER,
     STATUS_SPHERE,
