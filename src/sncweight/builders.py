@@ -17,6 +17,7 @@ The on-disk format mirrors the in-memory datum one to one:
 
 Absent strata are empty; absent cohomology degrees are zero groups;
 restriction matrices into or out of a zero group may be omitted.
+Integer keys are written in plain decimal ("2", "-1"; not "02" or "+2").
 Relations are stored as columns, restriction matrices as rows (target
 generators by source generators).
 """
@@ -26,7 +27,7 @@ from math import comb
 
 from .intmat import IntMatrix
 from .abgroup import FpAbPresentation
-from .sncdata import MAX_COUNT, SncDatum, StratumData
+from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData
 
 __all__ = [
     "DatumParseError",
@@ -44,10 +45,6 @@ __all__ = [
     "builder_betti",
     "example_names",
 ]
-
-
-class DatumParseError(ValueError):
-    """The input file cannot be read as JSON or does not follow the documented schema."""
 
 
 def point_snc() -> SncDatum:
@@ -175,10 +172,13 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _parse_int_key(key: str, what: str) -> int:
+    # Plain decimal is an integer's one spelling, so no two keys name one integer.
     try:
-        return int(key)
+        value = int(key)
     except (TypeError, ValueError):
         raise DatumParseError(f"{what} key {key!r} is not an integer") from None
+    _expect(str(value) == key, f"{what} key {key!r} is not written in plain decimal")
+    return value
 
 
 def _parse_presentation(obj, where: str) -> FpAbPresentation:
@@ -305,6 +305,7 @@ def parse_builder(spec: str) -> SncDatum:
     Sizes are bounded by MAX_COUNT, as for datum files, and checked before
     anything is built: D <= MAX_COUNT; N <= MAX_COUNT and 2G + N - 1 <=
     MAX_COUNT for a curve; 3^N <= MAX_COUNT strata for a torus (N <= 8).
+    A spec refused is a DatumParseError.
     """
     name, _, args = spec.partition(":")
     try:
@@ -329,8 +330,8 @@ def parse_builder(spec: str) -> SncDatum:
                 raise ValueError(f"curve:G,N needs N <= {MAX_COUNT} and 2G + N - 1 <= {MAX_COUNT}")
             return punctured_curve_snc(g, n)
     except (TypeError, ValueError) as e:
-        raise ValueError(f"bad builder spec {spec!r}: {e}") from None
-    raise ValueError(
+        raise DatumParseError(f"bad builder spec {spec!r}: {e}") from None
+    raise DatumParseError(
         f"unknown builder {name!r}; expected point, affine:D, torus:N or curve:G,N"
     )
 

@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 on success (all checks passing), 1 on validation or check
-failure, 2 on I/O, parse or usage errors and on an input whose dense
-Smith reduction would be over budget (intmat.MAX_DENSE_WORK).  Output
-is deterministic for a fixed input and flag set: fixed orderings
-everywhere and no timestamps.
+failure, 2 on a refused input or invocation.  Commands raise refusals as
+typed exceptions, and main alone maps them to exit codes.  Output is
+deterministic for a fixed input and flag set: fixed orderings everywhere
+and no timestamps.
 
 Data enter the program only here, so only here is a datum validated; the
 library takes a valid datum as a precondition.
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import builders, dual, weight
 from .intmat import DenseWorkTooLargeError
 from .reports import Report
-from .sncdata import SncDatum, level_differential, validate
+from .sncdata import DatumParseError, SncDatum, level_differential, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,44 +63,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_PARSE_ERROR
+class UsageError(Exception):
+    """Arguments that conflict, are missing, or do not parse; or an unwritable --dir."""
 
 
-def _load_datum(args) -> tuple[SncDatum | None, str, int]:
-    """Returns (datum, identifier, exit_code); datum is None when exit_code != 0."""
+class ValidationFailed(Exception):
+    """A datum that fails full validation; the message is its validate report."""
+
+
+def _load_datum(args) -> tuple[SncDatum, str]:
+    """The datum of --builder or of the input file, and its identifier."""
     if args.builder and args.input:
-        return None, "", _fail("give either an input file or --builder, not both")
+        raise UsageError("give either an input file or --builder, not both")
     if args.builder:
-        try:
-            datum = builders.parse_builder(args.builder)
-        except ValueError as e:
-            return None, "", _fail(str(e))
-        return datum, args.builder, EXIT_OK
+        return builders.parse_builder(args.builder), args.builder
     if args.input:
-        try:
-            datum = builders.from_json(args.input)
-        except builders.DatumParseError as e:
-            return None, "", _fail(str(e))
-        return datum, args.input, EXIT_OK
-    return None, "", _fail("no input: give a JSON file or --builder")
+        return builders.from_json(args.input), args.input
+    raise UsageError("no input: give a JSON file or --builder")
 
 
-def _refused(datum: SncDatum) -> bool:
-    """Whether datum fails full validation; if so, its validate report is printed."""
+def _check_valid(datum: SncDatum) -> None:
     rep = validate(datum)
     if not rep.passed:
-        print(rep.render())
-    return not rep.passed
+        raise ValidationFailed(rep.render())
 
 
-def _load_valid_datum(args) -> tuple[SncDatum | None, str, int]:
-    """_load_datum; a datum read from a file must pass full validation (else exit 1)."""
-    datum, identifier, code = _load_datum(args)
-    if datum is not None and args.input and _refused(datum):
-        return None, "", EXIT_CHECK_FAILED
-    return datum, identifier, code
+def _load_valid_datum(args) -> tuple[SncDatum, str]:
+    """_load_datum; a datum read from a file must pass full validation."""
+    datum, identifier = _load_datum(args)
+    if args.input:
+        _check_valid(datum)
+    return datum, identifier
 
 
 @contextmanager
@@ -171,9 +164,7 @@ def _table_json_obj(table, identifier: str, rational: bool) -> dict:
 
 
 def cmd_compute(args) -> int:
-    datum, identifier, code = _load_valid_datum(args)
-    if code:
-        return code
+    datum, identifier = _load_valid_datum(args)
     with _exact_output():
         table = weight.weight_cohomology_table(datum)
         if args.rational:
@@ -232,17 +223,14 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
 def cmd_dual(args) -> int:
     if args.complex:
         if not args.input:
-            return _fail("--complex needs an input file")
-        try:
-            k = dual.complex_from_dict(builders.read_json(args.input))
-        except ValueError as e:  # DatumParseError is a ValueError too
-            return _fail(str(e))
+            raise UsageError("--complex needs an input file")
+        if args.builder:
+            raise UsageError("give either an input file or --builder, not both")
+        k = dual.complex_from_dict(builders.read_json(args.input))
         with _exact_output():
             _print_dual_report(args.input, k, args.simplify, False)
         return EXIT_OK
-    datum, identifier, code = _load_valid_datum(args)
-    if code:
-        return code
+    datum, identifier = _load_valid_datum(args)
     with _exact_output():
         _print_dual_report(identifier, dual.nerve(datum), args.simplify, True)
     return EXIT_OK
@@ -252,7 +240,10 @@ def _parse_hc(text: str) -> dict[int, int]:
     out = {}
     for part in text.split(","):
         k, _, v = part.partition(":")
-        out[int(k)] = int(v)
+        try:
+            out[int(k)] = int(v)
+        except ValueError:
+            raise UsageError(f"cannot parse --hc value {text!r}") from None
     return out
 
 
@@ -326,33 +317,21 @@ def cmd_check(args) -> int:
             args.which = args.input
             args.input = None
         else:
-            return _fail(f"unknown check suite {args.input!r}")
-    datum, identifier, code = _load_datum(args)
-    if code:
-        return code
+            raise UsageError(f"unknown check suite {args.input!r}")
+    datum, identifier = _load_datum(args)
     expected_hc = None
     if args.hc:
-        try:
-            expected_hc = _parse_hc(args.hc)
-        except ValueError:
-            return _fail(f"cannot parse --hc value {args.hc!r}")
+        expected_hc = _parse_hc(args.hc)
     elif args.builder:
-        try:
-            expected_hc = builders.builder_betti(args.builder)
-        except ValueError:
-            expected_hc = None
+        expected_hc = builders.builder_betti(args.builder)
     if args.which == "degeneration" and expected_hc is None:
-        return _fail("degeneration check needs --hc or a builder with known Betti numbers")
+        raise UsageError("degeneration check needs --hc or a builder with known Betti numbers")
     # The parse and usage errors are decided above, so their exit 2 does not
     # depend on the datum's validity.  Unlike compute and dual, check
     # validates a builder's datum too: it never takes validity on trust.
-    if _refused(datum):
-        return EXIT_CHECK_FAILED
-    try:
-        with _exact_output():
-            checks = _run_checks(datum, args.which, expected_hc)
-    except weight.ProductTooLargeError as e:
-        return _fail(str(e))
+    _check_valid(datum)
+    with _exact_output():
+        checks = _run_checks(datum, args.which, expected_hc)
     if args.json:
         obj = {
             "input": identifier,
@@ -378,6 +357,8 @@ def _rp2_json() -> str:
 
 def cmd_examples(args) -> int:
     names = builders.example_names()
+    if args.dir and args.name:
+        raise UsageError("give either a dataset name or --dir, not both")
     if args.dir:
         files = [(name.replace(":", "_").replace(",", "_") + ".json",
                   builders.to_json(builders.parse_builder(name))) for name in names]
@@ -388,7 +369,7 @@ def cmd_examples(args) -> int:
                 with open(os.path.join(args.dir, filename), "w") as fh:
                     fh.write(text)
         except OSError as e:
-            return _fail(f"cannot write examples into {args.dir}: {e}")
+            raise UsageError(f"cannot write examples into {args.dir}: {e}") from e
         for filename, _ in files:
             print(filename)
         return EXIT_OK
@@ -400,11 +381,7 @@ def cmd_examples(args) -> int:
     if args.name == "rp2":
         print(_rp2_json())
         return EXIT_OK
-    try:
-        datum = builders.parse_builder(args.name)
-    except ValueError as e:
-        return _fail(str(e))
-    print(builders.to_json(datum), end="")
+    print(builders.to_json(builders.parse_builder(args.name)), end="")
     return EXIT_OK
 
 
@@ -418,8 +395,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DenseWorkTooLargeError as e:
-        return _fail(str(e))
+    except ValidationFailed as e:
+        print(e)
+        return EXIT_CHECK_FAILED
+    except (DatumParseError, UsageError, weight.ProductTooLargeError,
+            DenseWorkTooLargeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

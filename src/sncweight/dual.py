@@ -20,7 +20,7 @@ from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
 from .reports import _Record
-from .sncdata import MAX_COUNT, SncDatum
+from .sncdata import MAX_COUNT, DatumParseError, SncDatum
 
 __all__ = [
     "SimplicialComplex",
@@ -82,12 +82,12 @@ class SimplicialComplex(_Record):
         for facet in facets:
             facet = tuple(sorted(set(facet)))
             if 2 ** len(facet) - 1 > MAX_COUNT:
-                raise ValueError(f"a facet of {len(facet)} vertices has more than "
-                                 f"{MAX_COUNT} faces")
+                raise DatumParseError(f"a facet of {len(facet)} vertices has more than "
+                                      f"{MAX_COUNT} faces")
             for size in range(1, len(facet) + 1):
                 closure.update(combinations(facet, size))
             if len(closure) > MAX_COUNT:
-                raise ValueError(f"the facets have more than {MAX_COUNT} faces")
+                raise DatumParseError(f"the facets have more than {MAX_COUNT} faces")
         return cls(vertices, frozenset(closure.union((v,) for v in vertices)))
 
     @property
@@ -378,20 +378,20 @@ def real_projective_plane() -> SimplicialComplex:
 
 
 def complex_from_dict(obj: dict) -> SimplicialComplex:
-    """Parse {"vertices": count, "facets": [[...], ...]} with 0-based labels."""
+    """Parse {"vertices": count, "facets": [[...], ...]} (0-based labels), or DatumParseError."""
     if not isinstance(obj, dict) or "vertices" not in obj or "facets" not in obj:
-        raise ValueError('expected an object with "vertices" and "facets"')
+        raise DatumParseError('expected an object with "vertices" and "facets"')
     v = obj["vertices"]
     # An integer is a value of type int: JSON true and false (bools) are refused.
     if type(v) is not int or v < 0:
-        raise ValueError('"vertices" must be a nonnegative integer count')
+        raise DatumParseError('"vertices" must be a nonnegative integer count')
     if v > MAX_COUNT:
-        raise ValueError(f'"vertices" must be at most {MAX_COUNT}')
+        raise DatumParseError(f'"vertices" must be at most {MAX_COUNT}')
     facets = obj["facets"]
     if not isinstance(facets, list) or not all(
         isinstance(f, list) and all(type(x) is int and 0 <= x < v for x in f) for f in facets
     ):
-        raise ValueError('"facets" must be lists of vertex indices below the count')
+        raise DatumParseError('"facets" must be lists of vertex indices below the count')
     return SimplicialComplex.from_facets(range(v), facets)
 
 

@@ -30,6 +30,7 @@ from .intmat import IntMatrix
 from .reports import Report, _Record
 
 __all__ = [
+    "DatumParseError",
     "MAX_COUNT",
     "SubsetKey",
     "StratumData",
@@ -49,6 +50,10 @@ Level = tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]
 # Parsers reject larger counts before they allocate anything by them.
 # The downward closure of a raw complex's facets is held to as many faces.
 MAX_COUNT = 10_000
+
+
+class DatumParseError(ValueError):
+    """A datum file, raw-complex file or builder spec refused before anything is built."""
 
 
 def _fmt(I: SubsetKey) -> str:

@@ -8,6 +8,7 @@ first nonzero pivot instead of the minimal one.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
 
@@ -667,6 +668,24 @@ def genus_two_surface() -> list[tuple[int, ...]]:
 def crosscap_surface() -> list[tuple[int, ...]]:
     """Three crosscaps: rp2 # T."""
     return connected_sum(rp2_triangles(), torus_grid(4, 5))
+
+
+def point_strata_datum(facets: list) -> SncDatum:
+    """The datum whose nerve is the complex of the facets (0-based labels).
+
+    Vertex v is component v + 1.  Every face I is a stratum with H^0 = Z,
+    every restriction is [1], and dim = max |I|.  Any finite simplicial
+    complex is the dual complex of some snc pair (Kollar, "Simple normal
+    crossing varieties with prescribed dual complex", Algebr. Geom. 1,
+    2014), and the row b = 0 of the table depends only on the nerve.
+    """
+    faces = {tuple(v + 1 for v in face) for facet in facets
+             for size in range(1, len(facet) + 1)
+             for face in combinations(sorted(facet), size)}
+    z, one = {0: FpAbPresentation.free(1)}, {0: IntMatrix.identity(1)}
+    strata = {(): StratumData(z, {})}
+    strata.update((I, StratumData(z, {i: one for i in I})) for I in faces)
+    return SncDatum(max(map(len, faces)), max(map(max, facets)) + 1, strata)
 
 
 def surface_json(tris: list) -> dict:

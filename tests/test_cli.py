@@ -1043,6 +1043,61 @@ def test_examples_directory_that_cannot_be_made_exit_2(capsys, tmp_path):
         _one_parse_error(capsys, ("examples", "--dir", str(target)), "cannot write examples")
 
 
+def test_one_input_per_command_exit_2(capsys, tmp_path):
+    # An input file and --builder together, and a dataset name with --dir,
+    # used to drop the second one without a word and exit 0.
+    path = tmp_path / "rp2.json"
+    code, out, _ = run(capsys, "examples", "rp2")
+    assert code == 0
+    path.write_text(out)
+    both = "give either an input file or --builder, not both"
+    _one_parse_error(capsys, ("dual", "--complex", str(path), "--builder", "torus:2"), both)
+    _one_parse_error(capsys, ("dual", "--complex", "--builder", "torus:2"),
+                     "--complex needs an input file")
+    for command in ("compute", "dual"):
+        _one_parse_error(capsys, (command, str(path), "--builder", "torus:2"), both)
+    out_dir = tmp_path / "corpus"
+    _one_parse_error(capsys, ("examples", "--dir", str(out_dir), "torus:2"),
+                     "give either a dataset name or --dir, not both")
+    assert not out_dir.exists()
+
+
+def test_integer_keys_have_one_spelling_exit_2(capsys, tmp_path):
+    # int() reads "02", "+2", " 2" and "2_0" as integers, so two keys could
+    # name one degree or component and the last one won: "2" and "02" below
+    # used to read as a zero group and print "weight cohomology: zero".
+    path = tmp_path / "keys.json"
+    base = json.loads(to_json(affine_space_snc(1)))
+    total, divisor = base["strata"]
+    assert total["subset"] == [] and divisor["subset"] == [1]
+    where = {"cohomology": "stratum [] cohomology degree",
+             "component": "stratum [1] restriction component",
+             "degree": "stratum [1] restriction degree"}
+    for key in ("02", "+2", " 2", "2 ", "2_0", "-0", "0002"):
+        for field, what in where.items():
+            obj = json.loads(json.dumps(base))
+            total, divisor = obj["strata"]
+            if field == "cohomology":
+                total["cohomology"][key] = {"generators": 0}
+            elif field == "component":
+                divisor["restrictions"][key] = {"0": [[1]]}
+            else:
+                divisor["restrictions"]["1"][key] = [[1]]
+            path.write_text(json.dumps(obj))
+            for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path))):
+                _one_parse_error(capsys, argv, f"{what} key {key!r} is not written in plain decimal")
+    # Keys that are no integer at all, and plain negative ones, read as before.
+    obj = json.loads(json.dumps(base))
+    obj["strata"][0]["cohomology"]["x"] = {"generators": 0}
+    path.write_text(json.dumps(obj))
+    _one_parse_error(capsys, ("compute", str(path)),
+                     "stratum [] cohomology degree key 'x' is not an integer")
+    obj = json.loads(json.dumps(base))
+    obj["strata"][0]["cohomology"]["-1"] = {"generators": 0}
+    path.write_text(json.dumps(obj))
+    _one_parse_error(capsys, ("compute", str(path)), "negative cohomology degree -1")
+
+
 def test_cross_process_byte_identical(tmp_path):
     import subprocess
     import sys
@@ -1114,6 +1169,52 @@ def test_validity_is_decided_at_the_command_line_boundary():
                 if name == "validate":
                     callers.add(path.stem)
     assert callers - {"sncdata"} == {"cli"}
+
+
+def test_exit_codes_are_decided_in_main_alone():
+    # Commands raise each refusal as a typed exception where they find it;
+    # only main turns one into an exit code or an error line, and it names
+    # the types it maps, so a program fault still ends in a traceback.  The
+    # handlers elsewhere either give a result ("not applicable", "skipped")
+    # or re-raise a refused argument as a UsageError.
+    import ast
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "src" / "sncweight" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    enclosing = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            enclosing.update((id(node), func.name) for node in ast.walk(func))
+    names, stderr, handlers = {}, set(), {}
+    for node in ast.walk(tree):
+        where = enclosing.get(id(node))
+        if isinstance(node, (ast.Name, ast.FunctionDef)):
+            name = node.id if isinstance(node, ast.Name) else node.name
+            if isinstance(node, ast.FunctionDef) or isinstance(node.ctx, ast.Load):
+                names.setdefault(name, set()).add(where)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr":
+            stderr.add(where)
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                kind = ast.unparse(t) if t is not None else "bare"
+                handlers.setdefault(where, {})[kind] = [ast.unparse(b) for b in node.body]
+    assert "_fail" not in names
+    assert stderr == {"main"}
+    assert names["EXIT_PARSE_ERROR"] == {"main"}
+    assert names["EXIT_CHECK_FAILED"] == {"main", "cmd_check"}
+    assert set(handlers.pop("main")) == {"ValidationFailed", "DatumParseError", "UsageError",
+                                         "weight.ProductTooLargeError", "DenseWorkTooLargeError"}
+    assert {(where, kind) for where, kinds in handlers.items() for kind in kinds} == {
+        ("_needs_free", "weight.FreeTensorError"),
+        ("_print_dual_report", "dual.DisconnectedComplexError"),
+        ("_parse_hc", "ValueError"),
+        ("cmd_examples", "OSError"),
+    }
+    for where, kind in (("_parse_hc", "ValueError"), ("cmd_examples", "OSError")):
+        (statement,) = handlers[where][kind]
+        assert statement.startswith("raise UsageError("), (where, statement)
 
 
 def test_matrix_layout_is_known_only_to_intmat():

@@ -13,6 +13,7 @@ from sncweight.builders import (
     torus_snc,
 )
 from sncweight.chain import verify_complex
+from sncweight.dual import SimplicialComplex, nerve, reduced_cohomology
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData, validate
 from sncweight.weight import (
@@ -37,9 +38,13 @@ from _support import (
     BUILDER_SPECS,
     check_record,
     contractibility,
+    crosscap_surface,
     disjoint_fibres_json,
+    genus_two_surface,
+    point_strata_datum,
     random_valid_datum,
     reference_product,
+    rp2_triangles,
 )
 
 F = FpAbPresentation.free
@@ -413,3 +418,50 @@ def test_record_semantics():
                  (STATUS_OTHER, None, h, ("one",)),
                  hashable=False)
     assert contractibility(affine_space_snc(2)) == contractibility(affine_space_snc(2))
+
+
+# Point-strata data (ROADMAP item 7): every triangulated surface is the dual
+# complex of a datum, so the paper's identity and its corollary can be
+# checked on nerves of hundreds of faces, far beyond any builder's.
+# Each entry: triangles, the complex's reduced cohomology, and a Tietze
+# budget that certifies X x A^d contractible (the default 10 000 does not
+# for genus 2).
+POINT_STRATA_SURFACES = {
+    "rp2": (rp2_triangles, {2: FgAbGroup(0, (2,))}, 10_000),
+    "crosscap": (crosscap_surface, {1: FgAbGroup.free(2), 2: FgAbGroup(0, (2,))}, 10_000),
+    "genus-2": (genus_two_surface, {1: FgAbGroup.free(4), 2: Z}, 100_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_STRATA_SURFACES))
+def test_point_strata_row_zero_is_the_reduced_cohomology_of_the_complex(name):
+    triangles, expected, _ = POINT_STRATA_SURFACES[name]
+    tris = triangles()
+    s = point_strata_datum(tris)
+    assert validate(s).passed
+    n = max(map(max, tris)) + 1
+    assert nerve(s) == SimplicialComplex.from_facets(range(1, n + 1),
+                                                     [[v + 1 for v in t] for t in tris])
+    h = reduced_cohomology(SimplicialComplex.from_facets(range(n), tris))
+    assert h == expected
+    # The table is the row b = 0, one column right of the reduced cohomology.
+    table = weight_cohomology_table(s)
+    assert table.entries == {(deg + 1, 0): g for deg, g in h.items()}
+
+
+def test_point_strata_self_product_is_the_tensor_square_with_tor():
+    # RP^2 x RP^2: Z/2 (x) Z/2 at (6, 0) and Tor(Z/2, Z/2) at (5, 0).
+    s = point_strata_datum(rp2_triangles())
+    t = weight_cohomology_table(s)
+    square = weight_cohomology_table(product_snc(s, s))
+    assert square.entries_equal(tensor_table(t, t))
+    assert square.entries == {(5, 0): FgAbGroup(0, (2,)), (6, 0): FgAbGroup(0, (2,))}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_STRATA_SURFACES))
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_strata_times_affine_space_is_certified_contractible(name, d):
+    # The corollary in its product form: X x A^d has a cone as its nerve.
+    triangles, _, budget = POINT_STRATA_SURFACES[name]
+    product = product_snc(point_strata_datum(triangles()), affine_space_snc(d))
+    assert contractibility(product, budget).status == STATUS_CONTRACTIBLE
