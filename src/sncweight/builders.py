@@ -27,10 +27,9 @@ from math import comb
 
 from .intmat import IntMatrix
 from .abgroup import FpAbPresentation
-from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData
+from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData, parse_int
 
 __all__ = [
-    "DatumParseError",
     "point_snc",
     "projective_space_cohomology",
     "affine_space_snc",
@@ -171,16 +170,6 @@ def _expect(cond: bool, message: str) -> None:
         raise DatumParseError(message)
 
 
-def _parse_int_key(key: str, what: str) -> int:
-    # Plain decimal is an integer's one spelling, so no two keys name one integer.
-    try:
-        value = int(key)
-    except (TypeError, ValueError):
-        raise DatumParseError(f"{what} key {key!r} is not an integer") from None
-    _expect(str(value) == key, f"{what} key {key!r} is not written in plain decimal")
-    return value
-
-
 def _parse_presentation(obj, where: str) -> FpAbPresentation:
     _expect(isinstance(obj, dict), f"{where}: presentation must be an object")
     _expect("generators" in obj, f"{where}: missing generator count")
@@ -243,7 +232,7 @@ def datum_from_dict(obj) -> SncDatum:
         coh_obj = entry.get("cohomology", {})
         _expect(isinstance(coh_obj, dict), f"{where}: cohomology must be an object")
         for bkey, pres in coh_obj.items():
-            b = _parse_int_key(bkey, f"{where} cohomology degree")
+            b = parse_int(bkey, f"{where} cohomology degree key")
             _expect(b >= 0, f"{where}: negative cohomology degree {b}")
             cohomology[b] = _parse_presentation(pres, f"{where} degree {b}")
 
@@ -251,14 +240,14 @@ def datum_from_dict(obj) -> SncDatum:
         res_obj = entry.get("restrictions", {})
         _expect(isinstance(res_obj, dict), f"{where}: restrictions must be an object")
         for ikey, per_degree_obj in res_obj.items():
-            i = _parse_int_key(ikey, f"{where} restriction component")
+            i = parse_int(ikey, f"{where} restriction component key")
             _expect(
                 isinstance(per_degree_obj, dict),
                 f"{where}: restriction {i} must map degrees to matrices",
             )
             per_degree = {}
             for bkey, mat in per_degree_obj.items():
-                b = _parse_int_key(bkey, f"{where} restriction degree")
+                b = parse_int(bkey, f"{where} restriction degree key")
                 per_degree[b] = _parse_matrix(mat, f"{where} restriction {i} degree {b}")
             restrictions[i] = per_degree
 
@@ -302,30 +291,33 @@ def from_json(path) -> SncDatum:
 def parse_builder(spec: str) -> SncDatum:
     """Build a datum from a spec string: point, affine:D, torus:N or curve:G,N.
 
-    Sizes are bounded by MAX_COUNT, as for datum files, and checked before
-    anything is built: D <= MAX_COUNT; N <= MAX_COUNT and 2G + N - 1 <=
-    MAX_COUNT for a curve; 3^N <= MAX_COUNT strata for a torus (N <= 8).
-    A spec refused is a DatumParseError.
+    A spec gives exactly its builder's arguments, each a plain-decimal
+    integer.  Sizes are bounded by MAX_COUNT, as for datum files, and
+    checked before anything is built: D <= MAX_COUNT; N <= MAX_COUNT and
+    2G + N - 1 <= MAX_COUNT for a curve; 3^N <= MAX_COUNT strata for a
+    torus (N <= 8).  A spec refused is a DatumParseError.
     """
-    name, _, args = spec.partition(":")
+    name, colon, args = spec.partition(":")
     try:
         if name == "point":
-            if args:
+            if colon:
                 raise ValueError("point takes no arguments")
             return point_snc()
         if name == "affine":
-            d = int(args)
+            d = parse_int(args, "argument")
             if d > MAX_COUNT:
                 raise ValueError(f"affine:D needs D <= {MAX_COUNT}")
             return affine_space_snc(d)
         if name == "torus":
-            n = int(args)
+            n = parse_int(args, "argument")
             # 3^n > n, so a larger n never needs the power computed.
             if n > MAX_COUNT or 3 ** n > MAX_COUNT:
                 raise ValueError(f"torus:N builds 3^N strata and needs 3^N <= {MAX_COUNT}")
             return torus_snc(n)
         if name == "curve":
-            g, n = (int(x) for x in args.split(","))
+            if args.count(",") != 1:
+                raise ValueError("curve takes two arguments")
+            g, n = (parse_int(x, "argument") for x in args.split(","))
             if n > MAX_COUNT or 2 * g + n - 1 > MAX_COUNT:
                 raise ValueError(f"curve:G,N needs N <= {MAX_COUNT} and 2G + N - 1 <= {MAX_COUNT}")
             return punctured_curve_snc(g, n)

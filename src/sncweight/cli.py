@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import builders, dual, weight
 from .intmat import DenseWorkTooLargeError
 from .reports import Report
-from .sncdata import DatumParseError, SncDatum, level_differential, validate
+from .sncdata import DatumParseError, SncDatum, level_differential, parse_int, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--builder", help="builder spec")
     p_dual.add_argument("--complex", action="store_true",
                         help="input is a raw simplicial complex {vertices, facets}")
-    p_dual.add_argument("--simplify", type=int, metavar="BUDGET", default=None,
+    p_dual.add_argument("--simplify", metavar="BUDGET", default=None,
                         help="also print the presentation simplified within BUDGET moves")
 
     p_check = sub.add_parser("check", help="run consistency check suites")
@@ -221,6 +221,9 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
 
 
 def cmd_dual(args) -> int:
+    budget = None if args.simplify is None else parse_int(args.simplify, "--simplify budget")
+    if budget is not None and budget < 0:
+        raise UsageError(f"--simplify budget {budget} is negative")
     if args.complex:
         if not args.input:
             raise UsageError("--complex needs an input file")
@@ -228,22 +231,28 @@ def cmd_dual(args) -> int:
             raise UsageError("give either an input file or --builder, not both")
         k = dual.complex_from_dict(builders.read_json(args.input))
         with _exact_output():
-            _print_dual_report(args.input, k, args.simplify, False)
+            _print_dual_report(args.input, k, budget, False)
         return EXIT_OK
     datum, identifier = _load_valid_datum(args)
     with _exact_output():
-        _print_dual_report(identifier, dual.nerve(datum), args.simplify, True)
+        _print_dual_report(identifier, dual.nerve(datum), budget, True)
     return EXIT_OK
 
 
 def _parse_hc(text: str) -> dict[int, int]:
+    """--hc's degree:count pairs: plain-decimal integers, none negative, no degree twice."""
     out = {}
     for part in text.split(","):
         k, _, v = part.partition(":")
         try:
-            out[int(k)] = int(v)
-        except ValueError:
+            degree, count = parse_int(k, "degree"), parse_int(v, "count")
+        except DatumParseError:
             raise UsageError(f"cannot parse --hc value {text!r}") from None
+        if degree < 0 or count < 0:
+            raise UsageError(f"--hc value {text!r} has a negative degree or count")
+        if degree in out:
+            raise UsageError(f"--hc value {text!r} gives degree {degree} twice")
+        out[degree] = count
     return out
 
 
@@ -344,15 +353,14 @@ def cmd_check(args) -> int:
     else:
         print(f"input: {identifier}")
         for r in checks:
-            print(r.summary())
-            if not r.passed:
-                for d in r.details:
-                    print(f"  {d}")
+            print(r.summary() if r.passed else r.render())
     return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
 
 
 def _rp2_json() -> str:
-    return json.dumps(dual.complex_to_dict(dual.real_projective_plane()), indent=2, sort_keys=True)
+    k = dual.real_projective_plane()  # pure, so its facets are its triangles, made 0-based
+    obj = {"vertices": len(k.vertices), "facets": [[v - 1 for v in f] for f in k.faces_of_card(3)]}
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def cmd_examples(args) -> int:

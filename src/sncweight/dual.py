@@ -35,7 +35,6 @@ __all__ = [
     "SIMPLIFY_BUDGET",
     "real_projective_plane",
     "complex_from_dict",
-    "complex_to_dict",
 ]
 
 # The move budget of simplify_presentation when none is given.
@@ -115,15 +114,6 @@ class GroupPresentation(_Record):
     def is_trivial(self) -> bool:
         return self.n_generators == 0 and not self.relators
 
-    def abelianization(self) -> FpAbPresentation:
-        cols = []
-        for r in self.relators:
-            col = [0] * self.n_generators
-            for x in r:
-                col[abs(x) - 1] += 1 if x > 0 else -1
-            cols.append(col)
-        return FpAbPresentation.from_relation_columns(self.n_generators, cols)
-
     def __str__(self) -> str:
         def letter(x: int) -> str:
             if self.n_generators <= 26:
@@ -155,7 +145,7 @@ def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
     groups.extend(FpAbPresentation.free(len(layer)) for layer in layers)
     diffs = []
     if layers:
-        ones = IntMatrix.column([1] * len(layers[0]))
+        ones = IntMatrix(len(layers[0]), 1, [1] * len(layers[0]))
         diffs.append(FpAbHom(groups[0], groups[1], ones))
     for c in range(1, max_card):
         src_index = {f: i for i, f in enumerate(layers[c - 1])}
@@ -394,14 +384,3 @@ def complex_from_dict(obj: dict) -> SimplicialComplex:
         raise DatumParseError('"facets" must be lists of vertex indices below the count')
     return SimplicialComplex.from_facets(range(v), facets)
 
-
-def complex_to_dict(k: SimplicialComplex) -> dict:
-    maximal = sorted(
-        f for f in k.faces
-        if not any(g != f and set(f) <= set(g) for g in k.faces)
-    )
-    index = {v: i for i, v in enumerate(k.vertices)}
-    return {
-        "vertices": len(k.vertices),
-        "facets": [[index[x] for x in f] for f in maximal],
-    }

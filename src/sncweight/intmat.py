@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 __all__ = [
     "DenseWorkTooLargeError",
@@ -160,10 +161,6 @@ class IntMatrix:
         _check_shape(n, n)
         return cls._wrap(n, n, tuple({i: 1} for i in range(n)))
 
-    @classmethod
-    def column(cls, values: Sequence[int]) -> "IntMatrix":
-        return cls(len(values), 1, values)
-
     def nonzeros(self) -> Iterator[tuple[int, int, int]]:
         """Every nonzero entry as (row, column, entry), row by row."""
         for i, row in enumerate(self._rows):
@@ -196,39 +193,13 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
-    def scale(self, c: int) -> "IntMatrix":
-        if type(c) is not int:
-            raise TypeError(f"matrix entries must be integers, got {type(c).__name__}")
-        if not c:
-            return IntMatrix.zeros(self.rows, self.cols)
-        return IntMatrix._wrap(
-            self.rows, self.cols, tuple({j: c * e for j, e in row.items()} for row in self._rows)
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        out = []
-        for a, b in zip(self._rows, other._rows):
-            if not b:
-                out.append(a)
-                continue
-            row = dict(a)
-            for j, e in b.items():
-                v = row.get(j, 0) + e
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            out.append(row)
-        return IntMatrix._wrap(self.rows, self.cols, tuple(out))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.__add__(other.scale(-1))
+        negated = ((i, j, -e) for i, j, e in other.nonzeros())
+        return IntMatrix.from_entries(self.rows, self.cols, chain(self.nonzeros(), negated))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):

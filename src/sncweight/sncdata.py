@@ -32,6 +32,7 @@ from .reports import Report, _Record
 __all__ = [
     "DatumParseError",
     "MAX_COUNT",
+    "parse_int",
     "SubsetKey",
     "StratumData",
     "SncDatum",
@@ -53,7 +54,18 @@ MAX_COUNT = 10_000
 
 
 class DatumParseError(ValueError):
-    """A datum file, raw-complex file or builder spec refused before anything is built."""
+    """An input file, builder spec or command-line integer refused before anything is built."""
+
+
+def parse_int(text: str, what: str) -> int:
+    """The integer text spells in plain decimal, its one spelling ("2", "-1"; not "02", "+2")."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        raise DatumParseError(f"{what} {text!r} is not an integer") from None
+    if str(value) != text:
+        raise DatumParseError(f"{what} {text!r} is not written in plain decimal")
+    return value
 
 
 def _fmt(I: SubsetKey) -> str:

@@ -314,7 +314,7 @@ def a1_stability_check(s: SncDatum) -> Report:
 def degeneration_check(s: SncDatum, expected_hc: Mapping[int, int]) -> Report:
     """Total ranks along a + b = k must match compactly supported Betti numbers."""
     table = weight_cohomology_table(s)
-    expected = {int(k): int(v) for k, v in expected_hc.items() if int(v)}
+    expected = {k: v for k, v in expected_hc.items() if v}
     got = {}
     for (a, b), g in table.entries.items():
         if g.free_rank:
@@ -361,13 +361,11 @@ STATUS_OTHER = "other"
 
 
 class ContractibilityReport(_Record):
-    _fields = __slots__ = ("status", "sphere_dim", "cohomology", "details")
+    _fields = __slots__ = ("status", "sphere_dim", "details")
 
-    def __init__(self, status: str, sphere_dim: int | None,
-                 cohomology: Mapping[int, FgAbGroup], details: tuple[str, ...]):
+    def __init__(self, status: str, sphere_dim: int | None, details: tuple[str, ...]):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "sphere_dim", sphere_dim)
-        object.__setattr__(self, "cohomology", cohomology)
         object.__setattr__(self, "details", details)
 
     def render(self) -> str:
@@ -393,12 +391,12 @@ def contractibility_report(h: Mapping[int, FgAbGroup],
     if not h:
         if simplified.is_trivial:
             return ContractibilityReport(
-                STATUS_CONTRACTIBLE, None, h,
+                STATUS_CONTRACTIBLE, None,
                 ("all reduced cohomology vanishes",
                  "edge-path presentation simplifies to the empty presentation"),
             )
         return ContractibilityReport(
-            STATUS_HOMOLOGY_POINT, None, h,
+            STATUS_HOMOLOGY_POINT, None,
             ("all reduced cohomology vanishes",
              f"fundamental group inconclusive: {simplified}"),
         )
@@ -406,11 +404,11 @@ def contractibility_report(h: Mapping[int, FgAbGroup],
         (deg, group), = h.items()
         if group == FgAbGroup.free(1):
             return ContractibilityReport(
-                STATUS_SPHERE, deg, h,
+                STATUS_SPHERE, deg,
                 (f"reduced cohomology is Z concentrated in degree {deg}",),
             )
     lines = tuple(f"H~{deg} = {group}" for deg, group in sorted(h.items()))
-    return ContractibilityReport(STATUS_OTHER, None, h, lines)
+    return ContractibilityReport(STATUS_OTHER, None, lines)
 
 
 def tensor_table(t1: BigradedTable, t2: BigradedTable) -> BigradedTable:

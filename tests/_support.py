@@ -693,6 +693,17 @@ def surface_json(tris: list) -> dict:
     return {"vertices": max(map(max, tris)) + 1, "facets": [list(t) for t in tris]}
 
 
+def abelianization(p: GroupPresentation) -> FpAbPresentation:
+    """The abelian group that p presents once its generators commute."""
+    cols = []
+    for r in p.relators:
+        col = [0] * p.n_generators
+        for x in r:
+            col[abs(x) - 1] += 1 if x > 0 else -1
+        cols.append(col)
+    return FpAbPresentation.from_relation_columns(p.n_generators, cols)
+
+
 def random_group_presentation(rng: random.Random) -> GroupPresentation:
     """0-7 generators and words of length at most 7, with empty words, repeats,
     and cyclic rotations and inverses of earlier relators mixed in."""

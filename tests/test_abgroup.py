@@ -105,7 +105,7 @@ def test_span_membership_matches_oracle():
         missed = [i for i, e in enumerate(diag) if e != 1]
         if missed:
             e_i = IntMatrix.from_entries(n, 1, [(rng.choice(missed), 0, 1)])
-            cases.append((inside.hstack(u * e_i + lattice * _block(rng, lattice.cols, 1)), False))
+            cases.append((inside.hstack(u * e_i - lattice * _block(rng, lattice.cols, 1)), False))
         cases.append((_block(rng, n, rng.randint(1, 2)), None))
         for m, member in cases:
             oracle = (oracle_canonical_form(n, lattice.to_rows())

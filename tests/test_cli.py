@@ -6,6 +6,8 @@ from sncweight.cli import CHECK_SUITES, main
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
 
+from _support import rp2_triangles, surface_json
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -1020,8 +1022,35 @@ def test_examples_listing_and_roundtrip(capsys):
     from sncweight.builders import datum_from_dict
 
     assert datum_from_dict(json.loads(emitted)) == affine_space_snc(2)
+    code, emitted, _ = run(capsys, "examples", "rp2")
+    assert code == 0 and json.loads(emitted) == surface_json(rp2_triangles())
     code, _, err = run(capsys, "examples", "bogus")
     assert code == 2
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # Every line of the README's command-line block exits 0 and writes
+    # nothing to stderr, so the documented flags and specs stay accepted.
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 10 and all(words[0] == "sncweight" for words in lines)
+    monkeypatch.chdir(tmp_path)
+    for name, filename in (("curve:1,2", "datum.json"), ("rp2", "rp2.json")):
+        code, out, _ = run(capsys, "examples", name)
+        assert code == 0
+        (tmp_path / filename).write_text(out)
+    for words in lines:
+        argv, target = words[1:], None
+        if ">" in argv:
+            argv, (_, target) = argv[:argv.index(">")], argv[argv.index(">"):]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), words
+        if target:
+            (tmp_path / target).write_text(out)
 
 
 def test_examples_directory(capsys, tmp_path):
@@ -1096,6 +1125,44 @@ def test_integer_keys_have_one_spelling_exit_2(capsys, tmp_path):
     obj["strata"][0]["cohomology"]["-1"] = {"generators": 0}
     path.write_text(json.dumps(obj))
     _one_parse_error(capsys, ("compute", str(path)), "negative cohomology degree -1")
+
+
+def test_command_line_integers_have_one_spelling_exit_2(capsys):
+    # Builder specs, --hc and --simplify read integers by the datum-key rule.
+    # "torus:02" used to build torus:2 under the name "torus:02", "point:"
+    # read as "point", a repeated --hc degree kept its last count, and a
+    # negative --simplify budget printed the unsimplified presentation.
+    for spec in ("torus:02", "torus:+2", "torus: 2", "torus:0_2", "affine: 3", "curve:1,02"):
+        for argv in (("compute", "--builder", spec), ("dual", "--builder", spec),
+                     ("check", "--builder", spec, "all"), ("examples", spec)):
+            _one_parse_error(capsys, argv, "is not written in plain decimal")
+    for spec in ("torus:x", "torus:", "affine:1.5"):
+        _one_parse_error(capsys, ("compute", "--builder", spec), "is not an integer")
+    for spec, message in (("point:", "point takes no arguments"),
+                          ("point:0", "point takes no arguments"),
+                          ("curve:1", "curve takes two arguments"),
+                          ("curve:1,2,3", "curve takes two arguments")):
+        _one_parse_error(capsys, ("compute", "--builder", spec), f"{spec!r}: {message}")
+    degeneration = ("check", "--builder", "curve:1,2", "degeneration")
+    for hc, message in (("1:99,1:3,2:1", "gives degree 1 twice"),
+                        ("2:1,1:3,2:1", "gives degree 2 twice"),
+                        ("1:-2,2:1", "has a negative degree or count"),
+                        ("-1:0,2:1", "has a negative degree or count"),
+                        ("1:03,2:1", "cannot parse"), ("+1:3,2:1", "cannot parse"),
+                        ("1:3, 2:1", "cannot parse"), ("1", "cannot parse")):
+        # --hc=VALUE, since argparse takes a value led by "-1:" for an option.
+        _one_parse_error(capsys, (*degeneration, f"--hc={hc}"), f"--hc value {hc!r}")
+        _one_parse_error(capsys, (*degeneration, f"--hc={hc}"), message)
+    for budget, message in (("-5", "--simplify budget -5 is negative"),
+                            ("05", "--simplify budget '05' is not written in plain decimal"),
+                            ("+5", "--simplify budget '+5' is not written in plain decimal"),
+                            ("x", "--simplify budget 'x' is not an integer")):
+        _one_parse_error(capsys, ("dual", "--builder", "torus:3", "--simplify", budget), message)
+    # The canonical spellings are accepted.
+    code, out, _ = run(capsys, *degeneration, "--hc", "1:3,2:1")
+    assert code == 0 and out == "input: curve:1,2\nPASS degeneration\n"
+    code, _, _ = run(capsys, "dual", "--builder", "torus:3", "--simplify", "0")
+    assert code == 0
 
 
 def test_cross_process_byte_identical(tmp_path):
@@ -1209,10 +1276,10 @@ def test_exit_codes_are_decided_in_main_alone():
     assert {(where, kind) for where, kinds in handlers.items() for kind in kinds} == {
         ("_needs_free", "weight.FreeTensorError"),
         ("_print_dual_report", "dual.DisconnectedComplexError"),
-        ("_parse_hc", "ValueError"),
+        ("_parse_hc", "DatumParseError"),
         ("cmd_examples", "OSError"),
     }
-    for where, kind in (("_parse_hc", "ValueError"), ("cmd_examples", "OSError")):
+    for where, kind in (("_parse_hc", "DatumParseError"), ("cmd_examples", "OSError")):
         (statement,) = handlers[where][kind]
         assert statement.startswith("raise UsageError("), (where, statement)
 
@@ -1248,6 +1315,19 @@ def test_matrix_layout_is_known_only_to_intmat():
     assert entry_callers == {("dual", "reduced_cochain_complex"),
                              ("abgroup", "from_relation_columns"),
                              ("abgroup", "_kernel_basis")}
+
+
+def test_operations_without_a_command_are_gone():
+    # Each of these had no caller but another operation, one constant or a
+    # test: subtraction is written once, and the tests keep abelianization.
+    from sncweight import builders, dual, weight
+
+    for name in ("scale", "__add__", "column"):
+        assert not hasattr(IntMatrix, name), name
+    assert not hasattr(dual, "complex_to_dict")
+    assert not hasattr(dual.GroupPresentation, "abelianization")
+    assert "cohomology" not in weight.ContractibilityReport._fields
+    assert "DatumParseError" not in builders.__all__
 
 
 def test_files_are_read_by_one_reader():

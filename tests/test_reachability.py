@@ -22,7 +22,6 @@ from sncweight.cli import main
 
 ALLOWED = {
     "chain.verify_complex": "the tests check the precondition of chain.cohomology with it",
-    "dual.GroupPresentation.abelianization": "the tests compare pi_1 with H^1 through it",
     "intmat.IntMatrix.col": "builders.datum_to_dict writes relation columns with it, "
                             "and no command writes a relation-carrying datum",
 }

@@ -412,11 +412,9 @@ def test_record_semantics():
     assert weight_cohomology_table(torus_snc(2)) == weight_cohomology_table(torus_snc(2))
     with pytest.raises(ValueError, match=r"zero entry stored at \(0, 0\)"):
         BigradedTable(1, 1, {(0, 0): FgAbGroup()})
-    h = {0: Z}
-    check_record(ContractibilityReport, ("status", "sphere_dim", "cohomology", "details"),
-                 (STATUS_SPHERE, 0, h, ("one",)), (STATUS_SPHERE, 0, {0: Z}, ("one",)),
-                 (STATUS_OTHER, None, h, ("one",)),
-                 hashable=False)
+    check_record(ContractibilityReport, ("status", "sphere_dim", "details"),
+                 (STATUS_SPHERE, 0, ("one",)), (STATUS_SPHERE, 0, tuple(["one"])),
+                 (STATUS_OTHER, None, ("one",)))
     assert contractibility(affine_space_snc(2)) == contractibility(affine_space_snc(2))
 
 
@@ -456,6 +454,43 @@ def test_point_strata_self_product_is_the_tensor_square_with_tor():
     square = weight_cohomology_table(product_snc(s, s))
     assert square.entries_equal(tensor_table(t, t))
     assert square.entries == {(5, 0): FgAbGroup(0, (2,)), (6, 0): FgAbGroup(0, (2,))}
+
+
+def _join_cohomology(h1, h2):
+    """Reduced cohomology of a join K * L from that of K and of L:
+    H~^(k+1)(K * L) = (+)_(i+j=k) H~^i (x) H~^j  (+)  (+)_(i+j=k+1) Tor(H~^i, H~^j)."""
+    out = {}
+
+    def add(deg, group):
+        if not group.is_zero:
+            out[deg] = out.get(deg, FgAbGroup.zero()).direct_sum(group)
+
+    for i, g1 in h1.items():
+        for j, g2 in h2.items():
+            add(i + j + 1, g1.tensor(g2))
+            add(i + j, g1.tor(g2))
+    return out
+
+
+@pytest.mark.parametrize("first, second", [("rp2", "crosscap"), ("crosscap", "rp2")])
+def test_point_strata_torsion_pair_product_is_the_join(first, second):
+    # The nerve of a product is the join of the nerves; with torsion on both
+    # sides its cohomology has a Tor term, and so has the table.
+    sx, sy = (point_strata_datum(POINT_STRATA_SURFACES[name][0]()) for name in (first, second))
+    product = product_snc(sx, sy)
+    assert len(product.strata) == 4608
+    kx, ky = nerve(sx), nerve(sy)
+    shifted = frozenset(tuple(v + sx.n_components for v in f) for f in ky.faces)
+    join = SimplicialComplex(kx.vertices + tuple(v + sx.n_components for v in ky.vertices),
+                             kx.faces | shifted | {f + g for f in kx.faces for g in shifted})
+    assert nerve(product) == join
+    h = reduced_cohomology(join)
+    assert h == _join_cohomology(reduced_cohomology(kx), reduced_cohomology(ky))
+    assert h == {4: FgAbGroup(0, (2, 2, 2)), 5: FgAbGroup(0, (2,))}
+    table = weight_cohomology_table(product)
+    assert table.entries_equal(tensor_table(weight_cohomology_table(sx),
+                                            weight_cohomology_table(sy)))
+    assert table.entries == {(deg + 1, 0): g for deg, g in h.items()}
 
 
 @pytest.mark.parametrize("name", sorted(POINT_STRATA_SURFACES))
