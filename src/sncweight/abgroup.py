@@ -8,7 +8,8 @@ format.  An FpAbHom is a homomorphism between presented groups, given by
 its matrix on generators.
 
 Canonical forms and span membership read only Smith diagonals; the
-presented subquotient reads kernel bases off the column transform v.
+presented subquotient reads kernel bases from intmat.kernel_basis, which
+reduces only the unit-free core of each matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd
 
-from .intmat import IntMatrix, _int_entries, _snf_reduce, smith_diagonal
+from .intmat import IntMatrix, _int_entries, kernel_basis, smith_diagonal
+# Unused here: bench/tracer.py wraps the private functions another module
+# imports, and finds the dense reduction's counters through this name.
+from .intmat import _snf_reduce  # noqa: F401
 from .reports import _Record
 
 __all__ = [
@@ -247,21 +251,9 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     return FgAbGroup(p.generators - len(diag), torsion)
 
 
-def _kernel_basis(a: IntMatrix) -> IntMatrix:
-    """A matrix whose columns form a basis of {x : a * x = 0} in Z^cols.
-
-    With u * a * v = d, these are the columns of v past the rank of d,
-    whose nonzero diagonal entries come first.
-    """
-    v, d = _snf_reduce(a, want_v=True)
-    rank = sum(1 for _ in d.nonzeros())
-    return IntMatrix.from_entries(
-        v.rows, v.cols - rank, ((i, j - rank, e) for i, j, e in v.nonzeros() if j >= rank)
-    )
-
-
-def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:
-    """Canonical form of ker(d_out) / im(d_in) at the shared middle group.
+def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> tuple[FgAbGroup, tuple[int, ...]]:
+    """Canonical form of ker(d_out) / im(d_in) at the shared middle group,
+    and the Smith diagonal of [d_out | target relations].
 
     Requires target(d_in) == source(d_out), and raises ValueError otherwise.
     Preconditions that are not checked here: both maps are well defined and
@@ -270,14 +262,16 @@ def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> FgAbGroup:
     The top rows of a kernel basis of [d_out | target relations] are
     columns G that generate the cocycles.  With B = [d_in | middle
     relations], the result is Z^k modulo {c : G * c lies in the span of
-    B}, which is the top k rows of a kernel basis of [G | B].
+    B}, which is the top k rows of a kernel basis of [G | B].  The
+    reduction that gives the first kernel basis gives its matrix's Smith
+    diagonal too; it is returned so that the next degree of a complex,
+    whose B that matrix is, need not reduce it again.
     """
     if d_in.target != d_out.source:
         raise ValueError("middle groups differ: target(d_in) != source(d_out)")
     middle = d_in.target
     boundaries = d_in.matrix.hstack(middle.relations)
-    cocycles = _kernel_basis(d_out.matrix.hstack(d_out.target.relations)).take_rows(
-        middle.generators
-    )
-    rels = _kernel_basis(cocycles.hstack(boundaries)).take_rows(cocycles.cols)
-    return canonical_form(FpAbPresentation(cocycles.cols, rels))
+    kernel, diagonal = kernel_basis(d_out.matrix.hstack(d_out.target.relations))
+    cocycles = kernel.take_rows(middle.generators)
+    rels = kernel_basis(cocycles.hstack(boundaries))[0].take_rows(cocycles.cols)
+    return canonical_form(FpAbPresentation(cocycles.cols, rels)), diagonal

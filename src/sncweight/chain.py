@@ -79,9 +79,11 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     and every degree of a free complex), ker d_a is saturated and holds
     the span of B = [d_(a-1) | relations in degree a], so H^a is
     Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
-    This reads Smith diagonals only, each differential's at most once.
-    Every other degree takes the kernel route of subquotient_cohomology,
-    which assumes well-defined maps and a zero composite.
+    This reads Smith diagonals only.  Every other degree takes the
+    kernel route of subquotient_cohomology, which assumes well-defined
+    maps and a zero composite.  Either way degree a reduces
+    [d_a | relations in degree a+1] and passes its diagonal on as the
+    next degree's B, so each matrix is reduced once.
 
     >>> from sncweight.intmat import IntMatrix
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
@@ -95,16 +97,16 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     {0: 'Z/2', 1: 'Z/2'}
     """
     out = {}
-    last = ()  # the Smith diagonal of d_(a-1) when degree a-1 took the diagonal rule
+    last = None  # the Smith diagonal of [d_(a-1) | relations in degree a], past the first degree
     for a, g in zip(c.degrees, c.groups):
         d_in, d_out = c.differential_at(a - 1), c.differential_at(a)
         if c.group_at(a + 1).is_relation_free:
-            # If g is relation-free, degree a-1 took this rule too and reduced d_in.
-            b = last if g.is_relation_free else smith_diagonal(d_in.matrix.hstack(g.relations))
+            # d_in comes from the zero group at the first degree, so B is g's relations.
+            b = smith_diagonal(g.relations) if last is None else last
             last = smith_diagonal(d_out.matrix)
             h = FgAbGroup(g.generators - len(last) - len(b), tuple(x for x in b if x > 1))
         else:
-            h = subquotient_cohomology(d_in, d_out)
+            h, last = subquotient_cohomology(d_in, d_out)
         if not h.is_zero:
             out[a] = h
     return out

@@ -28,8 +28,20 @@ EXIT_PARSE_ERROR = 2
 CHECK_SUITES = ("all", "prop1", "d2", "stability", "euler", "degeneration", "product-consistency")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals, its subcommands' included, are UsageErrors.
+
+    argparse would print its usage block and exit 2 itself; raising lets
+    main give the one error line of every other refusal.  --help still
+    prints and exits 0.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sncweight",
         description="dual boundary complexes and integral weight cohomology, exactly",
     )
@@ -394,7 +406,6 @@ def cmd_examples(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "compute": cmd_compute,
         "dual": cmd_dual,
@@ -402,6 +413,7 @@ def main(argv=None) -> int:
         "examples": cmd_examples,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ValidationFailed as e:
         print(e)

@@ -13,15 +13,20 @@ intermediate entries small at the sizes used here and makes every
 reduction reproducible.  The dense reduction tracks the column transform
 v only when asked for it (kernel bases read it) and no row transform.
 
-When only the invariant factors are wanted, smith_diagonal first
+smith_diagonal and kernel_basis share one unit phase: each first
 eliminates unit entries on a copy of the rows and runs the dense
-reduction on the unit-free core alone; it tracks no transform.  The
-columns are sorted once by (nonzero count, index) and taken from a
-first-in first-out queue, so the elimination order is fixed up front and
-needs no priority queue.  A column without a unit entry is deferred and
-goes back on the queue only when an elimination sets one of its entries
-to +-1.  The dense reduction refuses, before it starts, any input whose
-work estimate rows x cols x min(rows, cols) is over MAX_DENSE_WORK.
+reduction on the unit-free core alone.  The columns are sorted once by
+(nonzero count, index) and taken from a first-in first-out queue, so the
+elimination order is fixed up front and needs no priority queue.  A
+column without a unit entry is deferred and goes back on the queue only
+when an elimination sets one of its entries to +-1.  smith_diagonal
+tracks no transform.  kernel_basis keeps the pivot rows, reads the
+core's kernel off its transform v, and extends it to the pivot
+coordinates by back-substitution; it returns the Smith diagonal too, so
+a matrix whose kernel is taken is never reduced again for its diagonal.
+The dense reduction refuses, before it starts, any input whose work
+estimate rows x cols x min(rows, cols) is over MAX_DENSE_WORK; only a
+unit-free core ever reaches it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "DenseWorkTooLargeError",
     "IntMatrix",
     "MAX_DENSE_WORK",
+    "kernel_basis",
     "smith_diagonal",
 ]
 
@@ -379,35 +385,32 @@ def _snf_reduce(a: IntMatrix, want_v=False):
     return (IntMatrix.from_rows(v, n) if want_v else None), IntMatrix.from_rows(d, n)
 
 
-def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors of a, each dividing the next.
-
-    The rows are copied and indexed by column, and +-1 pivots are
-    eliminated in a static column order: the columns are sorted once by
-    (initial nonzero count, index) and taken from a first-in first-out
-    queue.  A popped column's pivot is its +-1 entry in the currently
-    shortest row, ties going to the lowest row.  A column with no unit
-    entry is deferred; when an elimination sets an entry of a deferred
-    column to +-1, that column goes back on the end of the queue.  So
-    when the queue runs dry no unit entry is left, and each eliminated
-    pivot is an invariant factor 1.  The dense reduction runs only on
-    that unit-free core, and only if it is nonzero.
-
-    >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    (2, 4)
-    >>> smith_diagonal(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
-    (1, 1, 2)
-    >>> smith_diagonal(IntMatrix.zeros(0, 3))
-    ()
-    """
+def _unit_rows(a: IntMatrix) -> tuple[dict, dict]:
+    """A copy of a's nonzero rows, and for each column the set of rows holding it."""
     rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    return rows, cols
+
+
+def _eliminate_units(rows: dict, cols: dict) -> Iterator[tuple[int, int, dict]]:
+    """Eliminate +-1 pivots from rows and cols in place, yielding each as (column, pivot, row).
+
+    The columns are sorted once by (initial nonzero count, index) and
+    taken from a first-in first-out queue.  A popped column's pivot is
+    its +-1 entry in the currently shortest row, ties going to the
+    lowest row.  A column with no unit entry is deferred; when an
+    elimination sets an entry of a deferred column to +-1, that column
+    goes back on the end of the queue.  So when the queue runs dry no
+    unit entry is left in rows: they are the unit-free core.  Each
+    yielded row is the pivot row without its pivot entry, as it stood
+    when eliminated; it holds no earlier pivot column, and no later one
+    is ever changed again.
+    """
     queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
     deferred = set()
-    units = 0
     while queue:
         q = queue.popleft()
         candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
@@ -415,7 +418,6 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
             deferred.add(q)
             continue
         _, p = min(candidates)
-        units += 1
         prow = rows.pop(p)
         for j in prow:
             cols[j].discard(p)
@@ -436,11 +438,83 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-    if not rows:
-        return (1,) * units
-    index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
-    core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
-    _, d = _snf_reduce(IntMatrix._wrap(len(rows), len(index), core))
-    k = min(d.rows, d.cols)
-    return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(k)) if x)
+        yield q, pivot, prow
 
+
+def _core(rows: dict, cols: dict) -> tuple[IntMatrix, list[int]]:
+    """The unit-free core over the columns that still hold an entry, and those columns."""
+    live = sorted(j for j, members in cols.items() if members)
+    index = {j: k for k, j in enumerate(live)}
+    core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
+    return IntMatrix._wrap(len(rows), len(live), core), live
+
+
+def _nonzero_diagonal(d: IntMatrix) -> tuple[int, ...]:
+    return tuple(x for x in (d[(t, t)] for t in range(min(d.rows, d.cols))) if x)
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of a, each dividing the next.
+
+    The +-1 pivots are eliminated first, each one an invariant factor 1
+    (see _eliminate_units); the dense reduction runs only on the
+    unit-free core that is left, and only if it is nonzero.
+
+    >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    >>> smith_diagonal(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    (1, 1, 2)
+    >>> smith_diagonal(IntMatrix.zeros(0, 3))
+    ()
+    """
+    rows, cols = _unit_rows(a)
+    units = (1,) * sum(1 for _ in _eliminate_units(rows, cols))
+    if not rows:
+        return units
+    _, d = _snf_reduce(_core(rows, cols)[0])
+    return units + _nonzero_diagonal(d)
+
+
+def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """A matrix whose columns form a Z-basis of {x : a * x = 0}, and smith_diagonal(a).
+
+    The unit phase of smith_diagonal runs first and keeps its pivot
+    rows.  The dense reduction, with its column transform v, runs only
+    on the unit-free core: the core's kernel is spanned by the columns
+    of v past its rank, and every non-pivot column that holds no core
+    entry adds a unit vector.  Each such vector is extended to the pivot
+    coordinates by back-substitution in reverse pivot order: a pivot row
+    reads pivot * x_q + (its other entries) . x = 0 with pivot = +-1, so
+    x_q is an exact integer.  The extension is a bijection from the
+    core's kernel onto a's, so a basis maps to a basis.
+
+    >>> k, diagonal = kernel_basis(IntMatrix.from_rows([[1, 2, 3], [0, 2, 4]]))
+    >>> k, diagonal
+    (IntMatrix.from_rows([[1], [-2], [1]]), (1, 2))
+    """
+    rows, cols = _unit_rows(a)
+    pivots = list(_eliminate_units(rows, cols))
+    diagonal = (1,) * len(pivots)
+    kernel: dict[int, dict[int, int]] = {}  # coordinate -> {basis vector: entry}
+    live, k = [], 0
+    if rows:
+        core, live = _core(rows, cols)
+        v, d = _snf_reduce(core, want_v=True)
+        core_diagonal = _nonzero_diagonal(d)
+        diagonal += core_diagonal
+        rank = len(core_diagonal)
+        k = core.cols - rank
+        for i, t, e in v.nonzeros():
+            if t >= rank:
+                kernel.setdefault(live[i], {})[t - rank] = e
+    for j in sorted(set(range(a.cols)).difference(live, (q for q, _, _ in pivots))):
+        kernel[j] = {k: 1}
+        k += 1
+    for q, pivot, prow in reversed(pivots):
+        acc: dict[int, int] = {}
+        for j, e in prow.items():
+            for t, x in kernel.get(j, _EMPTY_ROW).items():
+                acc[t] = acc.get(t, 0) - pivot * e * x
+        kernel[q] = {t: x for t, x in acc.items() if x}
+    basis = tuple(kernel.get(j, _EMPTY_ROW) for j in range(a.cols))
+    return IntMatrix._wrap(a.cols, k, basis), diagonal

@@ -202,6 +202,52 @@ def check_snf_reduction(a: IntMatrix) -> tuple[int, ...]:
     return got
 
 
+def oracle_kernel_basis(rows: list[list[int]], n_cols: int) -> list[list[int]]:
+    """A Z-basis of {x : A x = 0} as columns, by 2x2 Bezout column moves on [A; I].
+
+    Row by row, the columns past the pivots found so far are folded into
+    the first of them, so the pivot columns end in column echelon form;
+    the bottom parts of the columns left with a zero top form the basis.
+    """
+    m = len(rows)
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(n_cols)] for j in range(n_cols)]
+    done = 0
+    for i in range(m):
+        if done == n_cols:
+            break
+        for j in range(done + 1, n_cols):
+            a, b = cols[done][i], cols[j][i]
+            if b:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                u, v = cols[done], cols[j]
+                cols[done] = [x * p + y * q for p, q in zip(u, v)]
+                cols[j] = [-bg * p + ag * q for p, q in zip(u, v)]
+        if cols[done][i]:
+            done += 1
+    return [c[m:] for c in cols[done:]]
+
+
+def oracle_subquotient(m: int, d_in: list[list[int]], d_out: list[list[int]],
+                       middle_rels: list[list[int]], target_rels: list[list[int]]):
+    """(free_rank, invariant factors) of ker(d_out) / im(d_in) on Z^m modulo middle_rels.
+
+    All matrices come as dense rows: d_in and middle_rels have m rows,
+    d_out and target_rels have the same row count.  The cocycles are the
+    top m coordinates of the kernel of [d_out | target_rels]; the
+    relations among them are the top coordinates of the kernel of
+    [cocycles | d_in | middle_rels].
+    """
+    outer = [list(a) + list(b) for a, b in zip(d_out, target_rels)]
+    n_outer = m + (len(target_rels[0]) if target_rels else 0)
+    cocycles = [c[:m] for c in oracle_kernel_basis(outer, n_outer)]
+    k = len(cocycles)
+    inner = [[c[i] for c in cocycles] + list(d_in[i]) + list(middle_rels[i]) for i in range(m)]
+    n_inner = k + (len(d_in[0]) if d_in else 0) + (len(middle_rels[0]) if middle_rels else 0)
+    rels = [c[:k] for c in oracle_kernel_basis(inner, n_inner)]
+    return oracle_canonical_form(k, [[c[i] for c in rels] for i in range(k)])
+
+
 def oracle_cochain_cohomology(dims: list[int], deltas: list[list[list[int]]]):
     """Cohomology of a complex of free groups straight from coboundary matrices.
 
@@ -410,6 +456,34 @@ def _random_hypersurface_datum(rng: random.Random) -> SncDatum:
         (): StratumData(total, {}),
         (1,): StratumData(boundary, {1: res}),
     })
+
+
+def curve_chain_datum(rng: random.Random, n: int, m: int, b1: int) -> SncDatum:
+    """A surface with a chain of n boundary curves whose H^1 carry relations.
+
+    Curve i meets curve i+1 in a point.  Each H^1(C_i) is Z^m modulo two
+    random relation columns with entries in [-3, 3], and each restriction
+    from the surface's H^1 = Z^b1 has entries in [-2, 2].  So the weight
+    complex in degree 1 takes the kernel route at level 0, on an
+    (n m) x (b1 + 2n) matrix [d | relations].
+    """
+    def free(k):
+        return FpAbPresentation.free(k)
+
+    def rand(rows, cols, bound):
+        return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
+
+    one = IntMatrix.identity(1)
+    total = {0: free(1), 1: free(b1), 2: free(1), 3: free(b1), 4: free(1)}
+    strata = {(): StratumData(total, {})}
+    for i in range(1, n + 1):
+        h1 = FpAbPresentation(m, rand(m, 2, 3))
+        strata[(i,)] = StratumData({0: free(1), 1: h1, 2: free(1)}, {i: {
+            0: one, 1: rand(m, b1, 2), 2: IntMatrix.from_rows([[rng.choice((1, 2, 3))]]),
+        }})
+    for i in range(1, n):
+        strata[(i, i + 1)] = StratumData({0: free(1)}, {i: {0: one}, i + 1: {0: one}})
+    return SncDatum(2, n, strata)
 
 
 def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:

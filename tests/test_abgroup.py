@@ -12,7 +12,15 @@ from sncweight.abgroup import (
 from sncweight.chain import CochainComplex, verify_complex
 from sncweight.intmat import IntMatrix
 
-from _support import check_record, oracle_canonical_form, random_presentation, random_unimodular
+from _support import (
+    check_record,
+    oracle_canonical_form,
+    oracle_kernel_basis,
+    oracle_subquotient,
+    random_presentation,
+    random_unimodular,
+    rational_rank,
+)
 
 F = FpAbPresentation.free
 Z = FgAbGroup.free(1)
@@ -24,12 +32,12 @@ def hom(src, tgt, rows):
 
 def kernel_of(f):
     """ker f, as the cohomology of 0 -> source -> target."""
-    return subquotient_cohomology(FpAbHom.zero(F(0), f.source), f)
+    return subquotient_cohomology(FpAbHom.zero(F(0), f.source), f)[0]
 
 
 def cokernel_of(f):
     """coker f, as the cohomology of source -> target -> 0."""
-    return subquotient_cohomology(f, FpAbHom.zero(f.target, F(0)))
+    return subquotient_cohomology(f, FpAbHom.zero(f.target, F(0)))[0]
 
 
 def test_fgabgroup_validation():
@@ -181,13 +189,15 @@ def test_rank_nullity_randomized():
 def test_subquotient_examples():
     d_in = hom(F(1), F(2), [[1], [1]])
     d_out = hom(F(2), F(1), [[1, -1]])
-    assert subquotient_cohomology(d_in, d_out).is_zero
+    # The second value is the Smith diagonal of [d_out | target relations].
+    h, diagonal = subquotient_cohomology(d_in, d_out)
+    assert h.is_zero and diagonal == (1,)
     assert subquotient_cohomology(
         hom(F(1), F(1), [[2]]), FpAbHom.zero(F(1), F(0))
-    ) == FgAbGroup(0, (2,))
+    ) == (FgAbGroup(0, (2,)), ())
     assert subquotient_cohomology(
         FpAbHom.zero(F(0), F(2)), FpAbHom.zero(F(2), F(0))
-    ) == FgAbGroup.free(2)
+    ) == (FgAbGroup.free(2), ())
 
 
 def test_subquotient_rejects_nonzero_composition():
@@ -247,10 +257,10 @@ def test_homs_with_torsion_source():
 def test_subquotient_with_torsion_middle():
     z4 = FpAbPresentation.from_relation_columns(1, [[4]])
     doubling = hom(z4, z4, [[2]])
-    assert subquotient_cohomology(doubling, doubling).is_zero
+    assert subquotient_cohomology(doubling, doubling) == (FgAbGroup.zero(), (2,))
     # Zero maps leave the whole middle group.
     z = FpAbHom.zero(z4, z4)
-    assert subquotient_cohomology(z, z) == FgAbGroup(0, (4,))
+    assert subquotient_cohomology(z, z) == (FgAbGroup(0, (4,)), (4,))
 
 
 def test_record_semantics():
@@ -274,3 +284,38 @@ def test_records_validate_on_construction():
         FpAbPresentation(2, IntMatrix.zeros(1, 0))
     with pytest.raises(ValueError, match=r"hom matrix shape \(1, 1\) does not match 2x1"):
         FpAbHom(F(1), F(2), IntMatrix.identity(1))
+
+
+def test_subquotient_agrees_with_bezout_oracle():
+    # Unit-rich maps into relation-carrying targets.  d_in and the middle
+    # relations are made of cocycles (columns in the kernel of d_out modulo
+    # the target relations), so d_out is well defined and d_out after d_in
+    # is zero.  The oracle finds its kernels by Bezout column moves.
+    rng = random.Random(20261019)
+    seen_torsion = set()
+    for _ in range(150):
+        m, n = rng.randint(1, 10), rng.randint(1, 8)
+        d_out = [[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(m)] for _ in range(n)]
+        k = rng.randint(0, 3)
+        target_rels = [[rng.choice((0, 0, 2, -2, 3)) for _ in range(k)] for _ in range(n)]
+        cocycles = [c[:m] for c in oracle_kernel_basis(
+            [r + t for r, t in zip(d_out, target_rels)], m + k)]
+
+        def combinations(count):
+            # count random integer combinations of the cocycles, as m rows.
+            coeffs = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in cocycles] for _ in range(count)]
+            return [[sum(c * z[i] for c, z in zip(cs, cocycles)) for cs in coeffs]
+                    for i in range(m)]
+
+        d_in, middle_rels = combinations(rng.randint(0, 3)), combinations(rng.randint(0, 3))
+        middle = FpAbPresentation(m, IntMatrix.from_rows(middle_rels, len(middle_rels[0])))
+        target = FpAbPresentation(n, IntMatrix.from_rows(target_rels, k))
+        source = F(len(d_in[0]))
+        h, diagonal = subquotient_cohomology(hom(source, middle, d_in), hom(middle, target, d_out))
+        expected = oracle_subquotient(m, d_in, d_out, middle_rels, target_rels)
+        assert (h.free_rank, h.torsion) == expected
+        outer = [r + t for r, t in zip(d_out, target_rels)]
+        assert tuple(x for x in diagonal if x > 1) == oracle_canonical_form(n, outer)[1]
+        assert len(diagonal) == rational_rank(outer)
+        seen_torsion.update(h.torsion)
+    assert {2, 3, 4} <= seen_torsion, seen_torsion

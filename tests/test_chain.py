@@ -8,6 +8,7 @@ from sncweight.intmat import IntMatrix
 
 from _support import (
     check_record,
+    curve_chain_datum,
     oracle_cochain_cohomology,
     random_presented_complex,
     random_unimodular,
@@ -99,7 +100,7 @@ def test_free_cohomology_agrees_with_oracle_and_presented_path():
         deltas = [d.matrix.to_rows() for d in c.differentials]
         expected = oracle_cochain_cohomology(dims, deltas)
         assert {a - c.min_degree: (g.free_rank, g.torsion) for a, g in got.items()} == expected
-        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
+        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))[0]
                      for a in c.degrees}
         assert got == {a: h for a, h in presented.items() if not h.is_zero}
         for g in got.values():
@@ -117,7 +118,7 @@ def test_presented_cohomology_agrees_with_closed_forms():
         c, expected = random_presented_complex(rng)
         got = cohomology(c)
         assert got == expected
-        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))
+        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))[0]
                      for a in c.degrees}
         assert got == {a: h for a, h in presented.items() if not h.is_zero}
         for g, after in zip(c.groups, c.groups[1:] + (F(0),)):
@@ -169,3 +170,32 @@ def test_record_semantics():
     assert two_term(2) == two_term(2) != two_term(3)
     with pytest.raises(ValueError, match="differential 0 does not match adjacent groups"):
         CochainComplex(0, (F(1), F(2)), (hom(F(1), F(1), [[1]]),))
+
+
+def test_each_matrix_is_reduced_once(monkeypatch):
+    # On a datum shaped like a chain of curves whose H^1 carry relations,
+    # the kernel route's matrix [d_0 | relations] gives its Smith diagonal
+    # with its kernel, and the next degree reads that diagonal as its B
+    # instead of reducing the matrix again.  Only unit-free cores reach
+    # the dense reduction, and the column transform is only ever taken on
+    # a core.
+    from sncweight import intmat
+    from sncweight.weight import weight_cohomology_table
+
+    reduced, with_v = [], 0
+    real = intmat._snf_reduce
+
+    def recording(a, want_v=False):
+        nonlocal with_v
+        assert not any(e in (1, -1) for _, _, e in a.nonzeros()), a.shape
+        reduced.append(a)
+        with_v += want_v
+        return real(a, want_v)
+
+    monkeypatch.setattr(intmat, "_snf_reduce", recording)
+    datum = curve_chain_datum(random.Random(5), 30, 6, 12)
+    table = weight_cohomology_table(datum)
+    assert len(reduced) == len(set(reduced)) and with_v > 0
+    # The 180 x 72 matrix of the kernel route leaves a far smaller core.
+    assert max(a.rows * a.cols for a in reduced) < 180 * 72 // 2
+    assert table.entry(1, 1) == FgAbGroup.free(108)

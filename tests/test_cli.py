@@ -6,7 +6,7 @@ from sncweight.cli import CHECK_SUITES, main
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
 
-from _support import rp2_triangles, surface_json
+from _support import curve_chain_datum, rp2_triangles, surface_json
 
 
 def run(capsys, *argv):
@@ -219,6 +219,25 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     rp2.write_text(out)
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
     _one_parse_error(capsys, ("dual", str(rp2), "--complex"), "more than 0")
+
+
+def test_kernel_route_budget_is_charged_on_the_core(capsys, tmp_path, monkeypatch):
+    # The kernel route reduces only the unit-free core of [d_0 | relations],
+    # as smith_diagonal does.  So a datum whose kernel-route matrix is over
+    # the budget as a whole, but whose core is under it, answers; it used
+    # to exit 2.
+    import random
+
+    from sncweight import intmat
+
+    path = tmp_path / "chain.json"
+    path.write_text(to_json(curve_chain_datum(random.Random(2), 8, 6, 12)))
+    code, expected, err = run(capsys, "compute", str(path))
+    assert code == 0 and err == ""
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 10**4)
+    whole = 8 * 6 * (12 + 2 * 8) ** 2  # the 48 x 28 matrix, estimated whole
+    assert whole > intmat.MAX_DENSE_WORK
+    assert run(capsys, "compute", str(path)) == (0, expected, "")
 
 
 def test_dual_computes_each_part_once(capsys, monkeypatch, tmp_path):
@@ -466,9 +485,13 @@ def test_dual_complex_fuzz_exits_0_or_2(capsys, tmp_path):
     import time
 
     rng = random.Random(83)
-    budgets = ([], ["--simplify", "-1"], ["--simplify", "0"], ["--simplify", "1"],
+    budgets = ([], ["--simplify", "0"], ["--simplify", "1"], ["--simplify", "2"],
                ["--simplify", str(10**9)])
     path = tmp_path / "complex.json"
+    # A negative budget is refused before the file is read.
+    path.write_text('{"vertices": 1, "facets": [[0]]}')
+    _one_parse_error(capsys, ("dual", str(path), "--complex", "--simplify", "-1"),
+                     "--simplify budget -1 is negative")
     outcomes = set()
     for text in _mutated_complex_texts(rng):
         path.write_text(text)
@@ -1127,6 +1150,27 @@ def test_integer_keys_have_one_spelling_exit_2(capsys, tmp_path):
     _one_parse_error(capsys, ("compute", str(path)), "negative cohomology degree -1")
 
 
+def test_argparse_refusals_are_one_error_line_exit_2(capsys):
+    # argparse used to print its usage block before its own error line.
+    for argv, message in (
+        (("check", "--builder", "curve:1,2", "degeneration", "--hc", "-1:0,2:1"),
+         "argument --hc: expected one argument"),
+        (("compute", "--bogus"), "unrecognized arguments: --bogus"),
+        ((), "the following arguments are required: command"),
+        (("compute", "--builder", "torus:1", "--format", "xml"),
+         "argument --format: invalid choice: 'xml'"),
+    ):
+        _one_parse_error(capsys, argv, message)
+    # --help is no refusal: it prints the usage and exits 0.
+    import pytest
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sncweight") and err == ""
+
+
 def test_command_line_integers_have_one_spelling_exit_2(capsys):
     # Builder specs, --hc and --simplify read integers by the datum-key rule.
     # "torus:02" used to build torus:2 under the name "torus:02", "point:"
@@ -1268,6 +1312,12 @@ def test_exit_codes_are_decided_in_main_alone():
                 kind = ast.unparse(t) if t is not None else "bare"
                 handlers.setdefault(where, {})[kind] = [ast.unparse(b) for b in node.body]
     assert "_fail" not in names
+    # argparse's refusals reach main the same way: the parser's error raises.
+    (parser,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Parser"]
+    (error,) = [node for node in parser.body
+                if isinstance(node, ast.FunctionDef) and node.name == "error"]
+    assert [ast.unparse(b) for b in error.body] == ["raise UsageError(message)"]
     assert stderr == {"main"}
     assert names["EXIT_PARSE_ERROR"] == {"main"}
     assert names["EXIT_CHECK_FAILED"] == {"main", "cmd_check"}
@@ -1313,8 +1363,7 @@ def test_matrix_layout_is_known_only_to_intmat():
                 entry_callers.add((path.stem, enclosing.get(id(node))))
     assert leaks == []
     assert entry_callers == {("dual", "reduced_cochain_complex"),
-                             ("abgroup", "from_relation_columns"),
-                             ("abgroup", "_kernel_basis")}
+                             ("abgroup", "from_relation_columns")}
 
 
 def test_operations_without_a_command_are_gone():

@@ -267,7 +267,7 @@ def _homological_h1(k):
     F = FpAbPresentation.free
     bdry2 = FpAbHom(F(len(tris)), F(len(edges)), IntMatrix.from_rows(d2, len(tris)))
     bdry1 = FpAbHom(F(len(edges)), F(len(verts)), IntMatrix.from_rows(d1, len(edges)))
-    return subquotient_cohomology(bdry2, bdry1)
+    return subquotient_cohomology(bdry2, bdry1)[0]
 
 
 def test_abelianized_edge_path_matches_h1():

@@ -4,10 +4,16 @@ from functools import reduce
 import pytest
 
 from sncweight import intmat
-from sncweight.abgroup import _columns_in_span, _kernel_basis
-from sncweight.intmat import IntMatrix, _snf_reduce, smith_diagonal
+from sncweight.abgroup import _columns_in_span
+from sncweight.intmat import IntMatrix, _snf_reduce, kernel_basis, smith_diagonal
 
-from _support import check_snf_reduction, oracle_canonical_form, random_matrix, random_unimodular
+from _support import (
+    check_snf_reduction,
+    oracle_canonical_form,
+    random_matrix,
+    random_unimodular,
+    rational_rank,
+)
 
 
 def test_matrix_basics():
@@ -389,16 +395,61 @@ def test_smith_diagonal_requeues_in_linear_time(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
-def test_kernel_basis_spans_kernel():
+def _relation_carrying(rng, rows, cols, rels, values, zero_cols):
+    """[d | relations]: a sparse d over values with some all-zero columns, and
+    relation columns of one to three entries +-2, unit-free as a presentation's."""
+    d = [[rng.choice(values) if rng.random() < 0.15 else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    for j in rng.sample(range(cols), min(zero_cols, cols)):
+        for r in d:
+            r[j] = 0
+    relations = [[0] * rels for _ in range(rows)]
+    for j in range(rels if rows else 0):
+        for i in rng.sample(range(rows), min(rows, rng.randint(1, 3))):
+            relations[i][j] = rng.choice((2, -2))
+    return IntMatrix.from_rows([r + q for r, q in zip(d, relations)], cols + rels)
+
+
+def _check_kernel(a):
+    """kernel_basis against the Fraction rank, with the kernel saturated."""
+    k, diagonal = kernel_basis(a)
+    assert (a * k).is_zero
+    assert k.rows == a.cols and k.cols == a.cols - rational_rank(a.to_rows())
+    # A Z-basis of a kernel spans a saturated lattice: Z^n / span is free.
+    assert smith_diagonal(k) == (1,) * k.cols
+    assert diagonal == smith_diagonal(a)
+    return k
+
+
+def test_kernel_basis_spans_kernel(monkeypatch):
+    cores = []
+
+    def recording(a, *args, **kwargs):
+        cores.append(a)
+        return _snf_reduce(a, *args, **kwargs)
+
+    monkeypatch.setattr(intmat, "_snf_reduce", recording)
     rng = random.Random(4)
     for _ in range(100):
         a = random_matrix(rng, max_dim=5, bound=6)
-        k = _kernel_basis(a)
-        assert (a * k).is_zero
-        # Columns are independent: the basis matrix has full column rank.
-        assert len(smith_diagonal(k)) == k.cols
+        k = _check_kernel(a)
         # Random kernel elements must be reachable.
         for _ in range(3):
             coeffs = IntMatrix(k.cols, 1, [rng.randint(-3, 3) for _ in range(k.cols)])
             vec = k * coeffs
             assert _columns_in_span(vec, k)
+    # Unit-rich, relation-carrying matrices up to 40 x 60, where the unit
+    # phase eliminates most columns and back-substitution does real work;
+    # some with zero columns, some with every entry a unit.
+    shapes = {"core": 0, "no core": 0}
+    for case in range(40):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 50)
+        all_unit = case % 4 == 0
+        a = _relation_carrying(rng, rows, cols, 0 if all_unit else rng.randint(1, 10),
+                               (1, -1) if all_unit else (1, -1, 1, -1, 2, -2),
+                               rng.randint(1, 5) if case % 3 == 0 else 0)
+        cores.clear()
+        kernel_basis(a)
+        shapes["core" if cores else "no core"] += 1
+        _check_kernel(a)
+    assert min(shapes.values()) > 5, shapes
