@@ -7,9 +7,8 @@ matrix; relations are always stored as columns, here and in every file
 format.  An FpAbHom is a homomorphism between presented groups, given by
 its matrix on generators.
 
-Canonical forms and span membership read only Smith diagonals; the
-presented subquotient reads kernel bases from intmat.kernel_basis, which
-reduces only the unit-free core of each matrix.
+Canonical forms and span membership read only Smith diagonals, and so
+does the cohomology of a complex of these groups (see chain.cohomology).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd
 
-from .intmat import IntMatrix, _int_entries, kernel_basis, smith_diagonal
+from .intmat import IntMatrix, _int_entries, smith_diagonal
 # Unused here: bench/tracer.py wraps the private functions another module
 # imports, and finds the dense reduction's counters through this name.
 from .intmat import _snf_reduce  # noqa: F401
@@ -29,7 +28,6 @@ __all__ = [
     "FpAbPresentation",
     "FpAbHom",
     "canonical_form",
-    "subquotient_cohomology",
 ]
 
 
@@ -249,29 +247,3 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     diag = smith_diagonal(p.relations)
     torsion = tuple(x for x in diag if x > 1)
     return FgAbGroup(p.generators - len(diag), torsion)
-
-
-def subquotient_cohomology(d_in: FpAbHom, d_out: FpAbHom) -> tuple[FgAbGroup, tuple[int, ...]]:
-    """Canonical form of ker(d_out) / im(d_in) at the shared middle group,
-    and the Smith diagonal of [d_out | target relations].
-
-    Requires target(d_in) == source(d_out), and raises ValueError otherwise.
-    Preconditions that are not checked here: both maps are well defined and
-    d_out after d_in is the zero map on the quotients (chain.verify_complex
-    tests both; the complexes of this package hold them by construction).
-    The top rows of a kernel basis of [d_out | target relations] are
-    columns G that generate the cocycles.  With B = [d_in | middle
-    relations], the result is Z^k modulo {c : G * c lies in the span of
-    B}, which is the top k rows of a kernel basis of [G | B].  The
-    reduction that gives the first kernel basis gives its matrix's Smith
-    diagonal too; it is returned so that the next degree of a complex,
-    whose B that matrix is, need not reduce it again.
-    """
-    if d_in.target != d_out.source:
-        raise ValueError("middle groups differ: target(d_in) != source(d_out)")
-    middle = d_in.target
-    boundaries = d_in.matrix.hstack(middle.relations)
-    kernel, diagonal = kernel_basis(d_out.matrix.hstack(d_out.target.relations))
-    cocycles = kernel.take_rows(middle.generators)
-    rels = kernel_basis(cocycles.hstack(boundaries))[0].take_rows(cocycles.cols)
-    return canonical_form(FpAbPresentation(cocycles.cols, rels)), diagonal

@@ -1,12 +1,14 @@
-"""Bounded cochain complexes of finitely presented abelian groups."""
+"""Bounded cochain complexes of finitely presented abelian groups.
 
-from .abgroup import (
-    FgAbGroup,
-    FpAbHom,
-    FpAbPresentation,
-    subquotient_cohomology,
-)
-from .intmat import smith_diagonal
+Cohomology is read off one free complex: each group Z^n_a / E_a, with
+E_a a column-echelon basis of its relations, is resolved by E_a, and
+the total complex of these resolutions is free with the same
+cohomology.  So every degree of every complex reads Smith diagonals
+only, and a complex of free groups is its own total complex.
+"""
+
+from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
+from .intmat import IntMatrix, column_echelon, echelon_lift, smith_diagonal
 from .reports import Report, _Record
 
 __all__ = [
@@ -72,20 +74,15 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     Precondition, not checked here: c is a complex, every differential
     well defined and every consecutive composite zero (what verify_complex
     tests).  The weight complexes of a valid datum and the simplicial
-    cochain complexes hold it by construction; on anything else the
-    answer is undefined.
+    cochain complexes hold it by construction; a lift that does not exist
+    raises ValueError, and otherwise the answer is undefined.
 
-    At a degree a whose next group is relation-free (the last degree,
-    and every degree of a free complex), ker d_a is saturated and holds
-    the span of B = [d_(a-1) | relations in degree a], so H^a is
-    Z^(n_a - rank d_a - rank B) plus the invariant factors > 1 of B.
-    This reads Smith diagonals only.  Every other degree takes the
-    kernel route of subquotient_cohomology, which assumes well-defined
-    maps and a zero composite.  Either way degree a reduces
-    [d_a | relations in degree a+1] and passes its diagonal on as the
-    next degree's B, so each matrix is reduced once.
+    With E_a an injective basis of the relations in degree a (see
+    _total_differential), the total complex has T^a = Z^n_a + Z^r_(a+1)
+    and differentials D_a.  So H^a is Z^(dim T^a - rank D_a - rank D_(a-1))
+    plus the invariant factors > 1 of D_(a-1).  Each D is reduced once,
+    and its diagonal is passed on to the next degree.
 
-    >>> from sncweight.intmat import IntMatrix
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
     >>> c = CochainComplex(0, (FpAbPresentation.free(1), z2),
     ...                    (FpAbHom(FpAbPresentation.free(1), z2, IntMatrix.from_rows([[1]])),))
@@ -96,17 +93,38 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     >>> {a: str(h) for a, h in cohomology(c).items()}
     {0: 'Z/2', 1: 'Z/2'}
     """
+    first = c.min_degree
+    # E of degrees first .. last + 2; the groups past the last are zero.
+    bases = [column_echelon(g.relations) for g in c.groups] + [IntMatrix.zeros(0, 0)] * 2
     out = {}
-    last = None  # the Smith diagonal of [d_(a-1) | relations in degree a], past the first degree
+    # D_(first-1) maps Z^r_first, which is all of T^(first-1), injectively.
+    last = smith_diagonal(_total_differential(c, first - 1, *bases[:2]))
     for a, g in zip(c.degrees, c.groups):
-        d_in, d_out = c.differential_at(a - 1), c.differential_at(a)
-        if c.group_at(a + 1).is_relation_free:
-            # d_in comes from the zero group at the first degree, so B is g's relations.
-            b = smith_diagonal(g.relations) if last is None else last
-            last = smith_diagonal(d_out.matrix)
-            h = FgAbGroup(g.generators - len(last) - len(b), tuple(x for x in b if x > 1))
-        else:
-            h, last = subquotient_cohomology(d_in, d_out)
+        i = a - first
+        diagonal = smith_diagonal(_total_differential(c, a, *bases[i + 1:i + 3]))
+        size = g.generators + bases[i + 1].cols
+        h = FgAbGroup(size - len(diagonal) - len(last), tuple(x for x in last if x > 1))
+        last = diagonal
         if not h.is_zero:
             out[a] = h
     return out
+
+
+def _total_differential(c: CochainComplex, a: int, e_next: IntMatrix,
+                        e_after: IntMatrix) -> IntMatrix:
+    """D_a = [[d_a, E_(a+1)], [-g_a, -h_(a+1)]] of the total complex.
+
+    e_next and e_after are E_(a+1) and E_(a+2).  The lifts solve
+    E_(a+2) * [g_a | h_(a+1)] = d_(a+1) * [d_a | E_(a+1)]: well-defined
+    maps give h, and g is there because a composite need only vanish
+    modulo relations, not on the nose.  E_(a+2) is injective, so
+    D_(a+1) * D_a = 0.  With no relations in degrees a+1 and a+2, D_a
+    is d_a itself.
+    """
+    d = c.differential_at(a).matrix
+    top = d.hstack(e_next) if e_next.cols else d
+    if not e_after.cols:
+        return top
+    lift = echelon_lift(e_after, c.differential_at(a + 1).matrix * top)
+    return IntMatrix.from_blocks(top.rows + lift.rows, top.cols, (
+        (0, 0, top, 1, True, 1), (top.rows, 0, lift, 1, True, -1)))

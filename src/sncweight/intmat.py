@@ -10,23 +10,18 @@ up intermediate entries, and fixed-width overflow would silently corrupt
 torsion coefficients.  Pivoting always selects a nonzero entry of minimal
 absolute value (first such entry in row-major order), which keeps
 intermediate entries small at the sizes used here and makes every
-reduction reproducible.  The dense reduction tracks the column transform
-v only when asked for it (kernel bases read it) and no row transform.
+reduction reproducible.  The dense reduction tracks no transform.
 
-smith_diagonal and kernel_basis share one unit phase: each first
-eliminates unit entries on a copy of the rows and runs the dense
-reduction on the unit-free core alone.  The columns are sorted once by
-(nonzero count, index) and taken from a first-in first-out queue, so the
-elimination order is fixed up front and needs no priority queue.  A
-column without a unit entry is deferred and goes back on the queue only
-when an elimination sets one of its entries to +-1.  smith_diagonal
-tracks no transform.  kernel_basis keeps the pivot rows, reads the
-core's kernel off its transform v, and extends it to the pivot
-coordinates by back-substitution; it returns the Smith diagonal too, so
-a matrix whose kernel is taken is never reduced again for its diagonal.
-The dense reduction refuses, before it starts, any input whose work
-estimate rows x cols x min(rows, cols) is over MAX_DENSE_WORK; only a
-unit-free core ever reaches it.
+smith_diagonal first eliminates unit entries on a copy of the rows, in
+an order fixed up front (see _unit_core), and runs the dense reduction
+on the unit-free core alone.  The dense reduction refuses, before it
+starts, any input whose work estimate rows x cols x min(rows, cols) is
+over MAX_DENSE_WORK.
+
+column_echelon makes a relation matrix injective: it keeps a lower
+column-echelon basis of the column span, counting its entry updates
+against MAX_DENSE_WORK too.  echelon_lift solves E * X = B on such a
+basis by forward substitution on its pivot rows.
 """
 
 from __future__ import annotations
@@ -39,7 +34,8 @@ __all__ = [
     "DenseWorkTooLargeError",
     "IntMatrix",
     "MAX_DENSE_WORK",
-    "kernel_basis",
+    "column_echelon",
+    "echelon_lift",
     "smith_diagonal",
 ]
 
@@ -235,11 +231,6 @@ class IntMatrix:
         return IntMatrix.from_blocks(self.rows, self.cols + other.cols, (
             (0, 0, self, 1, True, 1), (0, self.cols, other, 1, True, 1)))
 
-    def take_rows(self, count: int) -> "IntMatrix":
-        if not 0 <= count <= self.rows:
-            raise ValueError("row count out of range")
-        return IntMatrix._wrap(count, self.cols, self._rows[:count])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -275,23 +266,18 @@ MAX_DENSE_WORK = 10**8
 
 
 class DenseWorkTooLargeError(ValueError):
-    """A dense Smith reduction whose estimated work is over MAX_DENSE_WORK."""
+    """A dense Smith reduction or a column echelon whose work is over MAX_DENSE_WORK."""
 
 
-def _snf_reduce(a: IntMatrix, want_v=False):
-    """Reduce a to Smith form d = u * a * v for some unimodular u; return (v, d).
+def _snf_reduce(a: IntMatrix) -> IntMatrix:
+    """Reduce a to its Smith form d = u * a * v for some unimodular u and v.
 
-    The nonzero diagonal entries come first.  Only the column transform
-    v is ever tracked, and only when asked for; otherwise it comes back
-    as None.  The work is about rows x cols x min(rows, cols) entry
-    updates; over MAX_DENSE_WORK it raises DenseWorkTooLargeError before
-    starting.
+    The nonzero diagonal entries come first; no transform is tracked.
+    The work is about rows x cols x min(rows, cols) entry updates; over
+    MAX_DENSE_WORK it raises DenseWorkTooLargeError before starting.
 
-    >>> v, d = _snf_reduce(IntMatrix.from_rows([[2, 4], [6, 8]]), want_v=True)
-    >>> d
+    >>> _snf_reduce(IntMatrix.from_rows([[2, 4], [6, 8]]))
     IntMatrix.from_rows([[2, 0], [0, 4]])
-    >>> IntMatrix.from_rows([[2, 4], [6, 8]]) * v  # column i is d_i times a column of u^-1
-    IntMatrix.from_rows([[2, 0], [6, -4]])
     """
     m, n = a.rows, a.cols
     if m * n * min(m, n) > MAX_DENSE_WORK:
@@ -300,28 +286,21 @@ def _snf_reduce(a: IntMatrix, want_v=False):
             f"entry updates, more than {MAX_DENSE_WORK}"
         )
     d = a.to_rows()
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
 
     def row_add(i, j, q):
-        # r_i += q * r_j on d.
+        # r_i += q * r_j.
         di, dj = d[i], d[j]
         for t in range(n):
             di[t] += q * dj[t]
 
     def col_add(j, k, q):
-        # c_j += q * c_k on d and v.
+        # c_j += q * c_k.
         for r in d:
             r[j] += q * r[k]
-        if v is not None:
-            for r in v:
-                r[j] += q * r[k]
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
 
     def find_pivot(t):
         best = None
@@ -382,21 +361,11 @@ def _snf_reduce(a: IntMatrix, want_v=False):
             piv = find_pivot(t)
         t += 1
 
-    return (IntMatrix.from_rows(v, n) if want_v else None), IntMatrix.from_rows(d, n)
+    return IntMatrix.from_rows(d, n)
 
 
-def _unit_rows(a: IntMatrix) -> tuple[dict, dict]:
-    """A copy of a's nonzero rows, and for each column the set of rows holding it."""
-    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    return rows, cols
-
-
-def _eliminate_units(rows: dict, cols: dict) -> Iterator[tuple[int, int, dict]]:
-    """Eliminate +-1 pivots from rows and cols in place, yielding each as (column, pivot, row).
+def _unit_core(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """Eliminate the +-1 pivots of a copy of a; return their number and the core left.
 
     The columns are sorted once by (initial nonzero count, index) and
     taken from a first-in first-out queue.  A popped column's pivot is
@@ -404,13 +373,17 @@ def _eliminate_units(rows: dict, cols: dict) -> Iterator[tuple[int, int, dict]]:
     lowest row.  A column with no unit entry is deferred; when an
     elimination sets an entry of a deferred column to +-1, that column
     goes back on the end of the queue.  So when the queue runs dry no
-    unit entry is left in rows: they are the unit-free core.  Each
-    yielded row is the pivot row without its pivot entry, as it stood
-    when eliminated; it holds no earlier pivot column, and no later one
-    is ever changed again.
+    unit entry is left: the rows and columns that still hold an entry
+    are the unit-free core.
     """
+    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
     deferred = set()
+    units = 0
     while queue:
         q = queue.popleft()
         candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
@@ -438,26 +411,17 @@ def _eliminate_units(rows: dict, cols: dict) -> Iterator[tuple[int, int, dict]]:
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-        yield q, pivot, prow
-
-
-def _core(rows: dict, cols: dict) -> tuple[IntMatrix, list[int]]:
-    """The unit-free core over the columns that still hold an entry, and those columns."""
-    live = sorted(j for j, members in cols.items() if members)
-    index = {j: k for k, j in enumerate(live)}
+        units += 1
+    index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
     core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
-    return IntMatrix._wrap(len(rows), len(live), core), live
-
-
-def _nonzero_diagonal(d: IntMatrix) -> tuple[int, ...]:
-    return tuple(x for x in (d[(t, t)] for t in range(min(d.rows, d.cols))) if x)
+    return units, IntMatrix._wrap(len(rows), len(index), core)
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of a, each dividing the next.
 
     The +-1 pivots are eliminated first, each one an invariant factor 1
-    (see _eliminate_units); the dense reduction runs only on the
+    (see _unit_core); the dense reduction runs only on the
     unit-free core that is left, and only if it is nonzero.
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
@@ -467,54 +431,89 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     >>> smith_diagonal(IntMatrix.zeros(0, 3))
     ()
     """
-    rows, cols = _unit_rows(a)
-    units = (1,) * sum(1 for _ in _eliminate_units(rows, cols))
-    if not rows:
-        return units
-    _, d = _snf_reduce(_core(rows, cols)[0])
-    return units + _nonzero_diagonal(d)
+    units, core = _unit_core(a)
+    d = _snf_reduce(core) if core.rows else core
+    return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(min(d.rows, d.cols))) if x)
 
 
-def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """A matrix whose columns form a Z-basis of {x : a * x = 0}, and smith_diagonal(a).
+def _columns(a: IntMatrix) -> list[dict[int, int]]:
+    """One dict {row: entry} per column of a."""
+    out: list[dict[int, int]] = [{} for _ in range(a.cols)]
+    for i, row in enumerate(a._rows):
+        for j, e in row.items():
+            out[j][i] = e
+    return out
 
-    The unit phase of smith_diagonal runs first and keeps its pivot
-    rows.  The dense reduction, with its column transform v, runs only
-    on the unit-free core: the core's kernel is spanned by the columns
-    of v past its rank, and every non-pivot column that holds no core
-    entry adds a unit vector.  Each such vector is extended to the pivot
-    coordinates by back-substitution in reverse pivot order: a pivot row
-    reads pivot * x_q + (its other entries) . x = 0 with pivot = +-1, so
-    x_q is an exact integer.  The extension is a bijection from the
-    core's kernel onto a's, so a basis maps to a basis.
 
-    >>> k, diagonal = kernel_basis(IntMatrix.from_rows([[1, 2, 3], [0, 2, 4]]))
-    >>> k, diagonal
-    (IntMatrix.from_rows([[1], [-2], [1]]), (1, 2))
+def _subtract(c: dict[int, int], q: int, p: dict[int, int]) -> None:
+    """c -= q * p, on sparse vectors."""
+    for i, e in p.items():
+        v = c.get(i, 0) - q * e
+        if v:
+            c[i] = v
+        else:
+            c.pop(i, None)
+
+
+def column_echelon(a: IntMatrix) -> IntMatrix:
+    """A lower column-echelon basis of the column span of a.
+
+    Row by row from the top, the columns whose first nonzero entry lies
+    in that row are folded into one by Euclid's algorithm, and a column
+    whose entry there becomes zero moves on to its next nonzero row.
+    Only columns that share a row are combined, so a block-diagonal a
+    gives a block-diagonal basis.  Each column update is charged its
+    nonzeros; over MAX_DENSE_WORK in all it raises DenseWorkTooLargeError.
+
+    >>> column_echelon(IntMatrix.from_rows([[2, 2, 4], [0, 2, 6]]))
+    IntMatrix.from_rows([[2, 0], [0, 2]])
     """
-    rows, cols = _unit_rows(a)
-    pivots = list(_eliminate_units(rows, cols))
-    diagonal = (1,) * len(pivots)
-    kernel: dict[int, dict[int, int]] = {}  # coordinate -> {basis vector: entry}
-    live, k = [], 0
-    if rows:
-        core, live = _core(rows, cols)
-        v, d = _snf_reduce(core, want_v=True)
-        core_diagonal = _nonzero_diagonal(d)
-        diagonal += core_diagonal
-        rank = len(core_diagonal)
-        k = core.cols - rank
-        for i, t, e in v.nonzeros():
-            if t >= rank:
-                kernel.setdefault(live[i], {})[t - rank] = e
-    for j in sorted(set(range(a.cols)).difference(live, (q for q, _, _ in pivots))):
-        kernel[j] = {k: 1}
-        k += 1
-    for q, pivot, prow in reversed(pivots):
-        acc: dict[int, int] = {}
-        for j, e in prow.items():
-            for t, x in kernel.get(j, _EMPTY_ROW).items():
-                acc[t] = acc.get(t, 0) - pivot * e * x
-        kernel[q] = {t: x for t, x in acc.items() if x}
-    basis = tuple(kernel.get(j, _EMPTY_ROW) for j in range(a.cols))
-    return IntMatrix._wrap(a.cols, k, basis), diagonal
+    if not a.cols:
+        return a
+    waiting: dict[int, list[dict[int, int]]] = {}  # first nonzero row -> its columns
+    for col in _columns(a):
+        if col:
+            waiting.setdefault(min(col), []).append(col)
+    basis, work = [], 0
+    for r in range(a.rows):
+        group = waiting.pop(r, ())
+        while len(group) > 1:
+            p = min(group, key=lambda c: abs(c[r]))
+            work += len(p) * (len(group) - 1)
+            if work > MAX_DENSE_WORK:
+                raise DenseWorkTooLargeError(f"a {a.rows}x{a.cols} column echelon takes "
+                                             f"more than {MAX_DENSE_WORK} entry updates")
+            for c in group:
+                if c is not p:
+                    _subtract(c, c[r] // p[r], p)
+                    if c and r not in c:
+                        waiting.setdefault(min(c), []).append(c)
+            group = [c for c in group if r in c]
+        basis += group
+    return IntMatrix.from_entries(a.rows, len(basis), (
+        (i, k, e) for k, col in enumerate(basis) for i, e in col.items()))
+
+
+def echelon_lift(e: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix x with e * x = b, for a basis e from column_echelon.
+
+    Forward substitution: in pivot order, each column of e is taken off
+    each column of b as many times as clears its pivot row.  A column of
+    b that is not cleared is outside the span of e: ValueError.
+
+    >>> echelon_lift(IntMatrix.from_rows([[2, 0], [1, 3]]), IntMatrix.from_rows([[4], [5]]))
+    IntMatrix.from_rows([[2], [1]])
+    """
+    if e.rows != b.rows:
+        raise ValueError("row counts differ")
+    pivots = [(min(col), col) for col in _columns(e)]
+    entries = []
+    for j, y in enumerate(_columns(b)):
+        for k, (r, col) in enumerate(pivots):
+            if r in y:
+                q = y[r] // col[r]
+                _subtract(y, q, col)
+                entries.append((k, j, q))
+        if y:
+            raise ValueError(f"column {j} is not in the column span")
+    return IntMatrix.from_entries(e.cols, b.cols, entries)

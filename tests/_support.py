@@ -176,19 +176,16 @@ def oracle_canonical_form(generators: int, relation_rows: list[list[int]]):
 
 
 def check_snf_reduction(a: IntMatrix) -> tuple[int, ...]:
-    """Assert what the package reads of v, d = _snf_reduce(a, want_v=True).
+    """Assert what the package reads of d = _snf_reduce(a).
 
-    d is diagonal, its nonzero entries come first and form a divisibility
-    chain equal to smith_diagonal(a) and to this oracle; v is unimodular;
-    and column i of a * v is d_i times an integer column (a * v = u^-1 * d),
-    so the columns of v past the rank span the kernel.  Returns the
-    nonzero diagonal.
+    d is diagonal, and its nonzero entries come first and form a
+    divisibility chain equal to smith_diagonal(a) and to this oracle.
+    Returns the nonzero diagonal.
     """
-    v, d = _snf_reduce(a, want_v=True)
-    n = a.cols
-    assert d.shape == a.shape and v.shape == (n, n)
+    d = _snf_reduce(a)
+    assert d.shape == a.shape
     assert all(i == j for i, j, _ in d.nonzeros())
-    diag = [d[(i, i)] for i in range(min(a.rows, n))]
+    diag = [d[(i, i)] for i in range(min(a.rows, a.cols))]
     rank = sum(1 for x in diag if x)
     assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
     assert all(y % x == 0 for x, y in zip(diag, diag[1:rank]))
@@ -196,9 +193,6 @@ def check_snf_reduction(a: IntMatrix) -> tuple[int, ...]:
     assert got == smith_diagonal(a)
     free, torsion = oracle_canonical_form(a.rows, a.to_rows())
     assert rank == a.rows - free and tuple(x for x in got if x > 1) == torsion
-    assert smith_diagonal(v) == (1,) * n
-    for i, j, e in (a * v).nonzeros():
-        assert j < rank and e % diag[j] == 0
     return got
 
 
@@ -367,8 +361,12 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
     defined.  A two-term piece has coker Z/gcd(k, n), and its kernel is
     the subgroup of Z/m generated by n/gcd(n, k).  Each degree is then
     twisted by a unimodular change of basis, with its relations moved
-    along and recombined.  Returns the complex and degree -> FgAbGroup,
-    nonzero entries only.
+    along and recombined.  Some groups get one more relation column, an
+    integer combination of the others, so their relations are dependent.
+    Some differentials d_a become d_a + R_(a+1) * X for a random X: the
+    same map on the quotients, so the cohomology is unchanged, but then
+    d after d is in general zero only modulo the relations.  Returns the
+    complex and degree -> FgAbGroup, nonzero entries only.
     """
     min_degree = rng.randint(-2, 2)
     length = rng.randint(1, 4)
@@ -392,16 +390,25 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         else:
             cyclic[a].append(m)
         rels[a].append(m)
+    def small(rows, cols):
+        return IntMatrix(rows, cols, [rng.choice((-1, 0, 0, 1, 2)) for _ in range(rows * cols)])
+
     twists = [random_unimodular(rng, len(r)) for r in rels]
     groups = []
     for (u, _), r in zip(twists, rels):
         cols = [[o if i == j else 0 for i in range(len(r))] for j, o in enumerate(r) if o]
         raw = FpAbPresentation.from_relation_columns(len(r), cols).relations
-        groups.append(FpAbPresentation(len(r), u * raw * random_unimodular(rng, raw.cols)[0]))
+        relations = u * raw * random_unimodular(rng, raw.cols)[0]
+        if relations.cols and rng.random() < 0.4:
+            relations = relations.hstack(relations * small(relations.cols, 1))
+        groups.append(FpAbPresentation(len(r), relations))
     diffs = []
     for a, entries in enumerate(maps):
         raw = IntMatrix.from_entries(len(rels[a + 1]), len(rels[a]), entries)
         moved = twists[a + 1][0] * raw * twists[a][1]
+        target = groups[a + 1].relations
+        if target.cols and rng.random() < 0.7:
+            moved = moved - target * small(target.cols, len(rels[a]))
         diffs.append(FpAbHom(groups[a], groups[a + 1], moved))
     expected = {}
     for a, found in enumerate(cyclic):
@@ -464,8 +471,8 @@ def curve_chain_datum(rng: random.Random, n: int, m: int, b1: int) -> SncDatum:
     Curve i meets curve i+1 in a point.  Each H^1(C_i) is Z^m modulo two
     random relation columns with entries in [-3, 3], and each restriction
     from the surface's H^1 = Z^b1 has entries in [-2, 2].  So the weight
-    complex in degree 1 takes the kernel route at level 0, on an
-    (n m) x (b1 + 2n) matrix [d | relations].
+    complex in degree 1 has the total differential D_0 = [d | relations],
+    at most (n m) x (b1 + 2n).
     """
     def free(k):
         return FpAbPresentation.free(k)
@@ -484,6 +491,29 @@ def curve_chain_datum(rng: random.Random, n: int, m: int, b1: int) -> SncDatum:
     for i in range(1, n):
         strata[(i, i + 1)] = StratumData({0: free(1)}, {i: {0: one}, i + 1: {0: one}})
     return SncDatum(2, n, strata)
+
+
+def sparse_restriction_datum(n: int, k: int, seed: int,
+                             relations: IntMatrix | None = None) -> SncDatum:
+    """A surface with one boundary curve and an n x n sparse restriction in degree 1.
+
+    The surface and the curve both have H^0 = Z, H^1 = Z^n and H^2 = Z,
+    and the curve's H^1 is taken modulo relations (n rows) when given.
+    Each column of the degree-1 restriction holds k entries +-1, at rows
+    and with signs drawn from random.Random(seed); the other restrictions
+    are the identity of Z.  The degree-1 weight complex is that matrix,
+    from Z^n to the curve's H^1.
+    """
+    rng = random.Random(seed)
+    entries = [(i, j, rng.choice((1, -1))) for j in range(n) for i in rng.sample(range(n), k)]
+    one = IntMatrix.identity(1)
+    h1 = FpAbPresentation.free(n) if relations is None else FpAbPresentation(n, relations)
+    total = {0: FpAbPresentation.free(1), 1: FpAbPresentation.free(n), 2: FpAbPresentation.free(1)}
+    curve = {0: FpAbPresentation.free(1), 1: h1, 2: FpAbPresentation.free(1)}
+    return SncDatum(2, 1, {
+        (): StratumData(total, {}),
+        (1,): StratumData(curve, {1: {0: one, 1: IntMatrix.from_entries(n, n, entries), 2: one}}),
+    })
 
 
 def random_valid_datum(rng: random.Random, max_factors: int = 3) -> SncDatum:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation, subquotient_cohomology
+from sncweight.abgroup import FgAbGroup, FpAbHom, FpAbPresentation
 from sncweight.chain import CochainComplex, cohomology, verify_complex
-from sncweight.intmat import IntMatrix
+from sncweight.intmat import IntMatrix, smith_diagonal
 
 from _support import (
     check_record,
@@ -88,9 +88,31 @@ def test_cohomology_examples():
     assert cohomology(c) == {0: FgAbGroup(0, (2,)), 1: FgAbGroup(0, (2,))}
 
 
+def with_extra_generators(c, rng):
+    """c with each group Z^n presented as Z^(n+1) modulo one column (v, 1).
+
+    The extra generator equals -v, so (x, t) -> x - t v is an isomorphism
+    onto Z^n, and each differential is d on it, written into the first
+    coordinates of the next group.  The new complex has the same
+    cohomology, and every degree now carries a relation.
+    """
+    groups, maps = [], []
+    for g in c.groups:
+        n = g.generators
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        groups.append(FpAbPresentation.from_relation_columns(n + 1, [v + [1]]))
+        maps.append(IntMatrix.from_rows([[int(i == j) for j in range(n)] + [-v[i]]
+                                         for i in range(n)], n + 1))
+    diffs = tuple(FpAbHom(groups[a], groups[a + 1], IntMatrix.from_blocks(
+        d.matrix.rows + 1, d.matrix.cols + 1, ((0, 0, d.matrix * maps[a], 1, True, 1),)))
+        for a, d in enumerate(c.differentials))
+    return CochainComplex(c.min_degree, tuple(groups), diffs)
+
+
 def test_free_cohomology_agrees_with_oracle_and_presented_path():
-    # Both sides of the nerve identity use the Smith-diagonal path, so it is
-    # checked here against the oracle and against subquotient_cohomology.
+    # Both sides of the nerve identity read a free complex as its own total
+    # complex, so it is checked here against the oracle and against the
+    # same complex presented with one relation in every degree.
     rng = random.Random(20240902)
     seen_torsion = set()
     for _ in range(120):
@@ -100,44 +122,40 @@ def test_free_cohomology_agrees_with_oracle_and_presented_path():
         deltas = [d.matrix.to_rows() for d in c.differentials]
         expected = oracle_cochain_cohomology(dims, deltas)
         assert {a - c.min_degree: (g.free_rank, g.torsion) for a, g in got.items()} == expected
-        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))[0]
-                     for a in c.degrees}
-        assert got == {a: h for a, h in presented.items() if not h.is_zero}
+        presented = with_extra_generators(c, rng)
+        assert verify_complex(presented).passed
+        assert cohomology(presented) == got
         for g in got.values():
             seen_torsion.update(g.torsion)
     assert {2, 4, 6} <= seen_torsion
 
 
 def test_presented_cohomology_agrees_with_closed_forms():
-    # Both rules of cohomology against the per-piece closed forms, and per
-    # degree against the kernel route of subquotient_cohomology alone.
+    # The total-complex rule against the per-piece closed forms.  The
+    # corpus has dependent relation columns, and composites that vanish
+    # only modulo relations, which the correction block g of each total
+    # differential accounts for.
     rng = random.Random(20261018)
     seen_torsion = set()
-    diagonal_rule_with_relations = kernel_route = 0
+    relations_next = dependent = nonzero_composite = 0
     for _ in range(400):
         c, expected = random_presented_complex(rng)
-        got = cohomology(c)
-        assert got == expected
-        presented = {a: subquotient_cohomology(c.differential_at(a - 1), c.differential_at(a))[0]
-                     for a in c.degrees}
-        assert got == {a: h for a, h in presented.items() if not h.is_zero}
-        for g, after in zip(c.groups, c.groups[1:] + (F(0),)):
-            if after.is_relation_free:
-                diagonal_rule_with_relations += not g.is_relation_free
-            else:
-                kernel_route += 1
-        for g in got.values():
+        assert cohomology(c) == expected
+        relations_next += sum(not g.is_relation_free for g in c.groups[1:])
+        dependent += sum(len(smith_diagonal(g.relations)) < g.relations.cols for g in c.groups)
+        nonzero_composite += sum(not (e.matrix * d.matrix).is_zero
+                                 for d, e in zip(c.differentials, c.differentials[1:]))
+        for g in expected.values():
             seen_torsion.update(g.torsion)
     assert {2, 3, 4, 6} <= seen_torsion
-    assert diagonal_rule_with_relations > 100 and kernel_route > 100
+    assert relations_next > 100 and dependent > 100 and nonzero_composite > 50
 
 
 def test_cohomology_checks_each_hom_once(monkeypatch):
     # verify_complex checks every differential and every consecutive
-    # composite once; cohomology checks neither again, and neither does
-    # the kernel route of subquotient_cohomology.  Seed 3 gives 304
-    # differentials, 153 composites and 218 kernel-route degrees over 200
-    # complexes.
+    # composite once; cohomology checks neither again.  Seed 3 gives 331
+    # differentials, 169 composites and 224 relation-carrying groups past
+    # the first degree over 200 complexes.
     calls = {"is_well_defined": 0, "is_zero_hom": 0}
     for name in calls:
         method = getattr(FpAbHom, name)
@@ -148,7 +166,7 @@ def test_cohomology_checks_each_hom_once(monkeypatch):
 
         monkeypatch.setattr(FpAbHom, name, counted)
     rng = random.Random(3)
-    differentials = composites = kernel_route = 0
+    differentials = composites = relations_next = 0
     for _ in range(200):
         c, expected = random_presented_complex(rng)
         assert verify_complex(c).passed
@@ -157,9 +175,9 @@ def test_cohomology_checks_each_hom_once(monkeypatch):
         assert calls == before
         differentials += len(c.differentials)
         composites += max(len(c.differentials) - 1, 0)
-        kernel_route += sum(not g.is_relation_free for g in c.groups[1:])
-    assert (differentials, composites, kernel_route) == (304, 153, 218)
-    assert calls == {"is_well_defined": 304, "is_zero_hom": 153}
+        relations_next += sum(not g.is_relation_free for g in c.groups[1:])
+    assert (differentials, composites, relations_next) == (331, 169, 224)
+    assert calls == {"is_well_defined": 331, "is_zero_hom": 169}
 
 
 def test_record_semantics():
@@ -174,28 +192,24 @@ def test_record_semantics():
 
 def test_each_matrix_is_reduced_once(monkeypatch):
     # On a datum shaped like a chain of curves whose H^1 carry relations,
-    # the kernel route's matrix [d_0 | relations] gives its Smith diagonal
-    # with its kernel, and the next degree reads that diagonal as its B
-    # instead of reducing the matrix again.  Only unit-free cores reach
-    # the dense reduction, and the column transform is only ever taken on
-    # a core.
+    # every total differential is reduced once, its diagonal serving both
+    # its own degree and the next, and only unit-free cores reach the
+    # dense reduction.
     from sncweight import intmat
     from sncweight.weight import weight_cohomology_table
 
-    reduced, with_v = [], 0
+    reduced = []
     real = intmat._snf_reduce
 
-    def recording(a, want_v=False):
-        nonlocal with_v
+    def recording(a):
         assert not any(e in (1, -1) for _, _, e in a.nonzeros()), a.shape
         reduced.append(a)
-        with_v += want_v
-        return real(a, want_v)
+        return real(a)
 
     monkeypatch.setattr(intmat, "_snf_reduce", recording)
     datum = curve_chain_datum(random.Random(5), 30, 6, 12)
     table = weight_cohomology_table(datum)
-    assert len(reduced) == len(set(reduced)) and with_v > 0
-    # The 180 x 72 matrix of the kernel route leaves a far smaller core.
+    assert reduced and len(reduced) == len(set(reduced))
+    # D_0 = [d_0 | relations] is 180 x 72, and leaves a far smaller core.
     assert max(a.rows * a.cols for a in reduced) < 180 * 72 // 2
     assert table.entry(1, 1) == FgAbGroup.free(108)

@@ -184,6 +184,22 @@ def _write_cyclic_datum(path, n):
     path.write_text(json.dumps(obj, separators=(",", ":")))
 
 
+def _write_dense_datum(path, n):
+    # dim 2, one boundary curve; both have H^1 = Z^n, free, and the degree-1
+    # restriction is dense with entries 2 and 3.  No entry is a unit, so
+    # the whole n x n matrix is the dense core of its Smith reduction.
+    import random
+
+    rng = random.Random(n)
+    one = IntMatrix.identity(1)
+    coh = {0: FpAbPresentation.free(1), 1: FpAbPresentation.free(n), 2: FpAbPresentation.free(1)}
+    dense = IntMatrix(n, n, [rng.choice((2, 3)) for _ in range(n * n)])
+    path.write_text(to_json(SncDatum(2, 1, {
+        (): StratumData(coh, {}),
+        (1,): StratumData(coh, {1: {0: one, 1: dense, 2: one}}),
+    })))
+
+
 def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     # The dense reduction is cubic in the generators: 400 are accepted, and
     # 2000 would take minutes.
@@ -192,7 +208,7 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     from sncweight import intmat
     from sncweight.intmat import MAX_DENSE_WORK
 
-    assert 400**3 <= MAX_DENSE_WORK < 2000**3
+    assert 400**3 <= MAX_DENSE_WORK < 500**3
     small = tmp_path / "cyclic200.json"
     _write_cyclic_datum(small, 200)
     code, out, err = run(capsys, "compute", str(small), "--format", "csv")
@@ -200,16 +216,31 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     # The relation matrix is 2I + 3P for the cyclic shift P: its cokernel
     # is cyclic of order |det| = 3^200 - 2^200.
     assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**200 - 2**200}", "0,2,1,"]
+    # At 2000 generators the column echelon of the relations is lower
+    # triangular with unit pivots but the last, so the unit phase leaves
+    # no dense core and compute answers.
     big = tmp_path / "cyclic2000.json"
     _write_cyclic_datum(big, 2000)
     # CPU time, which other processes on a loaded machine do not inflate;
     # reading the 8 MB file is most of it.
     start = time.process_time()
-    _one_parse_error(capsys, ("compute", str(big)),
+    code, out, err = run(capsys, "compute", str(big), "--format", "csv")
+    assert time.process_time() - start < 3
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**2000 - 2**2000}", "0,2,1,"]
+    # The checks reduce the relation matrix itself, whole.
+    _one_parse_error(capsys, ("check", str(big), "all"),
                      f"a 2000x2000 dense Smith reduction would take about {2000**3} entry "
                      f"updates, more than {MAX_DENSE_WORK}")
-    assert time.process_time() - start < 1
-    _one_parse_error(capsys, ("check", str(big), "all"), f"more than {MAX_DENSE_WORK}")
+    # A relation-free datum whose degree-1 differential is a unit-free
+    # 500 x 500 matrix is over budget as it stands.
+    dense = tmp_path / "dense500.json"
+    _write_dense_datum(dense, 500)
+    start = time.process_time()
+    _one_parse_error(capsys, ("compute", str(dense)),
+                     f"a 500x500 dense Smith reduction would take about {500**3} entry "
+                     f"updates, more than {MAX_DENSE_WORK}")
+    assert time.process_time() - start < 3
     # The dual complex of this datum is a point, so dual needs no reduction.
     # RP^2 leaves a dense core (its Z/2), so with no budget at all its
     # report exits 2 and leaves stdout empty.
@@ -221,11 +252,10 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     _one_parse_error(capsys, ("dual", str(rp2), "--complex"), "more than 0")
 
 
-def test_kernel_route_budget_is_charged_on_the_core(capsys, tmp_path, monkeypatch):
-    # The kernel route reduces only the unit-free core of [d_0 | relations],
-    # as smith_diagonal does.  So a datum whose kernel-route matrix is over
-    # the budget as a whole, but whose core is under it, answers; it used
-    # to exit 2.
+def test_d0_budget_is_charged_on_the_core(capsys, tmp_path, monkeypatch):
+    # smith_diagonal reduces only the unit-free core of the total
+    # differential D_0 = [d_0 | relations].  So a datum whose D_0 is over
+    # the budget as a whole, but whose core is under it, answers.
     import random
 
     from sncweight import intmat
@@ -1369,10 +1399,17 @@ def test_matrix_layout_is_known_only_to_intmat():
 def test_operations_without_a_command_are_gone():
     # Each of these had no caller but another operation, one constant or a
     # test: subtraction is written once, and the tests keep abelianization.
-    from sncweight import builders, dual, weight
+    import inspect
 
-    for name in ("scale", "__add__", "column"):
+    from sncweight import abgroup, builders, dual, intmat, weight
+
+    for name in ("scale", "__add__", "column", "take_rows"):
         assert not hasattr(IntMatrix, name), name
+    # The presented cohomology reads the total complex's Smith diagonals
+    # alone, so nothing takes a kernel basis or a column transform.
+    assert not hasattr(intmat, "kernel_basis")
+    assert not hasattr(abgroup, "subquotient_cohomology")
+    assert "want_v" not in inspect.signature(intmat._snf_reduce).parameters
     assert not hasattr(dual, "complex_to_dict")
     assert not hasattr(dual.GroupPresentation, "abelianization")
     assert "cohomology" not in weight.ContractibilityReport._fields

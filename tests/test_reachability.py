@@ -31,7 +31,8 @@ def _relation_carrying_datum() -> dict:
     # torus:2 with a Z/2 summand in the total space's H^2, and the first
     # divisor's H^2 presented as Z^2 / (1, -1): validation checks a
     # restriction out of a presented group, and the degree-2 weight
-    # complex takes the kernel route into a presented level.
+    # complex maps a presented level into another, so its total complex
+    # lifts the relations.
     obj = datum_to_dict(torus_snc(2))
     for stratum in obj["strata"]:
         if stratum["subset"] == []:

@@ -45,6 +45,7 @@ from _support import (
     random_valid_datum,
     reference_product,
     rp2_triangles,
+    sparse_restriction_datum,
 )
 
 F = FpAbPresentation.free
@@ -373,6 +374,47 @@ def test_presented_middle_groups_in_the_table():
     assert dict(table.entries) == {(0, 2): FgAbGroup(1, (2,)), (0, 4): Z}
     assert euler_check(s).passed
     assert check_nerve_identity(s).passed
+
+
+def _rank_mod_2(m: IntMatrix) -> int:
+    """Rank over GF(2), with each row packed into an int of bits."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced row
+    for i in range(m.rows):
+        row = sum(1 << j for j, e in enumerate(m.row(i)) if e % 2)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def test_sparse_restriction_into_presented_groups_answers():
+    # n = 1000 generators and k = 3 entries +-1 per restriction column, with
+    # the curve's H^1 taken modulo 2I, or modulo 100 sparse columns of
+    # three entries +-2.  Each answer must come within 10 s CPU, and each
+    # is checked along a second path: the mod-2 rank of the restriction,
+    # and the Euler characteristic of the degree-1 weight complex.
+    import time
+
+    n = 1000
+    rng = random.Random(100)
+    sparse = IntMatrix.from_entries(n, 100, [(i, j, rng.choice((2, -2)))
+                                             for j in range(100) for i in rng.sample(range(n), 3)])
+    for relations in (IntMatrix.from_entries(n, n, [(i, i, 2) for i in range(n)]), sparse):
+        s = sparse_restriction_datum(n, 3, 1, relations)
+        assert validate(s).passed
+        start = time.process_time()
+        table = weight_cohomology_table(s)
+        assert time.process_time() - start < 10
+        h0, h1 = table.entry(0, 1), table.entry(1, 1)
+        if relations is sparse:
+            assert h0.free_rank - h1.free_rank == 100
+        else:
+            rank = _rank_mod_2(s.strata[(1,)].restrictions[1][1])
+            assert h0 == FgAbGroup.free(n)
+            assert h1 == FgAbGroup(0, (2,) * (n - rank))
 
 
 def test_torus3_binomial_ranks():
