@@ -4,11 +4,14 @@ An FgAbGroup is the canonical invariant-factor form, so two values are
 isomorphic as groups exactly when they compare equal.  An
 FpAbPresentation is Z^n modulo the column span of an integer relation
 matrix; relations are always stored as columns, here and in every file
-format.  An FpAbHom is a homomorphism between presented groups, given by
-its matrix on generators.
+format.  A homomorphism between presented groups is a plain IntMatrix
+on generators, of shape target.generators x source.generators.
 
-Canonical forms and span membership read only Smith diagonals, and so
-does the cohomology of a complex of these groups (see chain.cohomology).
+A presented group is read through the column echelon of its relations
+(intmat.column_echelon): canonical_form takes the echelon's Smith
+diagonal, and in_span, the one span-membership test of the package,
+lifts onto it.  So does the cohomology of a complex of these groups
+(see chain.cohomology).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd
 
-from .intmat import IntMatrix, _int_entries, smith_diagonal
+from .intmat import IntMatrix, _int_entries, column_echelon, echelon_lift, smith_diagonal
 # Unused here: bench/tracer.py wraps the private functions another module
 # imports, and finds the dense reduction's counters through this name.
 from .intmat import _snf_reduce  # noqa: F401
@@ -26,8 +29,8 @@ from .reports import _Record
 __all__ = [
     "FgAbGroup",
     "FpAbPresentation",
-    "FpAbHom",
     "canonical_form",
+    "in_span",
 ]
 
 
@@ -135,14 +138,6 @@ class FpAbPresentation(_Record):
                 f"relation matrix has {relations.rows} rows for {generators} generators"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.relations) == (other.generators, other.relations)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.relations))
-
     @classmethod
     def free(cls, n: int) -> "FpAbPresentation":
         return cls(n, IntMatrix.zeros(n, 0))
@@ -182,60 +177,26 @@ class FpAbPresentation(_Record):
         return FpAbPresentation(total, IntMatrix.from_blocks(total, col0, blocks))
 
 
-class FpAbHom(_Record):
-    """A homomorphism source -> target given by a matrix on generators.
+def in_span(m: IntMatrix, relations: IntMatrix) -> bool:
+    """True when every column of m lies in the column span of relations.
 
-    The matrix acts on column vectors of source coordinates, so it has
-    shape target.generators x source.generators.
+    m is lifted onto the column echelon of relations.  An echelon over
+    the dense budget raises DenseWorkTooLargeError; only a column that
+    does not lift reads as False.
+
+    >>> in_span(IntMatrix.from_rows([[4], [6]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
+    True
+    >>> in_span(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
+    False
     """
-
-    _fields = __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FpAbPresentation, target: FpAbPresentation, matrix: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.shape != (target.generators, source.generators):
-            raise ValueError(
-                f"hom matrix shape {matrix.shape} does not match "
-                f"{target.generators}x{source.generators}"
-            )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.matrix)
-                    == (other.source, other.target, other.matrix))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.matrix))
-
-    @classmethod
-    def zero(cls, source: FpAbPresentation, target: FpAbPresentation) -> "FpAbHom":
-        return cls(source, target, IntMatrix.zeros(target.generators, source.generators))
-
-    def is_well_defined(self) -> bool:
-        moved = self.matrix * self.source.relations
-        return _columns_in_span(moved, self.target.relations)
-
-    def is_zero_hom(self) -> bool:
-        """True when every generator maps into the target relation span."""
-        return _columns_in_span(self.matrix, self.target.relations)
-
-    def compose(self, inner: "FpAbHom") -> "FpAbHom":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch: inner target differs from outer source")
-        return FpAbHom(inner.source, self.target, self.matrix * inner.matrix)
-
-
-def _columns_in_span(m: IntMatrix, span: IntMatrix) -> bool:
-    # span lies in span | m, so Z^n / span maps onto Z^n / (span | m).  Finitely
-    # generated abelian groups are Hopfian, so the two lattices are equal
-    # exactly when the two cokernels have the same invariant factors.
-    if m.is_zero or span.cols == 0:
+    if m.is_zero or not relations.cols:
         return m.is_zero
-    return smith_diagonal(span) == smith_diagonal(span.hstack(m))
+    basis = column_echelon(relations)
+    try:
+        echelon_lift(basis, m)
+    except ValueError:
+        return False
+    return True
 
 
 def canonical_form(p: FpAbPresentation) -> FgAbGroup:
@@ -244,6 +205,6 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     >>> canonical_form(FpAbPresentation.from_relation_columns(1, [[2]]))
     FgAbGroup(free_rank=0, torsion=(2,))
     """
-    diag = smith_diagonal(p.relations)
+    diag = smith_diagonal(column_echelon(p.relations))
     torsion = tuple(x for x in diag if x > 1)
     return FgAbGroup(p.generators - len(diag), torsion)

@@ -17,9 +17,10 @@ import sys
 from contextlib import contextmanager
 
 from . import builders, dual, weight
+from .chain import verify_complex
 from .intmat import DenseWorkTooLargeError
 from .reports import Report
-from .sncdata import DatumParseError, SncDatum, level_differential, parse_int, validate
+from .sncdata import DatumParseError, SncDatum, parse_int, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -269,21 +270,18 @@ def _parse_hc(text: str) -> dict[int, int]:
 
 
 def _d2_report(datum: SncDatum) -> Report:
-    """Compose the program's own level differentials of a valid datum.
+    """verify_complex on the program's own weight complex of a valid datum, in each degree b.
 
-    Validation has checked the squares they are built from, so a failure
-    here is a fault in level_differential, not in the datum.
+    Validation has checked the restrictions and squares they are built
+    from, so a failure here is a fault in weight_complex, not in the datum.
     """
     problems = []
-    # Fewer than three levels leave no pair of differentials to compose.
-    levels = range(1, len(datum.levels)) if len(datum.levels) > 2 else ()
-    for b in datum.graded_degrees():
-        diffs = [level_differential(datum, k, b) for k in levels]
-        for k, (rhs, lhs) in enumerate(zip(diffs, diffs[1:]), start=1):
-            # rhs maps level k-1 to k and lhs level k to k+1; the composite
-            # need only vanish modulo the target's relations.
-            if not lhs.compose(rhs).is_zero_hom():
-                problems.append(f"d after d is nonzero at levels {k - 1}->{k + 1}, degree b={b}")
+    # Fewer than three levels leave no pair of differentials to compose, and
+    # validate has checked that each restriction is well defined.
+    if len(datum.levels) > 2:
+        for b in datum.graded_degrees():
+            report = verify_complex(weight.weight_complex(datum, b))
+            problems += [f"b={b}, {detail}" for detail in report.details]
     return Report("d2", not problems, tuple(problems))
 
 

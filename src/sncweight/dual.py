@@ -16,7 +16,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation
+from .abgroup import FgAbGroup, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
 from .reports import _Record
@@ -143,10 +143,7 @@ def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
     layers = [k.faces_of_card(c) for c in range(1, max_card + 1)]
     groups = [FpAbPresentation.free(1)]
     groups.extend(FpAbPresentation.free(len(layer)) for layer in layers)
-    diffs = []
-    if layers:
-        ones = IntMatrix(len(layers[0]), 1, [1] * len(layers[0]))
-        diffs.append(FpAbHom(groups[0], groups[1], ones))
+    diffs = [IntMatrix(len(layers[0]), 1, [1] * len(layers[0]))] if layers else []
     for c in range(1, max_card):
         src_index = {f: i for i, f in enumerate(layers[c - 1])}
         tgt = layers[c]
@@ -155,8 +152,7 @@ def reduced_cochain_complex(k: SimplicialComplex) -> CochainComplex:
             for r, face in enumerate(tgt)
             for pos in range(len(face))
         )
-        matrix = IntMatrix.from_entries(len(tgt), len(layers[c - 1]), entries)
-        diffs.append(FpAbHom(groups[c], groups[c + 1], matrix))
+        diffs.append(IntMatrix.from_entries(len(tgt), len(layers[c - 1]), entries))
     return CochainComplex(-1, tuple(groups), tuple(diffs))
 
 

@@ -17,6 +17,12 @@ precondition and does not check it.  Builders and products of valid
 factors are valid by construction, and the tests validate them from
 scratch.  A datum is read-only once built: its mappings are copied into
 read-only views.
+
+validate decides whether a restriction is well defined, and whether
+the two paths of a square agree, with abgroup.in_span: a moved
+relation, or the difference of the paths, must lie in the target's
+relation span.  The datum's weight complexes are assembled from its
+levels by weight.weight_complex.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
 
-from .abgroup import FgAbGroup, FpAbHom, FpAbPresentation, canonical_form
+from .abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span
 from .intmat import IntMatrix
 from .reports import Report, _Record
 
@@ -37,8 +43,6 @@ __all__ = [
     "StratumData",
     "SncDatum",
     "validate",
-    "level_group",
-    "level_differential",
 ]
 
 SubsetKey = tuple[int, ...]
@@ -233,7 +237,7 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
                     continue
                 # A relation-free source has no relations that could leave the span.
                 if (not source.is_relation_free
-                        and not FpAbHom(source, target, stored).is_well_defined()):
+                        and not in_span(stored * source.relations, target.relations)):
                     problems.append(
                         f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
                         "is not well defined on the presentations"
@@ -274,16 +278,13 @@ def _square_problems(s: SncDatum) -> list[str]:
                     # The difference is the other path, up to a sign that
                     # does not change whether it lies in the relation span.
                     diff = via_j if via_i is None else via_i
-                    if diff is None or diff.is_zero:
+                    if diff is None:
                         continue
                 elif via_i == via_j:
                     continue
                 else:
                     diff = via_i - via_j
-                target = target_coh[b]
-                if target.is_relation_free or not FpAbHom(
-                    source_coh[b], target, diff
-                ).is_zero_hom():
+                if not in_span(diff, target_coh[b].relations):
                     problems.append(
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
@@ -296,47 +297,3 @@ def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:
     if outer is None or inner is None:
         return None
     return outer * inner
-
-
-def level_group(level: Level, b: int) -> FpAbPresentation:
-    """The direct sum of the degree-b cohomology of a level's strata, in level order."""
-    return FpAbPresentation.direct_sum([coh.get(b, _ZERO) for _, coh in level])
-
-
-def level_differential(s: SncDatum, k: int, b: int) -> FpAbHom:
-    """Signed block matrix of pullbacks from codimension k-1 to codimension k.
-
-    The block from Y_(I minus i_j) into Y_I is the stored degree-b map
-    times (-1)^(j-1), where i_j is the j-th smallest element of I.
-    IntMatrix.from_blocks places those maps, several to a row, for the
-    targets with degree-b generators.  A level past the last one is empty.
-    """
-    if k < 1:
-        raise ValueError("level differentials start at k = 1")
-    src, tgt = (s.levels[j] if j < len(s.levels) else () for j in (k - 1, k))
-    src_group = level_group(src, b)
-    tgt_group = level_group(tgt, b)
-
-    src_offsets = {}
-    pos = 0
-    for I, coh in src:
-        src_offsets[I] = pos
-        pos += coh.get(b, _ZERO).generators
-
-    blocks = []
-    row0 = 0
-    for I, coh in tgt:
-        height = coh.get(b, _ZERO).generators
-        if not height:
-            continue
-        restrictions = s.strata[I].restrictions
-        for j, i in enumerate(I):
-            # A missing map is an implied zero and writes no block.
-            stored = restrictions.get(i, _NO_MAPS).get(b)
-            col0 = src_offsets.get(I[:j] + I[j + 1:])
-            if stored is not None and col0 is not None:
-                blocks.append((row0, col0, stored, 1, True, -1 if j % 2 else 1))
-        row0 += height
-
-    matrix = IntMatrix.from_blocks(tgt_group.generators, src_group.generators, blocks)
-    return FpAbHom(src_group, tgt_group, matrix)

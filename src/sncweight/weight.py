@@ -5,12 +5,15 @@ smooth variety assemble into the cochain complex
 
     H^b(total space) -> H^b(codim-1 strata) -> ... -> H^b(codim-d strata)
 
-whose differential is the signed sum of pullback restrictions.  The
-degree-a cohomology of that complex is the bigraded weight cohomology
-with compact support in bidegree (a, b); the b = 0 row recovers the
-reduced cohomology of the dual boundary complex shifted by one, which is
-the central cross-check of this package (computed here along a code path
-fully independent of the simplicial one).
+whose differential is the signed sum of pullback restrictions.
+weight_complex builds it in one pass over the datum's levels: each
+level's group, and the differential into it as one IntMatrix of
+restriction blocks.  The degree-a cohomology of that complex is the
+bigraded weight cohomology with compact support in bidegree (a, b); the
+b = 0 row recovers the reduced cohomology of the dual boundary complex
+shifted by one, which is the central cross-check of this package
+(computed here along a code path fully independent of the simplicial
+one).
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from .chain import CochainComplex, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
 from .intmat import IntMatrix
 from .reports import Report, _Record
-from .sncdata import (
-    MAX_COUNT,
-    SncDatum,
-    StratumData,
-    level_differential,
-    level_group,
-)
+from .sncdata import MAX_COUNT, SncDatum, StratumData
 
 __all__ = [
     "BigradedTable",
@@ -50,6 +47,8 @@ __all__ = [
     "STATUS_SPHERE",
     "STATUS_OTHER",
 ]
+
+_ZERO = FpAbPresentation.zero()
 
 
 class BigradedTable(_Record):
@@ -98,11 +97,39 @@ class BigradedTable(_Record):
 def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     """The strata cochain complex in cohomological degree b, one group per level.
 
+    Group k is the direct sum of the degree-b cohomology of the strata
+    with |I| = k, in level order.  Differential k-1 is the signed block
+    matrix of pullbacks into level k: the block from Y_(I minus i_j) into
+    Y_I is the stored degree-b map times (-1)^(j-1), where i_j is the
+    j-th smallest element of I, and a missing map is an implied zero that
+    writes no block.  One pass over s.levels builds each group and the
+    differential into it.
+
     s must be valid, and then the result is a complex: each restriction
     is well defined, and the commuting squares make d after d vanish.
     """
-    groups = [level_group(level, b) for level in s.levels]
-    diffs = [level_differential(s, k, b) for k in range(1, len(s.levels))]
+    groups, diffs = [], []
+    offsets: dict = {}  # subset of the level before -> its first generator
+    for level in s.levels:
+        parts, at, blocks = [], {}, []
+        row0 = 0
+        for I, coh in level:
+            part = coh.get(b, _ZERO)
+            parts.append(part)
+            at[I] = row0
+            if part.generators:
+                restrictions = s.strata[I].restrictions
+                for j, i in enumerate(I):
+                    stored = restrictions.get(i, {}).get(b)
+                    if stored is not None:
+                        col0 = offsets[I[:j] + I[j + 1:]]
+                        blocks.append((row0, col0, stored, 1, True, -1 if j % 2 else 1))
+            row0 += part.generators
+        group = FpAbPresentation.direct_sum(parts)
+        if groups:
+            diffs.append(IntMatrix.from_blocks(row0, groups[-1].generators, blocks))
+        groups.append(group)
+        offsets = at
     return CochainComplex(0, tuple(groups), tuple(diffs))
 
 

@@ -4,7 +4,7 @@ from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, parse_builder, to_json, torus_snc
 from sncweight.cli import CHECK_SUITES, main
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData, level_differential
+from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData
 
 from _support import curve_chain_datum, rp2_triangles, surface_json
 
@@ -228,10 +228,16 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     assert time.process_time() - start < 3
     assert code == 0 and err == ""
     assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**2000 - 2**2000}", "0,2,1,"]
-    # The checks reduce the relation matrix itself, whole.
-    _one_parse_error(capsys, ("check", str(big), "all"),
-                     f"a 2000x2000 dense Smith reduction would take about {2000**3} entry "
-                     f"updates, more than {MAX_DENSE_WORK}")
+    # The checks read the relations through their echelon too: euler's
+    # canonical forms leave no dense core either.
+    for suite, passes in (("all", ["d2", "nerve-identity", "euler", "affine-line-stability",
+                                   "degeneration", "product-consistency"]),
+                          ("euler", ["euler"])):
+        start = time.process_time()
+        code, out, err = run(capsys, "check", str(big), suite)
+        assert time.process_time() - start < 3, suite
+        assert (code, err) == (0, ""), suite
+        assert out.splitlines()[1:] == [f"PASS {name}" for name in passes], suite
     # A relation-free datum whose degree-1 differential is a unit-free
     # 500 x 500 matrix is over budget as it stands.
     dense = tmp_path / "dense500.json"
@@ -327,21 +333,22 @@ def test_dual_computes_each_part_once(capsys, monkeypatch, tmp_path):
 
 
 def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
-    # affine:50 has two levels: one differential per graded degree (51), and
-    # no pair of consecutive differentials for d2 to compose.
-    import sncweight.cli as cli
+    # affine:50 has two levels: one weight complex per graded degree (51),
+    # each with one differential, and no pair of consecutive differentials
+    # for d2 to compose, so d2 builds no complex.
     import sncweight.weight as weight
 
     calls = []
+    real = weight.weight_complex
 
-    def counted(s, k, b):
-        calls.append((k, b))
-        return level_differential(s, k, b)
+    def counted(s, b):
+        w = real(s, b)
+        calls.append(len(w.differentials))
+        return w
 
-    monkeypatch.setattr(weight, "level_differential", counted)
-    monkeypatch.setattr(cli, "level_differential", counted)
+    monkeypatch.setattr(weight, "weight_complex", counted)
     code, _, _ = run(capsys, "compute", "--builder", "affine:50")
-    assert code == 0 and len(calls) == 51
+    assert code == 0 and calls == [1] * 51
     calls.clear()
     code, _, _ = run(capsys, "check", "--builder", "affine:50", "d2")
     assert code == 0 and calls == []
@@ -389,19 +396,44 @@ def test_compute_at_the_other_builder_bounds_stays_small():
         assert peak_kb < 500 * 1024, spec
 
 
-def test_bench_tracer_hooks_exist():
+def test_bench_tracer_hooks_exist(capsys, tmp_path):
     # bench/tracer.py finds its per-layer counters only through these names;
-    # if one goes, the counters read zero instead of failing.
+    # if one goes, the counters read zero instead of failing.  A traced run
+    # must also leave every command's exit code and stdout as they are.
+    import importlib.util
+    from pathlib import Path
+
     import sncweight.abgroup as abgroup
     import sncweight.chain as chain
     import sncweight.dual as dual
     import sncweight.intmat as intmat
-    import sncweight.sncdata as sncdata
 
     assert "cohomology" in chain.__all__
-    assert "level_differential" in sncdata.__all__
     assert "simplify_presentation" in dual.__all__
     assert abgroup._snf_reduce is intmat._snf_reduce
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    square = tmp_path / "square.json"
+    square.write_text(to_json(_square_datum()))
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(run(capsys, "examples", "rp2")[1])
+    commands = [("compute", "--builder", "torus:3", "--format", "json"),
+                ("check", str(square), "all"),
+                ("check", "--builder", "curve:1,2", "all"),
+                ("dual", "--complex", str(rp2), "--simplify", "10")]
+    plain = [run(capsys, *argv)[:2] for argv in commands]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = [run(capsys, *argv)[:2] for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert [code for code, _ in plain] == [0, 0, 0, 0]
+    assert tracer.counts["chain.cohomology.calls"] > 0
 
 
 def test_complex_faces_are_bounded_exit_2(capsys, tmp_path):
@@ -815,21 +847,29 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # product-consistency all read the table of the datum; each of the four
     # distinct datums (torus:3 and its products with A^1, a point and itself)
     # used to have its table computed again by every suite that read it.
+    # Each product's complex is built once per graded degree b, and the
+    # input's exactly twice: once for its table and once for d2.
+    from collections import Counter
+
     import sncweight.weight as weight
 
-    built = []
+    built = {}
     real = weight.weight_complex
 
     def counted(s, b):
-        built.append((s, b))
+        built.setdefault(id(s), (s, Counter()))[1][b] += 1
         return real(s, b)
 
     monkeypatch.setattr(weight, "weight_complex", counted)
     code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
     assert code == 0 and "FAIL" not in out
-    datums = {id(s) for s, _ in built}
-    assert len(datums) == 4
-    assert len({(id(s), b) for s, b in built}) == len(built)
+    assert len(built) == 4
+    # d2 runs first, on the input.
+    (datum, per_degree), *products = built.values()
+    assert datum == torus_snc(3)
+    assert per_degree == Counter(2 * datum.graded_degrees())
+    for s, per_degree in products:
+        assert per_degree == Counter(s.graded_degrees())
 
 
 def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_path):
@@ -945,21 +985,26 @@ def _sign_flipped_torus(tmp_path):
     return path
 
 
-def test_check_d2_allows_composites_in_the_relation_span(capsys, tmp_path):
+def _square_datum():
     # Into Z/2 the two paths of the square differ by 3 - 1 = 2, which the
-    # relation kills: validation accepts the datum, and so must d2.
+    # relation kills.
     z2 = FpAbPresentation.from_relation_columns(1, [[2]])
     one, three = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[3]])
     point = {0: FpAbPresentation.free(1), 1: FpAbPresentation.free(1)}
-    datum = SncDatum(3, 2, {
+    return SncDatum(3, 2, {
         (): StratumData(point, {}),
         (1,): StratumData(point, {1: {0: one, 1: one}}),
         (2,): StratumData(point, {2: {0: one, 1: one}}),
         (1, 2): StratumData({0: FpAbPresentation.free(1), 1: z2},
                             {1: {0: one, 1: three}, 2: {0: one, 1: one}}),
     })
+
+
+def test_check_d2_allows_composites_in_the_relation_span(capsys, tmp_path):
+    # The paths of the square differ only modulo the relation: validation
+    # accepts the datum, and so must d2.
     path = tmp_path / "square.json"
-    path.write_text(to_json(datum))
+    path.write_text(to_json(_square_datum()))
     assert run(capsys, "compute", str(path))[0] == 0
     for suite in ("d2", "all"):
         code, out, _ = run(capsys, "check", str(path), suite)
@@ -998,16 +1043,19 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
     # the first block of d_1 in degree 0, which d_2 after d_1 must see.  The
     # file holds only the degree-0 part of torus:2, where 0 is the only
     # graded degree.
-    import sncweight.cli as cli
-    from sncweight.abgroup import FpAbHom
+    import sncweight.weight as weight
+    from sncweight.chain import CochainComplex
 
-    def broken(datum, k, b):
-        d = level_differential(datum, k, b)
-        if (k, b) != (1, 0):
-            return d
-        rows = d.matrix.to_rows()
+    real = weight.weight_complex
+
+    def broken(datum, b):
+        w = real(datum, b)
+        if b != 0:
+            return w
+        rows = w.differentials[0].to_rows()
         rows[0] = [-x for x in rows[0]]
-        return FpAbHom(d.source, d.target, IntMatrix.from_rows(rows))
+        return CochainComplex(w.min_degree, w.groups,
+                              (IntMatrix.from_rows(rows),) + w.differentials[1:])
 
     obj = json.loads(to_json(torus_snc(2)))
     for stratum in obj["strata"]:
@@ -1016,14 +1064,14 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
     path = tmp_path / "degree0.json"
     path.write_text(json.dumps(obj))
     for source in (("--builder", "torus:2"), (str(path),)):
-        monkeypatch.setattr(cli, "level_differential", level_differential)
+        monkeypatch.setattr(weight, "weight_complex", real)
         code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 0 and out.splitlines()[1:] == ["PASS d2"], source
-        monkeypatch.setattr(cli, "level_differential", broken)
+        monkeypatch.setattr(weight, "weight_complex", broken)
         code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 1, source
         assert out.splitlines()[1:] == [
-            "FAIL d2", "  d after d is nonzero at levels 0->2, degree b=0"], source
+            "FAIL d2", "  b=0, degree 0: d after d is nonzero"], source
 
 
 def test_check_decides_usage_errors_before_validation(capsys, tmp_path):
@@ -1401,7 +1449,7 @@ def test_operations_without_a_command_are_gone():
     # test: subtraction is written once, and the tests keep abelianization.
     import inspect
 
-    from sncweight import abgroup, builders, dual, intmat, weight
+    from sncweight import abgroup, builders, dual, intmat, sncdata, weight
 
     for name in ("scale", "__add__", "column", "take_rows"):
         assert not hasattr(IntMatrix, name), name
@@ -1410,6 +1458,12 @@ def test_operations_without_a_command_are_gone():
     assert not hasattr(intmat, "kernel_basis")
     assert not hasattr(abgroup, "subquotient_cohomology")
     assert "want_v" not in inspect.signature(intmat._snf_reduce).parameters
+    # Differentials are plain matrices, span membership is in_span alone,
+    # and weight_complex builds each level's group and differential.
+    for name in ("FpAbHom", "_columns_in_span"):
+        assert not hasattr(abgroup, name), name
+    for name in ("level_group", "level_differential"):
+        assert not hasattr(sncdata, name), name
     assert not hasattr(dual, "complex_to_dict")
     assert not hasattr(dual.GroupPresentation, "abelianization")
     assert "cohomology" not in weight.ContractibilityReport._fields

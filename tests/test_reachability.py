@@ -21,7 +21,6 @@ from sncweight.builders import datum_to_dict, torus_snc
 from sncweight.cli import main
 
 ALLOWED = {
-    "chain.verify_complex": "the tests check the precondition of chain.cohomology with it",
     "intmat.IntMatrix.col": "builders.datum_to_dict writes relation columns with it, "
                             "and no command writes a relation-carrying datum",
 }

@@ -10,13 +10,8 @@ from sncweight.reports import Report
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import (
-    SncDatum,
-    StratumData,
-    level_differential,
-    level_group,
-    validate,
-)
+from sncweight.sncdata import SncDatum, StratumData, validate
+from sncweight.weight import product_snc, weight_complex
 
 from _support import check_record, random_valid_datum
 
@@ -168,37 +163,36 @@ def test_strata_level_blocks():
     assert t2.levels[99:] == ()
     with pytest.raises(AttributeError):
         t2.levels = ()
-    assert level_group(t2.levels[1], 0) == F(4)
-    assert level_group(t2.levels[1], 2) == F(4)
-    assert level_group(t2.levels[2], 2) == F(0)
+    assert weight_complex(t2, 0).groups[1] == F(4)
+    assert weight_complex(t2, 2).groups[1:] == (F(4), F(0))
     rng = random.Random(5)
     for s in [t2] + [random_valid_datum(rng, max_factors=2) for _ in range(10)]:
         assert s.nonempty_subsets() == sorted(s.strata, key=lambda I: (len(I), I))
 
 
+# weight_complex(s, b).differentials[k - 1] is the level differential
+# from codimension k - 1 into codimension k.
+
+
 def test_level_differential_affine():
-    d = level_differential(affine_space_snc(1), 1, 0)
-    assert d.matrix == ONE
+    assert weight_complex(affine_space_snc(1), 0).differentials == (ONE,)
 
 
 def test_level_differential_torus1():
-    d = level_differential(torus_snc(1), 1, 0)
-    assert d.matrix == IntMatrix.from_rows([[1], [1]])
+    assert weight_complex(torus_snc(1), 0).differentials == (IntMatrix.from_rows([[1], [1]]),)
 
 
 def test_level_differential_torus2_signs():
-    t2 = torus_snc(2)
-    d2 = level_differential(t2, 2, 0)
+    d1, d2 = weight_complex(torus_snc(2), 0).differentials
     # Rows: (1,3), (1,4), (2,3), (2,4); columns: (1), (2), (3), (4).
     # Removing the first element gets +, the second gets -.
-    assert d2.matrix == IntMatrix.from_rows([
+    assert d2 == IntMatrix.from_rows([
         [-1, 0, 1, 0],
         [-1, 0, 0, 1],
         [0, -1, 1, 0],
         [0, -1, 0, 1],
     ])
-    d1 = level_differential(t2, 1, 0)
-    assert (d2.matrix * d1.matrix).is_zero
+    assert (d2 * d1).is_zero
 
 
 def test_level_differential_composes_to_zero_everywhere():
@@ -207,14 +201,13 @@ def test_level_differential_composes_to_zero_everywhere():
     corpus.extend(random_valid_datum(rng, max_factors=2) for _ in range(10))
     for s in corpus:
         for b in s.graded_degrees():
-            for k in range(1, s.dim):
-                lhs = level_differential(s, k + 1, b)
-                rhs = level_differential(s, k, b)
-                assert (lhs.matrix * rhs.matrix).is_zero, (b, k)
+            diffs = weight_complex(s, b).differentials
+            for k, (rhs, lhs) in enumerate(zip(diffs, diffs[1:]), start=1):
+                assert (lhs * rhs).is_zero, (b, k)
 
 
 def _dense_level_differential(s, k, b):
-    """level_differential(s, k, b) on dense lists, from the stored maps.
+    """The level differential into codimension k on dense lists, from the stored maps.
 
     Sources are the strata with |J| = k - 1 and targets those with |I| = k,
     each level in lexicographic order, each stratum taking as many
@@ -247,10 +240,8 @@ def _dense_level_differential(s, k, b):
 
 def test_level_differentials_match_dense_reference():
     # Every level differential, in every degree, of every builder family, of
-    # products of builders and of a seeded random corpus, including the
-    # empty level past the last one and a degree with no generators.
-    from sncweight.weight import product_snc
-
+    # products of builders and of a seeded random corpus, including a degree
+    # with no generators.
     corpus = [point_snc(), *(affine_space_snc(d) for d in range(1, 4)),
               *(torus_snc(n) for n in range(1, 5)),
               *(punctured_curve_snc(g, n) for g in range(3) for n in range(1, 4))]
@@ -263,12 +254,13 @@ def test_level_differentials_match_dense_reference():
     checked = 0
     for s in corpus:
         for b in s.graded_degrees() + [max(s.graded_degrees()) + 1]:
-            for k in range(1, len(s.levels) + 1):
-                d = level_differential(s, k, b)
+            w = weight_complex(s, b)
+            assert len(w.groups) == len(s.levels)
+            for k, d in enumerate(w.differentials, start=1):
                 dense, height, width = _dense_level_differential(s, k, b)
-                assert d.matrix.shape == (height, width), (s, k, b)
-                assert d.matrix.to_rows() == dense, (s, k, b)
-                assert (d.target.generators, d.source.generators) == (height, width)
+                assert d.shape == (height, width), (s, k, b)
+                assert d.to_rows() == dense, (s, k, b)
+                assert (w.groups[k].generators, w.groups[k - 1].generators) == (height, width)
                 checked += 1
     assert checked > 300
 
