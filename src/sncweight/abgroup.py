@@ -21,9 +21,7 @@ from itertools import compress
 from math import gcd
 
 from .intmat import IntMatrix, _int_entries, column_echelon, echelon_lift, smith_diagonal
-# Unused here: bench/tracer.py wraps the private functions another module
-# imports, and finds the dense reduction's counters through this name.
-from .intmat import _snf_reduce  # noqa: F401
+from .intmat import invariant_factors
 from .reports import _Record
 
 __all__ = [
@@ -74,26 +72,11 @@ class FgAbGroup(_Record):
 
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
-        """Canonicalize a direct sum of Z/order factors into invariant factors.
-
-        Pairwise (gcd, lcm) exchanges sort every prime's exponents into
-        ascending position, which is exactly the divisibility chain.
-        """
+        """Canonicalize a direct sum of Z/order factors into invariant factors."""
         factors = [int(o) for o in orders]
         if any(o <= 0 for o in factors):
             raise ValueError("cyclic orders must be positive; use free_rank for Z summands")
-        factors = [o for o in factors if o > 1]
-        while True:
-            changed = False
-            for i in range(len(factors) - 1):
-                a, b = factors[i], factors[i + 1]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[i + 1] = g, a // g * b
-                    changed = True
-            if not changed:
-                break
-        return cls(free_rank, tuple(f for f in factors if f > 1))
+        return cls(free_rank, invariant_factors(factors))
 
     @property
     def is_zero(self) -> bool:
@@ -180,15 +163,17 @@ class FpAbPresentation(_Record):
 def in_span(m: IntMatrix, relations: IntMatrix) -> bool:
     """True when every column of m lies in the column span of relations.
 
-    m is lifted onto the column echelon of relations.  An echelon over
-    the dense budget raises DenseWorkTooLargeError; only a column that
-    does not lift reads as False.
+    m is lifted onto the column echelon of relations.  Row counts that
+    differ raise ValueError, and an echelon over the dense budget raises
+    DenseWorkTooLargeError; only a column that does not lift reads as False.
 
     >>> in_span(IntMatrix.from_rows([[4], [6]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
     True
     >>> in_span(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
     False
     """
+    if m.rows != relations.rows:
+        raise ValueError(f"row counts differ: {m.rows} vs {relations.rows}")
     if m.is_zero or not relations.cols:
         return m.is_zero
     basis = column_echelon(relations)

@@ -7,16 +7,18 @@ Every matrix entry in this package is a Python int: the constructors
 refuse any value whose type is not exactly int, bools and floats alike.
 So all arithmetic is arbitrary precision: normal-form pivoting can blow
 up intermediate entries, and fixed-width overflow would silently corrupt
-torsion coefficients.  Pivoting always selects a nonzero entry of minimal
-absolute value (first such entry in row-major order), which keeps
-intermediate entries small at the sizes used here and makes every
-reduction reproducible.  The dense reduction tracks no transform.
+torsion coefficients.
 
-smith_diagonal first eliminates unit entries on a copy of the rows, in
-an order fixed up front (see _unit_core), and runs the dense reduction
-on the unit-free core alone.  The dense reduction refuses, before it
-starts, any input whose work estimate rows x cols x min(rows, cols) is
-over MAX_DENSE_WORK.
+smith_diagonal is one elimination on a copy of the sparse rows, and
+tracks no transform.  Its unit phase eliminates the +-1 entries in an
+order fixed up front; on the unit-free core that is left, Euclid steps
+pivot on an entry of minimal absolute value (first such entry in (row,
+column) order), which keeps intermediate entries small at the sizes
+used here and makes every reduction reproducible.  Before the first
+Euclid step it refuses a core whose work estimate rows x cols x
+min(rows, cols) is over MAX_DENSE_WORK.  The pivots it records form a
+diagonal form, and invariant_factors turns them into the divisibility
+chain by gcd/lcm exchanges.
 
 column_echelon makes a relation matrix injective: it keeps a lower
 column-echelon basis of the column span, counting its entry updates
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
+from math import gcd
 
 __all__ = [
     "DenseWorkTooLargeError",
@@ -36,6 +39,7 @@ __all__ = [
     "MAX_DENSE_WORK",
     "column_echelon",
     "echelon_lift",
+    "invariant_factors",
     "smith_diagonal",
 ]
 
@@ -266,163 +270,51 @@ MAX_DENSE_WORK = 10**8
 
 
 class DenseWorkTooLargeError(ValueError):
-    """A dense Smith reduction or a column echelon whose work is over MAX_DENSE_WORK."""
+    """A Smith core or a column echelon whose work is over MAX_DENSE_WORK."""
 
 
-def _snf_reduce(a: IntMatrix) -> IntMatrix:
-    """Reduce a to its Smith form d = u * a * v for some unimodular u and v.
+def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors > 1 of Z/o_1 x ... x Z/o_k, for positive orders o_i.
 
-    The nonzero diagonal entries come first; no transform is tracked.
-    The work is about rows x cols x min(rows, cols) entry updates; over
-    MAX_DENSE_WORK it raises DenseWorkTooLargeError before starting.
+    Pairwise (gcd, lcm) exchanges of neighbours keep the group and sort
+    every prime's exponents into ascending position, which is exactly the
+    divisibility chain (Cohen, GTM 138, section 2.4).
 
-    >>> _snf_reduce(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    IntMatrix.from_rows([[2, 0], [0, 4]])
+    >>> invariant_factors([6, 1, 4])
+    (2, 12)
     """
-    m, n = a.rows, a.cols
-    if m * n * min(m, n) > MAX_DENSE_WORK:
-        raise DenseWorkTooLargeError(
-            f"a {m}x{n} dense Smith reduction would take about {m * n * min(m, n)} "
-            f"entry updates, more than {MAX_DENSE_WORK}"
-        )
-    d = a.to_rows()
-
-    def row_add(i, j, q):
-        # r_i += q * r_j.
-        di, dj = d[i], d[j]
-        for t in range(n):
-            di[t] += q * dj[t]
-
-    def col_add(j, k, q):
-        # c_j += q * c_k.
-        for r in d:
-            r[j] += q * r[k]
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-
-    def find_pivot(t):
-        best = None
-        best_abs = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                e = row[j]
-                if e:
-                    ae = -e if e < 0 else e
-                    if best_abs is None or ae < best_abs:
-                        best, best_abs = (i, j), ae
-                        if ae == 1:
-                            return best
-        return best
-
-    limit = min(m, n)
-    t = 0
-    while t < limit:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        while True:
-            i0, j0 = piv
-            if i0 != t:
-                d[t], d[i0] = d[i0], d[t]
-            if j0 != t:
-                col_swap(t, j0)
-            if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-            p = d[t][t]
-            for i in range(t + 1, m):
-                e = d[i][t]
-                if e:
-                    row_add(i, t, -(e // p))
-            for j in range(t + 1, n):
-                e = d[t][j]
-                if e:
-                    col_add(j, t, -(e // p))
-            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
-                # Leftover remainders are strictly smaller than |p|.
-                piv = find_pivot(t)
-                continue
-            p = d[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # Pull the offending row up so the next pass shrinks the pivot.
-            row_add(t, bad, 1)
-            piv = find_pivot(t)
-        t += 1
-
-    return IntMatrix.from_rows(d, n)
-
-
-def _unit_core(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """Eliminate the +-1 pivots of a copy of a; return their number and the core left.
-
-    The columns are sorted once by (initial nonzero count, index) and
-    taken from a first-in first-out queue.  A popped column's pivot is
-    its +-1 entry in the currently shortest row, ties going to the
-    lowest row.  A column with no unit entry is deferred; when an
-    elimination sets an entry of a deferred column to +-1, that column
-    goes back on the end of the queue.  So when the queue runs dry no
-    unit entry is left: the rows and columns that still hold an entry
-    are the unit-free core.
-    """
-    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
-    deferred = set()
-    units = 0
-    while queue:
-        q = queue.popleft()
-        candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
-        if not candidates:
-            deferred.add(q)
-            continue
-        _, p = min(candidates)
-        prow = rows.pop(p)
-        for j in prow:
-            cols[j].discard(p)
-        pivot = prow.pop(q)
-        for i in cols.pop(q):
-            row = rows[i]
-            f = row.pop(q) * pivot
-            for j, e in prow.items():
-                v = row.get(j, 0) - f * e
-                if v:
-                    row[j] = v
-                    cols[j].add(i)
-                    if v in (1, -1) and j in deferred:
-                        deferred.discard(j)
-                        queue.append(j)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
-        units += 1
-    index = {j: k for k, j in enumerate(sorted(j for j, members in cols.items() if members))}
-    core = tuple({index[j]: e for j, e in row.items()} for row in rows.values())
-    return units, IntMatrix._wrap(len(rows), len(index), core)
+    factors = [o for o in orders if o > 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            if b % a:
+                g = gcd(a, b)
+                factors[i], factors[i + 1] = g, a // g * b
+                changed = True
+    return tuple(f for f in factors if f > 1)
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of a, each dividing the next.
 
-    The +-1 pivots are eliminated first, each one an invariant factor 1
-    (see _unit_core); the dense reduction runs only on the
-    unit-free core that is left, and only if it is nonzero.
+    One elimination on a copy of the rows.  Its unit phase takes the
+    columns from a first-in first-out queue, sorted once by (initial
+    nonzero count, index).  A popped column's pivot is its +-1 entry in
+    the currently shortest row, ties going to the lowest row; a column
+    with no unit entry is deferred.  When the queue first runs dry, the
+    rows and columns that still hold an entry are the unit-free core,
+    and a core of r rows and c columns with r x c x min(r, c) over
+    MAX_DENSE_WORK raises DenseWorkTooLargeError.  From then on, while
+    the queue is dry, each Euclid step pivots on an entry of least
+    absolute value, the first in (row, column) order, and clears its
+    column by floor-quotient row operations, then its row by column
+    operations; a pivot left alone in its row and column is recorded.
+    An update that sets an entry of a deferred column to +-1 puts that
+    column back on the end of the queue, so no unit is ever a Euclid
+    pivot.  Each unit pivot is an invariant factor 1, and the recorded
+    pivots are a diagonal form of the rest (see invariant_factors).
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
@@ -431,9 +323,81 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     >>> smith_diagonal(IntMatrix.zeros(0, 3))
     ()
     """
-    units, core = _unit_core(a)
-    d = _snf_reduce(core) if core.rows else core
-    return (1,) * units + tuple(x for x in (d[(t, t)] for t in range(min(d.rows, d.cols))) if x)
+    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
+    deferred = set()
+
+    def subtract(i, f, vec):
+        # Row i -= f * vec, for a nonzero f; every column of vec is a key of cols.
+        row = rows[i]
+        for j, e in vec.items():
+            v = row.get(j)
+            if v is None:
+                v = row[j] = -f * e
+                cols[j].add(i)
+            else:
+                v -= f * e
+                if not v:
+                    del row[j]
+                    cols[j].discard(i)
+                    continue
+                row[j] = v
+            if (v == 1 or v == -1) and j in deferred:
+                deferred.discard(j)
+                queue.append(j)
+        if not row:
+            del rows[i]
+
+    units, pivots, checked = 0, [], False
+    while rows:
+        if queue:
+            q = queue.popleft()
+            candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
+            if not candidates:
+                deferred.add(q)
+                continue
+            _, p = min(candidates)
+            prow = rows.pop(p)
+            for j in prow:
+                cols[j].discard(p)
+            pivot = prow.pop(q)
+            for i in cols.pop(q):
+                subtract(i, rows[i].pop(q) * pivot, prow)
+            units += 1
+            continue
+        if not checked:
+            m, n = len(rows), sum(1 for members in cols.values() if members)
+            if m * n * min(m, n) > MAX_DENSE_WORK:
+                raise DenseWorkTooLargeError(
+                    f"a {m}x{n} dense Smith reduction would take about {m * n * min(m, n)} "
+                    f"entry updates, more than {MAX_DENSE_WORK}"
+                )
+            checked = True
+        least = None
+        for i, row in rows.items():
+            e = min(map(abs, row.values()))
+            if least is None or e < least:
+                least, p = e, i
+        prow = rows[p]
+        q = min(j for j, e in prow.items() if abs(e) == least)
+        pivot = prow[q]
+        for i in [i for i in cols[q] if i != p]:
+            subtract(i, rows[i][q] // pivot, prow)
+        quotients = {j: g for j, g in ((j, e // pivot) for j, e in prow.items() if j != q) if g}
+        if quotients:
+            for i in cols[q]:
+                subtract(i, rows[i][q], quotients)
+        if len(prow) == 1 and len(cols[q]) == 1:
+            pivots.append(least)
+            del rows[p]
+            del cols[q]
+            deferred.discard(q)
+    torsion = invariant_factors(pivots)
+    return (1,) * (units + len(pivots) - len(torsion)) + torsion
 
 
 def _columns(a: IntMatrix) -> list[dict[int, int]]:

@@ -25,7 +25,7 @@ from sncweight.dual import (
     simplify_presentation,
 )
 from sncweight.chain import CochainComplex
-from sncweight.intmat import IntMatrix, _snf_reduce, smith_diagonal
+from sncweight.intmat import IntMatrix, smith_diagonal
 from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import contractibility_report, product_snc
 
@@ -188,24 +188,18 @@ def oracle_in_span(m: IntMatrix, span: IntMatrix) -> bool:
     return oracle_canonical_form(m.rows, rows) == oracle_canonical_form(m.rows, joined)
 
 
-def check_snf_reduction(a: IntMatrix) -> tuple[int, ...]:
-    """Assert what the package reads of d = _snf_reduce(a).
+def check_smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """Assert what the package reads of smith_diagonal(a), and return it.
 
-    d is diagonal, and its nonzero entries come first and form a
-    divisibility chain equal to smith_diagonal(a) and to this oracle.
-    Returns the nonzero diagonal.
+    The diagonal is positive and forms a divisibility chain; its length
+    is the rank, and its entries > 1 are the Bezout oracle's invariant
+    factors.
     """
-    d = _snf_reduce(a)
-    assert d.shape == a.shape
-    assert all(i == j for i, j, _ in d.nonzeros())
-    diag = [d[(i, i)] for i in range(min(a.rows, a.cols))]
-    rank = sum(1 for x in diag if x)
-    assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
-    assert all(y % x == 0 for x, y in zip(diag, diag[1:rank]))
-    got = tuple(diag[:rank])
-    assert got == smith_diagonal(a)
+    got = smith_diagonal(a)
+    assert all(x > 0 for x in got)
+    assert all(y % x == 0 for x, y in zip(got, got[1:]))
     free, torsion = oracle_canonical_form(a.rows, a.to_rows())
-    assert rank == a.rows - free and tuple(x for x in got if x > 1) == torsion
+    assert len(got) == a.rows - free and tuple(x for x in got if x > 1) == torsion
     return got
 
 

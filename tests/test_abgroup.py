@@ -132,6 +132,17 @@ def test_span_membership_matches_oracle():
     assert seen == {True, False}
 
 
+def test_span_membership_refuses_mismatched_rows():
+    # A 2-row matrix is never tested against 3-row relations, whether it
+    # is zero (no lift needed) or not (the lift would refuse the shape).
+    relations = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
+    for m in (M([[4], [6]]), IntMatrix.zeros(2, 1)):
+        with pytest.raises(ValueError, match="row counts differ: 2 vs 3"):
+            in_span(m, relations)
+    with pytest.raises(ValueError, match="row counts differ: 3 vs 2"):
+        in_span(IntMatrix.zeros(3, 1), IntMatrix.zeros(2, 0))
+
+
 def test_kernel_image_cokernel_examples():
     times2 = M([[2]])
     assert kernel_of(F(1), F(1), times2).is_zero

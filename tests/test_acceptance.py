@@ -35,7 +35,7 @@ from sncweight.weight import (
 )
 
 from _support import (
-    check_snf_reduction,
+    check_smith_diagonal,
     contractibility,
     oracle_canonical_form,
     oracle_cochain_cohomology,
@@ -196,7 +196,7 @@ def test_criterion_11_snf_property_suite():
     for _ in range(1000):
         a = random_matrix(rng, max_dim=8, bound=20)
         try:
-            check_snf_reduction(a)
+            check_smith_diagonal(a)
         except AssertionError:
             ok = False
         free, torsion = oracle_canonical_form(a.rows, a.to_rows())

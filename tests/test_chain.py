@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -194,23 +195,34 @@ def test_record_semantics():
 def test_each_matrix_is_reduced_once(monkeypatch):
     # On a datum shaped like a chain of curves whose H^1 carry relations,
     # every total differential is reduced once, its diagonal serving both
-    # its own degree and the next, and only unit-free cores reach the
-    # dense reduction.
-    from sncweight import intmat
+    # its own degree and the next: a complex of k groups has the k + 1
+    # total differentials D_(first-1) .. D_last.
+    from sncweight import intmat, weight
     from sncweight.weight import weight_cohomology_table
 
-    reduced = []
-    real = intmat._snf_reduce
+    reduced, complexes = [], []
+    real_diagonal, real_cohomology = chain.smith_diagonal, chain.cohomology
 
     def recording(a):
-        assert not any(e in (1, -1) for _, _, e in a.nonzeros()), a.shape
         reduced.append(a)
-        return real(a)
+        return real_diagonal(a)
 
-    monkeypatch.setattr(intmat, "_snf_reduce", recording)
+    def counting(c):
+        complexes.append(c)
+        return real_cohomology(c)
+
+    monkeypatch.setattr(chain, "smith_diagonal", recording)
+    monkeypatch.setattr(weight, "cohomology", counting)
     datum = curve_chain_datum(random.Random(5), 30, 6, 12)
     table = weight_cohomology_table(datum)
-    assert reduced and len(reduced) == len(set(reduced))
-    # D_0 = [d_0 | relations] is 180 x 72, and leaves a far smaller core.
-    assert max(a.rows * a.cols for a in reduced) < 180 * 72 // 2
+    assert complexes and len(reduced) == sum(len(c.groups) + 1 for c in complexes)
     assert table.entry(1, 1) == FgAbGroup.free(108)
+    # D_0 = [d_0 | relations] is 180 x 72, and leaves a far smaller
+    # unit-free core: with no budget, the core's refusal gives its shape.
+    largest = max(reduced, key=lambda a: a.rows * a.cols)
+    assert largest.shape == (180, 72)
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
+    with pytest.raises(intmat.DenseWorkTooLargeError) as refused:
+        real_diagonal(largest)
+    rows, cols = map(int, re.match(r"a (\d+)x(\d+) ", str(refused.value)).groups())
+    assert 0 < rows * cols < 180 * 72 // 2

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -7,14 +8,13 @@ from sncweight import intmat
 from sncweight.intmat import (
     DenseWorkTooLargeError,
     IntMatrix,
-    _snf_reduce,
     column_echelon,
     echelon_lift,
     smith_diagonal,
 )
 
 from _support import (
-    check_snf_reduction,
+    check_smith_diagonal,
     oracle_canonical_form,
     oracle_in_span,
     random_matrix,
@@ -121,46 +121,39 @@ def test_blocks_match_dense_placement():
 
 
 def test_snf_identity_and_zero():
-    assert _snf_reduce(IntMatrix.identity(3)) == IntMatrix.identity(3)
-    assert _snf_reduce(IntMatrix.zeros(2, 2)) == IntMatrix.zeros(2, 2)
-    assert smith_diagonal(IntMatrix.identity(3)) == (1, 1, 1)
-    assert smith_diagonal(IntMatrix.zeros(2, 2)) == ()
+    assert check_smith_diagonal(IntMatrix.identity(3)) == (1, 1, 1)
+    assert check_smith_diagonal(IntMatrix.zeros(2, 2)) == ()
 
 
 def test_snf_divisor_example():
     # gcd of entries forces d1 = 2, |det| = 8 forces d2 = 4
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
-    assert check_snf_reduction(a) == (2, 4)
-    assert _snf_reduce(a) == IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert smith_diagonal(a) == (2, 4)
+    assert check_smith_diagonal(a) == (2, 4)
     assert smith_diagonal(IntMatrix.from_rows([[1, 1], [1, -1]])) == (1, 2)
 
 
 def test_snf_empty_shapes():
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
-        a = IntMatrix.zeros(rows, cols)
-        assert _snf_reduce(a) == a
-        assert check_snf_reduction(a) == ()
-        assert smith_diagonal(a) == ()
+        assert check_smith_diagonal(IntMatrix.zeros(rows, cols)) == ()
 
 
 def test_snf_deterministic():
     rng = random.Random(7)
     a = random_matrix(rng, max_dim=6)
-    assert _snf_reduce(a) == _snf_reduce(a)
+    assert smith_diagonal(a) == smith_diagonal(a)
 
 
 def test_snf_randomized_invariants():
     rng = random.Random(20260809)
     for _ in range(300):
-        check_snf_reduction(random_matrix(rng))
+        check_smith_diagonal(random_matrix(rng))
 
 
 def test_snf_agrees_with_reduction_oracle():
     rng = random.Random(99)
     for _ in range(200):
         a = random_matrix(rng, max_dim=6, bound=12)
-        got = check_snf_reduction(a)
+        got = check_smith_diagonal(a)
         free, torsion = oracle_canonical_form(a.cols, a.to_rows())
         assert tuple(x for x in got if x > 1) == torsion
         assert len(got) == a.cols - free
@@ -299,15 +292,26 @@ def _sparse_matrix(rng, rows, cols, values, density):
     ])
 
 
-def _check_diagonal(a):
-    """smith_diagonal against the Fraction rank and the Bezout diagonal."""
-    diag = smith_diagonal(a)
-    free, torsion = oracle_canonical_form(a.rows, a.to_rows())
-    assert len(diag) == a.rows - free
-    assert tuple(x for x in diag if x > 1) == torsion
-    assert all(x > 0 for x in diag)
-    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
-    return diag
+def _core(a):
+    """The unit-free core smith_diagonal reaches on a, as {row: {column: entry}}.
+
+    With no budget at all, a nonempty core is refused as soon as the unit
+    queue runs dry: the message gives its shape, and the frame that raised
+    still holds its rows.  None when no core is left.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intmat, "MAX_DENSE_WORK", 0)
+        try:
+            smith_diagonal(a)
+        except DenseWorkTooLargeError as e:
+            tb = e.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            rows = tb.tb_frame.f_locals["rows"]
+            shape = re.match(r"a (\d+)x(\d+) dense Smith reduction", str(e)).groups()
+            assert tuple(map(int, shape)) == (len(rows), len(set().union(*rows.values())))
+            return rows
+    return None
 
 
 def test_smith_diagonal_agrees_with_reduction_oracle():
@@ -316,59 +320,83 @@ def test_smith_diagonal_agrees_with_reduction_oracle():
         rows, cols = rng.randint(0, 8), rng.randint(0, 8)
         density = rng.choice((0.2, 0.5, 1.0))
         values = rng.choice((SMALL, NO_UNIT, (1, -1), tuple(range(-9, 10))))
-        _check_diagonal(_sparse_matrix(rng, rows, cols, values, density))
+        check_smith_diagonal(_sparse_matrix(rng, rows, cols, values, density))
     # Larger shapes, where the column order, deferral and re-queueing of
     # the unit elimination have room to matter.
     for _ in range(2000):
         rows, cols = rng.randint(0, 10), rng.randint(0, 10)
         density = rng.choice((0.2, 0.4, 0.7))
-        _check_diagonal(_sparse_matrix(rng, rows, cols, (1, -1, 2, -3, 4), density))
+        check_smith_diagonal(_sparse_matrix(rng, rows, cols, (1, -1, 2, -3, 4), density))
 
 
-def test_smith_diagonal_reduces_only_the_unit_free_core(monkeypatch):
-    cores = []
-    real = intmat._snf_reduce
-
-    def recording(a, *args, **kwargs):
-        cores.append(a)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(intmat, "_snf_reduce", recording)
+def test_smith_diagonal_reduces_only_the_unit_free_core():
     rng = random.Random(7)
     for _ in range(60):
         # Permuted unit triangular: a singleton row or column always holds a
-        # diagonal unit, so every pivot is one and no dense core is left.
+        # diagonal unit, so every pivot is one and no core is left.
         n = rng.randint(0, 7)
         rows = [[0] * i + [rng.choice((1, -1))]
                 + [rng.choice(SMALL + (0, 0)) for _ in range(n - i - 1)]
                 for i in range(n)]
         rng.shuffle(rows)
         perm = rng.sample(range(n), n)
-        cores.clear()
-        assert _check_diagonal(IntMatrix.from_rows([[r[j] for j in perm] for r in rows], n)) \
-            == (1,) * n
-        assert cores == []
-        assert _check_diagonal(random_unimodular(rng, n, steps=20)[0]) == (1,) * n
+        a = IntMatrix.from_rows([[r[j] for j in perm] for r in rows], n)
+        assert check_smith_diagonal(a) == (1,) * n
+        assert _core(a) is None
+        assert check_smith_diagonal(random_unimodular(rng, n, steps=20)[0]) == (1,) * n
         # No unit entry: the nonzero rows and columns are the whole core.
         a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), NO_UNIT, 0.6)
-        cores.clear()
-        _check_diagonal(a)
-        nonzero_rows = sum(1 for i in range(a.rows) if any(a.row(i)))
-        nonzero_cols = sum(1 for j in range(a.cols) if any(a.col(j)))
-        assert [c.shape for c in cores] == ([] if a.is_zero else [(nonzero_rows, nonzero_cols)])
+        check_smith_diagonal(a)
+        expected = {}
+        for i, j, e in a.nonzeros():
+            expected.setdefault(i, {})[j] = e
+        assert _core(a) == (expected or None)
     for _ in range(100):
-        cores.clear()
-        _check_diagonal(_sparse_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), SMALL, 0.5))
-        for core in cores:
-            assert not any(abs(core[(i, j)]) == 1
-                           for i in range(core.rows) for j in range(core.cols))
+        a = _sparse_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), SMALL, 0.5)
+        check_smith_diagonal(a)
+        core = _core(a) or {}
+        assert not any(e in (1, -1) for row in core.values() for e in row.values())
     # Column 0 comes first but holds no unit, so it is deferred.  Column 1
     # eliminates through row 0 (a tie goes to the lowest row), which sets
     # column 0's entry in row 1 to 1, so column 0 goes back on the queue
-    # and no dense core is left.
-    cores.clear()
-    assert _check_diagonal(IntMatrix.from_rows([[2, 1], [3, 1]])) == (1, 1)
-    assert cores == []
+    # and no core is left.
+    a = IntMatrix.from_rows([[2, 1], [3, 1]])
+    assert check_smith_diagonal(a) == (1, 1)
+    assert _core(a) is None
+
+
+def test_euclid_steps_agree_with_reduction_oracle():
+    # Unit-free and mixed matrices up to 30 x 70 with entries in [-4, 4]:
+    # the unit phase leaves a core, and Euclid steps reduce the rest.
+    rng = random.Random(23)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 70)
+        values = rng.choice(((2, -2, 3, -3, 4, -4), tuple(range(-4, 5))))
+        check_smith_diagonal(_sparse_matrix(rng, rows, cols, values, rng.choice((0.1, 0.3, 0.6))))
+
+
+def test_a_unit_made_by_a_euclid_step_goes_back_on_the_queue(monkeypatch):
+    # Both columns of [2, 3] are deferred, so the core is the whole row.
+    # The Euclid step pivots on the 2 and clears its row by taking column 0
+    # off column 1 once, which leaves [2, 1]: column 1 goes back on the
+    # queue, and the unit phase eliminates through its 1.  In the second
+    # matrix the 2 alone in its row and column is recorded first.
+    appended = []
+
+    class Queue(intmat.deque):
+        def append(self, j):
+            appended.append(j)
+            super().append(j)
+
+    monkeypatch.setattr(intmat, "deque", Queue)
+    for rows, core, diagonal, requeued in (
+            ([[2, 3]], {0: {0: 2, 1: 3}}, (1,), [1]),
+            ([[2, 0, 0], [0, 2, 3]], {0: {0: 2}, 1: {1: 2, 2: 3}}, (1, 2), [2])):
+        a = IntMatrix.from_rows(rows)
+        assert _core(a) == core
+        appended.clear()
+        assert check_smith_diagonal(a) == diagonal
+        assert appended == requeued
 
 
 def _chain_matrix(n):
@@ -382,13 +410,11 @@ def _chain_matrix(n):
 
 def test_smith_diagonal_requeues_in_linear_time(monkeypatch):
     # Retrying the skipped columns in whole passes would take about n passes
-    # here, tens of seconds at n = 10000; the queue takes each column back once.
+    # here, tens of seconds at n = 10000; the queue takes each column back
+    # once.  With no budget, a core left over would raise.
     import time
 
-    def no_core(a, *args, **kwargs):
-        raise AssertionError(f"a {a.rows}x{a.cols} dense core was left")
-
-    monkeypatch.setattr(intmat, "_snf_reduce", no_core)
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
     n = 10_000
     a = _chain_matrix(n)
     start = time.perf_counter()

@@ -174,14 +174,6 @@ def test_strata_level_blocks():
 # from codimension k - 1 into codimension k.
 
 
-def test_level_differential_affine():
-    assert weight_complex(affine_space_snc(1), 0).differentials == (ONE,)
-
-
-def test_level_differential_torus1():
-    assert weight_complex(torus_snc(1), 0).differentials == (IntMatrix.from_rows([[1], [1]]),)
-
-
 def test_level_differential_torus2_signs():
     d1, d2 = weight_complex(torus_snc(2), 0).differentials
     # Rows: (1,3), (1,4), (2,3), (2,4); columns: (1), (2), (3), (4).

@@ -64,14 +64,14 @@ def torsion_datum():
 def test_weight_complex_affine():
     w0 = weight_complex(affine_space_snc(1), 0)
     assert [w0.group_at(a).generators for a in w0.degrees] == [1, 1]
-    assert w0.differentials[0] == IntMatrix.identity(1)
+    assert w0.differentials == (IntMatrix.identity(1),)
     w2 = weight_complex(affine_space_snc(1), 2)
     assert [w2.group_at(a).generators for a in w2.degrees] == [1, 0]
 
 
 def test_weight_complex_torus1():
     w0 = weight_complex(torus_snc(1), 0)
-    assert w0.differentials[0] == IntMatrix.from_rows([[1], [1]])
+    assert w0.differentials == (IntMatrix.from_rows([[1], [1]]),)
 
 
 def test_tables_of_builders():
@@ -388,6 +388,32 @@ def _rank_mod_2(m: IntMatrix) -> int:
                 break
             row ^= pivots[top]
     return len(pivots)
+
+
+def test_sparse_restriction_with_a_unit_free_core_answers(monkeypatch):
+    # n = 1000 generators and k = 3 entries +-1 per restriction column, seed
+    # 1, with no relations.  The unit phase leaves a 52 x 107 core of the
+    # restriction, which Euclid steps reduce.  The table must come within
+    # 10 s CPU, and H^1, the cokernel of the restriction d, is checked
+    # against the mod-2 rank of d: H^1 (x) Z/2 has dimension n - rank_2(d),
+    # its free rank plus its count of even invariant factors.
+    import time
+
+    from sncweight import intmat
+
+    n = 1000
+    s = sparse_restriction_datum(n, 3, 1)
+    d = s.strata[(1,)].restrictions[1][1]
+    start = time.process_time()
+    table = weight_cohomology_table(s)
+    assert time.process_time() - start < 10
+    h0, h1 = table.entry(0, 1), table.entry(1, 1)
+    assert h0.free_rank == h1.free_rank and h0.torsion == ()
+    even = sum(1 for t in h1.torsion if t % 2 == 0)
+    assert h1.free_rank + even == n - _rank_mod_2(d)
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
+    with pytest.raises(intmat.DenseWorkTooLargeError, match="a 52x107 dense Smith reduction"):
+        intmat.smith_diagonal(d)
 
 
 def test_sparse_restriction_into_presented_groups_answers():
