@@ -7,11 +7,12 @@ matrix; relations are always stored as columns, here and in every file
 format.  A homomorphism between presented groups is a plain IntMatrix
 on generators, of shape target.generators x source.generators.
 
-A presented group is read through the column echelon of its relations
-(intmat.column_echelon): canonical_form takes the echelon's Smith
-diagonal, and in_span, the one span-membership test of the package,
-lifts onto it.  So does the cohomology of a complex of these groups
-(see chain.cohomology).
+A presented group stores as its relations a lower column-echelon basis
+of the span it is given (intmat.column_echelon, Hermite normal form up
+to signs): its constructor is the one place that echelonizes.  Every
+group fact is read off that injective basis: the rank is generators -
+columns, canonical_form takes its Smith diagonal, and in_span, the one
+span-membership test of the package, lifts onto it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "FpAbPresentation",
     "canonical_form",
     "in_span",
+    "is_well_defined",
 ]
 
 
@@ -109,17 +111,17 @@ class FgAbGroup(_Record):
 
 
 class FpAbPresentation(_Record):
-    """Z^generators modulo the column span of the relation matrix."""
+    """Z^generators modulo the relation span; relations holds its column-echelon basis."""
 
     _fields = __slots__ = ("generators", "relations")
 
     def __init__(self, generators: int, relations: IntMatrix):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
         if relations.rows != generators:
             raise ValueError(
                 f"relation matrix has {relations.rows} rows for {generators} generators"
             )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", column_echelon(relations))
 
     @classmethod
     def free(cls, n: int) -> "FpAbPresentation":
@@ -146,42 +148,47 @@ class FpAbPresentation(_Record):
 
     @staticmethod
     def direct_sum(parts: Sequence["FpAbPresentation"]) -> "FpAbPresentation":
-        if not parts:
-            return FpAbPresentation.zero()
         total = sum(p.generators for p in parts)
-        if all(p.relations.cols == 0 for p in parts):
-            return FpAbPresentation.free(total)
         blocks = []
         row0 = col0 = 0
         for p in parts:
             blocks.append((row0, col0, p.relations, 1, True, 1))
             row0 += p.generators
             col0 += p.relations.cols
-        return FpAbPresentation(total, IntMatrix.from_blocks(total, col0, blocks))
+        # The block diagonal of the parts' bases is already a column-echelon basis.
+        out = object.__new__(FpAbPresentation)
+        object.__setattr__(out, "generators", total)
+        object.__setattr__(out, "relations", IntMatrix.from_blocks(total, col0, blocks))
+        return out
 
 
-def in_span(m: IntMatrix, relations: IntMatrix) -> bool:
-    """True when every column of m lies in the column span of relations.
+def in_span(m: IntMatrix, group: FpAbPresentation) -> bool:
+    """True when every column of m lies in the relation span of group.
 
-    m is lifted onto the column echelon of relations.  Row counts that
-    differ raise ValueError, and an echelon over the dense budget raises
-    DenseWorkTooLargeError; only a column that does not lift reads as False.
+    m is lifted onto group's relation basis by forward substitution.  A
+    row count other than group's generator count raises ValueError; only
+    a column that does not lift reads as False.
 
-    >>> in_span(IntMatrix.from_rows([[4], [6]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> z2_z3 = FpAbPresentation.from_relation_columns(2, [[2, 0], [0, 3]])
+    >>> in_span(IntMatrix.from_rows([[4], [6]]), z2_z3)
     True
-    >>> in_span(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> in_span(IntMatrix.from_rows([[1], [0]]), z2_z3)
     False
     """
-    if m.rows != relations.rows:
-        raise ValueError(f"row counts differ: {m.rows} vs {relations.rows}")
-    if m.is_zero or not relations.cols:
+    if m.rows != group.generators:
+        raise ValueError(f"row counts differ: {m.rows} vs {group.generators}")
+    if m.is_zero or group.is_relation_free:
         return m.is_zero
-    basis = column_echelon(relations)
     try:
-        echelon_lift(basis, m)
+        echelon_lift(group.relations, m)
     except ValueError:
         return False
     return True
+
+
+def is_well_defined(m: IntMatrix, source: FpAbPresentation, target: FpAbPresentation) -> bool:
+    """Whether m, on generators, maps source's relations into target's span: a homomorphism."""
+    return source.is_relation_free or in_span(m * source.relations, target)
 
 
 def canonical_form(p: FpAbPresentation) -> FgAbGroup:
@@ -190,6 +197,6 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     >>> canonical_form(FpAbPresentation.from_relation_columns(1, [[2]]))
     FgAbGroup(free_rank=0, torsion=(2,))
     """
-    diag = smith_diagonal(column_echelon(p.relations))
+    diag = smith_diagonal(p.relations)
     torsion = tuple(x for x in diag if x > 1)
     return FgAbGroup(p.generators - len(diag), torsion)

@@ -25,7 +25,7 @@ generators by source generators).
 import json
 from math import comb
 
-from .intmat import IntMatrix
+from .intmat import DenseWorkTooLargeError, IntMatrix
 from .abgroup import FpAbPresentation
 from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData, parse_int
 
@@ -132,10 +132,10 @@ def punctured_curve_snc(g: int, n: int) -> SncDatum:
 
 
 def _presentation_to_obj(p: FpAbPresentation) -> dict:
-    return {
-        "generators": p.generators,
-        "relations": [list(p.relations.col(j)) for j in range(p.relations.cols)],
-    }
+    columns = [[0] * p.generators for _ in range(p.relations.cols)]
+    for i, j, e in p.relations.nonzeros():
+        columns[j][i] = e
+    return {"generators": p.generators, "relations": columns}
 
 
 def datum_to_dict(s: SncDatum) -> dict:
@@ -183,6 +183,8 @@ def _parse_presentation(obj, where: str) -> FpAbPresentation:
     # The entries and column lengths are checked once, by the constructor.
     try:
         return FpAbPresentation.from_relation_columns(gens, columns)
+    except DenseWorkTooLargeError:
+        raise
     except (TypeError, ValueError):
         raise DatumParseError(message) from None
 

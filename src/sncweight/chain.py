@@ -2,16 +2,16 @@
 
 A complex holds its groups and, between consecutive groups, plain
 IntMatrix differentials on generators.  verify_complex decides each of
-its facts with abgroup.in_span.  Cohomology is read off one free
-complex: each group Z^n_a / E_a, with E_a a column-echelon basis of its
-relations, is resolved by E_a, and the total complex of these
-resolutions is free with the same cohomology.  So every degree of every
-complex reads Smith diagonals only, and a complex of free groups is its
-own total complex.
+its facts with abgroup.is_well_defined and abgroup.in_span.  Cohomology
+is read off one free complex: each group Z^n_a / E_a, with E_a the
+column-echelon basis the group stores as its relations, is resolved by
+E_a, and the total complex of these resolutions is free with the same
+cohomology.  So every degree of every complex reads Smith diagonals
+only, and a complex of free groups is its own total complex.
 """
 
-from .abgroup import FgAbGroup, FpAbPresentation, in_span
-from .intmat import IntMatrix, column_echelon, echelon_lift, smith_diagonal
+from .abgroup import FgAbGroup, FpAbPresentation, in_span, is_well_defined
+from .intmat import IntMatrix, echelon_lift, smith_diagonal
 from .reports import Report, _Record
 
 __all__ = [
@@ -69,11 +69,10 @@ def verify_complex(c: CochainComplex) -> Report:
     """
     problems = []
     for i, (d, g) in enumerate(zip(c.differentials, c.groups)):
-        # A relation-free source has no relations that could leave the span.
-        if not g.is_relation_free and not in_span(d * g.relations, c.groups[i + 1].relations):
+        if not is_well_defined(d, g, c.groups[i + 1]):
             problems.append(f"degree {c.min_degree + i}: differential is not well defined")
     for i, (d, e) in enumerate(zip(c.differentials, c.differentials[1:])):
-        if not in_span(e * d, c.groups[i + 2].relations):
+        if not in_span(e * d, c.groups[i + 2]):
             problems.append(f"degree {c.min_degree + i}: d after d is nonzero")
     return Report("d-squared", not problems, tuple(problems))
 
@@ -87,7 +86,7 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     cochain complexes hold it by construction; a lift that does not exist
     raises ValueError, and otherwise the answer is undefined.
 
-    With E_a an injective basis of the relations in degree a (see
+    With E_a the injective relation basis of the group in degree a (see
     _total_differential), the total complex has T^a = Z^n_a + Z^r_(a+1)
     and differentials D_a.  So H^a is Z^(dim T^a - rank D_a - rank D_(a-1))
     plus the invariant factors > 1 of D_(a-1).  Each D is reduced once,
@@ -102,16 +101,12 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     >>> {a: str(h) for a, h in cohomology(c).items()}
     {0: 'Z/2', 1: 'Z/2'}
     """
-    first = c.min_degree
-    # E of degrees first .. last + 2; the groups past the last are zero.
-    bases = [column_echelon(g.relations) for g in c.groups] + [IntMatrix.zeros(0, 0)] * 2
     out = {}
     # D_(first-1) maps Z^r_first, which is all of T^(first-1), injectively.
-    last = smith_diagonal(_total_differential(c, first - 1, *bases[:2]))
+    last = smith_diagonal(_total_differential(c, c.min_degree - 1))
     for a, g in zip(c.degrees, c.groups):
-        i = a - first
-        diagonal = smith_diagonal(_total_differential(c, a, *bases[i + 1:i + 3]))
-        size = g.generators + bases[i + 1].cols
+        diagonal = smith_diagonal(_total_differential(c, a))
+        size = g.generators + c.group_at(a + 1).relations.cols
         h = FgAbGroup(size - len(diagonal) - len(last), tuple(x for x in last if x > 1))
         last = diagonal
         if not h.is_zero:
@@ -119,17 +114,18 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     return out
 
 
-def _total_differential(c: CochainComplex, a: int, e_next: IntMatrix,
-                        e_after: IntMatrix) -> IntMatrix:
+def _total_differential(c: CochainComplex, a: int) -> IntMatrix:
     """D_a = [[d_a, E_(a+1)], [-g_a, -h_(a+1)]] of the total complex.
 
-    e_next and e_after are E_(a+1) and E_(a+2).  The lifts solve
+    E_(a+1) and E_(a+2) are the relations of groups a+1 and a+2, zero
+    past the last group.  The lifts solve
     E_(a+2) * [g_a | h_(a+1)] = d_(a+1) * [d_a | E_(a+1)]: well-defined
     maps give h, and g is there because a composite need only vanish
     modulo relations, not on the nose.  E_(a+2) is injective, so
     D_(a+1) * D_a = 0.  With no relations in degrees a+1 and a+2, D_a
     is d_a itself.
     """
+    e_next, e_after = c.group_at(a + 1).relations, c.group_at(a + 2).relations
     d = c.differential_at(a)
     top = d.hstack(e_next) if e_next.cols else d
     if not e_after.cols:

@@ -339,7 +339,7 @@ def cmd_check(args) -> int:
             raise UsageError(f"unknown check suite {args.input!r}")
     datum, identifier = _load_datum(args)
     expected_hc = None
-    if args.hc:
+    if args.hc is not None:
         expected_hc = _parse_hc(args.hc)
     elif args.builder:
         expected_hc = builders.builder_betti(args.builder)

@@ -22,8 +22,10 @@ chain by gcd/lcm exchanges.
 
 column_echelon makes a relation matrix injective: it keeps a lower
 column-echelon basis of the column span, counting its entry updates
-against MAX_DENSE_WORK too.  echelon_lift solves E * X = B on such a
-basis by forward substitution on its pivot rows.
+against MAX_DENSE_WORK too.  Its one caller is the constructor of a
+presented group (abgroup.FpAbPresentation), so each group's relations
+are echelonized once, where the group is built.  echelon_lift solves
+E * X = B on such a basis by forward substitution on its pivot rows.
 """
 
 from __future__ import annotations
@@ -184,9 +186,6 @@ class IntMatrix:
         for j, e in self._rows[i].items():
             out[j] = e
         return tuple(out)
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row.get(j, 0) for row in self._rows)
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]

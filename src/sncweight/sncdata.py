@@ -18,11 +18,11 @@ factors are valid by construction, and the tests validate them from
 scratch.  A datum is read-only once built: its mappings are copied into
 read-only views.
 
-validate decides whether a restriction is well defined, and whether
-the two paths of a square agree, with abgroup.in_span: a moved
-relation, or the difference of the paths, must lie in the target's
-relation span.  The datum's weight complexes are assembled from its
-levels by weight.weight_complex.
+validate decides whether a restriction is well defined with
+abgroup.is_well_defined, and whether the two paths of a square agree
+with abgroup.in_span: a moved relation, or the difference of the paths,
+must lie in the target's relation span.  The datum's weight complexes
+are assembled from its levels by weight.weight_complex.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
 
-from .abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span
+from .abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span, is_well_defined
 from .intmat import IntMatrix
 from .reports import Report, _Record
 
@@ -109,17 +109,17 @@ class SncDatum(_Record):
 
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
-    # largest |I| present.  _reports holds the weight cohomology table,
-    # filled on first use.  Both are sound because the datum cannot change
-    # after construction, and neither is a field: equality, hash and repr
-    # ignore them.
-    __slots__ = _fields + ("levels", "_reports")
+    # largest |I| present.  _table is the weight cohomology table, None
+    # until weight.weight_cohomology_table first computes it.  Both are
+    # sound because the datum cannot change after construction, and
+    # neither is a field: equality, hash and repr ignore them.
+    __slots__ = _fields + ("levels", "_table")
 
     def __init__(self, dim: int, n_components: int, strata: Mapping[SubsetKey, StratumData]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n_components", n_components)
         object.__setattr__(self, "strata", MappingProxyType(dict(strata)))
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_table", None)
         for I in self.strata:
             if list(I) != sorted(set(I)):
                 raise ValueError(f"subset key {I} is not a sorted duplicate-free tuple")
@@ -235,9 +235,7 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
                             f"in degree {b}"
                         )
                     continue
-                # A relation-free source has no relations that could leave the span.
-                if (not source.is_relation_free
-                        and not in_span(stored * source.relations, target.relations)):
+                if not is_well_defined(stored, source, target):
                     problems.append(
                         f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
                         "is not well defined on the presentations"
@@ -272,19 +270,11 @@ def _square_problems(s: SncDatum) -> list[str]:
             inner_j = strata[Ij].restrictions.get(i, _NO_MAPS)
             # A degree missing at either end gives empty paths, which agree.
             for b in sorted(source_coh.keys() & target_coh.keys()):
-                via_i = _path(outer_i.get(b), inner_i.get(b))
-                via_j = _path(outer_j.get(b), inner_j.get(b))
-                if via_i is None or via_j is None:
-                    # The difference is the other path, up to a sign that
-                    # does not change whether it lies in the relation span.
-                    diff = via_j if via_i is None else via_i
-                    if diff is None:
-                        continue
-                elif via_i == via_j:
-                    continue
-                else:
-                    diff = via_i - via_j
-                if not in_span(diff, target_coh[b].relations):
+                target = target_coh[b]
+                shape = (target.generators, source_coh[b].generators)
+                via_i = _path(outer_i.get(b), inner_i.get(b), shape)
+                via_j = _path(outer_j.get(b), inner_j.get(b), shape)
+                if via_i != via_j and not in_span(via_i - via_j, target):
                     problems.append(
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
@@ -292,8 +282,9 @@ def _square_problems(s: SncDatum) -> list[str]:
     return problems
 
 
-def _path(outer: IntMatrix | None, inner: IntMatrix | None) -> IntMatrix | None:
-    """outer * inner, or None when either map is an implied zero."""
+def _path(outer: IntMatrix | None, inner: IntMatrix | None,
+          shape: tuple[int, int]) -> IntMatrix:
+    """outer * inner, or the zero matrix of shape when either map is an implied zero."""
     if outer is None or inner is None:
-        return None
+        return IntMatrix.zeros(*shape)
     return outer * inner

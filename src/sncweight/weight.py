@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .abgroup import FgAbGroup, FpAbPresentation, canonical_form
+from .abgroup import FgAbGroup, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
 from .intmat import IntMatrix
@@ -136,17 +136,17 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
 def weight_cohomology_table(s: SncDatum) -> BigradedTable:
     """Cohomology of every degree-b strata complex, collected as a table.
 
-    s must be valid.  Computed once per datum and cached beside its
-    structure report.  The complexes of a valid datum are complexes by
+    s must be valid.  Computed once per datum and cached on it, in its
+    _table slot.  The complexes of a valid datum are complexes by
     construction, so their cohomology is taken without verify_complex.
     """
-    if "table" not in s._reports:
+    if s._table is None:
         entries: dict[tuple[int, int], FgAbGroup] = {}
         for b in s.graded_degrees():
             for a, g in cohomology(weight_complex(s, b)).items():
                 entries[(a, b)] = g
-        s._reports["table"] = BigradedTable(s.dim, s.n_components, entries)
-    return s._reports["table"]
+        object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
+    return s._table
 
 
 def check_nerve_identity(s: SncDatum) -> Report:
@@ -362,7 +362,8 @@ def euler_check(s: SncDatum) -> Report:
     """Alternating rank sum of the table vs the strata-level Euler characteristic.
 
     s must be valid.  The right-hand side is computed straight from the
-    stratum cohomology ranks, without ever forming a differential.
+    stratum cohomology ranks, generators less relation columns, without
+    ever forming a differential.
     """
     table_side = weight_cohomology_table(s).euler_sum()
     strata_side = 0
@@ -370,7 +371,7 @@ def euler_check(s: SncDatum) -> Report:
         chi = 0
         for _, coh in level:
             for b, p in coh.items():
-                rank = canonical_form(p).free_rank
+                rank = p.generators - p.relations.cols
                 chi += rank if b % 2 == 0 else -rank
         strata_side += chi if k % 2 == 0 else -chi
     passed = table_side == strata_side

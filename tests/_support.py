@@ -373,7 +373,8 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
     Some differentials d_a become d_a + R_(a+1) * X for a random X: the
     same map on the quotients, so the cohomology is unchanged, but then
     d after d is in general zero only modulo the relations.  Returns the
-    complex and degree -> FgAbGroup, nonzero entries only.
+    complex, degree -> FgAbGroup (nonzero entries only), and the relation
+    matrix of each group as drawn, before its group stores a basis of it.
     """
     min_degree = rng.randint(-2, 2)
     length = rng.randint(1, 4)
@@ -401,7 +402,7 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         return IntMatrix(rows, cols, [rng.choice((-1, 0, 0, 1, 2)) for _ in range(rows * cols)])
 
     twists = [random_unimodular(rng, len(r)) for r in rels]
-    groups = []
+    groups, drawn = [], []
     for (u, _), r in zip(twists, rels):
         cols = [[o if i == j else 0 for i in range(len(r))] for j, o in enumerate(r) if o]
         raw = FpAbPresentation.from_relation_columns(len(r), cols).relations
@@ -409,11 +410,14 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         if relations.cols and rng.random() < 0.4:
             relations = relations.hstack(relations * small(relations.cols, 1))
         groups.append(FpAbPresentation(len(r), relations))
+        drawn.append(relations)
     diffs = []
     for a, entries in enumerate(maps):
         raw = IntMatrix.from_entries(len(rels[a + 1]), len(rels[a]), entries)
         moved = twists[a + 1][0] * raw * twists[a][1]
-        target = groups[a + 1].relations
+        # Drawn from the matrix as made, so the random stream does not
+        # depend on how many columns its group keeps.
+        target = drawn[a + 1]
         if target.cols and rng.random() < 0.7:
             moved = moved - target * small(target.cols, len(rels[a]))
         diffs.append(moved)
@@ -422,7 +426,7 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         h = FgAbGroup.from_cyclic_orders([o for o in found if o], found.count(0))
         if not h.is_zero:
             expected[min_degree + a] = h
-    return CochainComplex(min_degree, tuple(groups), tuple(diffs)), expected
+    return CochainComplex(min_degree, tuple(groups), tuple(diffs)), expected, drawn
 
 
 def _random_curve_datum(rng: random.Random) -> SncDatum:

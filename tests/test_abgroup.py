@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sncweight.abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span
+from sncweight.abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span, is_well_defined
 from sncweight.chain import CochainComplex, cohomology, verify_complex
-from sncweight.intmat import IntMatrix
+from sncweight.intmat import IntMatrix, smith_diagonal
 
 from _support import (
     check_record,
@@ -120,8 +120,8 @@ def test_span_membership_matches_oracle():
         for m, member in cases:
             oracle = oracle_in_span(m, lattice)
             assert member in (None, oracle)
-            assert in_span(m, lattice) == oracle
             target, identity = FpAbPresentation(n, lattice), IntMatrix.identity(n)
+            assert in_span(m, target) == oracle
             rep = verify_complex(CochainComplex(0, (FpAbPresentation(n, m), target), (identity,)))
             assert rep.passed == oracle
             assert rep.details in ((), ("degree 0: differential is not well defined",))
@@ -135,12 +135,12 @@ def test_span_membership_matches_oracle():
 def test_span_membership_refuses_mismatched_rows():
     # A 2-row matrix is never tested against 3-row relations, whether it
     # is zero (no lift needed) or not (the lift would refuse the shape).
-    relations = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
+    group = FpAbPresentation(3, IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
     for m in (M([[4], [6]]), IntMatrix.zeros(2, 1)):
         with pytest.raises(ValueError, match="row counts differ: 2 vs 3"):
-            in_span(m, relations)
+            in_span(m, group)
     with pytest.raises(ValueError, match="row counts differ: 3 vs 2"):
-        in_span(IntMatrix.zeros(3, 1), IntMatrix.zeros(2, 0))
+        in_span(IntMatrix.zeros(3, 1), F(2))
 
 
 def test_kernel_image_cokernel_examples():
@@ -172,7 +172,8 @@ def test_ill_defined_hom_rejected():
     # verify_complex rejects the complexes behind kernel_of and cokernel_of.
     z2 = FpAbPresentation.from_relation_columns(1, [[2]])
     f = M([[1]])  # Z/2 -> Z by 1 is not a homomorphism
-    assert not in_span(f * z2.relations, F(1).relations)
+    assert not in_span(f * z2.relations, F(1))
+    assert not is_well_defined(f, z2, F(1)) and is_well_defined(f, F(1), z2)
     for degree, groups, maps in ((1, (F(0), z2, F(1)), (IntMatrix.zeros(1, 0), f)),
                                  (0, (z2, F(1), F(0)), (f, IntMatrix.zeros(0, 1)))):
         rep = verify_complex(CochainComplex(0, groups, maps))
@@ -191,7 +192,8 @@ def test_rank_nullity_randomized():
         )
         # Make the map well defined by absorbing the moved relations into the target.
         tgt_fixed = FpAbPresentation(tgt.generators, tgt.relations.hstack(m * src.relations))
-        assert in_span(m * src.relations, tgt_fixed.relations)
+        assert in_span(m * src.relations, tgt_fixed)
+        assert is_well_defined(m, src, tgt_fixed)
         # The rank of the image is rank tgt - rank coker.
         r_src = canonical_form(src).free_rank
         r_tgt = canonical_form(tgt_fixed).free_rank
@@ -248,14 +250,14 @@ def test_direct_sum_presentations_and_homs():
     assert canonical_form(s) == FgAbGroup(1, (2,))
     # The identity on Z/2 plus zero on Z, as one block-diagonal map.
     f = M([[1, 0], [0, 0]])
-    assert in_span(f * s.relations, s.relations)
+    assert in_span(f * s.relations, s)
     assert kernel_of(s, s, f) == Z and cokernel_of(s, s, f) == Z
 
 
 def test_homs_with_torsion_source():
     z4 = FpAbPresentation.from_relation_columns(1, [[4]])
     f = M([[2]])
-    assert in_span(f * z4.relations, z4.relations)
+    assert in_span(f * z4.relations, z4)
     assert kernel_of(z4, z4, f) == FgAbGroup(0, (2,))
     assert cokernel_of(z4, z4, f) == FgAbGroup(0, (2,))
 
@@ -327,3 +329,46 @@ def test_subquotient_agrees_with_bezout_oracle():
         seen_torsion.update(h.torsion)
     assert {2, 3, 4} <= seen_torsion, seen_torsion
     assert nonzero_composite > 20, nonzero_composite
+
+
+def _pivot_rows(r):
+    """The first nonzero row of each column of r, None for a zero column."""
+    first = {}
+    for i, j, _ in r.nonzeros():
+        first.setdefault(j, i)
+    return [first.get(j) for j in range(r.cols)]
+
+
+def test_stored_relations_are_an_injective_echelon_basis_of_the_span_given():
+    # Whatever matrix a group is built from, it stores a lower
+    # column-echelon basis of the same span: pivot rows strictly increase,
+    # the columns are independent, and building the group again from them
+    # keeps them.  canonical_form and in_span read that basis and agree
+    # with the Bezout oracle on the matrix as given.
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        n, k = rng.randint(0, 5), rng.randint(0, 3)
+        base = _block(rng, n, k)
+        kind = rng.choice(("dependent", "twisted", "zero columns", "relation-free"))
+        if kind == "dependent":
+            given = base.hstack(base * _block(rng, k, rng.randint(1, 2)))
+        elif kind == "twisted":
+            given = random_unimodular(rng, n)[0] * base * random_unimodular(rng, k)[0]
+        elif kind == "zero columns":
+            given = base.hstack(IntMatrix.zeros(n, rng.randint(1, 2))).hstack(base)
+        else:
+            given = IntMatrix.zeros(n, 0)
+        p = FpAbPresentation(n, given)
+        r = p.relations
+        pivots = _pivot_rows(r)
+        assert None not in pivots and pivots == sorted(set(pivots)), kind
+        assert len(smith_diagonal(r)) == r.cols
+        assert oracle_in_span(given, r) and oracle_in_span(r, given)
+        assert FpAbPresentation(n, r).relations == r
+        assert canonical_form(p) == FgAbGroup(*oracle_canonical_form(n, given.to_rows()))
+        for m in (_block(rng, n, rng.randint(1, 2)), given * _block(rng, given.cols, 1)):
+            assert in_span(m, p) == oracle_in_span(m, given)
+        seen.add((kind, r.cols < given.cols, n == 0))
+    assert {("dependent", True, False), ("twisted", False, False), ("zero columns", True, False),
+            ("relation-free", False, False), ("zero columns", True, True)} <= seen, seen

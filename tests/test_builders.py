@@ -60,12 +60,12 @@ def test_every_builder_validates():
 
 def test_builders_validate_from_scratch():
     # Builders are valid by construction and skip validation when built.
-    # Through the dict format the copy carries no cached report, so validate
+    # Through the dict format the copy carries no cached table, so validate
     # proves every invariant anew.
     for spec in BUILDER_SPECS:
         s = parse_builder(spec)
         copy = datum_from_dict(datum_to_dict(s))
-        assert copy == s and not copy._reports
+        assert copy == s and copy._table is None
         rep = validate(copy)
         assert rep.passed, (spec, rep.details)
 

@@ -138,10 +138,13 @@ def test_presented_cohomology_agrees_with_closed_forms():
     seen_torsion = set()
     relations_next = dependent = nonzero_composite = 0
     for _ in range(400):
-        c, expected = random_presented_complex(rng)
+        c, expected, drawn = random_presented_complex(rng)
         assert cohomology(c) == expected
         relations_next += sum(not g.is_relation_free for g in c.groups[1:])
-        dependent += sum(len(smith_diagonal(g.relations)) < g.relations.cols for g in c.groups)
+        # Each group stores an injective basis; the matrices it was drawn
+        # from are the ones with dependent columns.
+        assert all(len(smith_diagonal(g.relations)) == g.relations.cols for g in c.groups)
+        dependent += sum(len(smith_diagonal(r)) < r.cols for r in drawn)
         nonzero_composite += sum(not (e * d).is_zero
                                  for d, e in zip(c.differentials, c.differentials[1:]))
         for g in expected.values():
@@ -151,23 +154,26 @@ def test_presented_cohomology_agrees_with_closed_forms():
 
 
 def test_cohomology_checks_each_hom_once(monkeypatch):
-    # verify_complex makes one span test per relation-carrying source and
-    # one per consecutive composite; cohomology makes none.  Seed 3 gives
-    # 331 differentials, 194 of them out of a relation-carrying group, 169
-    # composites and 224 relation-carrying groups past the first degree
-    # over 200 complexes.
-    calls = []
-    real = chain.in_span
+    # verify_complex makes one span test per relation-carrying source, in
+    # is_well_defined, and one per consecutive composite; cohomology makes
+    # none.  Seed 3 gives 331 differentials, 194 of them out of a
+    # relation-carrying group, 169 composites and 224 relation-carrying
+    # groups past the first degree over 200 complexes.
+    import sncweight.abgroup as abgroup
 
-    def counted(m, relations):
+    calls = []
+    real = abgroup.in_span
+
+    def counted(m, group):
         calls.append(m.shape)
-        return real(m, relations)
+        return real(m, group)
 
     monkeypatch.setattr(chain, "in_span", counted)
+    monkeypatch.setattr(abgroup, "in_span", counted)
     rng = random.Random(3)
     differentials = sources = composites = relations_next = 0
     for _ in range(200):
-        c, expected = random_presented_complex(rng)
+        c, expected, _ = random_presented_complex(rng)
         assert verify_complex(c).passed
         before = len(calls)
         assert cohomology(c) == expected

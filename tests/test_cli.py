@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, parse_builder, to_json, torus_snc
 from sncweight.cli import CHECK_SUITES, main
@@ -216,7 +218,7 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     # The relation matrix is 2I + 3P for the cyclic shift P: its cokernel
     # is cyclic of order |det| = 3^200 - 2^200.
     assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**200 - 2**200}", "0,2,1,"]
-    # At 2000 generators the column echelon of the relations is lower
+    # At 2000 generators the column echelon the group stores is lower
     # triangular with unit pivots but the last, so the unit phase leaves
     # no dense core and compute answers.
     big = tmp_path / "cyclic2000.json"
@@ -228,8 +230,8 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     assert time.process_time() - start < 3
     assert code == 0 and err == ""
     assert out.splitlines() == ["a,b,free_rank,torsion", f"0,1,0,{3**2000 - 2**2000}", "0,2,1,"]
-    # The checks read the relations through their echelon too: euler's
-    # canonical forms leave no dense core either.
+    # The checks read that basis too: validation's canonical forms leave
+    # no dense core either, and euler reads each rank off its column count.
     for suite, passes in (("all", ["d2", "nerve-identity", "euler", "affine-line-stability",
                                    "degeneration", "product-consistency"]),
                           ("euler", ["euler"])):
@@ -256,6 +258,108 @@ def test_dense_work_over_budget_exit_2(capsys, tmp_path, monkeypatch):
     rp2.write_text(out)
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
     _one_parse_error(capsys, ("dual", str(rp2), "--complex"), "more than 0")
+
+
+def _relation_budget_datum(bad_shape: bool) -> dict:
+    # affine:1 with the total space's H^2 = Z^2 modulo three columns that
+    # share their first nonzero row, so their echelon takes two updates.
+    # With bad_shape the boundary point's degree-0 restriction has the
+    # wrong shape, and the datum fails validation.
+    obj = json.loads(to_json(affine_space_snc(1)))
+    obj["strata"][0]["cohomology"]["2"] = {"generators": 2,
+                                           "relations": [[0, 2], [0, 4], [0, 6]]}
+    if bad_shape:
+        obj["strata"][1]["restrictions"]["1"]["0"] = [[1, 0]]
+    return obj
+
+
+def test_a_relation_echelon_over_budget_is_refused_as_it_is_read(capsys, tmp_path, monkeypatch):
+    # A group's relations are echelonized where the group is built, so a
+    # file whose relation echelon is over the budget exits 2 as it is read,
+    # in every command and before validation, and the message gives the
+    # shape of that stratum's matrix.
+    from sncweight import intmat
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_relation_budget_datum(False)))
+    bad.write_text(json.dumps(_relation_budget_datum(True)))
+    commands = (("compute",), ("check", "all"), ("check", "d2"), ("dual",))
+    for command in commands:
+        code, out, err = run(capsys, command[0], str(good), *command[1:])
+        assert code == 0 and err == "", command
+        code, out, err = run(capsys, command[0], str(bad), *command[1:])
+        assert code == 1 and "has shape (1, 2)" in out and err == "", command
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 1)
+    for path in (good, bad):
+        for command in commands:
+            _one_parse_error(capsys, (command[0], str(path), *command[1:]),
+                             "error: a 2x3 column echelon takes more than 1 entry updates")
+
+
+def test_a_level_over_budget_only_as_a_sum_of_strata_answers(capsys, tmp_path, monkeypatch):
+    # A level's relation basis is the block diagonal of its strata's, so
+    # only each stratum's echelon is charged.  Here n disjoint boundary
+    # curves each take m - 1 updates, for H^1 = Z^m modulo 2 e_0 and
+    # 2 e_0 + e_j: a budget of m - 1 admits every curve, and the n x n
+    # Smith core of the Z/2 summands, while the echelon of the whole level
+    # would take n (m - 1).
+    from sncweight import intmat
+    from sncweight.intmat import DenseWorkTooLargeError, column_echelon
+
+    n, m = 3, 28
+    columns = [[2] + [0] * (m - 1)] + [[2] + [int(i == j) for i in range(1, m)]
+                                       for j in range(1, m)]
+    strata = [{"subset": [], "cohomology": {"0": {"generators": 1}, "2": {"generators": 1}}}]
+    for i in range(1, n + 1):
+        strata.append({"subset": [i], "restrictions": {str(i): {"0": [[1]], "2": [[1]]}},
+                       "cohomology": {"0": {"generators": 1}, "2": {"generators": 1},
+                                      "1": {"generators": m, "relations": columns}}})
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps({"dim": 2, "components": n, "strata": strata}))
+    expected = {suite: run(capsys, "check", str(path), suite) for suite in ("all", "euler")}
+    code, table, err = run(capsys, "compute", str(path))
+    assert code == 0 and err == "" and "Z/2 x Z/2 x Z/2" in table
+    assert n**3 <= m - 1
+    given = IntMatrix.from_rows([[c[i] for c in columns] for i in range(m)])
+    level = IntMatrix.from_blocks(n * m, n * m, [(k * m, k * m, given, 1, True, 1)
+                                                 for k in range(n)])
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", m - 1)
+    column_echelon(given)
+    with pytest.raises(DenseWorkTooLargeError):
+        column_echelon(level)
+    assert run(capsys, "compute", str(path)) == (0, table, "")
+    for suite, answer in expected.items():
+        assert answer[0] == 0 and run(capsys, "check", str(path), suite) == answer
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", m - 2)
+    _one_parse_error(capsys, ("compute", str(path)),
+                     f"error: a {m}x{m} column echelon takes more than {m - 2} entry updates")
+
+
+def test_each_group_is_echelonized_once_where_it_is_read(capsys, tmp_path, monkeypatch):
+    # compute, check all and dual each echelonize the relations of the 30
+    # relation-carrying curve groups once, as the file is read, and never
+    # a level: the weight complexes take each level's basis as the block
+    # diagonal of its strata's.
+    import random
+
+    import sncweight.abgroup as abgroup
+
+    path = tmp_path / "chain.json"
+    path.write_text(to_json(curve_chain_datum(random.Random(1), 30, 6, 12)))
+    shapes = []
+    real = abgroup.column_echelon
+
+    def counted(a):
+        if a.cols:
+            shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(abgroup, "column_echelon", counted)
+    for argv in (("compute", str(path)), ("check", str(path), "all"), ("dual", str(path))):
+        shapes.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert len(shapes) == 30 and set(shapes) == {(6, 2)}, argv
 
 
 def test_d0_budget_is_charged_on_the_core(capsys, tmp_path, monkeypatch):
@@ -1087,6 +1191,17 @@ def test_check_decides_usage_errors_before_validation(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith(message), argv
 
 
+def test_an_empty_hc_is_refused_exit_2(capsys, tmp_path):
+    # --hc= used to count as absent: degeneration was checked against a
+    # builder's Betti numbers, skipped in all, or said to need --hc.
+    path = tmp_path / "torus2.json"
+    path.write_text(to_json(torus_snc(2)))
+    for argv in (("check", "--builder", "torus:1", "degeneration", "--hc="),
+                 ("check", str(path), "all", "--hc="),
+                 ("check", str(path), "degeneration", "--hc=")):
+        assert run(capsys, *argv) == (2, "", "error: cannot parse --hc value ''\n"), argv
+
+
 def test_only_the_product_suites_are_not_applicable_to_relations(capsys, tmp_path):
     # A stratum group with relations has no product here: the two suites
     # that build products pass as not applicable, and the others run.
@@ -1439,6 +1554,35 @@ def test_matrix_layout_is_known_only_to_intmat():
     assert leaks == []
     assert entry_callers == {("dual", "reduced_cochain_complex"),
                              ("abgroup", "from_relation_columns")}
+
+
+def test_relations_are_echelonized_only_where_a_group_is_built():
+    # column_echelon has one caller, the constructor of a presented group,
+    # and every other reader takes the basis the group stores: no other
+    # module imports it, and euler_check reads ranks without a reduction.
+    import ast
+    from pathlib import Path
+
+    callers, importers, euler_calls = set(), set(), set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sncweight").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((id(node), func.name) for node in ast.walk(func))
+                if func.name == "euler_check":
+                    euler_calls.update(node.func.id for node in ast.walk(func)
+                                       if isinstance(node, ast.Call)
+                                       and isinstance(node.func, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "column_echelon":
+                importers.add(path.stem)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "column_echelon"):
+                callers.add((path.stem, enclosing.get(id(node))))
+    assert callers == {("abgroup", "__init__")}
+    assert importers == {"abgroup"}
+    assert euler_calls and not euler_calls & {"canonical_form", "smith_diagonal"}
 
 
 def test_operations_without_a_command_are_gone():

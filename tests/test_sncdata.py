@@ -328,14 +328,14 @@ def test_validate_computes_each_tier_once(monkeypatch):
 
 def test_validation_caches_nothing_on_the_datum(monkeypatch):
     # The command line validates a datum once, so no report is kept on it:
-    # a second call runs both checks again and the datum's cache stays empty.
+    # a second call runs both checks again and the datum's table slot stays empty.
     calls = _count_tiers(monkeypatch)
     s = punctured_curve_snc(1, 3)
     first = validate(s)
-    assert first.passed and not s._reports
+    assert first.passed and s._table is None
     assert validate(s) == first
     assert calls == {"_check_structure": 2, "_square_problems": 2}
-    assert not s._reports
+    assert s._table is None
 
 
 def test_shape_failure_skips_the_squares(monkeypatch):
@@ -371,9 +371,9 @@ def test_validated_datum_equals_a_fresh_one():
     built = torus_snc(2)
     assert validate(built).passed
     weight_cohomology_table(built)
-    assert built._reports
+    assert built._table is not None
     fresh = SncDatum(built.dim, built.n_components, dict(built.strata))
     assert fresh == built and built == fresh
-    assert repr(fresh) == repr(built) and "_reports" not in repr(built)
+    assert repr(fresh) == repr(built) and "_table" not in repr(built)
     with pytest.raises(AttributeError):
-        built._reports = {}
+        built._table = None

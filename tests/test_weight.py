@@ -228,11 +228,11 @@ def _random_pairs(seed, count):
 def test_products_validate_from_scratch():
     # product_snc's output is valid by construction and is not validated;
     # here each product, in both orders, is validated anew from a dict copy
-    # that carries no cached report.
+    # that carries no cached table.
     for x, y in _random_pairs(83, 8):
         for s in (product_snc(x, y), product_snc(y, x)):
             copy = datum_from_dict(datum_to_dict(s))
-            assert copy == s and not copy._reports
+            assert copy == s and copy._table is None
             rep = validate(copy)
             assert rep.passed, rep.details
 
