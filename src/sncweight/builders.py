@@ -23,6 +23,7 @@ generators by source generators).
 """
 
 import json
+from itertools import combinations, product
 from math import comb
 
 from .intmat import DenseWorkTooLargeError, IntMatrix
@@ -77,36 +78,54 @@ def affine_space_snc(d: int) -> SncDatum:
     return SncDatum(d, 1, strata)
 
 
-def _torus_factor() -> SncDatum:
-    """The punctured line C* in the projective line: two boundary points."""
-    one = IntMatrix.identity(1)
-    line = {0: FpAbPresentation.free(1), 2: FpAbPresentation.free(1)}
-    point = {0: FpAbPresentation.free(1)}
-    strata = {
-        (): StratumData(line, {}),
-        (1,): StratumData(dict(point), {1: {0: one}}),
-        (2,): StratumData(dict(point), {2: {0: one}}),
-    }
-    return SncDatum(1, 2, strata)
-
-
 def torus_snc(n: int) -> SncDatum:
-    """The n-torus (C*)^n compactified in a product of projective lines.
+    """The n-torus (C*)^n compactified in a product of n projective lines.
 
-    Built as the n-fold product of the one-dimensional case, so it also
-    exercises the product construction.  Like every builder's datum it is
-    valid by construction and is not validated when it is built.
+    Factor f (1-based) owns the components 2f - 1 and 2f, its two points
+    at 0 and infinity, so a stratum I picks a point or the whole line in
+    each factor, and its free factors F(I) are those whose line it keeps.
+    H^(2k) is free on the k-subsets of F(I) in descending colex order (the
+    subsets that hold the largest free factor first), the generator order
+    of the nested product of n copies of torus:1.  The restriction into I
+    along a component of factor f sends a subset S of F(I) + {f} to S when
+    f is not in S, and to zero when it is.  That 0/1 matrix depends only
+    on |F(I)|, the rank of f in F(I) + {f} and k, so each is built once
+    per call and shared by every stratum that uses it, as is the
+    cohomology of each |F(I)|.  Like every builder's datum it is valid by
+    construction and is not validated when it is built.
     """
     if n < 0:
         raise ValueError("torus builder needs n >= 0")
-    if n == 0:
-        return point_snc()
-    from .weight import product_snc
+    # subsets[m][k]: the k-subsets of range(m), in generator order.
+    subsets = [[sorted(combinations(range(m), k), key=lambda S: S[::-1], reverse=True)
+                for k in range(m + 1)] for m in range(n + 1)]
+    cohomology = [{2 * k: FpAbPresentation.free(len(subsets[m][k])) for k in range(m + 1)}
+                  for m in range(n + 1)]
 
-    out = _torus_factor()
-    for _ in range(n - 1):
-        out = product_snc(out, _torus_factor())
-    return out
+    def selection(m: int, r: int, k: int) -> IntMatrix:
+        # From the m + 1 free factors of the source, f at rank r, to the
+        # m of the target: target subset T is source subset T shifted past r.
+        column = {S: j for j, S in enumerate(subsets[m + 1][k])}
+        rows = [[0] * len(column) for _ in subsets[m][k]]
+        for row, T in zip(rows, subsets[m][k]):
+            row[column[tuple(x + (x >= r) for x in T)]] = 1
+        return IntMatrix.from_rows(rows, len(column))
+
+    maps = [[{2 * k: selection(m, r, k) for k in range(m + 1)} for r in range(m + 1)]
+            for m in range(n)]
+    strata: dict[tuple[int, ...], StratumData] = {}
+    for states in product((0, 1, 2), repeat=n):
+        # State 0 keeps a factor's line; state 1 or 2 takes its first or second point.
+        I, ranks, free = [], [], 0
+        for f, state in enumerate(states):
+            if state:
+                I.append(2 * f + state)
+                ranks.append(free)
+            else:
+                free += 1
+        strata[tuple(I)] = StratumData(
+            cohomology[free], {c: maps[free][r] for c, r in zip(I, ranks)})
+    return SncDatum(n, 2 * n, strata)
 
 
 def punctured_curve_snc(g: int, n: int) -> SncDatum:
@@ -183,8 +202,8 @@ def _parse_presentation(obj, where: str) -> FpAbPresentation:
     # The entries and column lengths are checked once, by the constructor.
     try:
         return FpAbPresentation.from_relation_columns(gens, columns)
-    except DenseWorkTooLargeError:
-        raise
+    except DenseWorkTooLargeError as e:
+        raise DenseWorkTooLargeError(f"{where}: {e}") from None
     except (TypeError, ValueError):
         raise DatumParseError(message) from None
 

@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .abgroup import FgAbGroup, FpAbPresentation
+from .builders import affine_space_snc
 from .chain import CochainComplex, cohomology
 from .dual import GroupPresentation, nerve, reduced_cohomology
 from .intmat import IntMatrix
@@ -321,8 +322,6 @@ def product_snc(sx: SncDatum, sy: SncDatum) -> SncDatum:
 
 def a1_stability_check(s: SncDatum) -> Report:
     """Crossing with the affine line must shift the whole table by (0, +2)."""
-    from .builders import affine_space_snc
-
     base = weight_cohomology_table(s)
     shifted = {(a, b + 2): g for (a, b), g in base.entries.items()}
     prod = weight_cohomology_table(product_snc(s, affine_space_snc(1)))

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import pytest
 
@@ -20,7 +21,7 @@ from sncweight.builders import (
 )
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData, validate
-from sncweight.weight import degeneration_check, weight_cohomology_table
+from sncweight.weight import degeneration_check, product_snc, weight_cohomology_table
 
 from _support import BUILDER_SPECS
 
@@ -52,7 +53,8 @@ def test_builder_argument_validation():
 
 
 def test_every_builder_validates():
-    data = [point_snc(), torus_snc(3), punctured_curve_snc(0, 1)]
+    data = [point_snc(), punctured_curve_snc(0, 1)]
+    data += [torus_snc(n) for n in range(5)]
     data += [affine_space_snc(d) for d in range(1, 5)]
     for s in data:
         assert validate(s).passed
@@ -68,6 +70,26 @@ def test_builders_validate_from_scratch():
         assert copy == s and copy._table is None
         rep = validate(copy)
         assert rep.passed, (spec, rep.details)
+
+
+def test_torus_is_the_nested_product_of_its_factor():
+    # The direct builder keeps the product's generator order and matrices,
+    # so examples torus:N writes the same bytes.
+    for n in range(1, 6):
+        direct, nested = torus_snc(n), reduce(product_snc, [torus_snc(1)] * n)
+        assert direct == nested, n
+        assert to_json(direct) == to_json(nested), n
+
+
+def test_torus_strata_share_their_restriction_matrices():
+    # torus:8 writes 116 640 restriction matrices, but each depends only on
+    # |F(I)|, the rank of the factor in F(I) + {f} and the degree: 204 objects.
+    s = torus_snc(8)
+    matrices = [mat for stratum in s.strata.values()
+                for per_degree in stratum.restrictions.values() for mat in per_degree.values()]
+    assert len(s.strata) == 3 ** 8
+    assert len(matrices) == 116_640
+    assert len(set(map(id, matrices))) <= 204
 
 
 def test_round_trip_affine():

@@ -276,8 +276,8 @@ def _relation_budget_datum(bad_shape: bool) -> dict:
 def test_a_relation_echelon_over_budget_is_refused_as_it_is_read(capsys, tmp_path, monkeypatch):
     # A group's relations are echelonized where the group is built, so a
     # file whose relation echelon is over the budget exits 2 as it is read,
-    # in every command and before validation, and the message gives the
-    # shape of that stratum's matrix.
+    # in every command and before validation, and the message names the
+    # stratum and degree, then gives the shape of their relation matrix.
     from sncweight import intmat
 
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -293,7 +293,8 @@ def test_a_relation_echelon_over_budget_is_refused_as_it_is_read(capsys, tmp_pat
     for path in (good, bad):
         for command in commands:
             _one_parse_error(capsys, (command[0], str(path), *command[1:]),
-                             "error: a 2x3 column echelon takes more than 1 entry updates")
+                             "error: stratum [] degree 2: "
+                             "a 2x3 column echelon takes more than 1 entry updates")
 
 
 def test_a_level_over_budget_only_as_a_sum_of_strata_answers(capsys, tmp_path, monkeypatch):
@@ -332,7 +333,8 @@ def test_a_level_over_budget_only_as_a_sum_of_strata_answers(capsys, tmp_path, m
         assert answer[0] == 0 and run(capsys, "check", str(path), suite) == answer
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", m - 2)
     _one_parse_error(capsys, ("compute", str(path)),
-                     f"error: a {m}x{m} column echelon takes more than {m - 2} entry updates")
+                     f"error: stratum [1] degree 1: "
+                     f"a {m}x{m} column echelon takes more than {m - 2} entry updates")
 
 
 def test_each_group_is_echelonized_once_where_it_is_read(capsys, tmp_path, monkeypatch):
@@ -494,10 +496,12 @@ def test_compute_at_the_affine_bound_finishes():
 
 
 def test_compute_at_the_other_builder_bounds_stays_small():
-    # The affine bound is run by the test above.
-    for spec in ("torus:8", "curve:0,10000", "curve:5000,1"):
+    # The affine bound is run by the test above.  torus:8 shares one object
+    # per distinct restriction matrix among its 6561 strata and peaks near
+    # 44 MB; one matrix object per restriction takes about 121 MB.
+    for spec, bound_mb in (("torus:8", 80), ("curve:0,10000", 500), ("curve:5000,1", 500)):
         _, peak_kb = _measured("compute", "--builder", spec)
-        assert peak_kb < 500 * 1024, spec
+        assert peak_kb < bound_mb * 1024, spec
 
 
 def test_bench_tracer_hooks_exist(capsys, tmp_path):

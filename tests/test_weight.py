@@ -145,8 +145,8 @@ def test_product_json_is_pinned_in_both_orders():
 
 
 def test_torus_json_is_pinned():
-    # torus:n is n - 1 nested products, so these pin the product's strata,
-    # generator order and restriction blocks at every size the bench runs.
+    # These pin torus:n's strata, generator order and restriction blocks at
+    # every size the bench runs; test_builders ties torus:n to the product.
     import hashlib
 
     from sncweight.builders import to_json
