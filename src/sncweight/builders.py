@@ -28,7 +28,7 @@ from math import comb
 
 from .intmat import DenseWorkTooLargeError, IntMatrix
 from .abgroup import FpAbPresentation
-from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData, parse_int
+from .sncdata import MAX_COUNT, DatumParseError, SncDatum, StratumData, parse_int, read_json
 
 __all__ = [
     "point_snc",
@@ -36,7 +36,6 @@ __all__ = [
     "affine_space_snc",
     "torus_snc",
     "punctured_curve_snc",
-    "read_json",
     "from_json",
     "to_json",
     "datum_to_dict",
@@ -275,29 +274,6 @@ def datum_from_dict(obj) -> SncDatum:
         strata[key] = StratumData(cohomology, restrictions)
 
     return SncDatum(dim, n, strata)
-
-
-def read_json(path):
-    """The JSON value in a file, for datum and complex files alike.
-
-    Every failure is a DatumParseError that names the file.  Python refuses
-    an integer literal over its int-string digit limit (4300 digits by
-    default, which bounds the parse time) with the one ValueError left
-    after the decode and syntax errors.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise DatumParseError(f"cannot read {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DatumParseError(f"{path} is not valid JSON: {e}") from e
-    except ValueError as e:
-        raise DatumParseError(f"{path} holds an integer too long to read") from e
-    except RecursionError as e:
-        raise DatumParseError(f"{path} is nested too deeply to parse") from e
 
 
 def from_json(path) -> SncDatum:

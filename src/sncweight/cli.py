@@ -1,13 +1,17 @@
 """Command-line driver.
 
 Exit codes: 0 on success (all checks passing), 1 on validation or check
-failure, 2 on a refused input or invocation.  Commands raise refusals as
-typed exceptions, and main alone maps them to exit codes.  Output is
-deterministic for a fixed input and flag set: fixed orderings everywhere
-and no timestamps.
+failure, 2 on a refused input or invocation, or on output that stdout
+cannot take.  Commands raise refusals as typed exceptions, and main
+alone maps them to exit codes.  Output is deterministic for a fixed
+input and flag set: fixed orderings everywhere and no timestamps.
 
 Data enter the program only here, so only here is a datum validated; the
 library takes a valid datum as a precondition.
+
+At module level this imports only what main needs to map refusals; each
+handler imports the layers it runs, so a command loads no module it
+never calls: dual --complex loads neither builders nor weight.
 """
 
 import argparse
@@ -16,11 +20,8 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import builders, dual, weight
-from .chain import verify_complex
 from .intmat import DenseWorkTooLargeError
-from .reports import Report
-from .sncdata import DatumParseError, SncDatum, parse_int, validate
+from .sncdata import DatumParseError, ProductTooLargeError, parse_int, read_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,8 +85,10 @@ class ValidationFailed(Exception):
     """A datum that fails full validation; the message is its validate report."""
 
 
-def _load_datum(args) -> tuple[SncDatum, str]:
-    """The datum of --builder or of the input file, and its identifier."""
+def _load_datum(args):
+    """The SncDatum of --builder or of the input file, and its identifier."""
+    from . import builders
+
     if args.builder and args.input:
         raise UsageError("give either an input file or --builder, not both")
     if args.builder:
@@ -95,13 +98,15 @@ def _load_datum(args) -> tuple[SncDatum, str]:
     raise UsageError("no input: give a JSON file or --builder")
 
 
-def _check_valid(datum: SncDatum) -> None:
+def _check_valid(datum) -> None:
+    from .sncdata import validate
+
     rep = validate(datum)
     if not rep.passed:
         raise ValidationFailed(rep.render())
 
 
-def _load_valid_datum(args) -> tuple[SncDatum, str]:
+def _load_valid_datum(args):
     """_load_datum; a datum read from a file must pass full validation."""
     datum, identifier = _load_datum(args)
     if args.input:
@@ -177,6 +182,8 @@ def _table_json_obj(table, identifier: str, rational: bool) -> dict:
 
 
 def cmd_compute(args) -> int:
+    from . import weight
+
     datum, identifier = _load_valid_datum(args)
     with _exact_output():
         table = weight.weight_cohomology_table(datum)
@@ -192,14 +199,15 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _complex_summary(k: dual.SimplicialComplex) -> str:
+def _complex_summary(k) -> str:
     counts = [f"{len(k.faces_of_card(card))} of dimension {card - 1}"
               for card in range(1, k.dim + 2)]
     return f"faces: {', '.join(counts)}" if counts else "empty complex"
 
 
-def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budget: int | None,
-                       certify: bool) -> None:
+def _print_dual_report(identifier: str, k, simplify_budget: int | None, certify: bool) -> None:
+    from . import dual
+
     # Each part is computed once, and all of them before the first line, so
     # a dense core over budget leaves stdout empty.  Vanishing reduced
     # cohomology forces a connected complex, whose presentation the
@@ -230,10 +238,12 @@ def _print_dual_report(identifier: str, k: dual.SimplicialComplex, simplify_budg
     else:
         print(f"pi1 presentation: skipped, complex has {len(components)} components")
     if certify:
-        print(f"contractibility: {weight.contractibility_report(h, simp).render()}")
+        print(f"contractibility: {dual.contractibility_report(h, simp).render()}")
 
 
 def cmd_dual(args) -> int:
+    from . import dual
+
     budget = None if args.simplify is None else parse_int(args.simplify, "--simplify budget")
     if budget is not None and budget < 0:
         raise UsageError(f"--simplify budget {budget} is negative")
@@ -242,7 +252,7 @@ def cmd_dual(args) -> int:
             raise UsageError("--complex needs an input file")
         if args.builder:
             raise UsageError("give either an input file or --builder, not both")
-        k = dual.complex_from_dict(builders.read_json(args.input))
+        k = dual.complex_from_dict(read_json(args.input))
         with _exact_output():
             _print_dual_report(args.input, k, budget, False)
         return EXIT_OK
@@ -269,12 +279,16 @@ def _parse_hc(text: str) -> dict[int, int]:
     return out
 
 
-def _d2_report(datum: SncDatum) -> Report:
+def _d2_report(datum):
     """verify_complex on the program's own weight complex of a valid datum, in each degree b.
 
     Validation has checked the restrictions and squares they are built
     from, so a failure here is a fault in weight_complex, not in the datum.
     """
+    from . import weight
+    from .chain import verify_complex
+    from .reports import Report
+
     problems = []
     # Fewer than three levels leave no pair of differentials to compose, and
     # validate has checked that each restriction is well defined.
@@ -285,15 +299,21 @@ def _d2_report(datum: SncDatum) -> Report:
     return Report("d2", not problems, tuple(problems))
 
 
-def _needs_free(name: str, thunk) -> Report:
+def _needs_free(name: str, thunk):
     """thunk's report; a suite whose products need free cohomology passes as not applicable."""
+    from . import weight
+    from .reports import Report
+
     try:
         return thunk()
     except weight.FreeTensorError as e:
         return Report(name, True, (f"not applicable: {e}",))
 
 
-def _product_consistency(datum: SncDatum) -> Report:
+def _product_consistency(datum):
+    from . import builders, weight
+    from .reports import Report
+
     table = weight.weight_cohomology_table(datum)
     point_table = weight.weight_cohomology_table(
         weight.product_snc(datum, builders.point_snc()))
@@ -307,7 +327,10 @@ def _product_consistency(datum: SncDatum) -> Report:
     return Report("product-consistency", not problems, tuple(problems))
 
 
-def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None) -> list[Report]:
+def _run_checks(datum, which: str, expected_hc: dict[int, int] | None) -> list:
+    from . import weight
+    from .reports import Report
+
     reports = []
     if which in ("all", "d2"):
         reports.append(_d2_report(datum))
@@ -330,6 +353,8 @@ def _run_checks(datum: SncDatum, which: str, expected_hc: dict[int, int] | None)
 
 
 def cmd_check(args) -> int:
+    from . import builders
+
     # With --builder the single positional is the suite name.
     if args.builder and args.input and args.which == "all":
         if args.input in CHECK_SUITES:
@@ -368,12 +393,16 @@ def cmd_check(args) -> int:
 
 
 def _rp2_json() -> str:
+    from . import dual
+
     k = dual.real_projective_plane()  # pure, so its facets are its triangles, made 0-based
     obj = {"vertices": len(k.vertices), "facets": [[v - 1 for v in f] for f in k.faces_of_card(3)]}
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def cmd_examples(args) -> int:
+    from . import builders
+
     names = builders.example_names()
     if args.dir and args.name:
         raise UsageError("give either a dataset name or --dir, not both")
@@ -411,14 +440,28 @@ def main(argv=None) -> int:
         "examples": cmd_examples,
     }
     try:
-        args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
-    except ValidationFailed as e:
-        print(e)
-        return EXIT_CHECK_FAILED
-    except (DatumParseError, UsageError, weight.ProductTooLargeError,
-            DenseWorkTooLargeError) as e:
+        try:
+            args = build_parser().parse_args(argv)
+            code = handlers[args.command](args)
+        except ValidationFailed as e:
+            print(e)
+            code = EXIT_CHECK_FAILED
+        # What is still buffered fails here, where it can be reported, and
+        # not in the interpreter's last flush.
+        sys.stdout.flush()
+        return code
+    except (DatumParseError, UsageError, ProductTooLargeError, DenseWorkTooLargeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except OSError as e:
+        # Every file read and every --dir write maps its own OSError to a
+        # refusal, so what reaches here is stdout refusing output: a full
+        # device or a closed pipe.  Pointing stdout at the null device lets
+        # the interpreter's last flush of the unwritten rest succeed silently.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
 

@@ -5,7 +5,9 @@ k-fold intersection.  Because every finite intersection of components is
 required to be connected upstream, the nerve is an honest simplicial
 complex.  The module also carries the generic simplicial machinery
 (reduced integral cohomology with torsion, Euler characteristic,
-edge-path fundamental group presentations and their simplification).
+edge-path fundamental group presentations and their simplification),
+and contractibility_report, which classifies a complex from its reduced
+cohomology and simplified presentation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
 
 from .abgroup import FgAbGroup, FpAbPresentation
@@ -33,6 +35,12 @@ __all__ = [
     "edge_path_presentation",
     "simplify_presentation",
     "SIMPLIFY_BUDGET",
+    "ContractibilityReport",
+    "contractibility_report",
+    "STATUS_CONTRACTIBLE",
+    "STATUS_HOMOLOGY_POINT",
+    "STATUS_SPHERE",
+    "STATUS_OTHER",
     "real_projective_plane",
     "complex_from_dict",
 ]
@@ -352,6 +360,63 @@ def simplify_presentation(p: GroupPresentation, budget: int = SIMPLIFY_BUDGET) -
 
     relators = sorted(words.values(), key=lambda w: (len(w), w))
     return GroupPresentation(p.n_generators - len(eliminated), tuple(map(renumber, relators)))
+
+
+STATUS_CONTRACTIBLE = "contractible-certified"
+STATUS_HOMOLOGY_POINT = "homology-point"
+STATUS_SPHERE = "sphere-like"
+STATUS_OTHER = "other"
+
+
+class ContractibilityReport(_Record):
+    _fields = __slots__ = ("status", "sphere_dim", "details")
+
+    def __init__(self, status: str, sphere_dim: int | None, details: tuple[str, ...]):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "sphere_dim", sphere_dim)
+        object.__setattr__(self, "details", details)
+
+    def render(self) -> str:
+        head = self.status
+        if self.status == STATUS_SPHERE:
+            head += f" (S^{self.sphere_dim})"
+        lines = [head]
+        lines.extend(f"  {d}" for d in self.details)
+        return "\n".join(lines)
+
+
+def contractibility_report(h: Mapping[int, FgAbGroup],
+                           simplified: GroupPresentation | None) -> ContractibilityReport:
+    """Classify a dual boundary complex by its reduced cohomology h and pi_1.
+
+    simplified is the complex's edge-path presentation after
+    simplify_presentation; it is read only when h vanishes, which forces
+    a nonempty connected complex.  Contractibility is certified only when
+    all reduced cohomology vanishes and the presentation simplified to
+    the literally empty one; a trivial group that the budget could not
+    expose is reported as a homology point.
+    """
+    if not h:
+        if simplified.is_trivial:
+            return ContractibilityReport(
+                STATUS_CONTRACTIBLE, None,
+                ("all reduced cohomology vanishes",
+                 "edge-path presentation simplifies to the empty presentation"),
+            )
+        return ContractibilityReport(
+            STATUS_HOMOLOGY_POINT, None,
+            ("all reduced cohomology vanishes",
+             f"fundamental group inconclusive: {simplified}"),
+        )
+    if len(h) == 1:
+        (deg, group), = h.items()
+        if group == FgAbGroup.free(1):
+            return ContractibilityReport(
+                STATUS_SPHERE, deg,
+                (f"reduced cohomology is Z concentrated in degree {deg}",),
+            )
+    lines = tuple(f"H~{deg} = {group}" for deg, group in sorted(h.items()))
+    return ContractibilityReport(STATUS_OTHER, None, lines)
 
 
 def real_projective_plane() -> SimplicialComplex:

@@ -18,6 +18,11 @@ factors are valid by construction, and the tests validate them from
 scratch.  A datum is read-only once built: its mappings are copied into
 read-only views.
 
+The module is also the input boundary that every command shares: the
+file reader read_json, and the refusals DatumParseError and
+ProductTooLargeError, live here, so that the command line can map them
+without loading a layer its command does not run.
+
 validate decides whether a restriction is well defined with
 abgroup.is_well_defined, and whether the two paths of a square agree
 with abgroup.in_span: a moved relation, or the difference of the paths,
@@ -27,6 +32,7 @@ are assembled from its levels by weight.weight_complex.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
@@ -38,7 +44,9 @@ from .reports import Report, _Record
 __all__ = [
     "DatumParseError",
     "MAX_COUNT",
+    "ProductTooLargeError",
     "parse_int",
+    "read_json",
     "SubsetKey",
     "StratumData",
     "SncDatum",
@@ -53,12 +61,17 @@ Level = tuple[tuple[SubsetKey, Mapping[int, FpAbPresentation]], ...]
 # The largest count an input file may give: "dim", "components" and each
 # "generators" of a datum, and "vertices" of a raw simplicial complex.
 # Parsers reject larger counts before they allocate anything by them.
-# The downward closure of a raw complex's facets is held to as many faces.
+# The downward closure of a raw complex's facets is held to as many faces,
+# and a product of data to as many strata.
 MAX_COUNT = 10_000
 
 
 class DatumParseError(ValueError):
     """An input file, builder spec or command-line integer refused before anything is built."""
+
+
+class ProductTooLargeError(ValueError):
+    """A product would exceed weight.product_snc's budget: MAX_COUNT strata, 100 * MAX_COUNT generators."""
 
 
 def parse_int(text: str, what: str) -> int:
@@ -70,6 +83,29 @@ def parse_int(text: str, what: str) -> int:
     if str(value) != text:
         raise DatumParseError(f"{what} {text!r} is not written in plain decimal")
     return value
+
+
+def read_json(path):
+    """The JSON value in a file, for datum and complex files alike.
+
+    Every failure is a DatumParseError that names the file.  Python refuses
+    an integer literal over its int-string digit limit (4300 digits by
+    default, which bounds the parse time) with the one ValueError left
+    after the decode and syntax errors.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise DatumParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DatumParseError(f"{path} is not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DatumParseError(f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:
+        raise DatumParseError(f"{path} holds an integer too long to read") from e
+    except RecursionError as e:
+        raise DatumParseError(f"{path} is nested too deeply to parse") from e
 
 
 def _fmt(I: SubsetKey) -> str:

@@ -24,29 +24,22 @@ from types import MappingProxyType
 from .abgroup import FgAbGroup, FpAbPresentation
 from .builders import affine_space_snc
 from .chain import CochainComplex, cohomology
-from .dual import GroupPresentation, nerve, reduced_cohomology
+from .dual import nerve, reduced_cohomology
 from .intmat import IntMatrix
 from .reports import Report, _Record
-from .sncdata import MAX_COUNT, SncDatum, StratumData
+from .sncdata import MAX_COUNT, ProductTooLargeError, SncDatum, StratumData
 
 __all__ = [
     "BigradedTable",
-    "ContractibilityReport",
     "weight_complex",
     "weight_cohomology_table",
     "check_nerve_identity",
     "product_snc",
     "FreeTensorError",
-    "ProductTooLargeError",
     "a1_stability_check",
     "degeneration_check",
     "euler_check",
-    "contractibility_report",
     "tensor_table",
-    "STATUS_CONTRACTIBLE",
-    "STATUS_HOMOLOGY_POINT",
-    "STATUS_SPHERE",
-    "STATUS_OTHER",
 ]
 
 _ZERO = FpAbPresentation.zero()
@@ -235,10 +228,6 @@ class FreeTensorError(ValueError):
     """Products of data are only implemented for free stratum cohomology."""
 
 
-class ProductTooLargeError(ValueError):
-    """A product would exceed the size budget of product_snc."""
-
-
 def _generator_total(s: SncDatum) -> int:
     return sum(p.generators for st in s.strata.values() for p in st.cohomology.values())
 
@@ -379,63 +368,6 @@ def euler_check(s: SncDatum) -> Report:
         passed,
         (f"table side {table_side}, strata side {strata_side}",),
     )
-
-
-STATUS_CONTRACTIBLE = "contractible-certified"
-STATUS_HOMOLOGY_POINT = "homology-point"
-STATUS_SPHERE = "sphere-like"
-STATUS_OTHER = "other"
-
-
-class ContractibilityReport(_Record):
-    _fields = __slots__ = ("status", "sphere_dim", "details")
-
-    def __init__(self, status: str, sphere_dim: int | None, details: tuple[str, ...]):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "sphere_dim", sphere_dim)
-        object.__setattr__(self, "details", details)
-
-    def render(self) -> str:
-        head = self.status
-        if self.status == STATUS_SPHERE:
-            head += f" (S^{self.sphere_dim})"
-        lines = [head]
-        lines.extend(f"  {d}" for d in self.details)
-        return "\n".join(lines)
-
-
-def contractibility_report(h: Mapping[int, FgAbGroup],
-                           simplified: GroupPresentation | None) -> ContractibilityReport:
-    """Classify a dual boundary complex by its reduced cohomology h and pi_1.
-
-    simplified is the complex's edge-path presentation after
-    simplify_presentation; it is read only when h vanishes, which forces
-    a nonempty connected complex.  Contractibility is certified only when
-    all reduced cohomology vanishes and the presentation simplified to
-    the literally empty one; a trivial group that the budget could not
-    expose is reported as a homology point.
-    """
-    if not h:
-        if simplified.is_trivial:
-            return ContractibilityReport(
-                STATUS_CONTRACTIBLE, None,
-                ("all reduced cohomology vanishes",
-                 "edge-path presentation simplifies to the empty presentation"),
-            )
-        return ContractibilityReport(
-            STATUS_HOMOLOGY_POINT, None,
-            ("all reduced cohomology vanishes",
-             f"fundamental group inconclusive: {simplified}"),
-        )
-    if len(h) == 1:
-        (deg, group), = h.items()
-        if group == FgAbGroup.free(1):
-            return ContractibilityReport(
-                STATUS_SPHERE, deg,
-                (f"reduced cohomology is Z concentrated in degree {deg}",),
-            )
-    lines = tuple(f"H~{deg} = {group}" for deg, group in sorted(h.items()))
-    return ContractibilityReport(STATUS_OTHER, None, lines)
 
 
 def tensor_table(t1: BigradedTable, t2: BigradedTable) -> BigradedTable:

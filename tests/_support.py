@@ -18,6 +18,7 @@ from sncweight.abgroup import FgAbGroup, FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
 from sncweight.dual import (
     GroupPresentation,
+    contractibility_report,
     edge_path_presentation,
     nerve,
     real_projective_plane,
@@ -27,7 +28,7 @@ from sncweight.dual import (
 from sncweight.chain import CochainComplex
 from sncweight.intmat import IntMatrix, smith_diagonal
 from sncweight.sncdata import SncDatum, StratumData
-from sncweight.weight import contractibility_report, product_snc
+from sncweight.weight import product_snc
 
 
 # Every builder family at small sizes.  Builders and products are valid by
@@ -147,6 +148,32 @@ def oracle_diagonalize(rows: list[list[int]]) -> list[int]:
                 break
         t += 1
     return [abs(m[i][i]) for i in range(min(n_rows, n_cols))]
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank of m over GF(p), p prime, by row reduction on sparse rows.
+
+    Each row is reduced by the pivot rows of its leading column until it
+    vanishes or leads in a new column; its entries stay below p.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> monic reduced row
+    for i in range(m.rows):
+        row = {j: e % p for j, e in enumerate(m.row(i)) if e % p}
+        while row:
+            top = max(row)
+            pivot = pivots.get(top)
+            if pivot is None:
+                inverse = pow(row[top], -1, p)
+                pivots[top] = {j: e * inverse % p for j, e in row.items()}
+                break
+            q = row[top]
+            for j, e in pivot.items():
+                v = (row.get(j, 0) - q * e) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def oracle_invariant_factors(orders) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from sncweight.builders import (
 )
 from sncweight.chain import verify_complex
 from sncweight.dual import (
+    STATUS_CONTRACTIBLE,
     edge_path_presentation,
     nerve,
     real_projective_plane,
@@ -24,7 +25,6 @@ from sncweight.dual import (
     simplify_presentation,
 )
 from sncweight.weight import (
-    STATUS_CONTRACTIBLE,
     a1_stability_check,
     check_nerve_identity,
     degeneration_check,

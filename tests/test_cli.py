@@ -1453,6 +1453,78 @@ def test_cli_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # Start-up cost: cli imports at module level only what main maps, and
+    # each handler imports the layers it runs.  A raw complex needs neither
+    # the datum builders nor the weight complexes, and neither dual on a
+    # builder nor examples builds a weight complex.  Only cli imports inside
+    # a function; every library module imports at its top.
+    import ast
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    rp2 = tmp_path / "rp2_complex.json"
+    rp2.write_text(json.dumps(surface_json(rp2_triangles())))
+
+    def layers_loaded_by(*argv):
+        script = ("import contextlib, io, sys\n"
+                  "from sncweight.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main({list(argv)!r})\n"
+                  "print(code, *sorted(sys.modules), sep='\\n')")
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        code, *loaded = done.stdout.split()
+        assert code == "0", argv
+        return {name.partition(".")[2] for name in loaded if name.startswith("sncweight.")}
+
+    assert layers_loaded_by("dual", "--complex", str(rp2)) == {
+        "cli", "sncdata", "abgroup", "intmat", "reports", "chain", "dual"}
+    assert "weight" not in layers_loaded_by("dual", "--builder", "torus:2")
+    assert "weight" not in layers_loaded_by("examples")
+    for path in sorted((src / "sncweight").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not [node for node in ast.walk(func)
+                            if isinstance(node, (ast.Import, ast.ImportFrom))], (path.name, func.name)
+
+
+def test_output_that_stdout_cannot_take_exit_2():
+    # A full device, and a pipe whose reader has gone: one error line and
+    # exit 2, with no traceback and no "Exception ignored" from the
+    # interpreter's last flush.  torus:2's table is small, so it fails in
+    # main's flush; the torus:5 datum (360 kB) outgrows the write buffer, so
+    # it fails in mid-print.  The reader closes before the program writes,
+    # as a pipe may buffer megabytes and let a closing reader come too late.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "sncweight.cli"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(cmd + ["compute", "--builder", "torus:2"], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write output: [Errno 28] No space left on device\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        done = subprocess.run(cmd + ["examples", "torus:5"], env=env, stdout=closed,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
 def test_validity_is_decided_at_the_command_line_boundary():
     # Outside sncdata, only cli calls validate: the library takes a valid
     # datum as a precondition and never re-asks.  The machinery that let it
@@ -1515,8 +1587,15 @@ def test_exit_codes_are_decided_in_main_alone():
     assert stderr == {"main"}
     assert names["EXIT_PARSE_ERROR"] == {"main"}
     assert names["EXIT_CHECK_FAILED"] == {"main", "cmd_check"}
-    assert set(handlers.pop("main")) == {"ValidationFailed", "DatumParseError", "UsageError",
-                                         "weight.ProductTooLargeError", "DenseWorkTooLargeError"}
+    main_handlers = handlers.pop("main")
+    assert set(main_handlers) == {"ValidationFailed", "DatumParseError", "UsageError",
+                                  "ProductTooLargeError", "DenseWorkTooLargeError", "OSError"}
+    # Output that stdout cannot take is the one OSError left unmapped where
+    # it happens: one error line and exit 2, with stdout on the null device.
+    written = main_handlers["OSError"]
+    assert any("os.dup2(" in statement for statement in written), written
+    assert written[-2:] == ["print(f'error: cannot write output: {e}', file=sys.stderr)",
+                            "return EXIT_PARSE_ERROR"]
     assert {(where, kind) for where, kinds in handlers.items() for kind in kinds} == {
         ("_needs_free", "weight.FreeTensorError"),
         ("_print_dual_report", "dual.DisconnectedComplexError"),
@@ -1592,7 +1671,7 @@ def test_relations_are_echelonized_only_where_a_group_is_built():
 def test_operations_without_a_command_are_gone():
     # Each of these had no caller but another operation, one constant or a
     # test: subtraction is written once, and the tests keep abelianization.
-    from sncweight import abgroup, builders, dual, intmat, sncdata, weight
+    from sncweight import abgroup, builders, dual, intmat, sncdata
 
     for name in ("scale", "__add__", "column", "take_rows"):
         assert not hasattr(IntMatrix, name), name
@@ -1611,12 +1690,12 @@ def test_operations_without_a_command_are_gone():
         assert not hasattr(sncdata, name), name
     assert not hasattr(dual, "complex_to_dict")
     assert not hasattr(dual.GroupPresentation, "abelianization")
-    assert "cohomology" not in weight.ContractibilityReport._fields
+    assert "cohomology" not in dual.ContractibilityReport._fields
     assert "DatumParseError" not in builders.__all__
 
 
 def test_files_are_read_by_one_reader():
-    # builders.read_json is the only place that turns file text into JSON,
+    # sncdata.read_json is the only place that turns file text into JSON,
     # so every file input gets the same error mapping (exit 2, one line).
     import ast
     from pathlib import Path
@@ -1635,7 +1714,7 @@ def test_files_are_read_by_one_reader():
                     and node.func.attr in ("load", "loads")
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
                 readers.append((path.stem, enclosing.get(id(node)), node.func.attr))
-    assert readers == [("builders", "read_json", "load")]
+    assert readers == [("sncdata", "read_json", "load")]
 
 
 def test_compute_csv_with_torsion(capsys, tmp_path):

@@ -16,9 +16,11 @@ from sncweight.intmat import (
 from _support import (
     check_smith_diagonal,
     oracle_canonical_form,
+    oracle_diagonalize,
     oracle_in_span,
     random_matrix,
     random_unimodular,
+    rank_mod_p,
     rational_rank,
 )
 
@@ -156,6 +158,17 @@ def test_snf_agrees_with_reduction_oracle():
         free, torsion = oracle_canonical_form(a.cols, a.to_rows())
         assert tuple(x for x in got if x > 1) == torsion
         assert len(got) == a.cols - free
+
+
+def test_rank_mod_p_agrees_with_the_reduction_oracle():
+    # A diagonal form over Z is one over GF(p) too, so the rank mod p is the
+    # count of its nonzero entries that p does not divide.
+    rng = random.Random(31)
+    for _ in range(100):
+        a = random_matrix(rng, max_dim=7, bound=12)
+        diagonal = oracle_diagonalize(a.to_rows())
+        for p in (2, 3, 5, 1_000_003):
+            assert rank_mod_p(a, p) == sum(1 for x in diagonal if x % p), (a, p)
 
 
 SMALL = (1, -1, 2, -2, 3, -3)

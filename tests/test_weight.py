@@ -13,21 +13,24 @@ from sncweight.builders import (
     torus_snc,
 )
 from sncweight.chain import verify_complex
-from sncweight.dual import SimplicialComplex, nerve, reduced_cohomology
-from sncweight.intmat import IntMatrix
-from sncweight.sncdata import SncDatum, StratumData, validate
-from sncweight.weight import (
-    BigradedTable,
+from sncweight.dual import (
     ContractibilityReport,
-    FreeTensorError,
     STATUS_CONTRACTIBLE,
     STATUS_OTHER,
     STATUS_SPHERE,
+    SimplicialComplex,
+    nerve,
+    reduced_cohomology,
+)
+from sncweight.intmat import IntMatrix
+from sncweight.sncdata import ProductTooLargeError, SncDatum, StratumData, validate
+from sncweight.weight import (
+    BigradedTable,
+    FreeTensorError,
     a1_stability_check,
     check_nerve_identity,
     degeneration_check,
     euler_check,
-    ProductTooLargeError,
     product_snc,
     tensor_table,
     weight_cohomology_table,
@@ -43,6 +46,7 @@ from _support import (
     genus_two_surface,
     point_strata_datum,
     random_valid_datum,
+    rank_mod_p,
     reference_product,
     rp2_triangles,
     sparse_restriction_datum,
@@ -376,20 +380,6 @@ def test_presented_middle_groups_in_the_table():
     assert check_nerve_identity(s).passed
 
 
-def _rank_mod_2(m: IntMatrix) -> int:
-    """Rank over GF(2), with each row packed into an int of bits."""
-    pivots: dict[int, int] = {}  # leading bit -> reduced row
-    for i in range(m.rows):
-        row = sum(1 << j for j, e in enumerate(m.row(i)) if e % 2)
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-    return len(pivots)
-
-
 def test_sparse_restriction_with_a_unit_free_core_answers(monkeypatch):
     # n = 1000 generators and k = 3 entries +-1 per restriction column, seed
     # 1, with no relations.  The unit phase leaves a 52 x 107 core of the
@@ -410,7 +400,7 @@ def test_sparse_restriction_with_a_unit_free_core_answers(monkeypatch):
     h0, h1 = table.entry(0, 1), table.entry(1, 1)
     assert h0.free_rank == h1.free_rank and h0.torsion == ()
     even = sum(1 for t in h1.torsion if t % 2 == 0)
-    assert h1.free_rank + even == n - _rank_mod_2(d)
+    assert h1.free_rank + even == n - rank_mod_p(d, 2)
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
     with pytest.raises(intmat.DenseWorkTooLargeError, match="a 52x107 dense Smith reduction"):
         intmat.smith_diagonal(d)
@@ -438,7 +428,7 @@ def test_sparse_restriction_into_presented_groups_answers():
         if relations is sparse:
             assert h0.free_rank - h1.free_rank == 100
         else:
-            rank = _rank_mod_2(s.strata[(1,)].restrictions[1][1])
+            rank = rank_mod_p(s.strata[(1,)].restrictions[1][1], 2)
             assert h0 == FgAbGroup.free(n)
             assert h1 == FgAbGroup(0, (2,) * (n - rank))
 
