@@ -152,7 +152,8 @@ class FpAbPresentation(_Record):
         blocks = []
         row0 = col0 = 0
         for p in parts:
-            blocks.append((row0, col0, p.relations, 1, True, 1))
+            if p.relations.cols:
+                blocks.append((row0, col0, p.relations, 1, True, 1))
             row0 += p.generators
             col0 += p.relations.cols
         # The block diagonal of the parts' bases is already a column-echelon basis.
@@ -197,6 +198,6 @@ def canonical_form(p: FpAbPresentation) -> FgAbGroup:
     >>> canonical_form(FpAbPresentation.from_relation_columns(1, [[2]]))
     FgAbGroup(free_rank=0, torsion=(2,))
     """
-    diag = smith_diagonal(p.relations)
+    diag, _ = smith_diagonal(p.relations)
     torsion = tuple(x for x in diag if x > 1)
     return FgAbGroup(p.generators - len(diag), torsion)

@@ -90,7 +90,12 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     _total_differential), the total complex has T^a = Z^n_a + Z^r_(a+1)
     and differentials D_a.  So H^a is Z^(dim T^a - rank D_a - rank D_(a-1))
     plus the invariant factors > 1 of D_(a-1).  Each D is reduced once,
-    and its diagonal is passed on to the next degree.
+    and its diagonal is passed on to the next degree, with the rows that
+    its unit phase cleared before any Euclid step: D_(a+1) * D_a = 0, so
+    the columns of D_(a+1) at those rows are integer combinations of its
+    other columns and are left out of its reduction (the clearing rule
+    in the intmat docstring).  Units found after a Euclid step are not
+    passed on, as the rule does not cover them.
 
     >>> z2 = FpAbPresentation.from_relation_columns(1, [[2]])
     >>> c = CochainComplex(0, (FpAbPresentation.free(1), z2), (IntMatrix.from_rows([[1]]),))
@@ -103,9 +108,9 @@ def cohomology(c: CochainComplex) -> dict[int, FgAbGroup]:
     """
     out = {}
     # D_(first-1) maps Z^r_first, which is all of T^(first-1), injectively.
-    last = smith_diagonal(_total_differential(c, c.min_degree - 1))
+    last, cleared = smith_diagonal(_total_differential(c, c.min_degree - 1))
     for a, g in zip(c.degrees, c.groups):
-        diagonal = smith_diagonal(_total_differential(c, a))
+        diagonal, cleared = smith_diagonal(_total_differential(c, a), cleared)
         size = g.generators + c.group_at(a + 1).relations.cols
         h = FgAbGroup(size - len(diagonal) - len(last), tuple(x for x in last if x > 1))
         last = diagonal

@@ -2,7 +2,8 @@
 
 A matrix keeps one dict of nonzero entries per row, so building,
 multiplying, stacking and comparing cost the nonzeros, not rows x cols;
-every block matrix, stacking included, is written by from_blocks.
+every block matrix, stacking included, is written by from_blocks, or
+by from_bands when it is made of bands of rows.
 Every matrix entry in this package is a Python int: the constructors
 refuse any value whose type is not exactly int, bools and floats alike.
 So all arithmetic is arbitrary precision: normal-form pivoting can blow
@@ -20,6 +21,24 @@ min(rows, cols) is over MAX_DENSE_WORK.  The pivots it records form a
 diagonal form, and invariant_factors turns them into the divisibility
 chain by gcd/lcm exchanges.
 
+smith_diagonal also reports the rows its unit phase pivoted on before
+the first Euclid step, and takes a set of columns to leave out.  That
+is the clearing rule of a cochain complex (Chen-Kerber, "Persistent
+homology computation with a twist", 2011), restricted to unit pivots so
+that it holds over Z.  Suppose D' * D = 0, and the unit phase on D
+pivots on row p, column q, before any Euclid step.  Each of its row
+operations "row i -= f * row p" is D -> L * D, and D' -> D' * L^-1 only
+adds a multiple of column i to column p.  Once column q of D is cleared
+to +-e_p it stays so, and D' * L^-1 * (L * D) = 0 makes column p of
+D' * L^-1 zero.  Since these operations only change columns that are
+pivot rows, leaving those columns out of D' keeps its column lattice,
+so its nonzero invariant factors are unchanged; and D' without them
+still composes to zero with the next differential, so the rule chains
+through a complex.  A pivot taken after a Euclid step does not qualify:
+a Euclid row operation adds a multiple of a core row, which changes
+that row's column of D', a column that is kept, so a unit that a
+deferred column regains then is not covered by the argument.
+
 column_echelon makes a relation matrix injective: it keeps a lower
 column-echelon basis of the column span, counting its entry updates
 against MAX_DENSE_WORK too.  Its one caller is the constructor of a
@@ -31,7 +50,7 @@ E * X = B on such a basis by forward substitution on its pivot rows.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
 from itertools import chain
 from math import gcd
 
@@ -158,6 +177,45 @@ class IntMatrix:
                             raise ValueError(f"two blocks write an entry of row {at}")
                     at += stride
         return cls._wrap(rows, cols, tuple(out))
+
+    @classmethod
+    def from_bands(
+        cls, cols: int, bands: Iterable[tuple[int, Sequence[tuple[int, "IntMatrix", int]]]],
+    ) -> "IntMatrix":
+        """The matrix whose rows are the given bands, top to bottom, with cols columns.
+
+        A band (height, sources) is height rows.  Each source (col0, r,
+        sign), sign 1 or -1, is a matrix of that height placed with its
+        first column at col0 and multiplied by sign.  A source that does
+        not fit raises IndexError, and an entry that two sources write
+        raises ValueError.  Each row of a band is built as one dict from
+        its sources' rows, so a band costs the rows and nonzeros it
+        writes, and no row of a source is changed.
+
+        >>> r = IntMatrix.from_rows([[1, 2]])
+        >>> IntMatrix.from_bands(3, [(1, [(0, r, 1)]), (1, [(1, r, -1)])])
+        IntMatrix.from_rows([[1, 2, 0], [0, -1, -2]])
+        """
+        _check_shape(0, cols)
+        out = []
+        for height, sources in bands:
+            written = 0
+            for col0, r, sign in sources:
+                if not (r.rows == height and col0 >= 0 and col0 + r.cols <= cols):
+                    raise IndexError(f"a {r.rows}x{r.cols} source at column {col0} does not "
+                                     f"fit in a band of height {height} and {cols} columns")
+                written += sum(map(len, r._rows))
+            if not sources:
+                out += [_EMPTY_ROW] * height
+            else:
+                shifts = [(col0, sign) for col0, _, sign in sources]
+                band = [{col0 + j: sign * e
+                         for (col0, sign), row in zip(shifts, rows) for j, e in row.items()}
+                        for rows in zip(*[r._rows for _, r, _ in sources])]
+                if sum(map(len, band)) != written:
+                    raise ValueError(f"two sources write an entry in the band at row {len(out)}")
+                out += band
+        return cls._wrap(len(out), cols, tuple(out))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -295,8 +353,20 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(f for f in factors if f > 1)
 
 
-def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors of a, each dividing the next.
+def smith_diagonal(
+    a: IntMatrix, skip: AbstractSet[int] = frozenset()
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The nonzero invariant factors of a, each dividing the next, and the rows cleared.
+
+    The columns in skip are left out from the start, so the core, and the
+    budget it is charged, hold only the columns kept; an empty skip set is
+    the plain reduction.  When a * prev = 0 and skip holds rows that the
+    reduction of prev cleared, each skipped column of a is an integer
+    combination of the kept ones, so the diagonal is a's own (the clearing
+    rule in the module docstring).  The rows cleared are those of the unit
+    pivots taken before the first Euclid step, and only those: a Euclid
+    row operation rewrites a core row, so a unit regained after it does
+    not make the next matrix's column redundant.
 
     One elimination on a copy of the rows.  Its unit phase takes the
     columns from a first-in first-out queue, sorted once by (initial
@@ -316,17 +386,28 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     pivots are a diagonal form of the rest (see invariant_factors).
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    (2, 4)
+    ((2, 4), frozenset())
     >>> smith_diagonal(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
-    (1, 1, 2)
+    ((1, 1, 2), frozenset({0, 1}))
+    >>> diagonal, cleared = smith_diagonal(IntMatrix.from_rows([[1], [1]]))
+    >>> diagonal, cleared
+    ((1,), frozenset({0}))
+    >>> smith_diagonal(IntMatrix.from_rows([[1, -1]]), cleared)
+    ((1,), frozenset({0}))
     >>> smith_diagonal(IntMatrix.zeros(0, 3))
-    ()
+    ((), frozenset())
     """
     rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    for j in skip:
+        for i in cols.pop(j, ()):
+            row = rows[i]
+            del row[j]
+            if not row:
+                del rows[i]
     queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
     deferred = set()
 
@@ -351,7 +432,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         if not row:
             del rows[i]
 
-    units, pivots, checked = 0, [], False
+    units, pivots, cleared, checked = 0, [], [], False
     while rows:
         if queue:
             q = queue.popleft()
@@ -367,6 +448,8 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
             for i in cols.pop(q):
                 subtract(i, rows[i].pop(q) * pivot, prow)
             units += 1
+            if not checked:
+                cleared.append(p)
             continue
         if not checked:
             m, n = len(rows), sum(1 for members in cols.values() if members)
@@ -396,7 +479,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
             del cols[q]
             deferred.discard(q)
     torsion = invariant_factors(pivots)
-    return (1,) * (units + len(pivots) - len(torsion)) + torsion
+    return (1,) * (units + len(pivots) - len(torsion)) + torsion, frozenset(cleared)
 
 
 def _columns(a: IntMatrix) -> list[dict[int, int]]:

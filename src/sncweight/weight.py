@@ -7,13 +7,13 @@ smooth variety assemble into the cochain complex
 
 whose differential is the signed sum of pullback restrictions.
 weight_complex builds it in one pass over the datum's levels: each
-level's group, and the differential into it as one IntMatrix of
-restriction blocks.  The degree-a cohomology of that complex is the
-bigraded weight cohomology with compact support in bidegree (a, b); the
-b = 0 row recovers the reduced cohomology of the dual boundary complex
-shifted by one, which is the central cross-check of this package
-(computed here along a code path fully independent of the simplicial
-one).
+level's group, and the differential into it as one IntMatrix written
+a stratum's rows at a time.  The degree-a cohomology of that complex is
+the bigraded weight cohomology with compact support in bidegree (a, b);
+the b = 0 row recovers the reduced cohomology of the dual boundary
+complex shifted by one, which is the central cross-check of this
+package (cli's nerve-identity suite compares it with the simplicial
+path of dual, which this module does not import).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from types import MappingProxyType
 from .abgroup import FgAbGroup, FpAbPresentation
 from .builders import affine_space_snc
 from .chain import CochainComplex, cohomology
-from .dual import nerve, reduced_cohomology
 from .intmat import IntMatrix
 from .reports import Report, _Record
 from .sncdata import MAX_COUNT, ProductTooLargeError, SncDatum, StratumData
@@ -33,7 +32,6 @@ __all__ = [
     "BigradedTable",
     "weight_complex",
     "weight_cohomology_table",
-    "check_nerve_identity",
     "product_snc",
     "FreeTensorError",
     "a1_stability_check",
@@ -97,7 +95,8 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     Y_I is the stored degree-b map times (-1)^(j-1), where i_j is the
     j-th smallest element of I, and a missing map is an implied zero that
     writes no block.  One pass over s.levels builds each group and the
-    differential into it.
+    differential into it: each stratum's rows are one band of
+    IntMatrix.from_bands, its stored restrictions the band's sources.
 
     s must be valid, and then the result is a complex: each restriction
     is well defined, and the commuting squares make d after d vanish.
@@ -105,7 +104,7 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     groups, diffs = [], []
     offsets: dict = {}  # subset of the level before -> its first generator
     for level in s.levels:
-        parts, at, blocks = [], {}, []
+        parts, at, bands = [], {}, []
         row0 = 0
         for I, coh in level:
             part = coh.get(b, _ZERO)
@@ -113,15 +112,16 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
             at[I] = row0
             if part.generators:
                 restrictions = s.strata[I].restrictions
+                sources = []
                 for j, i in enumerate(I):
                     stored = restrictions.get(i, {}).get(b)
                     if stored is not None:
-                        col0 = offsets[I[:j] + I[j + 1:]]
-                        blocks.append((row0, col0, stored, 1, True, -1 if j % 2 else 1))
+                        sources.append((offsets[I[:j] + I[j + 1:]], stored, -1 if j % 2 else 1))
+                bands.append((part.generators, sources))
             row0 += part.generators
         group = FpAbPresentation.direct_sum(parts)
         if groups:
-            diffs.append(IntMatrix.from_blocks(row0, groups[-1].generators, blocks))
+            diffs.append(IntMatrix.from_bands(groups[-1].generators, bands))
         groups.append(group)
         offsets = at
     return CochainComplex(0, tuple(groups), tuple(diffs))
@@ -141,33 +141,6 @@ def weight_cohomology_table(s: SncDatum) -> BigradedTable:
                 entries[(a, b)] = g
         object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
     return s._table
-
-
-def check_nerve_identity(s: SncDatum) -> Report:
-    """Reduced nerve cohomology in degree a-1 must equal the table entry (a, 0).
-
-    Both sides are computed along independent code paths: the left from
-    the simplicial faces of the nerve, the right from the signed strata
-    restriction matrices.
-    """
-    table = weight_cohomology_table(s)
-    nerve_h = reduced_cohomology(nerve(s))
-    top = max(
-        [s.dim + 1]
-        + [a for (a, b) in table.entries if b == 0]
-        + [deg + 1 for deg in nerve_h]
-    )
-    details = []
-    passed = True
-    for a in range(0, top + 1):
-        lhs = nerve_h.get(a - 1, FgAbGroup.zero())
-        rhs = table.entry(a, 0)
-        ok = lhs == rhs
-        passed = passed and ok
-        details.append(
-            f"{'ok' if ok else 'MISMATCH'} a={a}: nerve H~{a - 1} = {lhs}, table ({a},0) = {rhs}"
-        )
-    return Report("nerve-identity", passed, tuple(details))
 
 
 def _require_relation_free(s: SncDatum, who: str) -> None:

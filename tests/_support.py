@@ -216,13 +216,16 @@ def oracle_in_span(m: IntMatrix, span: IntMatrix) -> bool:
 
 
 def check_smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """Assert what the package reads of smith_diagonal(a), and return it.
+    """Assert what the package reads of smith_diagonal(a), and return the diagonal.
 
     The diagonal is positive and forms a divisibility chain; its length
     is the rank, and its entries > 1 are the Bezout oracle's invariant
-    factors.
+    factors.  The rows cleared are nonzero rows of a, at most one per
+    unit of the diagonal.
     """
-    got = smith_diagonal(a)
+    got, cleared = smith_diagonal(a)
+    assert all(0 <= i < a.rows and any(a.row(i)) for i in cleared)
+    assert len(cleared) <= got.count(1)
     assert all(x > 0 for x in got)
     assert all(y % x == 0 for x, y in zip(got, got[1:]))
     free, torsion = oracle_canonical_form(a.rows, a.to_rows())

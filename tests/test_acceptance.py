@@ -16,6 +16,7 @@ from sncweight.builders import (
     torus_snc,
 )
 from sncweight.chain import verify_complex
+from sncweight.cli import _nerve_identity_report as check_nerve_identity
 from sncweight.dual import (
     STATUS_CONTRACTIBLE,
     edge_path_presentation,
@@ -26,7 +27,6 @@ from sncweight.dual import (
 )
 from sncweight.weight import (
     a1_stability_check,
-    check_nerve_identity,
     degeneration_check,
     euler_check,
     product_snc,

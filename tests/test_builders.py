@@ -169,7 +169,8 @@ def test_builder_betti_matches_degeneration():
 
 
 def test_all_builders_pass_every_check():
-    from sncweight.weight import check_nerve_identity, euler_check
+    from sncweight.cli import _nerve_identity_report as check_nerve_identity
+    from sncweight.weight import euler_check
 
     for name in example_names():
         s = parse_builder(name)

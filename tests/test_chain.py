@@ -13,8 +13,10 @@ from _support import (
     check_record,
     curve_chain_datum,
     oracle_cochain_cohomology,
+    oracle_kernel_basis,
     random_presented_complex,
     random_unimodular,
+    rational_rank,
 )
 
 F = FpAbPresentation.free
@@ -129,6 +131,66 @@ def test_free_cohomology_agrees_with_oracle_and_presented_path():
     assert {2, 4, 6} <= seen_torsion
 
 
+def random_clearing_complex(rng):
+    """A free complex Z^n0 --d0--> Z^n1 --d1--> Z^n2 with d1 * d0 = 0.
+
+    d0 = A * B through an inner dimension at most min(n0, n1), so it is
+    often rank-deficient.  A's entries are mostly 2, 3 and -2, so the unit
+    phase on d0 often leaves a core whose Euclid steps make units again.
+    The rows of d1 are random combinations of a basis of the left kernel
+    of d0, which the oracle finds by Bezout column moves.
+    """
+    n0, n1 = rng.randint(1, 6), rng.randint(2, 8)
+    inner = rng.randint(1, min(n0, n1))
+    a = M([[rng.choice((0, 0, 2, 3, -2, 1)) for _ in range(inner)] for _ in range(n1)])
+    b = M([[rng.choice((0, 1, -1, 2)) for _ in range(n0)] for _ in range(inner)])
+    d0 = a * b
+    basis = oracle_kernel_basis([list(col) for col in zip(*d0.to_rows())], n1)
+    d1 = IntMatrix.from_rows([[sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(n1)]
+                              for coeffs in ([rng.choice((0, 1, -1, 2, 3)) for _ in basis]
+                                             for _ in range(rng.randint(1, 6)))], n1)
+    return CochainComplex(0, (F(n0), F(n1), F(d1.rows)), (d0, d1))
+
+
+def test_cleared_columns_agree_with_bezout_oracle():
+    # Each total differential skips the columns at the rows that the one
+    # before it cleared in its unit phase before its first Euclid step.
+    # Here a deferred column of d0 often regains a unit in the core phase:
+    # that unit pivot is not covered by the clearing rule and is not passed
+    # on.  Each complex is also checked presented with a relation in every
+    # degree, whose total differentials carry the relations.
+    import sys
+
+    from sncweight import intmat
+
+    late_units = []
+
+    def on_return(frame, event, arg):
+        # units counts every unit pivot, cleared only those before the core.
+        if event == "return" and frame.f_code is intmat.smith_diagonal.__code__:
+            late_units.append(frame.f_locals["units"] - len(frame.f_locals["cleared"]))
+
+    rng = random.Random(20261020)
+    late = deficient = 0
+    for _ in range(300):
+        c = random_clearing_complex(rng)
+        late_units.clear()
+        sys.setprofile(on_return)
+        try:
+            got = cohomology(c)
+        finally:
+            sys.setprofile(None)
+        late += any(late_units)
+        dims = [g.generators for g in c.groups]
+        deltas = [d.to_rows() for d in c.differentials]
+        deficient += rational_rank(deltas[0]) < min(dims[:2])
+        assert {a: (g.free_rank, g.torsion) for a, g in got.items()} == \
+            oracle_cochain_cohomology(dims, deltas)
+        presented = with_extra_generators(c, rng)
+        assert cohomology(presented) == got
+    assert late > 100 and deficient > 100, (late, deficient)
+
+
 def test_presented_cohomology_agrees_with_closed_forms():
     # The total-complex rule against the per-piece closed forms.  The
     # corpus has dependent relation columns, and composites that vanish
@@ -143,8 +205,8 @@ def test_presented_cohomology_agrees_with_closed_forms():
         relations_next += sum(not g.is_relation_free for g in c.groups[1:])
         # Each group stores an injective basis; the matrices it was drawn
         # from are the ones with dependent columns.
-        assert all(len(smith_diagonal(g.relations)) == g.relations.cols for g in c.groups)
-        dependent += sum(len(smith_diagonal(r)) < r.cols for r in drawn)
+        assert all(len(smith_diagonal(g.relations)[0]) == g.relations.cols for g in c.groups)
+        dependent += sum(len(smith_diagonal(r)[0]) < r.cols for r in drawn)
         nonzero_composite += sum(not (e * d).is_zero
                                  for d, e in zip(c.differentials, c.differentials[1:]))
         for g in expected.values():
@@ -202,33 +264,44 @@ def test_each_matrix_is_reduced_once(monkeypatch):
     # On a datum shaped like a chain of curves whose H^1 carry relations,
     # every total differential is reduced once, its diagonal serving both
     # its own degree and the next: a complex of k groups has the k + 1
-    # total differentials D_(first-1) .. D_last.
+    # total differentials D_(first-1) .. D_last.  D_(first-1) skips no
+    # column, and each later D skips exactly the rows that the one before
+    # it cleared.
     from sncweight import intmat, weight
     from sncweight.weight import weight_cohomology_table
 
     reduced, complexes = [], []
     real_diagonal, real_cohomology = chain.smith_diagonal, chain.cohomology
 
-    def recording(a):
-        reduced.append(a)
-        return real_diagonal(a)
+    def recording(a, skip=frozenset()):
+        result = real_diagonal(a, skip)
+        reduced.append((a, skip, result[1]))
+        return result
 
     def counting(c):
-        complexes.append(c)
+        complexes.append((c, len(reduced)))
         return real_cohomology(c)
 
     monkeypatch.setattr(chain, "smith_diagonal", recording)
     monkeypatch.setattr(weight, "cohomology", counting)
     datum = curve_chain_datum(random.Random(5), 30, 6, 12)
     table = weight_cohomology_table(datum)
-    assert complexes and len(reduced) == sum(len(c.groups) + 1 for c in complexes)
+    assert complexes and len(reduced) == sum(len(c.groups) + 1 for c, _ in complexes)
+    skipped = 0
+    for c, first in complexes:
+        runs = reduced[first:first + len(c.groups) + 1]
+        assert runs[0][1] == frozenset()
+        for (_, _, cleared), (_, skip, _) in zip(runs, runs[1:]):
+            assert skip == cleared
+            skipped += len(skip)
+    assert skipped
     assert table.entry(1, 1) == FgAbGroup.free(108)
     # D_0 = [d_0 | relations] is 180 x 72, and leaves a far smaller
     # unit-free core: with no budget, the core's refusal gives its shape.
-    largest = max(reduced, key=lambda a: a.rows * a.cols)
+    largest, skip, _ = max(reduced, key=lambda r: r[0].rows * r[0].cols)
     assert largest.shape == (180, 72)
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 0)
     with pytest.raises(intmat.DenseWorkTooLargeError) as refused:
-        real_diagonal(largest)
+        real_diagonal(largest, skip)
     rows, cols = map(int, re.match(r"a (\d+)x(\d+) ", str(refused.value)).groups())
     assert 0 < rows * cols < 180 * 72 // 2

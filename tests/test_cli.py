@@ -1457,8 +1457,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # Start-up cost: cli imports at module level only what main maps, and
     # each handler imports the layers it runs.  A raw complex needs neither
     # the datum builders nor the weight complexes, and neither dual on a
-    # builder nor examples builds a weight complex.  Only cli imports inside
-    # a function; every library module imports at its top.
+    # builder nor examples builds a weight complex.  compute and the suites
+    # other than prop1 and all build no nerve, so they load no dual.  Only
+    # cli imports inside a function; every library module imports at its top.
     import ast
     import os
     import subprocess
@@ -1487,6 +1488,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "cli", "sncdata", "abgroup", "intmat", "reports", "chain", "dual"}
     assert "weight" not in layers_loaded_by("dual", "--builder", "torus:2")
     assert "weight" not in layers_loaded_by("examples")
+    assert "dual" not in layers_loaded_by("compute", "--builder", "torus:2")
+    assert "dual" not in layers_loaded_by("check", "--builder", "torus:2", "d2")
+    assert "dual" in layers_loaded_by("check", "--builder", "torus:2", "prop1")
     for path in sorted((src / "sncweight").glob("*.py")):
         if path.stem == "cli":
             continue
@@ -1523,6 +1527,29 @@ def test_output_that_stdout_cannot_take_exit_2():
                               stderr=subprocess.PIPE, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (
         2, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
+def test_help_that_stdout_cannot_take_exits_2():
+    # argparse's own writer drops an OSError, so the parser writes and
+    # flushes --help itself: a full device gives one error line and exit 2,
+    # and a help text that is written still exits 0.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["--help"], ["compute", "--help"]):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "sncweight.cli", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write output: [Errno 28] No space left on device\n"), argv
+        done = subprocess.run([sys.executable, "-m", "sncweight.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert done.stdout.startswith("usage: sncweight"), argv
 
 
 def test_validity_is_decided_at_the_command_line_boundary():

@@ -12,7 +12,8 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import verify_complex
+from sncweight.chain import _total_differential, cohomology, verify_complex
+from sncweight.cli import _nerve_identity_report as check_nerve_identity
 from sncweight.dual import (
     ContractibilityReport,
     STATUS_CONTRACTIBLE,
@@ -28,7 +29,6 @@ from sncweight.weight import (
     BigradedTable,
     FreeTensorError,
     a1_stability_check,
-    check_nerve_identity,
     degeneration_check,
     euler_check,
     product_snc,
@@ -41,6 +41,7 @@ from _support import (
     BUILDER_SPECS,
     check_record,
     contractibility,
+    curve_chain_datum,
     crosscap_surface,
     disjoint_fibres_json,
     genus_two_surface,
@@ -207,6 +208,46 @@ def test_weight_complex_spans_the_levels_that_exist():
     assert len(s.graded_degrees()) == 51
     for b in s.graded_degrees():
         assert len(weight_complex(s, b).groups) == 2
+
+
+def _differentials_from_blocks(s, b):
+    """weight_complex's differentials in degree b, written block by block with from_blocks."""
+    diffs, offsets, width = [], {}, 0
+    for k, level in enumerate(s.levels):
+        at, blocks, height = {}, [], 0
+        for I, coh in level:
+            at[I] = height
+            generators = coh.get(b, FpAbPresentation.zero()).generators
+            if generators:
+                for j, i in enumerate(I):
+                    stored = s.strata[I].restrictions.get(i, {}).get(b)
+                    if stored is not None:
+                        blocks.append((height, offsets[I[:j] + I[j + 1:]], stored, 1, True,
+                                       -1 if j % 2 else 1))
+            height += generators
+        if k:
+            diffs.append(IntMatrix.from_blocks(height, width, blocks))
+        offsets, width = at, height
+    return tuple(diffs)
+
+
+def test_band_writer_agrees_with_the_block_writer():
+    # weight_complex writes each stratum's rows as one band; the same
+    # differentials written one restriction block at a time must agree, in
+    # every degree of torus:0-5, every curve and affine builder, products,
+    # and random data, relation-carrying ones included.
+    corpus = [torus_snc(n) for n in range(6)] + [torsion_datum()]
+    corpus += [parse_builder(spec) for spec in BUILDER_SPECS if not spec.startswith("torus")]
+    for x, y in _random_pairs(97, 4) + [(parse_builder("curve:1,2"), torus_snc(2)),
+                                        (affine_space_snc(2), parse_builder("curve:2,1"))]:
+        corpus += [x, y, product_snc(x, y), product_snc(y, x)]
+    written = 0
+    for s in corpus:
+        for b in s.graded_degrees():
+            diffs = weight_complex(s, b).differentials
+            assert diffs == _differentials_from_blocks(s, b), b
+            written += sum(not d.is_zero for d in diffs)
+    assert written > 100, written
 
 
 def test_product_rejects_torsion():
@@ -431,6 +472,58 @@ def test_sparse_restriction_into_presented_groups_answers():
             rank = rank_mod_p(s.strata[(1,)].restrictions[1][1], 2)
             assert h0 == FgAbGroup.free(n)
             assert h1 == FgAbGroup(0, (2,) * (n - rank))
+
+
+def _universal_coefficient_mismatches(c, primes):
+    """The degrees where mod-p ranks of c's free total complex contradict cohomology(c).
+
+    For the free total complex T of c (c itself when c is free) and a prime
+    p, dim H^a(T (x) F_p) = n_a - rank_p D_a - rank_p D_(a-1) must equal
+    rank H^a + #{factors of H^a divisible by p} + #{factors of H^(a+1)
+    divisible by p}.  The ranks mod p come from tests/_support.rank_mod_p,
+    which never calls smith_diagonal.  Also returns how many torsion
+    factors p divided.
+    """
+    h = cohomology(c)
+    degrees = range(c.min_degree - 1, c.min_degree + len(c.groups))
+    d = {a: _total_differential(c, a) for a in degrees}
+    mismatches, divided = [], 0
+
+    def divisible(a, p):
+        return sum(t % p == 0 for t in h.get(a, FgAbGroup.zero()).torsion)
+
+    for p in primes:
+        rank = {a: rank_mod_p(m, p) for a, m in d.items()}
+        for a in degrees:
+            left = d[a].cols - rank[a] - rank.get(a - 1, 0)
+            right = h.get(a, FgAbGroup.zero()).free_rank + divisible(a, p) + divisible(a + 1, p)
+            if left != right:
+                mismatches.append((p, a, left, right))
+            divided += divisible(a, p)
+    return mismatches, divided
+
+
+def test_universal_coefficients_agree_with_the_mod_p_ranks():
+    # An independent path for every degree: the weight complexes of torus:6
+    # and of the curve builders, and the total complexes of a seeded chain
+    # of curves whose H^1 carry relations, at p = 2, 3 and 1 000 003.
+    import time
+
+    start = time.process_time()
+    primes = (2, 3, 1_000_003)
+    data = [torus_snc(6)] + [parse_builder(spec) for spec in BUILDER_SPECS
+                             if spec.startswith("curve")]
+    # Their (1, 1) entries are Z^18 x Z/2 x Z/6 and Z/2 x Z/4 x Z/12 x Z/24.
+    data += [curve_chain_datum(random.Random(1), 12, 4, 6),
+             curve_chain_datum(random.Random(6), 8, 2, 1)]
+    divided = 0
+    for s in data:
+        for b in s.graded_degrees():
+            mismatches, count = _universal_coefficient_mismatches(weight_complex(s, b), primes)
+            assert mismatches == [], (b, mismatches)
+            divided += count
+    assert divided > 0
+    assert time.process_time() - start < 5
 
 
 def test_torus3_binomial_ranks():
