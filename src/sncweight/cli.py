@@ -6,12 +6,16 @@ cannot take.  Commands raise refusals as typed exceptions, and main
 alone maps them to exit codes.  Output is deterministic for a fixed
 input and flag set: fixed orderings everywhere and no timestamps.
 
-Data enter the program only here, so only here is a datum validated; the
-library takes a valid datum as a precondition.
+Data enter the program only here, so only here is a datum validated, by
+datafile.validate; the library takes a valid datum as a precondition.
+The check suites are in checks.
 
 At module level this imports only what main needs to map refusals; each
 handler imports the layers it runs, so a command loads no module it
-never calls: dual --complex loads neither builders nor weight.
+never calls: dual --complex loads neither builders nor weight, compute
+and dual on a builder load neither datafile nor checks, and on a file
+they load no builders.  No module imports this one: run as `python -m
+sncweight.cli`, it is __main__, and an import would compile it again.
 """
 
 import argparse
@@ -93,22 +97,28 @@ class ValidationFailed(Exception):
 
 
 def _load_datum(args):
-    """The SncDatum of --builder or of the input file, and its identifier."""
-    from . import builders
+    """The SncDatum of --builder or of the input file, and its identifier.
 
+    Each source imports its own module: a builder loads no file format,
+    and a file loads no builder family.
+    """
     if args.builder and args.input:
         raise UsageError("give either an input file or --builder, not both")
     if args.builder:
+        from . import builders
+
         return builders.parse_builder(args.builder), args.builder
     if args.input:
-        return builders.from_json(args.input), args.input
+        from . import datafile
+
+        return datafile.from_json(args.input), args.input
     raise UsageError("no input: give a JSON file or --builder")
 
 
 def _check_valid(datum) -> None:
-    from .sncdata import validate
+    from . import datafile
 
-    rep = validate(datum)
+    rep = datafile.validate(datum)
     if not rep.passed:
         raise ValidationFailed(rep.render())
 
@@ -286,112 +296,19 @@ def _parse_hc(text: str) -> dict[int, int]:
     return out
 
 
-def _d2_report(datum):
-    """verify_complex on the program's own weight complex of a valid datum, in each degree b.
+def _nerve_cohomology(datum):
+    """Reduced cohomology of the datum's nerve, for the nerve-identity suite.
 
-    Validation has checked the restrictions and squares they are built
-    from, so a failure here is a fault in weight_complex, not in the datum.
+    dual is imported here, so a check that runs no nerve-identity suite
+    loads no dual.
     """
-    from . import weight
-    from .chain import verify_complex
-    from .reports import Report
+    from . import dual
 
-    problems = []
-    # Fewer than three levels leave no pair of differentials to compose, and
-    # validate has checked that each restriction is well defined.
-    if len(datum.levels) > 2:
-        for b in datum.graded_degrees():
-            report = verify_complex(weight.weight_complex(datum, b))
-            problems += [f"b={b}, {detail}" for detail in report.details]
-    return Report("d2", not problems, tuple(problems))
-
-
-def _nerve_identity_report(datum):
-    """Reduced nerve cohomology in degree a-1 must equal the table entry (a, 0).
-
-    Both sides are computed along independent code paths: the left from
-    the simplicial faces of the nerve, the right from the signed strata
-    restriction matrices.
-    """
-    from . import dual, weight
-    from .abgroup import FgAbGroup
-    from .reports import Report
-
-    table = weight.weight_cohomology_table(datum)
-    nerve_h = dual.reduced_cohomology(dual.nerve(datum))
-    top = max(
-        [datum.dim + 1]
-        + [a for (a, b) in table.entries if b == 0]
-        + [deg + 1 for deg in nerve_h]
-    )
-    details = []
-    passed = True
-    for a in range(0, top + 1):
-        lhs = nerve_h.get(a - 1, FgAbGroup.zero())
-        rhs = table.entry(a, 0)
-        ok = lhs == rhs
-        passed = passed and ok
-        details.append(
-            f"{'ok' if ok else 'MISMATCH'} a={a}: nerve H~{a - 1} = {lhs}, table ({a},0) = {rhs}"
-        )
-    return Report("nerve-identity", passed, tuple(details))
-
-
-def _needs_free(name: str, thunk):
-    """thunk's report; a suite whose products need free cohomology passes as not applicable."""
-    from . import weight
-    from .reports import Report
-
-    try:
-        return thunk()
-    except weight.FreeTensorError as e:
-        return Report(name, True, (f"not applicable: {e}",))
-
-
-def _product_consistency(datum):
-    from . import builders, weight
-    from .reports import Report
-
-    table = weight.weight_cohomology_table(datum)
-    point_table = weight.weight_cohomology_table(
-        weight.product_snc(datum, builders.point_snc()))
-    square = weight.weight_cohomology_table(weight.product_snc(datum, datum))
-    expected_square = weight.tensor_table(table, table)
-    problems = []
-    if not point_table.entries_equal(table):
-        problems.append("product with a point changed the table")
-    if not square.entries_equal(expected_square):
-        problems.append("table of the self-product differs from the table tensor square")
-    return Report("product-consistency", not problems, tuple(problems))
-
-
-def _run_checks(datum, which: str, expected_hc: dict[int, int] | None) -> list:
-    from . import weight
-    from .reports import Report
-
-    reports = []
-    if which in ("all", "d2"):
-        reports.append(_d2_report(datum))
-    if which in ("all", "prop1"):
-        reports.append(_nerve_identity_report(datum))
-    if which in ("all", "euler"):
-        reports.append(weight.euler_check(datum))
-    if which in ("all", "stability"):
-        reports.append(_needs_free("affine-line-stability",
-                                   lambda: weight.a1_stability_check(datum)))
-    if which in ("all", "degeneration"):
-        if expected_hc is None:
-            reports.append(Report("degeneration", True,
-                                  ("skipped: no expected Betti numbers available",)))
-        else:
-            reports.append(weight.degeneration_check(datum, expected_hc))
-    if which in ("all", "product-consistency"):
-        reports.append(_needs_free("product-consistency", lambda: _product_consistency(datum)))
-    return reports
+    return dual.reduced_cohomology(dual.nerve(datum))
 
 
 def cmd_check(args) -> int:
-    from . import builders
+    from . import builders, checks
 
     # With --builder the single positional is the suite name.
     if args.builder and args.input and args.which == "all":
@@ -413,21 +330,21 @@ def cmd_check(args) -> int:
     # validates a builder's datum too: it never takes validity on trust.
     _check_valid(datum)
     with _exact_output():
-        checks = _run_checks(datum, args.which, expected_hc)
+        reports = checks.run_checks(datum, args.which, expected_hc, _nerve_cohomology)
     if args.json:
         obj = {
             "input": identifier,
             "checks": [
                 {"name": r.name, "passed": r.passed, "details": list(r.details)}
-                for r in checks
+                for r in reports
             ],
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(f"input: {identifier}")
-        for r in checks:
+        for r in reports:
             print(r.summary() if r.passed else r.render())
-    return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
 def _rp2_json() -> str:
@@ -439,14 +356,14 @@ def _rp2_json() -> str:
 
 
 def cmd_examples(args) -> int:
-    from . import builders
+    from . import builders, datafile
 
     names = builders.example_names()
     if args.dir and args.name:
         raise UsageError("give either a dataset name or --dir, not both")
     if args.dir:
         files = [(name.replace(":", "_").replace(",", "_") + ".json",
-                  builders.to_json(builders.parse_builder(name))) for name in names]
+                  datafile.to_json(builders.parse_builder(name))) for name in names]
         files.append(("rp2_complex.json", _rp2_json() + "\n"))
         try:
             os.makedirs(args.dir, exist_ok=True)
@@ -466,7 +383,7 @@ def cmd_examples(args) -> int:
     if args.name == "rp2":
         print(_rp2_json())
         return EXIT_OK
-    print(builders.to_json(builders.parse_builder(args.name)), end="")
+    print(datafile.to_json(builders.parse_builder(args.name)), end="")
     return EXIT_OK
 
 

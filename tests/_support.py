@@ -16,6 +16,7 @@ import pytest
 
 from sncweight.abgroup import FgAbGroup, FpAbPresentation
 from sncweight.builders import point_snc, punctured_curve_snc
+from sncweight.checks import _nerve_identity_report, product_snc
 from sncweight.dual import (
     GroupPresentation,
     contractibility_report,
@@ -28,7 +29,11 @@ from sncweight.dual import (
 from sncweight.chain import CochainComplex
 from sncweight.intmat import IntMatrix, smith_diagonal
 from sncweight.sncdata import SncDatum, StratumData
-from sncweight.weight import product_snc
+
+
+def check_nerve_identity(s: SncDatum):
+    """The nerve-identity suite on s, with the nerve's cohomology from dual as check runs it."""
+    return _nerve_identity_report(s, lambda datum: reduced_cohomology(nerve(datum)))
 
 
 # Every builder family at small sizes.  Builders and products are valid by

@@ -16,7 +16,13 @@ from sncweight.builders import (
     torus_snc,
 )
 from sncweight.chain import verify_complex
-from sncweight.cli import _nerve_identity_report as check_nerve_identity
+from sncweight.checks import (
+    a1_stability_check,
+    degeneration_check,
+    euler_check,
+    product_snc,
+    tensor_table,
+)
 from sncweight.dual import (
     STATUS_CONTRACTIBLE,
     edge_path_presentation,
@@ -25,16 +31,10 @@ from sncweight.dual import (
     reduced_cohomology,
     simplify_presentation,
 )
-from sncweight.weight import (
-    a1_stability_check,
-    degeneration_check,
-    euler_check,
-    product_snc,
-    tensor_table,
-    weight_cohomology_table,
-)
+from sncweight.weight import weight_cohomology_table
 
 from _support import (
+    check_nerve_identity,
     check_smith_diagonal,
     contractibility,
     oracle_canonical_form,
@@ -84,7 +84,7 @@ def test_criterion_2_nerve_identity_suite():
 
 
 def test_criterion_3_d_squared_suite():
-    from sncweight.sncdata import validate
+    from sncweight.datafile import validate
     from sncweight.weight import weight_complex
 
     failures = []

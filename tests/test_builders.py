@@ -8,22 +8,20 @@ from sncweight.builders import (
     DatumParseError,
     affine_space_snc,
     builder_betti,
-    datum_from_dict,
-    datum_to_dict,
     example_names,
-    from_json,
     parse_builder,
     point_snc,
     projective_space_cohomology,
     punctured_curve_snc,
-    to_json,
     torus_snc,
 )
+from sncweight.checks import degeneration_check, product_snc
+from sncweight.datafile import datum_from_dict, datum_to_dict, from_json, to_json, validate
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import SncDatum, StratumData, validate
-from sncweight.weight import degeneration_check, product_snc, weight_cohomology_table
+from sncweight.sncdata import SncDatum, StratumData
+from sncweight.weight import weight_cohomology_table
 
-from _support import BUILDER_SPECS
+from _support import BUILDER_SPECS, check_nerve_identity
 
 
 def torsion_datum():
@@ -169,8 +167,7 @@ def test_builder_betti_matches_degeneration():
 
 
 def test_all_builders_pass_every_check():
-    from sncweight.cli import _nerve_identity_report as check_nerve_identity
-    from sncweight.weight import euler_check
+    from sncweight.checks import euler_check
 
     for name in example_names():
         s = parse_builder(name)

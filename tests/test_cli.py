@@ -3,8 +3,9 @@ import json
 import pytest
 
 from sncweight.abgroup import FpAbPresentation
-from sncweight.builders import affine_space_snc, parse_builder, to_json, torus_snc
+from sncweight.builders import affine_space_snc, parse_builder, torus_snc
 from sncweight.cli import CHECK_SUITES, main
+from sncweight.datafile import to_json
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import MAX_COUNT, SncDatum, StratumData
 
@@ -539,6 +540,10 @@ def test_bench_tracer_hooks_exist(capsys, tmp_path):
     assert traced == plain
     assert [code for code, _ in plain] == [0, 0, 0, 0]
     assert tracer.counts["chain.cohomology.calls"] > 0
+    # Every span is filed under one of the tracer's layers: a module outside
+    # them whose function a layer holds at module level would raise KeyError
+    # here, as it would in a traced bench run.
+    assert set(tracer.module_self_time()) == set(tracing.LAYERS)
 
 
 def test_complex_faces_are_bounded_exit_2(capsys, tmp_path):
@@ -980,16 +985,16 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
 def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_path):
     # validate, the one entry point, runs the structure checks exactly once
     # per call; seen records the datum of each validation.
-    import sncweight.sncdata as sncdata
+    import sncweight.datafile as datafile
 
     seen = []
-    structure = sncdata._check_structure
+    structure = datafile._check_structure
 
     def counted(s):
         seen.append(s)
         return structure(s)
 
-    monkeypatch.setattr(sncdata, "_check_structure", counted)
+    monkeypatch.setattr(datafile, "_check_structure", counted)
     # Builders and products are valid by construction: compute and dual on a
     # builder validate nothing (torus:5 used to validate its four nested
     # products).
@@ -1236,7 +1241,7 @@ def test_examples_listing_and_roundtrip(capsys):
     assert "torus:2" in out and "rp2" in out
     code, emitted, _ = run(capsys, "examples", "affine:2")
     assert code == 0
-    from sncweight.builders import datum_from_dict
+    from sncweight.datafile import datum_from_dict
 
     assert datum_from_dict(json.loads(emitted)) == affine_space_snc(2)
     code, emitted, _ = run(capsys, "examples", "rp2")
@@ -1276,7 +1281,7 @@ def test_examples_directory(capsys, tmp_path):
     assert code == 0
     files = sorted(p.name for p in out_dir.iterdir())
     assert "torus_2.json" in files and "rp2_complex.json" in files
-    from sncweight.builders import from_json
+    from sncweight.datafile import from_json
 
     assert from_json(out_dir / "torus_2.json") == torus_snc(2)
 
@@ -1458,9 +1463,13 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # each handler imports the layers it runs.  A raw complex needs neither
     # the datum builders nor the weight complexes, and neither dual on a
     # builder nor examples builds a weight complex.  compute and the suites
-    # other than prop1 and all build no nerve, so they load no dual.  Only
-    # cli imports inside a function; every library module imports at its top.
+    # other than prop1 and all build no nerve, so they load no dual.  The
+    # datum file format loads only where a datum crosses the program's
+    # boundary (a file, check, examples), and the check suites only for
+    # check.  Only cli imports inside a function; every library module
+    # imports at its top.
     import ast
+    import functools
     import os
     import subprocess
     import sys
@@ -1470,7 +1479,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     rp2 = tmp_path / "rp2_complex.json"
     rp2.write_text(json.dumps(surface_json(rp2_triangles())))
+    datum = tmp_path / "torus2.json"
+    datum.write_text(to_json(torus_snc(2)))
+    package = {path.stem for path in (src / "sncweight").glob("*.py")} - {"__init__"}
 
+    @functools.cache
     def layers_loaded_by(*argv):
         script = ("import contextlib, io, sys\n"
                   "from sncweight.cli import main\n"
@@ -1491,6 +1504,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert "dual" not in layers_loaded_by("compute", "--builder", "torus:2")
     assert "dual" not in layers_loaded_by("check", "--builder", "torus:2", "d2")
     assert "dual" in layers_loaded_by("check", "--builder", "torus:2", "prop1")
+    assert package - layers_loaded_by("compute", "--builder", "torus:2") == {
+        "datafile", "checks", "dual"}
+    assert package - layers_loaded_by("dual", "--builder", "torus:2") == {
+        "datafile", "checks", "weight"}
+    assert package - layers_loaded_by("compute", str(datum)) == {"builders", "checks", "dual"}
+    assert package - layers_loaded_by("dual", str(datum)) == {"builders", "checks", "weight"}
+    d2 = layers_loaded_by("check", "--builder", "torus:2", "d2")
+    assert {"checks", "datafile"} <= d2 and package - d2 == {"dual"}
+    examples = layers_loaded_by("examples")
+    assert "datafile" in examples and not examples & {"weight", "checks"}
     for path in sorted((src / "sncweight").glob("*.py")):
         if path.stem == "cli":
             continue
@@ -1498,6 +1521,33 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not [node for node in ast.walk(func)
                             if isinstance(node, (ast.Import, ast.ImportFrom))], (path.name, func.name)
+
+
+def test_no_module_imports_the_command_line():
+    # Run as `python -m sncweight.cli`, cli is __main__: a module that
+    # imported sncweight.cli would compile and run it a second time.  So
+    # code that raises a UsageError stays in cli.
+    import ast
+    from pathlib import Path
+
+    def imports_cli(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name == "sncweight.cli" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "sncweight"):
+                return any(alias.name == "cli" for alias in node.names)
+            return module in (".cli", "sncweight.cli")
+        return False
+
+    assert imports_cli(ast.parse("import sncweight.cli").body[0])
+    assert imports_cli(ast.parse("from .cli import main").body[0])
+    importers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sncweight").glob("*.py")):
+        importers += [(path.name, ast.unparse(node))
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if imports_cli(node)]
+    assert importers == []
 
 
 def test_output_that_stdout_cannot_take_exit_2():
@@ -1553,7 +1603,7 @@ def test_help_that_stdout_cannot_take_exits_2():
 
 
 def test_validity_is_decided_at_the_command_line_boundary():
-    # Outside sncdata, only cli calls validate: the library takes a valid
+    # Outside datafile, only cli calls validate: the library takes a valid
     # datum as a precondition and never re-asks.  The machinery that let it
     # re-ask, and the cached structure tier beside validate, are gone from
     # the package.
@@ -1572,7 +1622,7 @@ def test_validity_is_decided_at_the_command_line_boundary():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "validate":
                     callers.add(path.stem)
-    assert callers - {"sncdata"} == {"cli"}
+    assert callers - {"datafile"} == {"cli"}
 
 
 def test_exit_codes_are_decided_in_main_alone():
@@ -1624,7 +1674,6 @@ def test_exit_codes_are_decided_in_main_alone():
     assert written[-2:] == ["print(f'error: cannot write output: {e}', file=sys.stderr)",
                             "return EXIT_PARSE_ERROR"]
     assert {(where, kind) for where, kinds in handlers.items() for kind in kinds} == {
-        ("_needs_free", "weight.FreeTensorError"),
         ("_print_dual_report", "dual.DisconnectedComplexError"),
         ("_parse_hc", "DatumParseError"),
         ("cmd_examples", "OSError"),
@@ -1632,6 +1681,16 @@ def test_exit_codes_are_decided_in_main_alone():
     for where, kind in (("_parse_hc", "DatumParseError"), ("cmd_examples", "OSError")):
         (statement,) = handlers[where][kind]
         assert statement.startswith("raise UsageError("), (where, statement)
+    # The check suites catch one exception, which gives a result, and
+    # write nothing to stderr.
+    checks = ast.parse((path.parent / "checks.py").read_text(encoding="utf-8"))
+    caught = set()
+    for func in checks.body:
+        for node in ast.walk(func):
+            assert not (isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr")
+            if isinstance(node, ast.ExceptHandler):
+                caught.add((getattr(func, "name", None), ast.unparse(node.type)))
+    assert caught == {("_needs_free", "FreeTensorError")}
 
 
 def test_matrix_layout_is_known_only_to_intmat():
@@ -1745,7 +1804,7 @@ def test_files_are_read_by_one_reader():
 
 
 def test_compute_csv_with_torsion(capsys, tmp_path):
-    from sncweight.builders import to_json
+    from sncweight.datafile import to_json
     from sncweight.abgroup import FpAbPresentation
     from sncweight.intmat import IntMatrix
     from sncweight.sncdata import SncDatum, StratumData

@@ -17,7 +17,8 @@ import sys
 import time
 
 import sncweight
-from sncweight.builders import datum_to_dict, torus_snc
+from sncweight.builders import torus_snc
+from sncweight.datafile import datum_to_dict
 from sncweight.cli import main
 
 ALLOWED: dict[str, str] = {}

@@ -3,15 +3,17 @@ from collections import Counter
 
 import pytest
 
-import sncweight.sncdata as sncdata
+import sncweight.datafile as datafile
 
 from sncweight.reports import Report
 
 from sncweight.abgroup import FpAbPresentation
 from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
+from sncweight.checks import product_snc
+from sncweight.datafile import validate
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import SncDatum, StratumData, validate
-from sncweight.weight import product_snc, weight_complex
+from sncweight.sncdata import SncDatum, StratumData
+from sncweight.weight import weight_complex
 
 from _support import check_record, random_valid_datum
 
@@ -308,10 +310,10 @@ def test_datum_copies_its_input():
 def _count_tiers(monkeypatch) -> Counter:
     calls = Counter()
     for name in ("_check_structure", "_square_problems"):
-        def counted(s, _name=name, _inner=getattr(sncdata, name)):
+        def counted(s, _name=name, _inner=getattr(datafile, name)):
             calls[_name] += 1
             return _inner(s)
-        monkeypatch.setattr(sncdata, name, counted)
+        monkeypatch.setattr(datafile, name, counted)
     return calls
 
 

@@ -5,15 +5,21 @@ import pytest
 from sncweight.abgroup import FgAbGroup, FpAbPresentation
 from sncweight.builders import (
     affine_space_snc,
-    datum_from_dict,
-    datum_to_dict,
     parse_builder,
     point_snc,
     punctured_curve_snc,
     torus_snc,
 )
 from sncweight.chain import _total_differential, cohomology, verify_complex
-from sncweight.cli import _nerve_identity_report as check_nerve_identity
+from sncweight.checks import (
+    FreeTensorError,
+    a1_stability_check,
+    degeneration_check,
+    euler_check,
+    product_snc,
+    tensor_table,
+)
+from sncweight.datafile import datum_from_dict, datum_to_dict, validate
 from sncweight.dual import (
     ContractibilityReport,
     STATUS_CONTRACTIBLE,
@@ -24,21 +30,12 @@ from sncweight.dual import (
     reduced_cohomology,
 )
 from sncweight.intmat import IntMatrix
-from sncweight.sncdata import ProductTooLargeError, SncDatum, StratumData, validate
-from sncweight.weight import (
-    BigradedTable,
-    FreeTensorError,
-    a1_stability_check,
-    degeneration_check,
-    euler_check,
-    product_snc,
-    tensor_table,
-    weight_cohomology_table,
-    weight_complex,
-)
+from sncweight.sncdata import ProductTooLargeError, SncDatum, StratumData
+from sncweight.weight import BigradedTable, weight_cohomology_table, weight_complex
 
 from _support import (
     BUILDER_SPECS,
+    check_nerve_identity,
     check_record,
     contractibility,
     curve_chain_datum,
@@ -138,7 +135,7 @@ def test_product_json_is_pinned_in_both_orders():
     # Every stratum, degree and restriction block of both legs, byte for byte.
     import hashlib
 
-    from sncweight.builders import to_json
+    from sncweight.datafile import to_json
 
     curve, plane = punctured_curve_snc(1, 2), affine_space_snc(2)
     digests = [hashlib.sha256(to_json(product_snc(x, y)).encode()).hexdigest()
@@ -154,7 +151,7 @@ def test_torus_json_is_pinned():
     # every size the bench runs; test_builders ties torus:n to the product.
     import hashlib
 
-    from sncweight.builders import to_json
+    from sncweight.datafile import to_json
 
     digests = {n: hashlib.sha256(to_json(torus_snc(n)).encode()).hexdigest()
                for n in (3, 4, 5, 6)}
@@ -177,7 +174,7 @@ def test_product_matches_the_dense_reference():
     # genus >= 1, H^2 of the codimension-1 strata of torus:3), so that
     # R (x) I_n and I_m (x) R are written with n > 1 and m > 1, and a
     # surface whose two boundary curves do not meet.  Both orders.
-    from sncweight.builders import to_json
+    from sncweight.datafile import to_json
 
     wide = [parse_builder(spec) for spec in ("curve:1,2", "curve:2,1", "affine:2", "torus:3")]
     wide.append(datum_from_dict(disjoint_fibres_json()))
@@ -412,7 +409,7 @@ def enriques_like_datum():
 
 def test_presented_middle_groups_in_the_table():
     s = enriques_like_datum()
-    from sncweight.sncdata import validate
+    from sncweight.datafile import validate
 
     assert validate(s).passed
     table = weight_cohomology_table(s)
