@@ -3,7 +3,8 @@
 A matrix keeps one dict of nonzero entries per row, so building,
 multiplying, stacking and comparing cost the nonzeros, not rows x cols;
 every block matrix, stacking included, is written by from_blocks, or
-by from_bands when it is made of bands of rows.
+by from_bands when it is made of bands of rows (only a band of several
+sources can write an entry twice, so only such a band is checked).
 Every matrix entry in this package is a Python int: the constructors
 refuse any value whose type is not exactly int, bools and floats alike.
 So all arithmetic is arbitrary precision: normal-form pivoting can blow
@@ -12,14 +13,16 @@ torsion coefficients.
 
 smith_diagonal is one elimination on a copy of the sparse rows, and
 tracks no transform.  Its unit phase eliminates the +-1 entries in an
-order fixed up front; on the unit-free core that is left, Euclid steps
-pivot on an entry of minimal absolute value (first such entry in (row,
-column) order), which keeps intermediate entries small at the sizes
-used here and makes every reduction reproducible.  Before the first
-Euclid step it refuses a core whose work estimate rows x cols x
-min(rows, cols) is over MAX_DENSE_WORK.  The pivots it records form a
-diagonal form, and invariant_factors turns them into the divisibility
-chain by gcd/lcm exchanges.
+order fixed up front, and a unit pivot alone in its row updates no
+entry: it only takes its column out of the other rows.  On the
+unit-free core that is left, Euclid steps pivot on an entry of minimal
+absolute value (first such entry in (row, column) order), which keeps
+intermediate entries small at the sizes used here and makes every
+reduction reproducible.  Before the first Euclid step it refuses a
+core whose work estimate rows x cols x min(rows, cols) is over
+MAX_DENSE_WORK.  The pivots it records form a diagonal form, and
+invariant_factors turns them into the divisibility chain by gcd/lcm
+exchanges.
 
 smith_diagonal also reports the rows its unit phase pivoted on before
 the first Euclid step, and takes a set of columns to leave out.  That
@@ -188,9 +191,11 @@ class IntMatrix:
         sign), sign 1 or -1, is a matrix of that height placed with its
         first column at col0 and multiplied by sign.  A source that does
         not fit raises IndexError, and an entry that two sources write
-        raises ValueError.  Each row of a band is built as one dict from
-        its sources' rows, so a band costs the rows and nonzeros it
-        writes, and no row of a source is changed.
+        raises ValueError, naming the band's first row.  Each row of a
+        band is built as one dict from its sources' rows, so a band costs
+        the rows and nonzeros it writes, and no row of a source is
+        changed.  Only a band with several sources is checked for
+        overlap, by comparing each row's length with its sources'.
 
         >>> r = IntMatrix.from_rows([[1, 2]])
         >>> IntMatrix.from_bands(3, [(1, [(0, r, 1)]), (1, [(1, r, -1)])])
@@ -199,22 +204,24 @@ class IntMatrix:
         _check_shape(0, cols)
         out = []
         for height, sources in bands:
-            written = 0
             for col0, r, sign in sources:
                 if not (r.rows == height and col0 >= 0 and col0 + r.cols <= cols):
                     raise IndexError(f"a {r.rows}x{r.cols} source at column {col0} does not "
                                      f"fit in a band of height {height} and {cols} columns")
-                written += sum(map(len, r._rows))
             if not sources:
                 out += [_EMPTY_ROW] * height
+            elif len(sources) == 1:
+                # A lone source cannot write an entry twice.
+                ((col0, r, sign),) = sources
+                out += [{col0 + j: sign * e for j, e in row.items()} for row in r._rows]
             else:
-                shifts = [(col0, sign) for col0, _, sign in sources]
-                band = [{col0 + j: sign * e
-                         for (col0, sign), row in zip(shifts, rows) for j, e in row.items()}
-                        for rows in zip(*[r._rows for _, r, _ in sources])]
-                if sum(map(len, band)) != written:
-                    raise ValueError(f"two sources write an entry in the band at row {len(out)}")
-                out += band
+                top = len(out)
+                for rows in zip(*[r._rows for _, r, _ in sources]):
+                    row = {col0 + j: sign * e
+                           for (col0, _, sign), part in zip(sources, rows) for j, e in part.items()}
+                    if len(row) != sum(map(len, rows)):
+                        raise ValueError(f"two sources write an entry in the band at row {top}")
+                    out.append(row)
         return cls._wrap(len(out), cols, tuple(out))
 
     @classmethod
@@ -368,22 +375,25 @@ def smith_diagonal(
     row operation rewrites a core row, so a unit regained after it does
     not make the next matrix's column redundant.
 
-    One elimination on a copy of the rows.  Its unit phase takes the
-    columns from a first-in first-out queue, sorted once by (initial
-    nonzero count, index).  A popped column's pivot is its +-1 entry in
-    the currently shortest row, ties going to the lowest row; a column
-    with no unit entry is deferred.  When the queue first runs dry, the
-    rows and columns that still hold an entry are the unit-free core,
-    and a core of r rows and c columns with r x c x min(r, c) over
-    MAX_DENSE_WORK raises DenseWorkTooLargeError.  From then on, while
-    the queue is dry, each Euclid step pivots on an entry of least
-    absolute value, the first in (row, column) order, and clears its
-    column by floor-quotient row operations, then its row by column
-    operations; a pivot left alone in its row and column is recorded.
-    An update that sets an entry of a deferred column to +-1 puts that
-    column back on the end of the queue, so no unit is ever a Euclid
-    pivot.  Each unit pivot is an invariant factor 1, and the recorded
-    pivots are a diagonal form of the rest (see invariant_factors).
+    One elimination on a copy of the rows, the skipped columns dropped as
+    they are copied.  Its unit phase takes the columns from a first-in
+    first-out queue, sorted once by (initial nonzero count, index).  A
+    popped column's pivot is its +-1 entry in the currently shortest
+    row, ties going to the lowest row, found in one pass over the
+    column; a pivot alone in its row only takes its column's entry off
+    the other rows.  A column with no unit entry is deferred.  When the
+    queue first runs dry, the rows and columns that still hold an entry
+    are the unit-free core, and a core of r rows and c columns with
+    r x c x min(r, c) over MAX_DENSE_WORK raises DenseWorkTooLargeError.
+    From then on, while the queue is dry, each Euclid step pivots on an
+    entry of least absolute value, the first in (row, column) order, and
+    clears its column by floor-quotient row operations, then its row by
+    column operations; a pivot left alone in its row and column is
+    recorded.  An update that sets an entry of a deferred column to +-1
+    puts that column back on the end of the queue, so no unit is ever a
+    Euclid pivot.  Each unit pivot is an invariant factor 1, and the
+    recorded pivots are a diagonal form of the rest (see
+    invariant_factors).
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
     ((2, 4), frozenset())
@@ -397,18 +407,22 @@ def smith_diagonal(
     >>> smith_diagonal(IntMatrix.zeros(0, 3))
     ((), frozenset())
     """
-    rows = {i: dict(row) for i, row in enumerate(a._rows) if row}
+    rows = {}
+    for i, row in enumerate(a._rows):
+        row = (row.copy() if skip.isdisjoint(row)
+               else {j: e for j, e in row.items() if j not in skip})
+        if row:
+            rows[i] = row
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
-    for j in skip:
-        for i in cols.pop(j, ()):
-            row = rows[i]
-            del row[j]
-            if not row:
-                del rows[i]
-    queue = deque(sorted(cols, key=lambda j: (len(cols[j]), j)))
+            members = cols.get(j)
+            if members is None:
+                cols[j] = {i}
+            else:
+                members.add(i)
+    # Sorted by index, then stably by count: (count, index) order.
+    queue = deque(sorted(sorted(cols), key=lambda j: len(cols[j])))
     deferred = set()
 
     def subtract(i, f, vec):
@@ -436,17 +450,33 @@ def smith_diagonal(
     while rows:
         if queue:
             q = queue.popleft()
-            candidates = [(len(rows[i]), i) for i in cols[q] if rows[i][q] in (1, -1)]
-            if not candidates:
+            p = None  # the unit of column q in the shortest row, ties to the lowest
+            for i in cols[q]:
+                row = rows[i]
+                e = row[q]
+                if e == 1 or e == -1:
+                    n = len(row)
+                    if p is None or n < shortest or (n == shortest and i < p):
+                        p, shortest = i, n
+            if p is None:
                 deferred.add(q)
                 continue
-            _, p = min(candidates)
             prow = rows.pop(p)
-            for j in prow:
-                cols[j].discard(p)
             pivot = prow.pop(q)
-            for i in cols.pop(q):
-                subtract(i, rows[i].pop(q) * pivot, prow)
+            others = cols.pop(q)
+            others.discard(p)
+            if prow:
+                for j in prow:
+                    cols[j].discard(p)
+                for i in others:
+                    subtract(i, rows[i].pop(q) * pivot, prow)
+            else:
+                # A pivot alone in its row only takes column q off the others.
+                for i in others:
+                    row = rows[i]
+                    del row[q]
+                    if not row:
+                        del rows[i]
             units += 1
             if not checked:
                 cleared.append(p)

@@ -37,8 +37,6 @@ __all__ = [
     "weight_cohomology_table",
 ]
 
-_ZERO = FpAbPresentation.zero()
-
 
 class BigradedTable(_Record):
     """(a, b) -> group, nonzero entries only; zero outside 0 <= a <= dim.
@@ -104,17 +102,20 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
         parts, at, bands = [], {}, []
         row0 = 0
         for I, coh in level:
-            part = coh.get(b, _ZERO)
-            parts.append(part)
             at[I] = row0
-            if part.generators:
-                restrictions = s.strata[I].restrictions
-                sources = []
-                for j, i in enumerate(I):
-                    stored = restrictions.get(i, {}).get(b)
-                    if stored is not None:
-                        sources.append((offsets[I[:j] + I[j + 1:]], stored, -1 if j % 2 else 1))
-                bands.append((part.generators, sources))
+            part = coh.get(b)
+            if part is None or not part.generators:
+                continue  # a zero group adds no generators and no rows
+            parts.append(part)
+            restrictions = s.strata[I].restrictions
+            sources, sign = [], 1
+            for j, i in enumerate(I):
+                maps = restrictions.get(i)
+                stored = None if maps is None else maps.get(b)
+                if stored is not None:
+                    sources.append((offsets[I[:j] + I[j + 1:]], stored, sign))
+                sign = -sign
+            bands.append((part.generators, sources))
             row0 += part.generators
         group = FpAbPresentation.direct_sum(parts)
         if groups:

@@ -7,6 +7,7 @@ first nonzero pivot instead of the minimal one.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -161,9 +162,12 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     Each row is reduced by the pivot rows of its leading column until it
     vanishes or leads in a new column; its entries stay below p.
     """
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, e in m.nonzeros():
+        if e % p:
+            rows.setdefault(i, {})[j] = e % p
     pivots: dict[int, dict[int, int]] = {}  # leading column -> monic reduced row
-    for i in range(m.rows):
-        row = {j: e % p for j, e in enumerate(m.row(i)) if e % p}
+    for row in rows.values():
         while row:
             top = max(row)
             pivot = pivots.get(top)
@@ -220,16 +224,54 @@ def oracle_in_span(m: IntMatrix, span: IntMatrix) -> bool:
     return oracle_canonical_form(m.rows, rows) == oracle_canonical_form(m.rows, joined)
 
 
+def unit_phase_pivot_rows(a: IntMatrix) -> set[int]:
+    """The rows of a that smith_diagonal's documented unit phase pivots on.
+
+    A plain transcription of the rule, on dense rows: the columns are
+    queued by (nonzero count, index); a popped column's pivot is its +-1
+    entry in the shortest row, ties to the lowest row, and it is cleared
+    out of the other rows; a column without a unit is deferred, and goes
+    back on the end of the queue when an update makes one of its entries
+    +-1.  It stops when the queue first runs dry or no row is left.
+    """
+    rows = {i: list(a.row(i)) for i in range(a.rows) if any(a.row(i))}
+    count = [sum(1 for row in rows.values() if row[j]) for j in range(a.cols)]
+    queue = deque(sorted((j for j in range(a.cols) if count[j]), key=lambda j: (count[j], j)))
+    deferred, pivot_rows = set(), set()
+    while queue and rows:
+        q = queue.popleft()
+        units = [(sum(map(bool, row)), i) for i, row in rows.items() if row[q] in (1, -1)]
+        if not units:
+            deferred.add(q)
+            continue
+        p = min(units)[1]
+        pivot_rows.add(p)
+        prow = rows.pop(p)
+        for i, row in sorted(rows.items()):
+            f = row[q] * prow[q]
+            if f:
+                for j, e in enumerate(prow):
+                    if not e:
+                        continue
+                    row[j] -= f * e
+                    if row[j] in (1, -1) and j in deferred:
+                        deferred.discard(j)
+                        queue.append(j)
+                if not any(row):
+                    del rows[i]
+    return pivot_rows
+
+
 def check_smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """Assert what the package reads of smith_diagonal(a), and return the diagonal.
 
     The diagonal is positive and forms a divisibility chain; its length
     is the rank, and its entries > 1 are the Bezout oracle's invariant
-    factors.  The rows cleared are nonzero rows of a, at most one per
-    unit of the diagonal.
+    factors.  The rows cleared are the pivot rows of the documented unit
+    phase (unit_phase_pivot_rows), at most one per unit of the diagonal.
     """
     got, cleared = smith_diagonal(a)
-    assert all(0 <= i < a.rows and any(a.row(i)) for i in cleared)
+    assert cleared == unit_phase_pivot_rows(a)
     assert len(cleared) <= got.count(1)
     assert all(x > 0 for x in got)
     assert all(y % x == 0 for x, y in zip(got, got[1:]))

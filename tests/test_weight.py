@@ -502,14 +502,15 @@ def _universal_coefficient_mismatches(c, primes):
 
 def test_universal_coefficients_agree_with_the_mod_p_ranks():
     # An independent path for every degree: the weight complexes of torus:6
-    # and of the curve builders, and the total complexes of a seeded chain
-    # of curves whose H^1 carry relations, at p = 2, 3 and 1 000 003.
+    # to torus:8 (the largest builder input, 3^8 strata) and of the curve
+    # builders, and the total complexes of a seeded chain of curves whose
+    # H^1 carry relations, at p = 2, 3 and 1 000 003.
     import time
 
     start = time.process_time()
     primes = (2, 3, 1_000_003)
-    data = [torus_snc(6)] + [parse_builder(spec) for spec in BUILDER_SPECS
-                             if spec.startswith("curve")]
+    data = [torus_snc(n) for n in (6, 7, 8)] + [parse_builder(spec) for spec in BUILDER_SPECS
+                                                if spec.startswith("curve")]
     # Their (1, 1) entries are Z^18 x Z/2 x Z/6 and Z/2 x Z/4 x Z/12 x Z/24.
     data += [curve_chain_datum(random.Random(1), 12, 4, 6),
              curve_chain_datum(random.Random(6), 8, 2, 1)]
