@@ -264,8 +264,8 @@ def euler_check(s: SncDatum) -> Report:
 def _d2_report(datum: SncDatum) -> Report:
     """verify_complex on the program's own weight complex of a valid datum, in each degree b.
 
-    Validation has checked the restrictions and squares they are built
-    from, so a failure here is a fault in weight_complex, not in the datum.
+    validate has read the squares off the blocks of these complexes' d
+    after d, so a failure here is a fault of the program, not the datum.
     """
     problems = []
     # Fewer than three levels leave no pair of differentials to compose, and

@@ -7,15 +7,16 @@ alone maps them to exit codes.  Output is deterministic for a fixed
 input and flag set: fixed orderings everywhere and no timestamps.
 
 Data enter the program only here, so only here is a datum validated, by
-datafile.validate; the library takes a valid datum as a precondition.
+weight.validate; the library takes a valid datum as a precondition.
 The check suites are in checks.
 
 At module level this imports only what main needs to map refusals; each
 handler imports the layers it runs, so a command loads no module it
 never calls: dual --complex loads neither builders nor weight, compute
 and dual on a builder load neither datafile nor checks, and on a file
-they load no builders.  No module imports this one: run as `python -m
-sncweight.cli`, it is __main__, and an import would compile it again.
+they load no builders (dual loads weight, to validate).  No module
+imports this one: run as `python -m sncweight.cli`, it is __main__, and
+an import would compile it again.
 """
 
 import argparse
@@ -116,9 +117,9 @@ def _load_datum(args):
 
 
 def _check_valid(datum) -> None:
-    from . import datafile
+    from . import weight
 
-    rep = datafile.validate(datum)
+    rep = weight.validate(datum)
     if not rep.passed:
         raise ValidationFailed(rep.render())
 

@@ -10,7 +10,7 @@ cohomology degrees mean zero groups; restriction matrices into or out of
 a zero group may be omitted and are implied zero.
 
 A datum is validated once, in full, where it enters from outside, by
-datafile.validate; every other function of the package takes a valid
+weight.validate; every other function of the package takes a valid
 datum as a precondition and does not check it.  A datum is read-only
 once built: its mappings are copied into read-only views.
 
@@ -123,7 +123,7 @@ class SncDatum(_Record):
     """A compactification datum; see the module docstring.
 
     Constructing one checks only its subset keys.  Whether it is valid is
-    decided by datafile.validate, which the command line runs where a
+    decided by weight.validate, which the command line runs where a
     datum enters; the functions that compute on a datum require a valid
     one.
     """

@@ -15,24 +15,34 @@ complex shifted by one, which is the central cross-check of this
 package (checks' nerve-identity suite compares it with the simplicial
 path of dual, which this module does not import).
 
-This module holds only what compute runs.  Products of data and the
-check suites that build them are in checks, and the builders are not
-imported here: compute on a file loads no builder family.
+validate checks a datum in full where it enters the program; every
+other function takes a valid datum and does not check it.  A datum's
+commuting squares are what makes its weight complexes complexes, so
+validate checks them on the blocks of d after d, here, where the
+layout of a level's rows by stratum is known.
+
+This module holds only what compute and validation run: products of
+data and the check suites are in checks, and no builder is imported.
+Functions of other modules are called through their module, so that a
+wrapper set on a module attribute sees the calls made here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import combinations
 from types import MappingProxyType
 
+from . import abgroup
 from .abgroup import FgAbGroup, FpAbPresentation
 from .chain import CochainComplex, cohomology
 from .intmat import IntMatrix
-from .reports import _Record
-from .sncdata import SncDatum
+from .reports import Report, _Record
+from .sncdata import SncDatum, SubsetKey
 
 __all__ = [
     "BigradedTable",
+    "validate",
     "weight_complex",
     "weight_cohomology_table",
 ]
@@ -95,6 +105,8 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
 
     s must be valid, and then the result is a complex: each restriction
     is well defined, and the commuting squares make d after d vanish.
+    validate builds these complexes to check the squares on their blocks:
+    shapes that pass its structure checks are all that building needs.
     """
     groups, diffs = [], []
     offsets: dict = {}  # subset of the level before -> its first generator
@@ -139,3 +151,156 @@ def weight_cohomology_table(s: SncDatum) -> BigradedTable:
                 entries[(a, b)] = g
         object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
     return s._table
+
+
+# ---------------------------------------------------------------------------
+# Validation
+
+
+def _fmt(I: SubsetKey) -> str:
+    return "{" + ",".join(str(i) for i in I) + "}"
+
+
+def validate(s: SncDatum) -> Report:
+    """Check every invariant; the report enumerates violations.
+
+    The commuting squares are checked only when the shapes admit them.
+    The command line validates a datum once, where it enters the program.
+    """
+    problems, shapes_ok = _check_structure(s)
+    if shapes_ok:
+        problems += _block_problems(s)
+    return Report("validate", not problems, tuple(problems))
+
+
+def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
+    """Every problem but the squares, and whether the shapes admit the square checks."""
+    problems: list[str] = []
+    n = s.n_components
+
+    if () not in s.strata:
+        problems.append("the empty subset (the total space) is missing")
+
+    for I in s.nonempty_subsets():
+        if any(i < 1 or i > n for i in I):
+            problems.append(f"subset {_fmt(I)} uses component indices outside 1..{n}")
+            continue
+        if not I:
+            continue
+        for J in combinations(I, len(I) - 1):
+            if not s.is_nonempty(J):
+                problems.append(
+                    f"downward closure: Y_{_fmt(I)} is nonempty but Y_{_fmt(J)} is empty"
+                )
+
+    for I in s.nonempty_subsets():
+        stratum = s.strata[I]
+        bound = 2 * (s.dim - len(I))
+        h0 = stratum.cohomology.get(0)
+        if h0 is None or abgroup.canonical_form(h0) != FgAbGroup.free(1):
+            problems.append(f"stratum {_fmt(I)}: degree-0 cohomology is " + (
+                "absent (an empty stratum is left out of the file)" if h0 is None else "not Z"))
+        for b, p in stratum.cohomology.items():
+            if b < 0:
+                problems.append(f"stratum {_fmt(I)}: negative cohomology degree {b}")
+            elif b > bound and not abgroup.canonical_form(p).is_zero:
+                problems.append(
+                    f"stratum {_fmt(I)}: nonzero cohomology in degree {b} above bound {bound}"
+                )
+
+        for i, per_degree in stratum.restrictions.items():
+            if i not in I:
+                problems.append(f"stratum {_fmt(I)}: restriction keyed by {i} not in the subset")
+                continue
+            J = _drop(I, i)
+            for b, mat in per_degree.items():
+                target = s.cohomology_of(I, b)
+                source = s.cohomology_of(J, b)
+                if mat.shape != (target.generators, source.generators):
+                    problems.append(
+                        f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
+                        f"has shape {mat.shape}, expected "
+                        f"({target.generators}, {source.generators})"
+                    )
+
+    # The remaining checks need consistent shapes, so skip them if broken.
+    if problems:
+        return problems, False
+
+    for I in s.nonempty_subsets():
+        stratum = s.strata[I]
+        for i in I:
+            J = _drop(I, i)
+            stored_maps = stratum.restrictions.get(i, {})
+            for b in sorted(set(s.strata[J].cohomology) | set(stratum.cohomology)):
+                source, target = s.cohomology_of(J, b), s.cohomology_of(I, b)
+                stored = stored_maps.get(b)
+                if stored is None:
+                    # Only a map into or out of a zero group may be left out, and
+                    # its implied zero is well defined.
+                    if source.generators and target.generators:
+                        problems.append(
+                            f"stratum {_fmt(I)}: missing restriction matrix from {_fmt(J)} "
+                            f"in degree {b}"
+                        )
+                    continue
+                if not abgroup.is_well_defined(stored, source, target):
+                    problems.append(
+                        f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
+                        "is not well defined on the presentations"
+                    )
+
+    return problems, True
+
+
+def _block_problems(s: SncDatum) -> list[str]:
+    """The squares whose two paths differ, read off the blocks of d after d.
+
+    In degree b, the block of d_(k-1) * d_(k-2) from Y_J into Y_I is zero
+    unless I = J + {i, j}, i < j, and then it is +-(via_i - via_j), where
+    via_i is the path J -> I minus i -> I of stored maps: weight_complex
+    gives the two paths opposite signs.  A nonzero block fails unless
+    the target carries relations whose span holds it.  Each complex is
+    built, read and dropped in turn, which bounds the memory, and the
+    failures are listed by subset, then pair, then degree.
+    """
+    if len(s.levels) < 3:
+        return []
+    found = []
+    for b in s.graded_degrees():
+        diffs = weight_complex(s, b).differentials
+        owners = [_row_owners(level, b) for level in s.levels]
+        for k in range(2, len(owners)):
+            rows, cols = owners[k], owners[k - 2]
+            blocks: dict = {}
+            for r, c, e in (diffs[k - 1] * diffs[k - 2]).nonzeros():
+                (I, r0), (J, c0) = rows[r], cols[c]
+                blocks.setdefault((I, J), []).append((r - r0, c - c0, e))
+            for (I, J), entries in blocks.items():
+                target = s.strata[I].cohomology[b]
+                if not target.is_relation_free:
+                    width = s.strata[J].cohomology[b].generators
+                    block = [[0] * width for _ in range(target.generators)]
+                    for r, c, e in entries:
+                        block[r][c] = e
+                    if abgroup.in_span(IntMatrix.from_rows(block), target):
+                        continue
+                i, j = (x for x in I if x not in J)
+                found.append(((k, I, i, j, b), (
+                    f"commuting squares: paths {_fmt(J)} -> {_fmt(_drop(I, i))} -> {_fmt(I)} "
+                    f"and {_fmt(J)} -> {_fmt(_drop(I, j))} -> {_fmt(I)} differ in degree {b}")))
+    return [message for _, message in sorted(found)]
+
+
+def _row_owners(level, b: int) -> list[tuple[SubsetKey, int]]:
+    """(I, the first row of Y_I) for each row of a level's degree-b group, in weight_complex's order."""
+    owners: list[tuple[SubsetKey, int]] = []
+    for I, coh in level:
+        part = coh.get(b)
+        if part is not None:
+            owners += [(I, len(owners))] * part.generators
+    return owners
+
+
+def _drop(I: SubsetKey, i: int) -> SubsetKey:
+    return tuple(x for x in I if x != i)

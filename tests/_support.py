@@ -224,6 +224,47 @@ def oracle_in_span(m: IntMatrix, span: IntMatrix) -> bool:
     return oracle_canonical_form(m.rows, rows) == oracle_canonical_form(m.rows, joined)
 
 
+def _fmt(I: tuple[int, ...]) -> str:
+    return "{" + ",".join(str(i) for i in I) + "}"
+
+
+def oracle_square_problems(s: SncDatum) -> list[str]:
+    """The commuting squares whose two paths differ, one square at a time.
+
+    The per-square loop that validate used before it read the squares
+    off d after d: for each subset I, each pair i < j in I and each degree
+    b, the paths J -> I minus i -> I and J -> I minus j -> I are plain
+    products of the stored maps, a missing map giving the zero matrix of
+    the square's shape, and they agree when their difference lies in the
+    target's relation span, decided here by oracle_in_span.  s must pass
+    validate's structure checks.
+    """
+    def path(outer, inner, shape):
+        return IntMatrix.zeros(*shape) if outer is None or inner is None else outer * inner
+
+    problems = []
+    for I in s.nonempty_subsets():
+        stratum = s.strata[I]
+        for i, j in combinations(I, 2):
+            Ii = tuple(x for x in I if x != i)
+            Ij = tuple(x for x in I if x != j)
+            J = tuple(x for x in I if x != i and x != j)
+            source_coh = s.strata[J].cohomology
+            outer_i, outer_j = stratum.restrictions.get(i, {}), stratum.restrictions.get(j, {})
+            inner_i, inner_j = s.strata[Ii].restrictions.get(j, {}), s.strata[Ij].restrictions.get(i, {})
+            for b in sorted(source_coh.keys() & stratum.cohomology.keys()):
+                target = stratum.cohomology[b]
+                shape = (target.generators, source_coh[b].generators)
+                via_i = path(outer_i.get(b), inner_i.get(b), shape)
+                via_j = path(outer_j.get(b), inner_j.get(b), shape)
+                if via_i != via_j and not oracle_in_span(via_i - via_j, target.relations):
+                    problems.append(
+                        f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
+                        f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
+                    )
+    return problems
+
+
 def unit_phase_pivot_rows(a: IntMatrix) -> set[int]:
     """The rows of a that smith_diagonal's documented unit phase pivots on.
 

@@ -84,7 +84,7 @@ def test_criterion_2_nerve_identity_suite():
 
 
 def test_criterion_3_d_squared_suite():
-    from sncweight.datafile import validate
+    from sncweight.weight import validate
     from sncweight.weight import weight_complex
 
     failures = []

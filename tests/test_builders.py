@@ -16,10 +16,10 @@ from sncweight.builders import (
     torus_snc,
 )
 from sncweight.checks import degeneration_check, product_snc
-from sncweight.datafile import datum_from_dict, datum_to_dict, from_json, to_json, validate
+from sncweight.datafile import datum_from_dict, datum_to_dict, from_json, to_json
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData
-from sncweight.weight import weight_cohomology_table
+from sncweight.weight import validate, weight_cohomology_table
 
 from _support import BUILDER_SPECS, check_nerve_identity
 

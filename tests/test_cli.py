@@ -958,7 +958,8 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # distinct datums (torus:3 and its products with A^1, a point and itself)
     # used to have its table computed again by every suite that read it.
     # Each product's complex is built once per graded degree b, and the
-    # input's exactly twice: once for its table and once for d2.
+    # input's exactly three times: validate reads its commuting squares off
+    # d after d, then d2 and the table each build it again.
     from collections import Counter
 
     import sncweight.weight as weight
@@ -974,10 +975,10 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
     assert code == 0 and "FAIL" not in out
     assert len(built) == 4
-    # d2 runs first, on the input.
+    # validate and d2 run first, on the input.
     (datum, per_degree), *products = built.values()
     assert datum == torus_snc(3)
-    assert per_degree == Counter(2 * datum.graded_degrees())
+    assert per_degree == Counter(3 * datum.graded_degrees())
     for s, per_degree in products:
         assert per_degree == Counter(s.graded_degrees())
 
@@ -985,16 +986,16 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
 def test_validation_runs_once_at_the_input_boundary(capsys, monkeypatch, tmp_path):
     # validate, the one entry point, runs the structure checks exactly once
     # per call; seen records the datum of each validation.
-    import sncweight.datafile as datafile
+    import sncweight.weight as weight
 
     seen = []
-    structure = datafile._check_structure
+    structure = weight._check_structure
 
     def counted(s):
         seen.append(s)
         return structure(s)
 
-    monkeypatch.setattr(datafile, "_check_structure", counted)
+    monkeypatch.setattr(weight, "_check_structure", counted)
     # Builders and products are valid by construction: compute and dual on a
     # builder validate nothing (torus:5 used to validate its four nested
     # products).
@@ -1152,7 +1153,9 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
     # No valid datum reaches FAIL d2, so break the program instead: negate
     # the first block of d_1 in degree 0, which d_2 after d_1 must see.  The
     # file holds only the degree-0 part of torus:2, where 0 is the only
-    # graded degree.
+    # graded degree.  validate reads the squares off the same complexes, so
+    # the broken program fails it first; with its block check stubbed out,
+    # the datum reaches d2.
     import sncweight.weight as weight
     from sncweight.chain import CochainComplex
 
@@ -1179,6 +1182,10 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
         assert code == 0 and out.splitlines()[1:] == ["PASS d2"], source
         monkeypatch.setattr(weight, "weight_complex", broken)
         code, out, _ = run(capsys, "check", *source, "d2")
+        assert code == 1 and out.startswith("FAIL validate\n  commuting squares: "), source
+        with monkeypatch.context() as stubbed:
+            stubbed.setattr(weight, "_block_problems", lambda datum: [])
+            code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 1, source
         assert out.splitlines()[1:] == [
             "FAIL d2", "  b=0, degree 0: d after d is nonzero"], source
@@ -1465,9 +1472,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # builder nor examples builds a weight complex.  compute and the suites
     # other than prop1 and all build no nerve, so they load no dual.  The
     # datum file format loads only where a datum crosses the program's
-    # boundary (a file, check, examples), and the check suites only for
-    # check.  Only cli imports inside a function; every library module
-    # imports at its top.
+    # boundary as a file (a file read, examples), validation loads weight,
+    # and the check suites load only for check.  Only cli imports inside a
+    # function; every library module imports at its top.
     import ast
     import functools
     import os
@@ -1509,9 +1516,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert package - layers_loaded_by("dual", "--builder", "torus:2") == {
         "datafile", "checks", "weight"}
     assert package - layers_loaded_by("compute", str(datum)) == {"builders", "checks", "dual"}
-    assert package - layers_loaded_by("dual", str(datum)) == {"builders", "checks", "weight"}
+    assert package - layers_loaded_by("dual", str(datum)) == {"builders", "checks"}
     d2 = layers_loaded_by("check", "--builder", "torus:2", "d2")
-    assert {"checks", "datafile"} <= d2 and package - d2 == {"dual"}
+    assert {"checks"} <= d2 and package - d2 == {"datafile", "dual"}
     examples = layers_loaded_by("examples")
     assert "datafile" in examples and not examples & {"weight", "checks"}
     for path in sorted((src / "sncweight").glob("*.py")):
@@ -1603,7 +1610,7 @@ def test_help_that_stdout_cannot_take_exits_2():
 
 
 def test_validity_is_decided_at_the_command_line_boundary():
-    # Outside datafile, only cli calls validate: the library takes a valid
+    # Outside weight, only cli calls validate: the library takes a valid
     # datum as a precondition and never re-asks.  The machinery that let it
     # re-ask, and the cached structure tier beside validate, are gone from
     # the package.
@@ -1622,7 +1629,7 @@ def test_validity_is_decided_at_the_command_line_boundary():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "validate":
                     callers.add(path.stem)
-    assert callers - {"datafile"} == {"cli"}
+    assert callers - {"weight"} == {"cli"}
 
 
 def test_exit_codes_are_decided_in_main_alone():

@@ -3,19 +3,21 @@ from collections import Counter
 
 import pytest
 
-import sncweight.datafile as datafile
+import sncweight.weight as weight
 
 from sncweight.reports import Report
 
 from sncweight.abgroup import FpAbPresentation
-from sncweight.builders import affine_space_snc, point_snc, punctured_curve_snc, torus_snc
+from sncweight.builders import (affine_space_snc, parse_builder, point_snc, punctured_curve_snc,
+                                torus_snc)
 from sncweight.checks import product_snc
-from sncweight.datafile import validate
+from sncweight.datafile import datum_from_dict, datum_to_dict
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import SncDatum, StratumData
-from sncweight.weight import weight_complex
+from sncweight.weight import validate, weight_complex
 
-from _support import check_record, random_valid_datum
+from _support import (BUILDER_SPECS, check_record, curve_chain_datum, oracle_square_problems,
+                      random_valid_datum)
 
 F = FpAbPresentation.free
 ONE = IntMatrix.identity(1)
@@ -154,6 +156,57 @@ def test_validate_ill_defined_restriction():
     rep = validate(s)
     assert not rep.passed
     assert any("not well defined" in d for d in rep.details)
+
+
+def _mutants(rng: random.Random, s: SncDatum) -> list[SncDatum]:
+    """Copies of s with one restriction entry perturbed, one target given a
+    relation that may absorb a perturbation into it, and one restriction deleted."""
+    def stored(obj, least):
+        return [(entry, i, b) for entry in obj["strata"] if len(entry["subset"]) >= least
+                for i, per_degree in sorted(entry["restrictions"].items())
+                for b in sorted(per_degree)]
+
+    out = []
+    for kind in ("perturb", "relation", "delete"):
+        obj = datum_to_dict(s)
+        # A degree-0 relation would fail the structure checks and skip the squares.
+        maps = [m for m in stored(obj, 2 if kind == "relation" else 1)
+                if kind != "relation" or m[2] != "0"]
+        if not maps:
+            continue
+        entry, i, b = rng.choice(maps)
+        if kind == "delete":
+            del entry["restrictions"][i][b]
+            out.append(datum_from_dict(obj))
+            continue
+        rows = entry["restrictions"][i][b]
+        r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[r][c] += rng.choice((-2, -1, 1, 2) if kind == "perturb" else (2, 3, 4, 6))
+        if kind == "relation":
+            coh = entry["cohomology"][b]
+            order = rng.choice((2, 3))
+            coh["relations"].append([order if x == r else 0 for x in range(coh["generators"])])
+        out.append(datum_from_dict(obj))
+    return out
+
+
+def test_validate_agrees_with_the_per_square_oracle():
+    # validate reads the squares off the blocks of d after d; the oracle
+    # compares the two paths of each square on its own.  Their findings
+    # must agree, in order, on valid data and on mutants of them.
+    rng = random.Random(20261020)
+    corpus = [parse_builder(spec) for spec in BUILDER_SPECS]
+    corpus += [random_valid_datum(rng) for _ in range(20)]
+    corpus += [curve_chain_datum(rng, rng.randint(2, 4), rng.randint(1, 3), rng.randint(0, 3))
+               for _ in range(12)]
+    data = [m for s in corpus for m in [s] + _mutants(rng, s)]
+    failing = 0
+    for s in data:
+        problems, shapes_ok = weight._check_structure(s)
+        squares = oracle_square_problems(s) if shapes_ok else []
+        assert validate(s).details == tuple(problems + squares)
+        failing += bool(squares)
+    assert len(data) == 166 and failing == 61, (len(data), failing)
 
 
 def test_strata_level_blocks():
@@ -309,11 +362,11 @@ def test_datum_copies_its_input():
 
 def _count_tiers(monkeypatch) -> Counter:
     calls = Counter()
-    for name in ("_check_structure", "_square_problems"):
-        def counted(s, _name=name, _inner=getattr(datafile, name)):
+    for name in ("_check_structure", "_block_problems"):
+        def counted(s, _name=name, _inner=getattr(weight, name)):
             calls[_name] += 1
             return _inner(s)
-        monkeypatch.setattr(datafile, name, counted)
+        monkeypatch.setattr(weight, name, counted)
     return calls
 
 
@@ -325,7 +378,7 @@ def test_validate_computes_each_tier_once(monkeypatch):
     s = SncDatum(built.dim, built.n_components, built.strata)
     assert s == built
     assert validate(s).passed
-    assert calls == {"_check_structure": 1, "_square_problems": 1}
+    assert calls == {"_check_structure": 1, "_block_problems": 1}
 
 
 def test_validation_caches_nothing_on_the_datum(monkeypatch):
@@ -336,8 +389,24 @@ def test_validation_caches_nothing_on_the_datum(monkeypatch):
     first = validate(s)
     assert first.passed and s._table is None
     assert validate(s) == first
-    assert calls == {"_check_structure": 2, "_square_problems": 2}
+    assert calls == {"_check_structure": 2, "_block_problems": 2}
     assert s._table is None
+
+
+def test_squares_cost_one_product_per_pair_of_differentials(monkeypatch):
+    # The squares are read off d after d: in each graded degree, one product
+    # per pair of consecutive differentials, and no product per square.
+    s = torus_snc(4)
+    products = Counter()
+    real = IntMatrix.__mul__
+
+    def counted(a, b):
+        products["mul"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    assert validate(s).passed
+    assert products["mul"] == sum(len(s.levels) - 2 for _ in s.graded_degrees()) == 15
 
 
 def test_shape_failure_skips_the_squares(monkeypatch):

@@ -19,7 +19,7 @@ from sncweight.checks import (
     product_snc,
     tensor_table,
 )
-from sncweight.datafile import datum_from_dict, datum_to_dict, validate
+from sncweight.datafile import datum_from_dict, datum_to_dict
 from sncweight.dual import (
     ContractibilityReport,
     STATUS_CONTRACTIBLE,
@@ -31,7 +31,7 @@ from sncweight.dual import (
 )
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import ProductTooLargeError, SncDatum, StratumData
-from sncweight.weight import BigradedTable, weight_cohomology_table, weight_complex
+from sncweight.weight import BigradedTable, validate, weight_cohomology_table, weight_complex
 
 from _support import (
     BUILDER_SPECS,
@@ -409,7 +409,6 @@ def enriques_like_datum():
 
 def test_presented_middle_groups_in_the_table():
     s = enriques_like_datum()
-    from sncweight.datafile import validate
 
     assert validate(s).passed
     table = weight_cohomology_table(s)
