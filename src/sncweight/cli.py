@@ -14,12 +14,17 @@ At module level this imports only what main needs to map refusals; each
 handler imports the layers it runs, so a command loads no module it
 never calls: dual --complex loads neither builders nor weight, compute
 and dual on a builder load neither datafile nor checks, and on a file
-they load no builders (dual loads weight, to validate).  No module
-imports this one: run as `python -m sncweight.cli`, it is __main__, and
-an import would compile it again.
+they load no builders (dual loads weight, to validate).  No module of
+the package imports this one: run as `python -m sncweight.cli`, it is
+__main__, and an import would compile it again.  The `sncweight` console
+script is no such import: it runs outside the package, where __main__ is
+the script itself, so it loads this module once, as sncweight.cli.  Both
+ways start in run, which exits with main's code (see run for why it
+freezes the heap first).
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -421,5 +426,21 @@ def main(argv=None) -> int:
         return EXIT_PARSE_ERROR
 
 
+def run() -> None:
+    """Run main as a process and exit with its code: the `sncweight` script and `-m` start here.
+
+    When main returns, its output is written and flushed, and all that is
+    left is the interpreter's shutdown, whose collections would walk every
+    live object a last time.  gc.freeze moves them into the permanent
+    generation, which collections skip; reference counting still frees
+    them, and atexit handlers, the last flush of stdout and stderr, and
+    module teardown all still run.  main itself freezes nothing, as a
+    caller in the same process may still need its cycles collected.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1609,6 +1609,98 @@ def test_help_that_stdout_cannot_take_exits_2():
         assert done.stdout.startswith("usage: sncweight"), argv
 
 
+def test_a_process_exits_with_its_heap_frozen(capsys, tmp_path):
+    # Run as `python -m sncweight.cli`, the program freezes the collector's
+    # heap once main has written its output, so the shutdown collections
+    # have nothing to walk: an atexit hook, which runs after the exit and
+    # before module teardown, finds frozen objects.  Stdout and the exit
+    # code are main's own, on success, a failed check and a refusal.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    datum = tmp_path / "torus2.json"
+    datum.write_text(to_json(torus_snc(2)))
+    for argv in (["compute", "--builder", "torus:2"], ["check", str(datum), "all"],
+                 ["dual", "--builder", "torus:3"],
+                 ["check", "--builder", "torus:1", "degeneration", "--hc", "1:2"],
+                 ["compute", str(tmp_path / "missing.json")]):
+        code, out, err = run(capsys, *argv)
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                  f"sys.argv = ['sncweight', *{argv!r}]\n"
+                  "runpy.run_module('sncweight.cli', run_name='__main__', alter_sys=True)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (code, out), argv
+        before, _, frozen = done.stderr.rpartition("frozen ")
+        assert before == err and int(frozen) > 0, (argv, done.stderr)
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    # main runs in process under the tests and the bench's traced run, where
+    # a frozen heap would keep every cycle made since from being collected.
+    import gc
+
+    state = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["compute", "--builder", "torus:2"], ["check", "--builder", "torus:1", "all"],
+                 ["dual", "--builder", "affine:2"], ["compute", "--builder", "nope:1"]):
+        run(capsys, *argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == state, argv
+
+
+def test_the_console_script_and_python_m_start_in_one_function():
+    # pyproject's [project.scripts] names the function that the __main__
+    # block calls, which exits with main's code once the heap is frozen.
+    # The file is read by hand, as Python 3.10 has no tomllib.
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (script,) = [line for line in section.splitlines() if line.strip()]
+    name, _, target = script.partition("=")
+    module, _, entry = target.strip().strip('"').partition(":")
+    assert (name.strip(), module) == ("sncweight", "sncweight.cli")
+    tree = ast.parse((root / "src" / "sncweight" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)]
+    assert ast.unparse(block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in block.body] == [f"{entry}()"]
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == entry]
+    assert [ast.unparse(node) for node in func.body[1:]] == [
+        "code = main()", "gc.freeze()", "sys.exit(code)"]
+
+
+def test_no_file_is_left_for_the_collector_to_close(capsys, tmp_path):
+    # A process exits with its heap frozen, so a file left open in a
+    # reference cycle would never be collected, and its ResourceWarning
+    # never shown.  In process, a collection after each command finds none.
+    import gc
+    import warnings
+
+    directory = tmp_path / "examples"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(capsys, "examples", "--dir", str(directory))[0] == 0
+        gc.collect()
+        files = sorted(str(path) for path in directory.iterdir())
+        commands = [["dual", "--complex", str(directory / "rp2_complex.json")],
+                    ["compute", str(tmp_path / "missing.json")]]
+        for path in files:
+            if not path.endswith("rp2_complex.json"):
+                commands += [["compute", path], ["check", path, "all"], ["dual", path]]
+        for argv in commands:
+            run(capsys, *argv)
+            gc.collect()
+    assert len(files) == 13
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_validity_is_decided_at_the_command_line_boundary():
     # Outside weight, only cli calls validate: the library takes a valid
     # datum as a precondition and never re-asks.  The machinery that let it

@@ -477,13 +477,13 @@ def _universal_coefficient_mismatches(c, primes):
     p, dim H^a(T (x) F_p) = n_a - rank_p D_a - rank_p D_(a-1) must equal
     rank H^a + #{factors of H^a divisible by p} + #{factors of H^(a+1)
     divisible by p}.  The ranks mod p come from tests/_support.rank_mod_p,
-    which never calls smith_diagonal.  Also returns how many torsion
-    factors p divided.
+    which never calls smith_diagonal.  Also returns, for each (p, a), how
+    many torsion factors of H^a p divided.
     """
     h = cohomology(c)
     degrees = range(c.min_degree - 1, c.min_degree + len(c.groups))
     d = {a: _total_differential(c, a) for a in degrees}
-    mismatches, divided = [], 0
+    mismatches, divided = [], {}
 
     def divisible(a, p):
         return sum(t % p == 0 for t in h.get(a, FgAbGroup.zero()).torsion)
@@ -495,21 +495,24 @@ def _universal_coefficient_mismatches(c, primes):
             right = h.get(a, FgAbGroup.zero()).free_rank + divisible(a, p) + divisible(a + 1, p)
             if left != right:
                 mismatches.append((p, a, left, right))
-            divided += divisible(a, p)
+            divided[p, a] = divisible(a, p)
     return mismatches, divided
 
 
 def test_universal_coefficients_agree_with_the_mod_p_ranks():
     # An independent path for every degree: the weight complexes of torus:6
-    # to torus:8 (the largest builder input, 3^8 strata) and of the curve
-    # builders, and the total complexes of a seeded chain of curves whose
-    # H^1 carry relations, at p = 2, 3 and 1 000 003.
+    # to torus:8 (the largest builder input, 3^8 strata), of the curve
+    # builders and of curve:5000,1, the total complexes of a seeded chain
+    # of curves whose H^1 carry relations, and the b = 0 complexes of three
+    # surfaces' point-strata data, at p = 2, 3, 5, 1 000 003 and
+    # 1 048 583 (the first prime above 2^20).
     import time
 
     start = time.process_time()
-    primes = (2, 3, 1_000_003)
+    primes = (2, 3, 5, 1_000_003, 1_048_583)
     data = [torus_snc(n) for n in (6, 7, 8)] + [parse_builder(spec) for spec in BUILDER_SPECS
                                                 if spec.startswith("curve")]
+    data.append(parse_builder("curve:5000,1"))
     # Their (1, 1) entries are Z^18 x Z/2 x Z/6 and Z/2 x Z/4 x Z/12 x Z/24.
     data += [curve_chain_datum(random.Random(1), 12, 4, 6),
              curve_chain_datum(random.Random(6), 8, 2, 1)]
@@ -518,8 +521,16 @@ def test_universal_coefficients_agree_with_the_mod_p_ranks():
         for b in s.graded_degrees():
             mismatches, count = _universal_coefficient_mismatches(weight_complex(s, b), primes)
             assert mismatches == [], (b, mismatches)
-            divided += count
+            divided += sum(count.values())
     assert divided > 0
+    # The nerves of RP^2 and of three crosscaps carry H~^2 = Z/2, so the
+    # (3, 0) entry of each is Z/2 by geometry, and p = 2 divides it; the
+    # genus-two surface has no torsion.  Their data have b = 0 alone.
+    for facets, torsion in ((rp2_triangles(), {(2, 3): 1}), (crosscap_surface(), {(2, 3): 1}),
+                            (genus_two_surface(), {})):
+        c = weight_complex(point_strata_datum(facets), 0)
+        mismatches, count = _universal_coefficient_mismatches(c, primes)
+        assert mismatches == [] and {key: n for key, n in count.items() if n} == torsion
     assert time.process_time() - start < 5
 
 
