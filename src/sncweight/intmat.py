@@ -2,9 +2,9 @@
 
 A matrix keeps one dict of nonzero entries per row, so building,
 multiplying, stacking and comparing cost the nonzeros, not rows x cols;
-every block matrix, stacking included, is written by from_blocks, or
-by from_bands when it is made of bands of rows (only a band of several
-sources can write an entry twice, so only such a band is checked).
+every block matrix, stacking included, is written by from_blocks, and a
+row that several blocks share is one dict that each of them writes in
+place, so sharing costs no more than the entries written.
 Every matrix entry in this package is a Python int: the constructors
 refuse any value whose type is not exactly int, bools and floats alike.
 So all arithmetic is arbitrary precision: normal-form pivoting can blow
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
-from itertools import chain
 from math import gcd
 
 __all__ = [
@@ -145,8 +144,10 @@ class IntMatrix:
         entry at (row0, col0); a plain block is n = 1.  Blocks may share a row
         when they write disjoint entries.  An entry written twice raises
         ValueError and a block that does not fit raises IndexError.  A
-        block costs the rows and nonzeros it writes: each written row is
-        one fresh dict, every other row is one shared empty row, and no row
+        block costs the rows and nonzeros it writes: the first block to
+        reach a row makes that row's dict, each later one writes its
+        entries into that dict and finds an entry written twice by the
+        dict's length, every other row is one shared empty row, and no row
         of a block is changed.
 
         >>> r = IntMatrix.from_rows([[1, 2]])
@@ -169,60 +170,20 @@ class IntMatrix:
                     at, stride, shift, step = row0 + k * r.rows, 1, col0 + k * r.cols, 1
                 for row in r._rows:
                     if row:
-                        new = ({shift + j * step: sign * e for j, e in row.items()}
-                               if shift or step != 1 or sign != 1 else row.copy())
                         target = out[at]
                         if target is _EMPTY_ROW:
-                            out[at] = new
-                        elif target.keys().isdisjoint(new):
-                            target.update(new)
+                            out[at] = ({shift + j * step: sign * e for j, e in row.items()}
+                                       if shift or step != 1 or sign != 1 else row.copy())
                         else:
-                            raise ValueError(f"two blocks write an entry of row {at}")
+                            # target is this matrix's own dict: write into it,
+                            # and an entry written twice leaves it short.
+                            size = len(target)
+                            for j, e in row.items():
+                                target[shift + j * step] = sign * e
+                            if len(target) != size + len(row):
+                                raise ValueError(f"two blocks write an entry of row {at}")
                     at += stride
         return cls._wrap(rows, cols, tuple(out))
-
-    @classmethod
-    def from_bands(
-        cls, cols: int, bands: Iterable[tuple[int, Sequence[tuple[int, "IntMatrix", int]]]],
-    ) -> "IntMatrix":
-        """The matrix whose rows are the given bands, top to bottom, with cols columns.
-
-        A band (height, sources) is height rows.  Each source (col0, r,
-        sign), sign 1 or -1, is a matrix of that height placed with its
-        first column at col0 and multiplied by sign.  A source that does
-        not fit raises IndexError, and an entry that two sources write
-        raises ValueError, naming the band's first row.  Each row of a
-        band is built as one dict from its sources' rows, so a band costs
-        the rows and nonzeros it writes, and no row of a source is
-        changed.  Only a band with several sources is checked for
-        overlap, by comparing each row's length with its sources'.
-
-        >>> r = IntMatrix.from_rows([[1, 2]])
-        >>> IntMatrix.from_bands(3, [(1, [(0, r, 1)]), (1, [(1, r, -1)])])
-        IntMatrix.from_rows([[1, 2, 0], [0, -1, -2]])
-        """
-        _check_shape(0, cols)
-        out = []
-        for height, sources in bands:
-            for col0, r, sign in sources:
-                if not (r.rows == height and col0 >= 0 and col0 + r.cols <= cols):
-                    raise IndexError(f"a {r.rows}x{r.cols} source at column {col0} does not "
-                                     f"fit in a band of height {height} and {cols} columns")
-            if not sources:
-                out += [_EMPTY_ROW] * height
-            elif len(sources) == 1:
-                # A lone source cannot write an entry twice.
-                ((col0, r, sign),) = sources
-                out += [{col0 + j: sign * e for j, e in row.items()} for row in r._rows]
-            else:
-                top = len(out)
-                for rows in zip(*[r._rows for _, r, _ in sources]):
-                    row = {col0 + j: sign * e
-                           for (col0, _, sign), part in zip(sources, rows) for j, e in part.items()}
-                    if len(row) != sum(map(len, rows)):
-                        raise ValueError(f"two sources write an entry in the band at row {top}")
-                    out.append(row)
-        return cls._wrap(len(out), cols, tuple(out))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -262,14 +223,6 @@ class IntMatrix:
     @property
     def is_zero(self) -> bool:
         return not any(self._rows)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        negated = ((i, j, -e) for i, j, e in other.nonzeros())
-        return IntMatrix.from_entries(self.rows, self.cols, chain(self.nonzeros(), negated))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):

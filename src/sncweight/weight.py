@@ -7,8 +7,8 @@ smooth variety assemble into the cochain complex
 
 whose differential is the signed sum of pullback restrictions.
 weight_complex builds it in one pass over the datum's levels: each
-level's group, and the differential into it as one IntMatrix written
-a stratum's rows at a time.  The degree-a cohomology of that complex is
+level's group, and the differential into it as one IntMatrix of
+restriction blocks.  The degree-a cohomology of that complex is
 the bigraded weight cohomology with compact support in bidegree (a, b);
 the b = 0 row recovers the reduced cohomology of the dual boundary
 complex shifted by one, which is the central cross-check of this
@@ -100,8 +100,9 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     Y_I is the stored degree-b map times (-1)^(j-1), where i_j is the
     j-th smallest element of I, and a missing map is an implied zero that
     writes no block.  One pass over s.levels builds each group and the
-    differential into it: each stratum's rows are one band of
-    IntMatrix.from_bands, its stored restrictions the band's sources.
+    differential into it, one IntMatrix.from_blocks call per level with
+    one block per stored restriction; the blocks of a stratum share its
+    rows.
 
     s must be valid, and then the result is a complex: each restriction
     is well defined, and the commuting squares make d after d vanish.
@@ -111,7 +112,7 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     groups, diffs = [], []
     offsets: dict = {}  # subset of the level before -> its first generator
     for level in s.levels:
-        parts, at, bands = [], {}, []
+        parts, at, blocks = [], {}, []
         row0 = 0
         for I, coh in level:
             at[I] = row0
@@ -120,18 +121,17 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
                 continue  # a zero group adds no generators and no rows
             parts.append(part)
             restrictions = s.strata[I].restrictions
-            sources, sign = [], 1
+            sign = 1
             for j, i in enumerate(I):
                 maps = restrictions.get(i)
                 stored = None if maps is None else maps.get(b)
                 if stored is not None:
-                    sources.append((offsets[I[:j] + I[j + 1:]], stored, sign))
+                    blocks.append((row0, offsets[I[:j] + I[j + 1:]], stored, 1, True, sign))
                 sign = -sign
-            bands.append((part.generators, sources))
             row0 += part.generators
         group = FpAbPresentation.direct_sum(parts)
         if groups:
-            diffs.append(IntMatrix.from_bands(groups[-1].generators, bands))
+            diffs.append(IntMatrix.from_blocks(row0, groups[-1].generators, blocks))
         groups.append(group)
         offsets = at
     return CochainComplex(0, tuple(groups), tuple(diffs))
@@ -280,10 +280,8 @@ def _block_problems(s: SncDatum) -> list[str]:
                 target = s.strata[I].cohomology[b]
                 if not target.is_relation_free:
                     width = s.strata[J].cohomology[b].generators
-                    block = [[0] * width for _ in range(target.generators)]
-                    for r, c, e in entries:
-                        block[r][c] = e
-                    if abgroup.in_span(IntMatrix.from_rows(block), target):
+                    block = IntMatrix.from_entries(target.generators, width, entries)
+                    if abgroup.in_span(block, target):
                         continue
                 i, j = (x for x in I if x not in J)
                 found.append(((k, I, i, j, b), (

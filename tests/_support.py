@@ -32,6 +32,13 @@ from sncweight.intmat import IntMatrix, smith_diagonal
 from sncweight.sncdata import SncDatum, StratumData
 
 
+def difference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a - b, entry by entry over dense rows; the shapes must agree."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+    return IntMatrix.from_rows(
+        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.to_rows(), b.to_rows())], a.cols)
+
+
 def check_nerve_identity(s: SncDatum):
     """The nerve-identity suite on s, with the nerve's cohomology from dual as check runs it."""
     return _nerve_identity_report(s, lambda datum: reduced_cohomology(nerve(datum)))
@@ -257,7 +264,8 @@ def oracle_square_problems(s: SncDatum) -> list[str]:
                 shape = (target.generators, source_coh[b].generators)
                 via_i = path(outer_i.get(b), inner_i.get(b), shape)
                 via_j = path(outer_j.get(b), inner_j.get(b), shape)
-                if via_i != via_j and not oracle_in_span(via_i - via_j, target.relations):
+                if via_i != via_j and not oracle_in_span(difference(via_i, via_j),
+                                                         target.relations):
                     problems.append(
                         f"commuting squares: paths {_fmt(J)} -> {_fmt(Ii)} -> {_fmt(I)} and "
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
@@ -537,7 +545,7 @@ def random_presented_complex(rng: random.Random, orders=(0, 0, 1, 2, 3, 4, 6)):
         # depend on how many columns its group keeps.
         target = drawn[a + 1]
         if target.cols and rng.random() < 0.7:
-            moved = moved - target * small(target.cols, len(rels[a]))
+            moved = difference(moved, target * small(target.cols, len(rels[a])))
         diffs.append(moved)
     expected = {}
     for a, found in enumerate(cyclic):

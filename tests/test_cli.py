@@ -1821,7 +1821,8 @@ def test_matrix_layout_is_known_only_to_intmat():
                 entry_callers.add((path.stem, enclosing.get(id(node))))
     assert leaks == []
     assert entry_callers == {("dual", "reduced_cochain_complex"),
-                             ("abgroup", "from_relation_columns")}
+                             ("abgroup", "from_relation_columns"),
+                             ("weight", "_block_problems")}
 
 
 def test_relations_are_echelonized_only_where_a_group_is_built():
@@ -1855,10 +1856,11 @@ def test_relations_are_echelonized_only_where_a_group_is_built():
 
 def test_operations_without_a_command_are_gone():
     # Each of these had no caller but another operation, one constant or a
-    # test: subtraction is written once, and the tests keep abelianization.
+    # test: every block matrix is written by from_blocks, a negated block is
+    # a block of sign -1, and the tests keep abelianization.
     from sncweight import abgroup, builders, dual, intmat, sncdata
 
-    for name in ("scale", "__add__", "column", "take_rows"):
+    for name in ("scale", "__add__", "__sub__", "column", "take_rows", "from_bands"):
         assert not hasattr(IntMatrix, name), name
     # The presented cohomology reads the total complex's Smith diagonals
     # alone, so nothing takes a kernel basis or a column transform.

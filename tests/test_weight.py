@@ -207,32 +207,34 @@ def test_weight_complex_spans_the_levels_that_exist():
         assert len(weight_complex(s, b).groups) == 2
 
 
-def _differentials_from_blocks(s, b):
-    """weight_complex's differentials in degree b, written block by block with from_blocks."""
+def _dense_differentials(s, b):
+    """weight_complex's differentials in degree b, placed entry by entry in dense lists."""
     diffs, offsets, width = [], {}, 0
     for k, level in enumerate(s.levels):
-        at, blocks, height = {}, [], 0
+        at, rows = {}, []
         for I, coh in level:
-            at[I] = height
-            generators = coh.get(b, FpAbPresentation.zero()).generators
-            if generators:
-                for j, i in enumerate(I):
-                    stored = s.strata[I].restrictions.get(i, {}).get(b)
-                    if stored is not None:
-                        blocks.append((height, offsets[I[:j] + I[j + 1:]], stored, 1, True,
-                                       -1 if j % 2 else 1))
-            height += generators
+            at[I] = len(rows)
+            band = [[0] * width for _ in range(coh.get(b, FpAbPresentation.zero()).generators)]
+            for j, i in enumerate(I):
+                stored = s.strata[I].restrictions.get(i, {}).get(b)
+                if band and stored is not None:
+                    col0 = offsets[I[:j] + I[j + 1:]]
+                    for r, c, e in stored.nonzeros():
+                        assert band[r][col0 + c] == 0
+                        band[r][col0 + c] = -e if j % 2 else e
+            rows += band
         if k:
-            diffs.append(IntMatrix.from_blocks(height, width, blocks))
-        offsets, width = at, height
+            diffs.append(IntMatrix.from_rows(rows, width))
+        offsets, width = at, len(rows)
     return tuple(diffs)
 
 
-def test_band_writer_agrees_with_the_block_writer():
-    # weight_complex writes each stratum's rows as one band; the same
-    # differentials written one restriction block at a time must agree, in
-    # every degree of torus:0-5, every curve and affine builder, products,
-    # and random data, relation-carrying ones included.
+def test_weight_complex_agrees_with_a_dense_reference():
+    # weight_complex writes each level's differential as one from_blocks
+    # call whose blocks share a stratum's rows; the same differentials
+    # placed entry by entry in dense lists must agree, in every degree of
+    # torus:0-5, every curve and affine builder, products, and random
+    # data, relation-carrying ones included.
     corpus = [torus_snc(n) for n in range(6)] + [torsion_datum()]
     corpus += [parse_builder(spec) for spec in BUILDER_SPECS if not spec.startswith("torus")]
     for x, y in _random_pairs(97, 4) + [(parse_builder("curve:1,2"), torus_snc(2)),
@@ -242,7 +244,7 @@ def test_band_writer_agrees_with_the_block_writer():
     for s in corpus:
         for b in s.graded_degrees():
             diffs = weight_complex(s, b).differentials
-            assert diffs == _differentials_from_blocks(s, b), b
+            assert diffs == _dense_differentials(s, b), b
             written += sum(not d.is_zero for d in diffs)
     assert written > 100, written
 
@@ -531,6 +533,21 @@ def test_universal_coefficients_agree_with_the_mod_p_ranks():
         c = weight_complex(point_strata_datum(facets), 0)
         mismatches, count = _universal_coefficient_mismatches(c, primes)
         assert mismatches == [] and {key: n for key, n in count.items() if n} == torsion
+    assert time.process_time() - start < 5
+
+
+def test_universal_coefficients_at_the_affine_bound():
+    # affine:10000, the largest affine input, has 10 001 graded degrees,
+    # each a complex of two groups; every one must agree at the same primes.
+    import time
+
+    start = time.process_time()
+    s = parse_builder("affine:10000")
+    assert len(s.graded_degrees()) == 10_001
+    for b in s.graded_degrees():
+        c = weight_complex(s, b)
+        mismatches, _ = _universal_coefficient_mismatches(c, (2, 3, 5, 1_000_003, 1_048_583))
+        assert mismatches == [] and len(c.groups) == 2, (b, mismatches)
     assert time.process_time() - start < 5
 
 
