@@ -9,8 +9,10 @@ Betti numbers.  affine-line-stability and product-consistency build
 products of data with product_snc, which needs free stratum cohomology;
 on a datum with relations they pass as not applicable.
 
-Only check loads this module.  It takes the nerve's cohomology as a
-function, so that a suite other than prop1 and all loads no dual.
+Only check loads this module.  It takes the nerve's cohomology, and the
+factors that the product suites multiply by, as functions, so that a
+suite other than prop1 and all loads no dual, and one that builds no
+product loads no builders.
 Functions of the other modules are called through their module, so that
 a wrapper set on a module attribute sees the calls made here.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 
-from . import builders, chain, weight
+from . import chain, weight
 from .abgroup import FgAbGroup, FpAbPresentation
 from .intmat import IntMatrix
 from .reports import Report
@@ -200,11 +202,11 @@ def tensor_table(t1: BigradedTable, t2: BigradedTable) -> BigradedTable:
 # The suites
 
 
-def a1_stability_check(s: SncDatum) -> Report:
-    """Crossing with the affine line must shift the whole table by (0, +2)."""
+def a1_stability_check(s: SncDatum, line: SncDatum) -> Report:
+    """Crossing with the affine line, whose datum is line, must shift the whole table by (0, +2)."""
     base = weight.weight_cohomology_table(s)
     shifted = {(a, b + 2): g for (a, b), g in base.entries.items()}
-    prod = weight.weight_cohomology_table(product_snc(s, builders.affine_space_snc(1)))
+    prod = weight.weight_cohomology_table(product_snc(s, line))
     details = []
     passed = dict(prod.entries) == shifted
     keys = sorted(set(shifted) | set(prod.entries))
@@ -314,9 +316,9 @@ def _needs_free(name: str, thunk) -> Report:
         return Report(name, True, (f"not applicable: {e}",))
 
 
-def _product_consistency(datum: SncDatum) -> Report:
+def _product_consistency(datum: SncDatum, point: SncDatum) -> Report:
     table = weight.weight_cohomology_table(datum)
-    point_table = weight.weight_cohomology_table(product_snc(datum, builders.point_snc()))
+    point_table = weight.weight_cohomology_table(product_snc(datum, point))
     square = weight.weight_cohomology_table(product_snc(datum, datum))
     expected_square = tensor_table(table, table)
     problems = []
@@ -328,12 +330,14 @@ def _product_consistency(datum: SncDatum) -> Report:
 
 
 def run_checks(datum: SncDatum, which: str, expected_hc: Mapping[int, int] | None,
-               nerve_cohomology: Callable) -> list[Report]:
+               nerve_cohomology: Callable, product_factors: Callable) -> list[Report]:
     """The reports of suite which ("all" for every suite) on a valid datum, in a fixed order.
 
     expected_hc gives the compactly supported Betti numbers, or None when
     none are known; degeneration is then skipped.  nerve_cohomology is
     called only by the nerve-identity suite; see _nerve_identity_report.
+    product_factors() gives the data of the affine line and the point,
+    and is called only by the two suites that build products.
     """
     reports = []
     if which in ("all", "d2"):
@@ -343,7 +347,8 @@ def run_checks(datum: SncDatum, which: str, expected_hc: Mapping[int, int] | Non
     if which in ("all", "euler"):
         reports.append(euler_check(datum))
     if which in ("all", "stability"):
-        reports.append(_needs_free("affine-line-stability", lambda: a1_stability_check(datum)))
+        reports.append(_needs_free("affine-line-stability",
+                                   lambda: a1_stability_check(datum, product_factors()[0])))
     if which in ("all", "degeneration"):
         if expected_hc is None:
             reports.append(Report("degeneration", True,
@@ -351,5 +356,6 @@ def run_checks(datum: SncDatum, which: str, expected_hc: Mapping[int, int] | Non
         else:
             reports.append(degeneration_check(datum, expected_hc))
     if which in ("all", "product-consistency"):
-        reports.append(_needs_free("product-consistency", lambda: _product_consistency(datum)))
+        reports.append(_needs_free("product-consistency",
+                                   lambda: _product_consistency(datum, product_factors()[1])))
     return reports

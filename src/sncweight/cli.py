@@ -8,15 +8,19 @@ input and flag set: fixed orderings everywhere and no timestamps.
 
 Data enter the program only here, so only here is a datum validated, by
 weight.validate; the library takes a valid datum as a precondition.
-The check suites are in checks.
+Only the command knows whether it reads the datum's table (compute and
+every check suite but d2 do), so it tells validation, whose pass then
+takes the table from the complexes it checks.  The check suites are in
+checks.
 
 At module level this imports only what main needs to map refusals; each
 handler imports the layers it runs, so a command loads no module it
 never calls: dual --complex loads neither builders nor weight, compute
 and dual on a builder load neither datafile nor checks, and on a file
-they load no builders (dual loads weight, to validate).  No module of
-the package imports this one: run as `python -m sncweight.cli`, it is
-__main__, and an import would compile it again.  The `sncweight` console
+they load no builders (dual loads weight, to validate), nor does check
+on a file unless a suite multiplies by the line or the point.  No
+module of the package imports this one: run as `python -m sncweight.cli`,
+it is __main__, and an import would compile it again.  The `sncweight` console
 script is no such import: it runs outside the package, where __main__ is
 the script itself, so it loads this module once, as sncweight.cli.  Both
 ways start in run, which exits with main's code (see run for why it
@@ -121,19 +125,20 @@ def _load_datum(args):
     raise UsageError("no input: give a JSON file or --builder")
 
 
-def _check_valid(datum) -> None:
+def _check_valid(datum, tabulate: bool) -> None:
+    """Validate datum in full, taking its table too when tabulate (see weight.validate)."""
     from . import weight
 
-    rep = weight.validate(datum)
+    rep = weight.validate(datum, tabulate)
     if not rep.passed:
         raise ValidationFailed(rep.render())
 
 
-def _load_valid_datum(args):
+def _load_valid_datum(args, tabulate: bool):
     """_load_datum; a datum read from a file must pass full validation."""
     datum, identifier = _load_datum(args)
     if args.input:
-        _check_valid(datum)
+        _check_valid(datum, tabulate)
     return datum, identifier
 
 
@@ -207,7 +212,7 @@ def _table_json_obj(table, identifier: str, rational: bool) -> dict:
 def cmd_compute(args) -> int:
     from . import weight
 
-    datum, identifier = _load_valid_datum(args)
+    datum, identifier = _load_valid_datum(args, True)
     with _exact_output():
         table = weight.weight_cohomology_table(datum)
         if args.rational:
@@ -279,7 +284,7 @@ def cmd_dual(args) -> int:
         with _exact_output():
             _print_dual_report(args.input, k, budget, False)
         return EXIT_OK
-    datum, identifier = _load_valid_datum(args)
+    datum, identifier = _load_valid_datum(args, False)
     with _exact_output():
         _print_dual_report(identifier, dual.nerve(datum), budget, True)
     return EXIT_OK
@@ -313,8 +318,19 @@ def _nerve_cohomology(datum):
     return dual.reduced_cohomology(dual.nerve(datum))
 
 
+def _product_factors():
+    """The affine line and the point, the factors of the two suites that build products.
+
+    builders is imported here, so a check on a file that builds no
+    product loads no builders.
+    """
+    from . import builders
+
+    return builders.affine_space_snc(1), builders.point_snc()
+
+
 def cmd_check(args) -> int:
-    from . import builders, checks
+    from . import checks
 
     # With --builder the single positional is the suite name.
     if args.builder and args.input and args.which == "all":
@@ -328,15 +344,19 @@ def cmd_check(args) -> int:
     if args.hc is not None:
         expected_hc = _parse_hc(args.hc)
     elif args.builder:
+        from . import builders
+
         expected_hc = builders.builder_betti(args.builder)
     if args.which == "degeneration" and expected_hc is None:
         raise UsageError("degeneration check needs --hc or a builder with known Betti numbers")
     # The parse and usage errors are decided above, so their exit 2 does not
     # depend on the datum's validity.  Unlike compute and dual, check
     # validates a builder's datum too: it never takes validity on trust.
-    _check_valid(datum)
+    # Every suite but d2 reads the table.
+    _check_valid(datum, args.which != "d2")
     with _exact_output():
-        reports = checks.run_checks(datum, args.which, expected_hc, _nerve_cohomology)
+        reports = checks.run_checks(datum, args.which, expected_hc, _nerve_cohomology,
+                                    _product_factors)
     if args.json:
         obj = {
             "input": identifier,

@@ -23,16 +23,27 @@ generators by source generators).
 
 The module reads and writes this format and validates nothing: a datum
 read here is validated by weight.validate, which the command line runs
-where the datum enters.  The command line loads this module only where
-a datum crosses the program's boundary as a file: a file read, and
-examples, which writes files.  Functions of the other modules are
-called through their module, so that a wrapper set on a module
-attribute sees the calls made here.
+where the datum enters.  A file repeats its matrices and groups many
+times over (a product of data repeats each factor's maps in every pair
+of strata), so datum_from_dict builds each distinct restriction matrix
+and each distinct group once, and every repeat shares that value: a
+group's relations are echelonized once, and validation, which takes the
+shared values by identity, checks each once too.  A value is keyed by
+its integers only after an exact test of every entry's type, so a true
+or 1.0 never reads as a stored 1, and the tables live for one call.  A
+value's first appearance is checked as it always was, and a malformed
+repeat has no key, so it is refused with its own stratum and degree.
+
+The command line loads this module only where a datum crosses the
+program's boundary as a file: a file read, and examples, which writes
+files.  Functions of the other modules are called through their module,
+so that a wrapper set on a module attribute sees the calls made here.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from . import sncdata
 from .abgroup import FpAbPresentation
@@ -86,41 +97,101 @@ def to_json(s: SncDatum) -> str:
 
 
 def _expect(cond: bool, message: str) -> None:
+    # For a message with no text of its own to make; one that names a
+    # place is formatted in its raise statement, only when its check fails.
     if not cond:
         raise DatumParseError(message)
 
 
-def _parse_presentation(obj, where: str) -> FpAbPresentation:
-    _expect(isinstance(obj, dict), f"{where}: presentation must be an object")
-    _expect("generators" in obj, f"{where}: missing generator count")
+def _int_rows(rows: list) -> tuple | None:
+    """rows as a tuple of tuples when each row is a list and each entry an int, else None.
+
+    The interning key of a matrix or a relation list.  The types are
+    tested exactly and at C level, so a JSON true or 1.0 never makes the
+    key of a 1: a value whose key matches was built from the same
+    integers, and one that has no key takes the checked path.
+    """
+    if {list}.issuperset(map(type, rows)):
+        key = tuple(map(tuple, rows))
+        if {int}.issuperset(map(type, chain.from_iterable(key))):
+            return key
+    return None
+
+
+def _parse_presentation(obj, subset: list, b: int, seen: dict) -> FpAbPresentation:
+    """The group of stratum subset in degree b; seen holds the groups read so far."""
+    if not isinstance(obj, dict):
+        raise DatumParseError(f"stratum {subset!r} degree {b}: presentation must be an object")
+    if "generators" not in obj:
+        raise DatumParseError(f"stratum {subset!r} degree {b}: missing generator count")
     gens = obj["generators"]
-    _expect(type(gens) is int and gens >= 0, f"{where}: bad generator count")
-    _expect(gens <= MAX_COUNT, f"{where}: generator count must be at most {MAX_COUNT}")
+    if not (type(gens) is int and gens >= 0):
+        raise DatumParseError(f"stratum {subset!r} degree {b}: bad generator count")
+    if gens > MAX_COUNT:
+        raise DatumParseError(
+            f"stratum {subset!r} degree {b}: generator count must be at most {MAX_COUNT}")
     columns = obj.get("relations", [])
-    _expect(isinstance(columns, list), f"{where}: relations must be a list of columns")
-    message = f"{where}: each relation must be an integer column of length {gens}"
-    _expect(all(isinstance(c, list) for c in columns), message)
+    if not isinstance(columns, list):
+        raise DatumParseError(
+            f"stratum {subset!r} degree {b}: relations must be a list of columns")
+    key = _int_rows(columns)
+    if key is not None:
+        key = (gens, key)
+        group = seen.get(key)
+        if group is not None:
+            return group
     # The entries and column lengths are checked once, by the constructor.
     try:
-        return FpAbPresentation.from_relation_columns(gens, columns)
+        if not all(isinstance(c, list) for c in columns):
+            raise ValueError("a relation that is not a list")
+        group = FpAbPresentation.from_relation_columns(gens, columns)
     except DenseWorkTooLargeError as e:
-        raise DenseWorkTooLargeError(f"{where}: {e}") from None
+        raise DenseWorkTooLargeError(f"stratum {subset!r} degree {b}: {e}") from None
     except (TypeError, ValueError):
-        raise DatumParseError(message) from None
+        raise DatumParseError(f"stratum {subset!r} degree {b}: each relation must be "
+                              f"an integer column of length {gens}") from None
+    if key is not None:
+        seen[key] = group
+    return group
 
 
-def _parse_matrix(obj, where: str) -> IntMatrix:
-    _expect(isinstance(obj, list), f"{where}: matrix must be a list of rows")
-    message = f"{where}: matrix rows must be equal-length integer lists"
+def _parse_matrix(obj, subset: list, i: int, b: int, seen: dict) -> IntMatrix:
+    """The degree-b restriction i of stratum subset; seen holds the matrices read so far."""
+    if not isinstance(obj, list):
+        raise DatumParseError(
+            f"stratum {subset!r} restriction {i} degree {b}: matrix must be a list of rows")
+    key = _int_rows(obj)
+    if key is not None:
+        mat = seen.get(key)
+        if mat is not None:
+            return mat
     # A flat list is malformed; entries and row lengths are left to from_rows.
-    _expect(all(isinstance(r, list) for r in obj), message)
     try:
-        return IntMatrix.from_rows(obj)
+        if not all(isinstance(r, list) for r in obj):
+            raise ValueError("a row that is not a list")
+        mat = IntMatrix.from_rows(obj)
     except (TypeError, ValueError):
-        raise DatumParseError(message) from None
+        raise DatumParseError(f"stratum {subset!r} restriction {i} degree {b}: "
+                              "matrix rows must be equal-length integer lists") from None
+    if key is not None:
+        seen[key] = mat
+    return mat
+
+
+def _parse_key(text, ints: dict, subset: list, what: str) -> int:
+    """The integer of a degree or component key; ints holds the key texts read so far.
+
+    A file spells few distinct keys, so each is parsed, and its message
+    made, once.
+    """
+    value = ints.get(text)
+    if value is None:
+        value = ints[text] = sncdata.parse_int(text, f"stratum {subset!r} {what} key")
+    return value
 
 
 def datum_from_dict(obj) -> SncDatum:
+    """The datum obj describes; each distinct matrix and group in it is built once."""
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("dim", "components", "strata"):
         _expect(key in obj, f'missing top-level key "{key}"')
@@ -133,44 +204,49 @@ def datum_from_dict(obj) -> SncDatum:
     _expect(n <= MAX_COUNT, f'"components" must be at most {MAX_COUNT}')
     _expect(isinstance(strata_list, list), '"strata" must be a list')
 
+    # The values read so far, by content: a file repeats its matrices and
+    # groups many times over, and each is built, and checked, once.  The
+    # tables live for this call only.
+    matrices: dict = {}
+    groups: dict = {}
+    ints: dict = {}
     strata: dict[tuple[int, ...], StratumData] = {}
     for entry in strata_list:
         _expect(isinstance(entry, dict), "each stratum must be an object")
         _expect("subset" in entry, "stratum without a subset")
         subset = entry["subset"]
-        _expect(
-            isinstance(subset, list) and all(type(x) is int for x in subset),
-            f"malformed subset {subset!r}",
-        )
-        _expect(
-            subset == sorted(set(subset)) and all(1 <= x <= n for x in subset),
-            f"malformed subset {subset!r}: need sorted distinct indices in 1..{n}",
-        )
+        if not (isinstance(subset, list) and {int}.issuperset(map(type, subset))):
+            raise DatumParseError(f"malformed subset {subset!r}")
+        if subset != sorted(set(subset)) or (subset and (subset[0] < 1 or subset[-1] > n)):
+            raise DatumParseError(
+                f"malformed subset {subset!r}: need sorted distinct indices in 1..{n}")
         key = tuple(subset)
-        _expect(key not in strata, f"duplicate stratum {subset!r}")
-        where = f"stratum {subset!r}"
+        if key in strata:
+            raise DatumParseError(f"duplicate stratum {subset!r}")
 
         cohomology = {}
         coh_obj = entry.get("cohomology", {})
-        _expect(isinstance(coh_obj, dict), f"{where}: cohomology must be an object")
+        if not isinstance(coh_obj, dict):
+            raise DatumParseError(f"stratum {subset!r}: cohomology must be an object")
         for bkey, pres in coh_obj.items():
-            b = sncdata.parse_int(bkey, f"{where} cohomology degree key")
-            _expect(b >= 0, f"{where}: negative cohomology degree {b}")
-            cohomology[b] = _parse_presentation(pres, f"{where} degree {b}")
+            b = _parse_key(bkey, ints, subset, "cohomology degree")
+            if b < 0:
+                raise DatumParseError(f"stratum {subset!r}: negative cohomology degree {b}")
+            cohomology[b] = _parse_presentation(pres, subset, b, groups)
 
         restrictions: dict[int, dict[int, IntMatrix]] = {}
         res_obj = entry.get("restrictions", {})
-        _expect(isinstance(res_obj, dict), f"{where}: restrictions must be an object")
+        if not isinstance(res_obj, dict):
+            raise DatumParseError(f"stratum {subset!r}: restrictions must be an object")
         for ikey, per_degree_obj in res_obj.items():
-            i = sncdata.parse_int(ikey, f"{where} restriction component key")
-            _expect(
-                isinstance(per_degree_obj, dict),
-                f"{where}: restriction {i} must map degrees to matrices",
-            )
+            i = _parse_key(ikey, ints, subset, "restriction component")
+            if not isinstance(per_degree_obj, dict):
+                raise DatumParseError(
+                    f"stratum {subset!r}: restriction {i} must map degrees to matrices")
             per_degree = {}
             for bkey, mat in per_degree_obj.items():
-                b = sncdata.parse_int(bkey, f"{where} restriction degree key")
-                per_degree[b] = _parse_matrix(mat, f"{where} restriction {i} degree {b}")
+                b = _parse_key(bkey, ints, subset, "restriction degree")
+                per_degree[b] = _parse_matrix(mat, subset, i, b, matrices)
             restrictions[i] = per_degree
 
         strata[key] = StratumData(cohomology, restrictions)

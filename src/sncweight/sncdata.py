@@ -131,7 +131,8 @@ class SncDatum(_Record):
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
     # largest |I| present.  _table is the weight cohomology table, None
-    # until weight.weight_cohomology_table first computes it.  Both are
+    # until weight.weight_cohomology_table first computes it or a
+    # validation that tabulates leaves it there.  Both are
     # sound because the datum cannot change after construction, and
     # neither is a field: equality, hash and repr ignore them.
     __slots__ = _fields + ("levels", "_table")

@@ -19,7 +19,12 @@ validate checks a datum in full where it enters the program; every
 other function takes a valid datum and does not check it.  A datum's
 commuting squares are what makes its weight complexes complexes, so
 validate checks them on the blocks of d after d, here, where the
-layout of a level's rows by stratum is known.
+layout of a level's rows by stratum is known.  It builds each degree's
+complex once, and for a command that reads the table it takes that
+complex's cohomology in the same pass, so a valid datum leaves with its
+table.  Each fact of the structure checks is decided once per distinct
+value, by identity, since a datum read from a file shares its repeated
+groups and matrices.
 
 This module holds only what compute and validation run: products of
 data and the check suites are in checks, and no builder is imported.
@@ -36,7 +41,7 @@ from types import MappingProxyType
 from . import abgroup
 from .abgroup import FgAbGroup, FpAbPresentation
 from .chain import CochainComplex, cohomology
-from .intmat import IntMatrix
+from .intmat import DenseWorkTooLargeError, IntMatrix
 from .reports import Report, _Record
 from .sncdata import SncDatum, SubsetKey
 
@@ -141,8 +146,9 @@ def weight_cohomology_table(s: SncDatum) -> BigradedTable:
     """Cohomology of every degree-b strata complex, collected as a table.
 
     s must be valid.  Computed once per datum and cached on it, in its
-    _table slot.  The complexes of a valid datum are complexes by
-    construction, so their cohomology is taken without verify_complex.
+    _table slot, where validate(s, tabulate=True) may already have left
+    it.  The complexes of a valid datum are complexes by construction,
+    so their cohomology is taken without verify_complex.
     """
     if s._table is None:
         entries: dict[tuple[int, int], FgAbGroup] = {}
@@ -157,19 +163,27 @@ def weight_cohomology_table(s: SncDatum) -> BigradedTable:
 # Validation
 
 
+_ZERO = FpAbPresentation.zero()
+
+
 def _fmt(I: SubsetKey) -> str:
     return "{" + ",".join(str(i) for i in I) + "}"
 
 
-def validate(s: SncDatum) -> Report:
+def validate(s: SncDatum, tabulate: bool = False) -> Report:
     """Check every invariant; the report enumerates violations.
 
     The commuting squares are checked only when the shapes admit them.
     The command line validates a datum once, where it enters the program.
+    With tabulate, the pass that checks each degree's squares also takes
+    that complex's cohomology while nothing has failed, and a datum that
+    passes leaves with its table in _table, so no complex is built twice.
+    A DenseWorkTooLargeError of that cohomology is raised once the datum
+    is known valid: an invalid datum gets its report whatever the budget.
     """
     problems, shapes_ok = _check_structure(s)
     if shapes_ok:
-        problems += _block_problems(s)
+        problems += _degree_pass(s, tabulate and not problems)
     return Report("validate", not problems, tuple(problems))
 
 
@@ -193,17 +207,27 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
                     f"downward closure: Y_{_fmt(I)} is nonempty but Y_{_fmt(J)} is empty"
                 )
 
+    # A datum read from a file shares each distinct group and matrix among
+    # its strata, so each fact about a value is decided once, by identity.
+    forms: dict[int, FgAbGroup] = {}
+
+    def form(p: FpAbPresentation) -> FgAbGroup:
+        g = forms.get(id(p))
+        if g is None:
+            g = forms[id(p)] = abgroup.canonical_form(p)
+        return g
+
     for I in s.nonempty_subsets():
         stratum = s.strata[I]
         bound = 2 * (s.dim - len(I))
         h0 = stratum.cohomology.get(0)
-        if h0 is None or abgroup.canonical_form(h0) != FgAbGroup.free(1):
+        if h0 is None or form(h0) != FgAbGroup.free(1):
             problems.append(f"stratum {_fmt(I)}: degree-0 cohomology is " + (
                 "absent (an empty stratum is left out of the file)" if h0 is None else "not Z"))
         for b, p in stratum.cohomology.items():
             if b < 0:
                 problems.append(f"stratum {_fmt(I)}: negative cohomology degree {b}")
-            elif b > bound and not abgroup.canonical_form(p).is_zero:
+            elif b > bound and not form(p).is_zero:
                 problems.append(
                     f"stratum {_fmt(I)}: nonzero cohomology in degree {b} above bound {bound}"
                 )
@@ -214,7 +238,7 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
                 continue
             J = _drop(I, i)
             for b, mat in per_degree.items():
-                target = s.cohomology_of(I, b)
+                target = stratum.cohomology.get(b, _ZERO)
                 source = s.cohomology_of(J, b)
                 if mat.shape != (target.generators, source.generators):
                     problems.append(
@@ -227,13 +251,16 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
     if problems:
         return problems, False
 
+    defined: dict[tuple[int, int, int], bool] = {}  # ids of (map, source, target)
     for I in s.nonempty_subsets():
         stratum = s.strata[I]
+        targets = stratum.cohomology
         for i in I:
             J = _drop(I, i)
+            sources = s.strata[J].cohomology
             stored_maps = stratum.restrictions.get(i, {})
-            for b in sorted(set(s.strata[J].cohomology) | set(stratum.cohomology)):
-                source, target = s.cohomology_of(J, b), s.cohomology_of(I, b)
+            for b in sorted(sources.keys() | targets.keys()):
+                source, target = sources.get(b, _ZERO), targets.get(b, _ZERO)
                 stored = stored_maps.get(b)
                 if stored is None:
                     # Only a map into or out of a zero group may be left out, and
@@ -244,7 +271,11 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
                             f"in degree {b}"
                         )
                     continue
-                if not abgroup.is_well_defined(stored, source, target):
+                key = (id(stored), id(source), id(target))
+                ok = defined.get(key)
+                if ok is None:
+                    ok = defined[key] = abgroup.is_well_defined(stored, source, target)
+                if not ok:
                     problems.append(
                         f"stratum {_fmt(I)}: restriction from {_fmt(J)} in degree {b} "
                         "is not well defined on the presentations"
@@ -253,41 +284,72 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
     return problems, True
 
 
-def _block_problems(s: SncDatum) -> list[str]:
-    """The squares whose two paths differ, read off the blocks of d after d.
+def _degree_pass(s: SncDatum, tabulate: bool) -> list[str]:
+    """The failing squares, from one weight complex per graded degree; with tabulate, the table too.
+
+    Each complex is built, read and dropped in turn, so one is held at a
+    time.  With tabulate, which validate passes only for a datum that
+    has passed every other check, its cohomology is taken while no
+    square has failed and none was over the budget; if every square
+    commutes, the table is left in _table, or the first
+    DenseWorkTooLargeError is raised.  The failures are listed by
+    subset, then pair, then degree.
+    """
+    squares = len(s.levels) >= 3
+    if not (squares or tabulate):
+        return []
+    found: list = []
+    entries: dict[tuple[int, int], FgAbGroup] = {}
+    over_budget = None
+    for b in s.graded_degrees():
+        w = weight_complex(s, b)
+        if squares:
+            found += _block_problems(s, b, w.differentials)
+        if tabulate and not found and over_budget is None:
+            try:
+                for a, g in cohomology(w).items():
+                    entries[(a, b)] = g
+            except DenseWorkTooLargeError as e:
+                over_budget = e
+        del w  # before the next degree's complex is built
+    if found:
+        return [message for _, message in sorted(found)]
+    if over_budget is not None:
+        raise over_budget
+    if tabulate:
+        object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
+    return []
+
+
+def _block_problems(s: SncDatum, b: int, diffs) -> list:
+    """(sort key, message) of each degree-b square whose two paths differ, read off d after d.
 
     In degree b, the block of d_(k-1) * d_(k-2) from Y_J into Y_I is zero
     unless I = J + {i, j}, i < j, and then it is +-(via_i - via_j), where
     via_i is the path J -> I minus i -> I of stored maps: weight_complex
     gives the two paths opposite signs.  A nonzero block fails unless
-    the target carries relations whose span holds it.  Each complex is
-    built, read and dropped in turn, which bounds the memory, and the
-    failures are listed by subset, then pair, then degree.
+    the target carries relations whose span holds it.
     """
-    if len(s.levels) < 3:
-        return []
     found = []
-    for b in s.graded_degrees():
-        diffs = weight_complex(s, b).differentials
-        owners = [_row_owners(level, b) for level in s.levels]
-        for k in range(2, len(owners)):
-            rows, cols = owners[k], owners[k - 2]
-            blocks: dict = {}
-            for r, c, e in (diffs[k - 1] * diffs[k - 2]).nonzeros():
-                (I, r0), (J, c0) = rows[r], cols[c]
-                blocks.setdefault((I, J), []).append((r - r0, c - c0, e))
-            for (I, J), entries in blocks.items():
-                target = s.strata[I].cohomology[b]
-                if not target.is_relation_free:
-                    width = s.strata[J].cohomology[b].generators
-                    block = IntMatrix.from_entries(target.generators, width, entries)
-                    if abgroup.in_span(block, target):
-                        continue
-                i, j = (x for x in I if x not in J)
-                found.append(((k, I, i, j, b), (
-                    f"commuting squares: paths {_fmt(J)} -> {_fmt(_drop(I, i))} -> {_fmt(I)} "
-                    f"and {_fmt(J)} -> {_fmt(_drop(I, j))} -> {_fmt(I)} differ in degree {b}")))
-    return [message for _, message in sorted(found)]
+    owners = [_row_owners(level, b) for level in s.levels]
+    for k in range(2, len(owners)):
+        rows, cols = owners[k], owners[k - 2]
+        blocks: dict = {}
+        for r, c, e in (diffs[k - 1] * diffs[k - 2]).nonzeros():
+            (I, r0), (J, c0) = rows[r], cols[c]
+            blocks.setdefault((I, J), []).append((r - r0, c - c0, e))
+        for (I, J), entries in blocks.items():
+            target = s.strata[I].cohomology[b]
+            if not target.is_relation_free:
+                width = s.strata[J].cohomology[b].generators
+                block = IntMatrix.from_entries(target.generators, width, entries)
+                if abgroup.in_span(block, target):
+                    continue
+            i, j = (x for x in I if x not in J)
+            found.append(((k, I, i, j, b), (
+                f"commuting squares: paths {_fmt(J)} -> {_fmt(_drop(I, i))} -> {_fmt(I)} "
+                f"and {_fmt(J)} -> {_fmt(_drop(I, j))} -> {_fmt(I)} differ in degree {b}")))
+    return found
 
 
 def _row_owners(level, b: int) -> list[tuple[SubsetKey, int]]:

@@ -90,6 +90,60 @@ def test_torus_strata_share_their_restriction_matrices():
     assert len(set(map(id, matrices))) <= 204
 
 
+def test_a_parsed_file_builds_each_distinct_value_once():
+    # A file repeats its matrices and groups: torus:5 writes 1 890
+    # restriction matrices and 648 groups, and reading it builds each
+    # distinct one once.  The distinct values are counted in the JSON.
+    obj = json.loads(to_json(torus_snc(5)))
+    matrices = [mat for entry in obj["strata"]
+                for per_degree in entry["restrictions"].values() for mat in per_degree.values()]
+    groups = [p for entry in obj["strata"] for p in entry["cohomology"].values()]
+    s = datum_from_dict(obj)
+    read_matrices = [mat for stratum in s.strata.values()
+                     for per_degree in stratum.restrictions.values()
+                     for mat in per_degree.values()]
+    read_groups = [p for stratum in s.strata.values() for p in stratum.cohomology.values()]
+    assert len(read_matrices) == len(matrices) == 1890
+    assert len(read_groups) == len(groups) == 648
+    assert len(set(map(id, read_matrices))) == len(set(map(json.dumps, matrices))) == 41
+    distinct_groups = {json.dumps(p, sort_keys=True) for p in groups}
+    assert len(set(map(id, read_groups))) == len(distinct_groups) == 7
+
+
+def test_a_repeat_that_writes_true_or_a_float_for_a_one_is_refused_where_it_stands():
+    # A value is keyed by its integers only after an exact type test, so a
+    # repeat of a valid matrix that writes true or 1.0 for a 1, or of a
+    # group that writes 2.0 for a 2 or false for a 0, is not taken for the
+    # value it equals in Python: it is refused as a first appearance would
+    # be, with the repeat's own place.
+    base = json.loads(to_json(torus_snc(2)))
+    firsts, repeats = set(), []
+    for entry in base["strata"]:
+        for i, per_degree in entry["restrictions"].items():
+            for b, mat in per_degree.items():
+                if json.dumps(mat) in firsts and any(1 in row for row in mat):
+                    repeats.append((entry, i, b))
+                firsts.add(json.dumps(mat))
+    entry, i, b = repeats[-1]
+    row = next(r for r in entry["restrictions"][i][b] if 1 in r)
+    for bad in (True, 1.0):
+        row[row.index(1)] = bad
+        with pytest.raises(DatumParseError) as refused:
+            datum_from_dict(base)
+        assert str(refused.value) == (f"stratum {entry['subset']!r} restriction {i} degree {b}: "
+                                      "matrix rows must be equal-length integer lists")
+        row[row.index(bad)] = 1
+    datum_from_dict(base)
+    obj = json.loads(to_json(torsion_datum()))
+    group = obj["strata"][0]["cohomology"]["2"]
+    for bad in ([[0, 2.0]], [[False, 2]]):
+        obj["strata"][1]["cohomology"]["2"] = dict(group, relations=bad)
+        with pytest.raises(DatumParseError) as refused:
+            datum_from_dict(obj)
+        assert str(refused.value) == ("stratum [1] degree 2: "
+                                      "each relation must be an integer column of length 2")
+
+
 def test_round_trip_affine():
     s = affine_space_snc(2)
     text = to_json(s)

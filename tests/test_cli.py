@@ -461,6 +461,90 @@ def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
     assert code == 0 and calls == []
 
 
+def test_validation_takes_the_table_from_the_complexes_it_checks(capsys, monkeypatch, tmp_path):
+    # Validation's pass takes the table from the complexes whose squares
+    # it reads, so compute on a file builds each graded degree's complex
+    # once, and check euler builds no more.  dual and check d2 read no
+    # table, so no cohomology is taken of the datum's complexes there.
+    from collections import Counter
+
+    import sncweight.weight as weight
+
+    built, taken = Counter(), []
+    real_complex, real_cohomology = weight.weight_complex, weight.cohomology
+
+    def counted_complex(s, b):
+        built[b] += 1
+        return real_complex(s, b)
+
+    def counted_cohomology(c):
+        taken.append(c)
+        return real_cohomology(c)
+
+    monkeypatch.setattr(weight, "weight_complex", counted_complex)
+    monkeypatch.setattr(weight, "cohomology", counted_cohomology)
+    path = tmp_path / "torus3.json"
+    path.write_text(to_json(torus_snc(3)))
+    degrees = torus_snc(3).graded_degrees()
+    for argv, complexes, cohomologies in ((("compute", str(path)), 1, 1),
+                                          (("check", str(path), "euler"), 1, 1),
+                                          (("dual", str(path)), 1, 0),
+                                          (("check", str(path), "d2"), 2, 0)):
+        built.clear()
+        taken.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert built == Counter(complexes * degrees), argv
+        assert len(taken) == cohomologies * len(degrees), argv
+
+
+def _budget_datum(square_commutes: bool) -> dict:
+    # Components 1 and 2 of a fourfold meet in a surface, and every group
+    # is Z.  Degree 2 restricts by 2 from the total space, so its D_0 =
+    # (2, 2) is a unit-free core; degree 4 restricts by 1, but by -1 along
+    # one path unless the square commutes.  Degree 0 restricts by 1.
+    def maps(*components):
+        return {str(i): {"0": [[1]], "2": [[c2]], "4": [[c4]]} for i, c2, c4 in components}
+
+    groups = {str(b): {"generators": 1} for b in (0, 2, 4)}
+    return {"dim": 4, "components": 2, "strata": [
+        {"subset": [], "cohomology": groups},
+        {"subset": [1], "cohomology": groups, "restrictions": maps((1, 2, 1))},
+        {"subset": [2], "cohomology": groups, "restrictions": maps((2, 2, 1))},
+        {"subset": [1, 2], "cohomology": groups,
+         "restrictions": maps((1, 1, 1), (2, 1, 1 if square_commutes else -1))},
+    ]}
+
+
+def test_an_invalid_datum_is_reported_before_a_table_over_budget(capsys, monkeypatch, tmp_path):
+    # Validation takes the table in the pass that checks the squares, one
+    # degree at a time.  Degree 2's cohomology is over the budget before
+    # degree 4's square is checked, and the budget error waits for the end
+    # of the pass: an invalid datum prints its report and exits 1, and a
+    # valid one exits 2 with the budget message.
+    from sncweight import intmat
+
+    paths = {}
+    for commutes in (True, False):
+        paths[commutes] = tmp_path / f"budget_{commutes}.json"
+        paths[commutes].write_text(json.dumps(_budget_datum(commutes)))
+    for argv in (("compute",), ("check", "all"), ("check", "prop1")):
+        assert run(capsys, argv[0], str(paths[True]), *argv[1:])[0] == 0, argv
+    monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 1)
+    for argv in (("compute",), ("check", "all"), ("check", "prop1"), ("check", "euler")):
+        code, out, err = run(capsys, argv[0], str(paths[False]), *argv[1:])
+        assert (code, err) == (1, ""), argv
+        assert out == ("FAIL validate\n  commuting squares: paths {} -> {2} -> {1,2} "
+                       "and {} -> {1} -> {1,2} differ in degree 4\n"), argv
+        _one_parse_error(capsys, (argv[0], str(paths[True]), *argv[1:]),
+                         "error: a 2x1 dense Smith reduction would take about 2 entry "
+                         "updates, more than 1")
+    # Neither dual nor d2 reads the table, so neither meets the budget.
+    for argv in (("dual",), ("check", "d2")):
+        assert run(capsys, argv[0], str(paths[True]), *argv[1:])[0] == 0, argv
+        assert run(capsys, argv[0], str(paths[False]), *argv[1:])[0] == 1, argv
+
+
 def _measured(*argv, timeout=120):
     """(stdout lines, peak RSS in kB) of one cli run that exits 0, in a subprocess.
 
@@ -958,8 +1042,9 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # distinct datums (torus:3 and its products with A^1, a point and itself)
     # used to have its table computed again by every suite that read it.
     # Each product's complex is built once per graded degree b, and the
-    # input's exactly three times: validate reads its commuting squares off
-    # d after d, then d2 and the table each build it again.
+    # input's exactly twice: validate reads its commuting squares off
+    # d after d and takes the table from the same complexes, and d2 builds
+    # them again.
     from collections import Counter
 
     import sncweight.weight as weight
@@ -978,7 +1063,7 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # validate and d2 run first, on the input.
     (datum, per_degree), *products = built.values()
     assert datum == torus_snc(3)
-    assert per_degree == Counter(3 * datum.graded_degrees())
+    assert per_degree == Counter(2 * datum.graded_degrees())
     for s, per_degree in products:
         assert per_degree == Counter(s.graded_degrees())
 
@@ -1184,7 +1269,7 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
         code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 1 and out.startswith("FAIL validate\n  commuting squares: "), source
         with monkeypatch.context() as stubbed:
-            stubbed.setattr(weight, "_block_problems", lambda datum: [])
+            stubbed.setattr(weight, "_block_problems", lambda datum, b, diffs: [])
             code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 1, source
         assert out.splitlines()[1:] == [
@@ -1473,8 +1558,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # other than prop1 and all build no nerve, so they load no dual.  The
     # datum file format loads only where a datum crosses the program's
     # boundary as a file (a file read, examples), validation loads weight,
-    # and the check suites load only for check.  Only cli imports inside a
-    # function; every library module imports at its top.
+    # and the check suites load only for check.  A check on a file loads
+    # builders only for a suite that multiplies by the line or the point.
+    # Only cli imports inside a function; every library module imports at
+    # its top.
     import ast
     import functools
     import os
@@ -1517,6 +1604,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "datafile", "checks", "weight"}
     assert package - layers_loaded_by("compute", str(datum)) == {"builders", "checks", "dual"}
     assert package - layers_loaded_by("dual", str(datum)) == {"builders", "checks"}
+    assert package - layers_loaded_by("check", str(datum), "prop1") == {"builders"}
+    assert package - layers_loaded_by("check", str(datum), "d2") == {"builders", "dual"}
+    assert package - layers_loaded_by("check", str(datum), "stability") == {"dual"}
     d2 = layers_loaded_by("check", "--builder", "torus:2", "d2")
     assert {"checks"} <= d2 and package - d2 == {"datafile", "dual"}
     examples = layers_loaded_by("examples")

@@ -362,10 +362,10 @@ def test_datum_copies_its_input():
 
 def _count_tiers(monkeypatch) -> Counter:
     calls = Counter()
-    for name in ("_check_structure", "_block_problems"):
-        def counted(s, _name=name, _inner=getattr(weight, name)):
+    for name in ("_check_structure", "_degree_pass"):
+        def counted(*args, _name=name, _inner=getattr(weight, name)):
             calls[_name] += 1
-            return _inner(s)
+            return _inner(*args)
         monkeypatch.setattr(weight, name, counted)
     return calls
 
@@ -378,7 +378,7 @@ def test_validate_computes_each_tier_once(monkeypatch):
     s = SncDatum(built.dim, built.n_components, built.strata)
     assert s == built
     assert validate(s).passed
-    assert calls == {"_check_structure": 1, "_block_problems": 1}
+    assert calls == {"_check_structure": 1, "_degree_pass": 1}
 
 
 def test_validation_caches_nothing_on_the_datum(monkeypatch):
@@ -389,7 +389,7 @@ def test_validation_caches_nothing_on_the_datum(monkeypatch):
     first = validate(s)
     assert first.passed and s._table is None
     assert validate(s) == first
-    assert calls == {"_check_structure": 2, "_block_problems": 2}
+    assert calls == {"_check_structure": 2, "_degree_pass": 2}
     assert s._table is None
 
 

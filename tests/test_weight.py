@@ -297,7 +297,7 @@ def test_every_weight_complex_is_a_complex():
 
 def test_a1_stability():
     for s in [point_snc(), affine_space_snc(1), torus_snc(1), punctured_curve_snc(1, 1)]:
-        rep = a1_stability_check(s)
+        rep = a1_stability_check(s, affine_space_snc(1))
         assert rep.passed, rep.details
 
 
@@ -394,7 +394,7 @@ def test_a1_stability_all_builders():
     from sncweight.builders import example_names, parse_builder
 
     for name in example_names():
-        assert a1_stability_check(parse_builder(name)).passed, name
+        assert a1_stability_check(parse_builder(name), affine_space_snc(1)).passed, name
 
 
 def enriques_like_datum():
