@@ -8,9 +8,10 @@ input and flag set: fixed orderings everywhere and no timestamps.
 
 Data enter the program only here, so only here is a datum validated, by
 weight.validate; the library takes a valid datum as a precondition.
-Only the command knows whether it reads the datum's table (compute and
-every check suite but d2 do), so it tells validation, whose pass then
-takes the table from the complexes it checks.  The check suites are in
+Only the command knows which rows of the datum's table it reads (prop1
+reads row b = 0, d2 and dual none, compute and every other suite all
+of them), so it tells validation, whose pass then takes those rows from
+the complexes it checks.  The check suites are in
 checks.
 
 At module level this imports only what main needs to map refusals; each
@@ -125,20 +126,20 @@ def _load_datum(args):
     raise UsageError("no input: give a JSON file or --builder")
 
 
-def _check_valid(datum, tabulate: bool) -> None:
-    """Validate datum in full, taking its table too when tabulate (see weight.validate)."""
+def _check_valid(datum, rows) -> None:
+    """Validate datum in full, taking the rows b in rows of its table too (see weight.validate)."""
     from . import weight
 
-    rep = weight.validate(datum, tabulate)
+    rep = weight.validate(datum, rows)
     if not rep.passed:
         raise ValidationFailed(rep.render())
 
 
-def _load_valid_datum(args, tabulate: bool):
+def _load_valid_datum(args, reads_table: bool):
     """_load_datum; a datum read from a file must pass full validation."""
     datum, identifier = _load_datum(args)
     if args.input:
-        _check_valid(datum, tabulate)
+        _check_valid(datum, datum.graded_degrees() if reads_table else ())
     return datum, identifier
 
 
@@ -352,8 +353,10 @@ def cmd_check(args) -> int:
     # The parse and usage errors are decided above, so their exit 2 does not
     # depend on the datum's validity.  Unlike compute and dual, check
     # validates a builder's datum too: it never takes validity on trust.
-    # Every suite but d2 reads the table.
-    _check_valid(datum, args.which != "d2")
+    # prop1 reads row b = 0 of the table, d2 none of it, and every other
+    # suite all of it.
+    _check_valid(datum, (0,) if args.which == "prop1" else () if args.which == "d2"
+                 else datum.graded_degrees())
     with _exact_output():
         reports = checks.run_checks(datum, args.which, expected_hc, _nerve_cohomology,
                                     _product_factors)

@@ -29,10 +29,11 @@ of strata), so datum_from_dict builds each distinct restriction matrix
 and each distinct group once, and every repeat shares that value: a
 group's relations are echelonized once, and validation, which takes the
 shared values by identity, checks each once too.  A value is keyed by
-its integers only after an exact test of every entry's type, so a true
-or 1.0 never reads as a stored 1, and the tables live for one call.  A
-value's first appearance is checked as it always was, and a malformed
-repeat has no key, so it is refused with its own stratum and degree.
+its rows once they are known to be lists, and each entry's type is
+tested once: a first appearance by its constructor, which checks it
+as it always was, and a repeat of a stored key by an exact test, so a
+true or 1.0 never reads as a stored 1.  A malformed repeat is refused
+with its own stratum and degree, and the tables live for one call.
 
 The command line loads this module only where a datum crosses the
 program's boundary as a file: a file read, and examples, which writes
@@ -103,19 +104,23 @@ def _expect(cond: bool, message: str) -> None:
         raise DatumParseError(message)
 
 
-def _int_rows(rows: list) -> tuple | None:
-    """rows as a tuple of tuples when each row is a list and each entry an int, else None.
+def _shared(rows: list, seen: dict, tag, build):
+    """build(key) of a list of rows, built once per (tag, key) in seen; key is the rows as tuples.
 
-    The interning key of a matrix or a relation list.  The types are
-    tested exactly and at C level, so a JSON true or 1.0 never makes the
-    key of a 1: a value whose key matches was built from the same
-    integers, and one that has no key takes the checked path.
+    A key that seen lacks goes to build, which tests each entry's type
+    and the row lengths.  A key that seen holds equals one that build
+    passed, so it gets only an exact type test of its entries at C
+    level.  Raises TypeError or ValueError for rows that build refuses.
     """
-    if {list}.issuperset(map(type, rows)):
-        key = tuple(map(tuple, rows))
-        if {int}.issuperset(map(type, chain.from_iterable(key))):
-            return key
-    return None
+    if not all(isinstance(r, list) for r in rows):
+        raise ValueError("a row that is not a list")
+    key = tuple(map(tuple, rows))
+    value = seen.get((tag, key))  # TypeError: an entry that is a list or an object
+    if value is None:
+        value = seen[tag, key] = build(key)
+    elif not {int}.issuperset(map(type, chain.from_iterable(key))):
+        raise TypeError("an entry that is not an int")
+    return value
 
 
 def _parse_presentation(obj, subset: list, b: int, seen: dict) -> FpAbPresentation:
@@ -134,25 +139,14 @@ def _parse_presentation(obj, subset: list, b: int, seen: dict) -> FpAbPresentati
     if not isinstance(columns, list):
         raise DatumParseError(
             f"stratum {subset!r} degree {b}: relations must be a list of columns")
-    key = _int_rows(columns)
-    if key is not None:
-        key = (gens, key)
-        group = seen.get(key)
-        if group is not None:
-            return group
-    # The entries and column lengths are checked once, by the constructor.
     try:
-        if not all(isinstance(c, list) for c in columns):
-            raise ValueError("a relation that is not a list")
-        group = FpAbPresentation.from_relation_columns(gens, columns)
+        return _shared(columns, seen, gens,
+                       lambda key: FpAbPresentation.from_relation_columns(gens, key))
     except DenseWorkTooLargeError as e:
         raise DenseWorkTooLargeError(f"stratum {subset!r} degree {b}: {e}") from None
     except (TypeError, ValueError):
         raise DatumParseError(f"stratum {subset!r} degree {b}: each relation must be "
                               f"an integer column of length {gens}") from None
-    if key is not None:
-        seen[key] = group
-    return group
 
 
 def _parse_matrix(obj, subset: list, i: int, b: int, seen: dict) -> IntMatrix:
@@ -160,22 +154,11 @@ def _parse_matrix(obj, subset: list, i: int, b: int, seen: dict) -> IntMatrix:
     if not isinstance(obj, list):
         raise DatumParseError(
             f"stratum {subset!r} restriction {i} degree {b}: matrix must be a list of rows")
-    key = _int_rows(obj)
-    if key is not None:
-        mat = seen.get(key)
-        if mat is not None:
-            return mat
-    # A flat list is malformed; entries and row lengths are left to from_rows.
     try:
-        if not all(isinstance(r, list) for r in obj):
-            raise ValueError("a row that is not a list")
-        mat = IntMatrix.from_rows(obj)
+        return _shared(obj, seen, None, IntMatrix.from_rows)
     except (TypeError, ValueError):
         raise DatumParseError(f"stratum {subset!r} restriction {i} degree {b}: "
                               "matrix rows must be equal-length integer lists") from None
-    if key is not None:
-        seen[key] = mat
-    return mat
 
 
 def _parse_key(text, ints: dict, subset: list, what: str) -> int:

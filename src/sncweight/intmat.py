@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
+from itertools import compress
 from math import gcd
 
 __all__ = [
@@ -101,12 +102,18 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        """The matrix with the given rows, cols wide (the first row's length if None).
+
+        Each entry's type is tested once, a list or tuple row is read
+        without a copy, and each row's nonzeros are picked at C level.
+        """
         rows = [_int_entries(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls._wrap(len(rows), cols, tuple({j: e for j, e in enumerate(r) if e} for r in rows))
+        # Every entry is an int, so an entry is picked exactly when it is nonzero.
+        return cls._wrap(len(rows), cols, tuple([dict(compress(enumerate(r), r)) for r in rows]))
 
     @classmethod
     def from_entries(
@@ -274,9 +281,9 @@ def _check_shape(rows: int, cols: int) -> None:
         raise ValueError("matrix dimensions must be nonnegative")
 
 
-def _int_entries(entries: Iterable[int]) -> list[int]:
-    # A list is only read here and by the callers, never kept, so it is not copied.
-    data = entries if type(entries) is list else list(entries)
+def _int_entries(entries: Iterable[int]) -> Sequence[int]:
+    # A list or tuple is only read here and by the callers, never kept, so it is not copied.
+    data = entries if type(entries) is list or type(entries) is tuple else list(entries)
     if not {int}.issuperset(map(type, data)):
         bad = next(e for e in data if type(e) is not int)
         raise TypeError(f"matrix entries must be integers, got {type(bad).__name__}")

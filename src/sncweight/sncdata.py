@@ -130,9 +130,10 @@ class SncDatum(_Record):
 
     _fields = ("dim", "n_components", "strata")
     # levels[k] is the Level of the strata with |I| = k, for k up to the
-    # largest |I| present.  _table is the weight cohomology table, None
-    # until weight.weight_cohomology_table first computes it or a
-    # validation that tabulates leaves it there.  Both are
+    # largest |I| present.  _table caches the weight cohomology table:
+    # None, then the rows taken so far, by a validation that takes rows or
+    # by weight.weight_cohomology_row, until weight.weight_cohomology_table
+    # makes the whole table there.  Both are
     # sound because the datum cannot change after construction, and
     # neither is a field: equality, hash and repr ignore them.
     __slots__ = _fields + ("levels", "_table")

@@ -20,11 +20,12 @@ other function takes a valid datum and does not check it.  A datum's
 commuting squares are what makes its weight complexes complexes, so
 validate checks them on the blocks of d after d, here, where the
 layout of a level's rows by stratum is known.  It builds each degree's
-complex once, and for a command that reads the table it takes that
-complex's cohomology in the same pass, so a valid datum leaves with its
-table.  Each fact of the structure checks is decided once per distinct
-value, by identity, since a datum read from a file shares its repeated
-groups and matrices.
+complex once, and takes in the same pass the cohomology of the degrees
+b whose row of the table the command reads, so a valid datum leaves
+with those rows: prop1 reads row b = 0 alone, and a row that no caller
+reads is never taken.  Each fact of the structure checks is decided
+once per distinct value, by identity, since a datum read from a file
+shares its repeated groups and matrices.
 
 This module holds only what compute and validation run: products of
 data and the check suites are in checks, and no builder is imported.
@@ -34,7 +35,7 @@ wrapper set on a module attribute sees the calls made here.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import combinations
 from types import MappingProxyType
 
@@ -49,6 +50,7 @@ __all__ = [
     "BigradedTable",
     "validate",
     "weight_complex",
+    "weight_cohomology_row",
     "weight_cohomology_table",
 ]
 
@@ -142,19 +144,36 @@ def weight_complex(s: SncDatum, b: int) -> CochainComplex:
     return CochainComplex(0, tuple(groups), tuple(diffs))
 
 
-def weight_cohomology_table(s: SncDatum) -> BigradedTable:
-    """Cohomology of every degree-b strata complex, collected as a table.
+def weight_cohomology_row(s: SncDatum, b: int) -> Mapping[int, FgAbGroup]:
+    """Row b of the table: a -> the degree-a cohomology of weight_complex(s, b), nonzero only.
 
-    s must be valid.  Computed once per datum and cached on it, in its
-    _table slot, where validate(s, tabulate=True) may already have left
-    it.  The complexes of a valid datum are complexes by construction,
-    so their cohomology is taken without verify_complex.
+    s must be valid.  Taken once per datum and degree, and cached in its
+    _table slot, which holds the rows taken so far until the whole table
+    is made there; validate(s, rows) may already have left rows in it.
+    The complexes of a valid datum are complexes by construction, so
+    their cohomology is taken without verify_complex.
     """
-    if s._table is None:
-        entries: dict[tuple[int, int], FgAbGroup] = {}
-        for b in s.graded_degrees():
-            for a, g in cohomology(weight_complex(s, b)).items():
-                entries[(a, b)] = g
+    cache = s._table
+    if isinstance(cache, BigradedTable):
+        return MappingProxyType({a: g for (a, c), g in cache.entries.items() if c == b})
+    if cache is None:
+        cache = {}
+        object.__setattr__(s, "_table", cache)
+    row = cache.get(b)
+    if row is None:
+        row = cache[b] = MappingProxyType(cohomology(weight_complex(s, b)))
+    return row
+
+
+def weight_cohomology_table(s: SncDatum) -> BigradedTable:
+    """Every row of the table, one per graded degree b, collected once per datum.
+
+    s must be valid.  The table replaces the rows cached in s._table, and
+    a row not taken yet is taken by weight_cohomology_row.
+    """
+    if not isinstance(s._table, BigradedTable):
+        entries = {(a, b): g for b in s.graded_degrees()
+                   for a, g in weight_cohomology_row(s, b).items()}
         object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
     return s._table
 
@@ -170,20 +189,22 @@ def _fmt(I: SubsetKey) -> str:
     return "{" + ",".join(str(i) for i in I) + "}"
 
 
-def validate(s: SncDatum, tabulate: bool = False) -> Report:
+def validate(s: SncDatum, rows: Iterable[int] = ()) -> Report:
     """Check every invariant; the report enumerates violations.
 
     The commuting squares are checked only when the shapes admit them.
     The command line validates a datum once, where it enters the program.
-    With tabulate, the pass that checks each degree's squares also takes
-    that complex's cohomology while nothing has failed, and a datum that
-    passes leaves with its table in _table, so no complex is built twice.
-    A DenseWorkTooLargeError of that cohomology is raised once the datum
-    is known valid: an invalid datum gets its report whatever the budget.
+    rows are the degrees b whose row of the table the caller reads: the
+    pass that checks each degree's squares also takes the cohomology of
+    those degrees' complexes while nothing has failed, and a datum that
+    passes leaves with those rows in _table, so no complex is built
+    twice.  A DenseWorkTooLargeError of that cohomology is raised once
+    the datum is known valid: an invalid datum gets its report whatever
+    the budget.
     """
     problems, shapes_ok = _check_structure(s)
     if shapes_ok:
-        problems += _degree_pass(s, tabulate and not problems)
+        problems += _degree_pass(s, frozenset() if problems else frozenset(rows))
     return Report("validate", not problems, tuple(problems))
 
 
@@ -284,31 +305,30 @@ def _check_structure(s: SncDatum) -> tuple[list[str], bool]:
     return problems, True
 
 
-def _degree_pass(s: SncDatum, tabulate: bool) -> list[str]:
-    """The failing squares, from one weight complex per graded degree; with tabulate, the table too.
+def _degree_pass(s: SncDatum, rows: frozenset) -> list[str]:
+    """The failing squares, from one weight complex per graded degree; the rows b in rows too.
 
     Each complex is built, read and dropped in turn, so one is held at a
-    time.  With tabulate, which validate passes only for a datum that
-    has passed every other check, its cohomology is taken while no
-    square has failed and none was over the budget; if every square
-    commutes, the table is left in _table, or the first
-    DenseWorkTooLargeError is raised.  The failures are listed by
-    subset, then pair, then degree.
+    time, and a degree is skipped when it has no square to check and no
+    row to take.  validate passes rows only for a datum that has passed
+    every other check; a row's cohomology is taken while no square has
+    failed and none was over the budget.  If every square commutes, the
+    rows are left in _table, or the first DenseWorkTooLargeError is
+    raised.  The failures are listed by subset, then pair, then degree.
     """
     squares = len(s.levels) >= 3
-    if not (squares or tabulate):
-        return []
     found: list = []
-    entries: dict[tuple[int, int], FgAbGroup] = {}
+    taken: dict[int, Mapping[int, FgAbGroup]] = {}
     over_budget = None
     for b in s.graded_degrees():
+        if not (squares or b in rows):
+            continue
         w = weight_complex(s, b)
         if squares:
             found += _block_problems(s, b, w.differentials)
-        if tabulate and not found and over_budget is None:
+        if b in rows and not found and over_budget is None:
             try:
-                for a, g in cohomology(w).items():
-                    entries[(a, b)] = g
+                taken[b] = MappingProxyType(cohomology(w))
             except DenseWorkTooLargeError as e:
                 over_budget = e
         del w  # before the next degree's complex is built
@@ -316,8 +336,8 @@ def _degree_pass(s: SncDatum, tabulate: bool) -> list[str]:
         return [message for _, message in sorted(found)]
     if over_budget is not None:
         raise over_budget
-    if tabulate:
-        object.__setattr__(s, "_table", BigradedTable(s.dim, s.n_components, entries))
+    if taken and s._table is None:
+        object.__setattr__(s, "_table", taken)
     return []
 
 

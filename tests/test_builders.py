@@ -90,14 +90,23 @@ def test_torus_strata_share_their_restriction_matrices():
     assert len(set(map(id, matrices))) <= 204
 
 
-def test_a_parsed_file_builds_each_distinct_value_once():
+def test_a_parsed_file_builds_each_distinct_value_once(monkeypatch):
     # A file repeats its matrices and groups: torus:5 writes 1 890
     # restriction matrices and 648 groups, and reading it builds each
-    # distinct one once.  The distinct values are counted in the JSON.
+    # distinct one once, each matrix with one from_rows call.  The
+    # distinct values are counted in the JSON.
     obj = json.loads(to_json(torus_snc(5)))
     matrices = [mat for entry in obj["strata"]
                 for per_degree in entry["restrictions"].values() for mat in per_degree.values()]
     groups = [p for entry in obj["strata"] for p in entry["cohomology"].values()]
+    calls = []
+    real = IntMatrix.from_rows
+
+    def counted(cls, rows, cols=None):
+        calls.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(IntMatrix, "from_rows", classmethod(counted))
     s = datum_from_dict(obj)
     read_matrices = [mat for stratum in s.strata.values()
                      for per_degree in stratum.restrictions.values()
@@ -106,16 +115,19 @@ def test_a_parsed_file_builds_each_distinct_value_once():
     assert len(read_matrices) == len(matrices) == 1890
     assert len(read_groups) == len(groups) == 648
     assert len(set(map(id, read_matrices))) == len(set(map(json.dumps, matrices))) == 41
+    assert len(calls) == 41
     distinct_groups = {json.dumps(p, sort_keys=True) for p in groups}
     assert len(set(map(id, read_groups))) == len(distinct_groups) == 7
 
 
 def test_a_repeat_that_writes_true_or_a_float_for_a_one_is_refused_where_it_stands():
-    # A value is keyed by its integers only after an exact type test, so a
-    # repeat of a valid matrix that writes true or 1.0 for a 1, or of a
-    # group that writes 2.0 for a 2 or false for a 0, is not taken for the
-    # value it equals in Python: it is refused as a first appearance would
-    # be, with the repeat's own place.
+    # A value is keyed by its integers, and a repeat that finds its key
+    # stored gets an exact type test, so a repeat of a valid matrix that
+    # writes true or 1.0 for a 1, or of a group that writes 2.0 for a 2 or
+    # false for a 0, is not taken for the value it equals in Python: it is
+    # refused as a first appearance would be, with the repeat's own place.
+    # So are repeats with a null or a nested-list entry, or a ragged row,
+    # which find no stored key.
     base = json.loads(to_json(torus_snc(2)))
     firsts, repeats = set(), []
     for entry in base["strata"]:
@@ -125,14 +137,22 @@ def test_a_repeat_that_writes_true_or_a_float_for_a_one_is_refused_where_it_stan
                     repeats.append((entry, i, b))
                 firsts.add(json.dumps(mat))
     entry, i, b = repeats[-1]
-    row = next(r for r in entry["restrictions"][i][b] if 1 in r)
-    for bad in (True, 1.0):
-        row[row.index(1)] = bad
+    mat = entry["restrictions"][i][b]
+    row = next(r for r in mat if 1 in r)
+    at = row.index(1)
+    message = (f"stratum {entry['subset']!r} restriction {i} degree {b}: "
+               "matrix rows must be equal-length integer lists")
+    for bad in (True, 1.0, None, [1]):
+        row[at] = bad
         with pytest.raises(DatumParseError) as refused:
             datum_from_dict(base)
-        assert str(refused.value) == (f"stratum {entry['subset']!r} restriction {i} degree {b}: "
-                                      "matrix rows must be equal-length integer lists")
-        row[row.index(bad)] = 1
+        assert str(refused.value) == message, bad
+        row[at] = 1
+    mat.append(row + [0])
+    with pytest.raises(DatumParseError) as refused:
+        datum_from_dict(base)
+    assert str(refused.value) == message
+    mat.pop()
     datum_from_dict(base)
     obj = json.loads(to_json(torsion_datum()))
     group = obj["strata"][0]["cohomology"]["2"]

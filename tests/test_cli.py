@@ -462,20 +462,25 @@ def test_level_differentials_only_between_existing_levels(capsys, monkeypatch):
 
 
 def test_validation_takes_the_table_from_the_complexes_it_checks(capsys, monkeypatch, tmp_path):
-    # Validation's pass takes the table from the complexes whose squares
-    # it reads, so compute on a file builds each graded degree's complex
-    # once, and check euler builds no more.  dual and check d2 read no
-    # table, so no cohomology is taken of the datum's complexes there.
+    # Validation's pass takes the rows of the table that the command reads
+    # from the complexes whose squares it reads, so compute on a file
+    # builds each graded degree's complex once, and check euler and prop1
+    # build no more.  prop1 reads row b = 0 alone, so only the degree-0
+    # complex's cohomology is taken, on a file and on a builder alike.
+    # check all takes each row once, and d2 builds every complex again.
+    # dual and check d2 read no table, so no cohomology is taken of the
+    # datum's complexes there.
     from collections import Counter
 
     import sncweight.weight as weight
 
-    built, taken = Counter(), []
+    built, taken = [], []
     real_complex, real_cohomology = weight.weight_complex, weight.cohomology
 
     def counted_complex(s, b):
-        built[b] += 1
-        return real_complex(s, b)
+        w = real_complex(s, b)
+        built.append((s, b, w))  # kept, so no two complexes share an id
+        return w
 
     def counted_cohomology(c):
         taken.append(c)
@@ -486,16 +491,23 @@ def test_validation_takes_the_table_from_the_complexes_it_checks(capsys, monkeyp
     path = tmp_path / "torus3.json"
     path.write_text(to_json(torus_snc(3)))
     degrees = torus_snc(3).graded_degrees()
-    for argv, complexes, cohomologies in ((("compute", str(path)), 1, 1),
-                                          (("check", str(path), "euler"), 1, 1),
-                                          (("dual", str(path)), 1, 0),
-                                          (("check", str(path), "d2"), 2, 0)):
+    for argv, complexes, rows in ((("compute", str(path)), 1, degrees),
+                                  (("check", str(path), "euler"), 1, degrees),
+                                  (("check", str(path), "prop1"), 1, [0]),
+                                  (("check", "--builder", "torus:3", "prop1"), 1, [0]),
+                                  (("check", str(path), "all"), 2, degrees),
+                                  (("dual", str(path)), 1, []),
+                                  (("check", str(path), "d2"), 2, [])):
         built.clear()
         taken.clear()
-        code, _, _ = run(capsys, *argv)
-        assert code == 0, argv
-        assert built == Counter(complexes * degrees), argv
-        assert len(taken) == cohomologies * len(degrees), argv
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "FAIL" not in out, argv
+        # The input is validated before any product of it is built.
+        inputs = [(b, w) for s, b, w in built if s is built[0][0]]
+        assert built[0][0] == torus_snc(3), argv
+        assert Counter(b for b, _ in inputs) == Counter(complexes * degrees), argv
+        degree_of = {id(w): b for b, w in inputs}
+        assert sorted(degree_of[id(c)] for c in taken if id(c) in degree_of) == rows, argv
 
 
 def _budget_datum(square_commutes: bool) -> dict:
@@ -521,7 +533,8 @@ def test_an_invalid_datum_is_reported_before_a_table_over_budget(capsys, monkeyp
     # degree at a time.  Degree 2's cohomology is over the budget before
     # degree 4's square is checked, and the budget error waits for the end
     # of the pass: an invalid datum prints its report and exits 1, and a
-    # valid one exits 2 with the budget message.
+    # valid one exits 2 with the budget message.  prop1 reads only row
+    # b = 0, whose complex has unit pivots alone, so it meets no budget.
     from sncweight import intmat
 
     paths = {}
@@ -531,14 +544,16 @@ def test_an_invalid_datum_is_reported_before_a_table_over_budget(capsys, monkeyp
     for argv in (("compute",), ("check", "all"), ("check", "prop1")):
         assert run(capsys, argv[0], str(paths[True]), *argv[1:])[0] == 0, argv
     monkeypatch.setattr(intmat, "MAX_DENSE_WORK", 1)
+    report = ("FAIL validate\n  commuting squares: paths {} -> {2} -> {1,2} "
+              "and {} -> {1} -> {1,2} differ in degree 4\n")
     for argv in (("compute",), ("check", "all"), ("check", "prop1"), ("check", "euler")):
-        code, out, err = run(capsys, argv[0], str(paths[False]), *argv[1:])
-        assert (code, err) == (1, ""), argv
-        assert out == ("FAIL validate\n  commuting squares: paths {} -> {2} -> {1,2} "
-                       "and {} -> {1} -> {1,2} differ in degree 4\n"), argv
+        assert run(capsys, argv[0], str(paths[False]), *argv[1:]) == (1, report, ""), argv
+    for argv in (("compute",), ("check", "all"), ("check", "euler")):
         _one_parse_error(capsys, (argv[0], str(paths[True]), *argv[1:]),
                          "error: a 2x1 dense Smith reduction would take about 2 entry "
                          "updates, more than 1")
+    code, out, err = run(capsys, "check", str(paths[True]), "prop1")
+    assert (code, err) == (0, "") and "PASS nerve-identity\n" in out
     # Neither dual nor d2 reads the table, so neither meets the budget.
     for argv in (("dual",), ("check", "d2")):
         assert run(capsys, argv[0], str(paths[True]), *argv[1:])[0] == 0, argv

@@ -31,7 +31,8 @@ from sncweight.dual import (
 )
 from sncweight.intmat import IntMatrix
 from sncweight.sncdata import ProductTooLargeError, SncDatum, StratumData
-from sncweight.weight import BigradedTable, validate, weight_cohomology_table, weight_complex
+from sncweight.weight import (BigradedTable, validate, weight_cohomology_row,
+                              weight_cohomology_table, weight_complex)
 
 from _support import (
     BUILDER_SPECS,
@@ -569,9 +570,19 @@ def test_contractible_product_nerve():
 
 
 def test_table_is_cached_on_the_datum_and_read_only():
+    # A row taken first is kept, and the table collects it; a row read
+    # once the table is made is the table's.
     s = torus_snc(2)
+    row = weight_cohomology_row(s, 0)
     table = weight_cohomology_table(s)
     assert weight_cohomology_table(s) is table
+    for b in (0, 2, 4):
+        expected = {a: g for (a, c), g in table.entries.items() if c == b}
+        assert dict(weight_cohomology_row(s, b)) == expected and expected, b
+    assert dict(row) == dict(weight_cohomology_row(s, 0))
+    assert all(table.entries[(a, 0)] is g for a, g in row.items())
+    with pytest.raises(TypeError):
+        row[0] = Z
     with pytest.raises(TypeError):
         table.entries[(0, 0)] = Z
     entries = {(1, 0): Z}
