@@ -168,7 +168,8 @@ def reduced_cohomology(k: SimplicialComplex) -> dict[int, FgAbGroup]:
     """Reduced integral cohomology, torsion included; nonzero degrees only.
 
     The simplicial coboundary squares to zero by construction, so the
-    complex goes to chain.cohomology without verify_complex.
+    complex goes to chain.cohomology unchecked; the tests' verify_complex
+    oracle checks it.
     """
     return cohomology(reduced_cochain_complex(k))
 

@@ -150,8 +150,9 @@ def weight_cohomology_row(s: SncDatum, b: int) -> Mapping[int, FgAbGroup]:
     s must be valid.  Taken once per datum and degree, and cached in its
     _table slot, which holds the rows taken so far until the whole table
     is made there; validate(s, rows) may already have left rows in it.
-    The complexes of a valid datum are complexes by construction, so
-    their cohomology is taken without verify_complex.
+    validate has read every square of a valid datum off its complexes'
+    d after d, so they are complexes and their cohomology is taken
+    without checking them again; the tests' verify_complex oracle does.
     """
     cache = s._table
     if isinstance(cache, BigradedTable):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sncweight.abgroup import FgAbGroup, FpAbPresentation
+from sncweight.abgroup import FgAbGroup, FpAbPresentation, in_span, is_well_defined
 from sncweight.builders import point_snc, punctured_curve_snc
 from sncweight.checks import _nerve_identity_report, product_snc
 from sncweight.dual import (
@@ -29,6 +29,7 @@ from sncweight.dual import (
 )
 from sncweight.chain import CochainComplex
 from sncweight.intmat import IntMatrix, smith_diagonal
+from sncweight.reports import Report
 from sncweight.sncdata import SncDatum, StratumData
 
 
@@ -271,6 +272,27 @@ def oracle_square_problems(s: SncDatum) -> list[str]:
                         f"{_fmt(J)} -> {_fmt(Ij)} -> {_fmt(I)} differ in degree {b}"
                     )
     return problems
+
+
+def verify_complex(c: CochainComplex) -> Report:
+    """Check every differential is well defined and every d(a+1) after d(a) is zero.
+
+    chain.cohomology takes both as its precondition and checks neither;
+    the program's complexes hold them by construction, and validate
+    decides them for a datum's weight complexes on the blocks of each
+    d after d.  This checks them complex by complex.  Both are span
+    tests in the target's relations: a differential maps its source's
+    relations into them, and a composite need only vanish modulo them.
+    The report lists each failure by degree.
+    """
+    problems = []
+    for i, (d, g) in enumerate(zip(c.differentials, c.groups)):
+        if not is_well_defined(d, g, c.groups[i + 1]):
+            problems.append(f"degree {c.min_degree + i}: differential is not well defined")
+    for i, (d, e) in enumerate(zip(c.differentials, c.differentials[1:])):
+        if not in_span(e * d, c.groups[i + 2]):
+            problems.append(f"degree {c.min_degree + i}: d after d is nonzero")
+    return Report("d-squared", not problems, tuple(problems))
 
 
 def unit_phase_pivot_rows(a: IntMatrix) -> set[int]:

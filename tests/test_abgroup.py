@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sncweight.abgroup import FgAbGroup, FpAbPresentation, canonical_form, in_span, is_well_defined
-from sncweight.chain import CochainComplex, cohomology, verify_complex
+from sncweight.chain import CochainComplex, cohomology
 from sncweight.intmat import IntMatrix, smith_diagonal
 
 from _support import (
@@ -15,6 +15,7 @@ from _support import (
     oracle_subquotient,
     random_presentation,
     random_unimodular,
+    verify_complex,
 )
 
 F = FpAbPresentation.free

@@ -15,7 +15,6 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import verify_complex
 from sncweight.checks import (
     a1_stability_check,
     degeneration_check,
@@ -41,6 +40,7 @@ from _support import (
     oracle_cochain_cohomology,
     random_matrix,
     random_valid_datum,
+    verify_complex,
 )
 
 Z = FgAbGroup.free(1)

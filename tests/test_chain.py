@@ -6,9 +6,10 @@ import pytest
 import sncweight.chain as chain
 
 from sncweight.abgroup import FgAbGroup, FpAbPresentation
-from sncweight.chain import CochainComplex, cohomology, verify_complex
+from sncweight.chain import CochainComplex, cohomology
 from sncweight.intmat import IntMatrix, smith_diagonal
 
+import _support
 from _support import (
     check_record,
     curve_chain_datum,
@@ -17,6 +18,7 @@ from _support import (
     random_presented_complex,
     random_unimodular,
     rational_rank,
+    verify_complex,
 )
 
 F = FpAbPresentation.free
@@ -230,7 +232,7 @@ def test_cohomology_checks_each_hom_once(monkeypatch):
         calls.append(m.shape)
         return real(m, group)
 
-    monkeypatch.setattr(chain, "in_span", counted)
+    monkeypatch.setattr(_support, "in_span", counted)
     monkeypatch.setattr(abgroup, "in_span", counted)
     rng = random.Random(3)
     differentials = sources = composites = relations_next = 0

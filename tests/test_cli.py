@@ -467,9 +467,9 @@ def test_validation_takes_the_table_from_the_complexes_it_checks(capsys, monkeyp
     # builds each graded degree's complex once, and check euler and prop1
     # build no more.  prop1 reads row b = 0 alone, so only the degree-0
     # complex's cohomology is taken, on a file and on a builder alike.
-    # check all takes each row once, and d2 builds every complex again.
-    # dual and check d2 read no table, so no cohomology is taken of the
-    # datum's complexes there.
+    # check all takes each row once, and d2 reports validation's verdict
+    # without building a complex.  dual and check d2 read no table, so no
+    # cohomology is taken of the datum's complexes there.
     from collections import Counter
 
     import sncweight.weight as weight
@@ -495,9 +495,9 @@ def test_validation_takes_the_table_from_the_complexes_it_checks(capsys, monkeyp
                                   (("check", str(path), "euler"), 1, degrees),
                                   (("check", str(path), "prop1"), 1, [0]),
                                   (("check", "--builder", "torus:3", "prop1"), 1, [0]),
-                                  (("check", str(path), "all"), 2, degrees),
+                                  (("check", str(path), "all"), 1, degrees),
                                   (("dual", str(path)), 1, []),
-                                  (("check", str(path), "d2"), 2, [])):
+                                  (("check", str(path), "d2"), 1, [])):
         built.clear()
         taken.clear()
         code, out, _ = run(capsys, *argv)
@@ -1056,10 +1056,9 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     # product-consistency all read the table of the datum; each of the four
     # distinct datums (torus:3 and its products with A^1, a point and itself)
     # used to have its table computed again by every suite that read it.
-    # Each product's complex is built once per graded degree b, and the
-    # input's exactly twice: validate reads its commuting squares off
-    # d after d and takes the table from the same complexes, and d2 builds
-    # them again.
+    # Each complex is built once per graded degree b, the input's too:
+    # validate reads its commuting squares off d after d and takes the
+    # table from the same complexes, and d2 reports that verdict.
     from collections import Counter
 
     import sncweight.weight as weight
@@ -1075,11 +1074,10 @@ def test_check_all_builds_each_table_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--builder", "torus:3", "all")
     assert code == 0 and "FAIL" not in out
     assert len(built) == 4
-    # validate and d2 run first, on the input.
-    (datum, per_degree), *products = built.values()
+    # validate runs first, on the input.
+    (datum, _), *_ = built.values()
     assert datum == torus_snc(3)
-    assert per_degree == Counter(2 * datum.graded_degrees())
-    for s, per_degree in products:
+    for s, per_degree in built.values():
         assert per_degree == Counter(s.graded_degrees())
 
 
@@ -1250,12 +1248,12 @@ def test_check_all_on_incoherent_datum(capsys, tmp_path):
 
 
 def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypatch, tmp_path):
-    # No valid datum reaches FAIL d2, so break the program instead: negate
+    # No valid datum can fail d2, so break the program instead: negate
     # the first block of d_1 in degree 0, which d_2 after d_1 must see.  The
     # file holds only the degree-0 part of torus:2, where 0 is the only
     # graded degree.  validate reads the squares off the same complexes, so
-    # the broken program fails it first; with its block check stubbed out,
-    # the datum reaches d2.
+    # the broken program fails it, and d2, which reports validation's
+    # verdict, is never reached.
     import sncweight.weight as weight
     from sncweight.chain import CochainComplex
 
@@ -1283,12 +1281,6 @@ def test_d2_fails_when_the_program_breaks_a_level_differential(capsys, monkeypat
         monkeypatch.setattr(weight, "weight_complex", broken)
         code, out, _ = run(capsys, "check", *source, "d2")
         assert code == 1 and out.startswith("FAIL validate\n  commuting squares: "), source
-        with monkeypatch.context() as stubbed:
-            stubbed.setattr(weight, "_block_problems", lambda datum, b, diffs: [])
-            code, out, _ = run(capsys, "check", *source, "d2")
-        assert code == 1, source
-        assert out.splitlines()[1:] == [
-            "FAIL d2", "  b=0, degree 0: d after d is nonzero"], source
 
 
 def test_check_decides_usage_errors_before_validation(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import sncweight.dual
 from sncweight.abgroup import FgAbGroup, FpAbPresentation, canonical_form
 from sncweight.builders import affine_space_snc, punctured_curve_snc, torus_snc
-from sncweight.chain import CochainComplex, cohomology, verify_complex
+from sncweight.chain import CochainComplex, cohomology
 from sncweight.dual import (
     DisconnectedComplexError,
     GroupPresentation,
@@ -32,6 +32,7 @@ from _support import (
     rp2_triangles,
     surface_json,
     torus_grid,
+    verify_complex,
 )
 
 Z = FgAbGroup.free(1)

@@ -17,7 +17,7 @@ from sncweight.sncdata import SncDatum, StratumData
 from sncweight.weight import validate, weight_complex
 
 from _support import (BUILDER_SPECS, check_record, curve_chain_datum, oracle_square_problems,
-                      random_valid_datum)
+                      random_valid_datum, verify_complex)
 
 F = FpAbPresentation.free
 ONE = IntMatrix.identity(1)
@@ -193,20 +193,29 @@ def _mutants(rng: random.Random, s: SncDatum) -> list[SncDatum]:
 def test_validate_agrees_with_the_per_square_oracle():
     # validate reads the squares off the blocks of d after d; the oracle
     # compares the two paths of each square on its own.  Their findings
-    # must agree, in order, on valid data and on mutants of them.
+    # must agree, in order, on valid data and on mutants of them.  check
+    # d2 reports validate's verdict, so every datum that validate accepts
+    # must also have weight complexes that verify_complex accepts, degree
+    # by degree.
     rng = random.Random(20261020)
     corpus = [parse_builder(spec) for spec in BUILDER_SPECS]
     corpus += [random_valid_datum(rng) for _ in range(20)]
     corpus += [curve_chain_datum(rng, rng.randint(2, 4), rng.randint(1, 3), rng.randint(0, 3))
                for _ in range(12)]
     data = [m for s in corpus for m in [s] + _mutants(rng, s)]
-    failing = 0
+    failing = accepted = 0
     for s in data:
         problems, shapes_ok = weight._check_structure(s)
         squares = oracle_square_problems(s) if shapes_ok else []
-        assert validate(s).details == tuple(problems + squares)
+        report = validate(s)
+        assert report.details == tuple(problems + squares)
         failing += bool(squares)
+        if report.passed:
+            for b in s.graded_degrees():
+                assert verify_complex(weight_complex(s, b)).passed, b
+            accepted += 1
     assert len(data) == 166 and failing == 61, (len(data), failing)
+    assert accepted == 80, accepted
 
 
 def test_strata_level_blocks():

@@ -10,7 +10,7 @@ from sncweight.builders import (
     punctured_curve_snc,
     torus_snc,
 )
-from sncweight.chain import _total_differential, cohomology, verify_complex
+from sncweight.chain import _total_differential, cohomology
 from sncweight.checks import (
     FreeTensorError,
     a1_stability_check,
@@ -27,6 +27,7 @@ from sncweight.dual import (
     STATUS_SPHERE,
     SimplicialComplex,
     nerve,
+    reduced_cochain_complex,
     reduced_cohomology,
 )
 from sncweight.intmat import IntMatrix
@@ -49,6 +50,8 @@ from _support import (
     reference_product,
     rp2_triangles,
     sparse_restriction_datum,
+    torus_grid,
+    verify_complex,
 )
 
 F = FpAbPresentation.free
@@ -506,8 +509,9 @@ def test_universal_coefficients_agree_with_the_mod_p_ranks():
     # An independent path for every degree: the weight complexes of torus:6
     # to torus:8 (the largest builder input, 3^8 strata), of the curve
     # builders and of curve:5000,1, the total complexes of a seeded chain
-    # of curves whose H^1 carry relations, and the b = 0 complexes of three
-    # surfaces' point-strata data, at p = 2, 3, 5, 1 000 003 and
+    # of curves whose H^1 carry relations, the b = 0 complexes of three
+    # surfaces' point-strata data, and dual's own reduced cochain complexes
+    # of those surfaces and a torus, at p = 2, 3, 5, 1 000 003 and
     # 1 048 583 (the first prime above 2^20).
     import time
 
@@ -533,6 +537,13 @@ def test_universal_coefficients_agree_with_the_mod_p_ranks():
                             (genus_two_surface(), {})):
         c = weight_complex(point_strata_datum(facets), 0)
         mismatches, count = _universal_coefficient_mismatches(c, primes)
+        assert mismatches == [] and {key: n for key, n in count.items() if n} == torsion
+    # The same surfaces and a torus as simplicial complexes, through dual's
+    # own coboundary writer: H~^2 is Z/2 for RP^2 and the crosscaps.
+    for facets, torsion in ((rp2_triangles(), {(2, 2): 1}), (crosscap_surface(), {(2, 2): 1}),
+                            (genus_two_surface(), {}), (torus_grid(4, 5), {})):
+        k = SimplicialComplex.from_facets(range(max(map(max, facets)) + 1), facets)
+        mismatches, count = _universal_coefficient_mismatches(reduced_cochain_complex(k), primes)
         assert mismatches == [] and {key: n for key, n in count.items() if n} == torsion
     assert time.process_time() - start < 5
 
